@@ -24,7 +24,7 @@ from .groups import FgAbelianGroup, Subgroup
 from .intlinalg import (
     IntMatrix,
     Vec,
-    hermite_rows,
+    hermite_coordinates,
     lattice_contains,
     row_times_matrix,
     smith,
@@ -397,7 +397,7 @@ def _build_action(
         moduli = moduli + list(extra_moduli or [])
     res = solve_congruences(eqs, moduli, unknowns=nunk)
     assert res is not None
-    sol_basis = hermite_rows(res[1], nunk)
+    sol_basis = res[1]
     smat = IntMatrix(sol_basis, cols=nunk)
     degenerate = _degenerate_pair_rows(f)
     for row in degenerate:
@@ -407,17 +407,12 @@ def _build_action(
             )
 
     def express_z(z: Sequence[int]) -> Vec:
-        if not sol_basis:
-            return ()
-        eqs_z = [
-            [sol_basis[i][j] for i in range(len(sol_basis))] for j in range(nunk)
-        ]
-        r = solve_congruences(eqs_z, [0] * nunk, rhs=list(z))
-        if r is None:
+        coords = hermite_coordinates(sol_basis, z)
+        if coords is None:
             raise ScalarRingError(
                 "scalar ring axioms violated: composite pair escapes the lattice"
             )
-        return r[0]
+        return coords
 
     relations = [express_z(row) for row in degenerate]
     s = len(sol_basis)

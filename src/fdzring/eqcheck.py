@@ -157,7 +157,7 @@ def _element_additive_order(b: FdzRing, vec: Sequence[int]) -> int:
     return order
 
 
-def _candidate_images(b: FdzRing, order: int, bound: int) -> list[Vec]:
+def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
     """Images for a generator of the given additive order (0 = infinite).
 
     An isomorphism preserves element orders exactly, so torsion generators
@@ -174,11 +174,33 @@ def _candidate_images(b: FdzRing, order: int, bound: int) -> list[Vec]:
                 per_coord.append([x for x in range(d) if (order * x) % d == 0])
             else:
                 per_coord.append(list(range(d)))
-    out = []
     for cand in itertools.product(*per_coord):
         if _element_additive_order(b, cand) == order:
-            out.append(tuple(cand))
-    return out
+            yield tuple(cand)
+
+
+class _LazyPool:
+    """Re-iterable view of an iterator that stores only what was consumed.
+
+    The search charges one node per candidate it takes, so a pool never
+    holds more than the node budget, however large the full candidate set.
+    """
+
+    def __init__(self, source: Iterator[Vec]):
+        self._source = source
+        self._seen: list[Vec] = []
+
+    def __iter__(self) -> Iterator[Vec]:
+        seen = self._seen
+        i = 0
+        while True:
+            if i == len(seen):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                seen.append(item)
+            yield seen[i]
+            i += 1
 
 
 def _iso_witnesses(
@@ -190,14 +212,19 @@ def _iso_witnesses(
         range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i])
     )
     position = {idx: pos for pos, idx in enumerate(gen_order)}
-    candidates = {
-        d: _candidate_images(b, d, coeff_bound) for d in set(order_of)
-    }
+    candidates: dict[int, list[Vec] | _LazyPool]
     if seed:
         # alternative deterministic orderings; 0 keeps smallest-first
+        candidates = {
+            d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
+        }
         rng = random.Random(seed)
         for pool in candidates.values():
             rng.shuffle(pool)
+    else:
+        candidates = {
+            d: _LazyPool(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
+        }
 
     # a product constraint becomes checkable once its factors and the
     # support of its value are all assigned; fire each at that moment

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .intlinalg import (
     IntMatrix,
     Vec,
+    hermite_coordinates,
     hermite_reduce,
     hermite_rows,
     preimage_lattice,
@@ -206,20 +207,8 @@ class Subgroup:
         b1, b2 = self.lift_basis, other.lift_basis
         if not b1 or not b2:
             return self.parent.zero_subgroup()
-        stacked = IntMatrix(
-            [list(r) for r in b1] + [[-x for x in r] for r in b2],
-            cols=self.parent.rank,
-        )
-        from .intlinalg import left_kernel
-
-        gens = []
-        for row in left_kernel(stacked):
-            coeffs = row[: len(b1)]
-            vec = [0] * self.parent.rank
-            for c, b in zip(coeffs, b1):
-                for k in range(self.parent.rank):
-                    vec[k] += c * b[k]
-            gens.append(vec)
+        w = IntMatrix(b1, cols=self.parent.rank)
+        gens = [row_times_matrix(c, w) for c in preimage_lattice(w, b2)]
         return Subgroup(self.parent, gens)
 
     def saturate(self) -> "Subgroup":
@@ -290,14 +279,7 @@ class Subgroup:
         The lift lattice contains the parent relations, so membership of the
         raw vector in the lattice is exactly membership in the subgroup.
         """
-        basis = self.lift_basis
-        if not basis:
-            return () if self.contains(vec) else None
-        eqs = [[basis[i][j] for i in range(len(basis))] for j in range(self.parent.rank)]
-        res = solve_congruences(eqs, [0] * self.parent.rank, rhs=list(vec))
-        if res is None:
-            return None
-        return res[0]
+        return hermite_coordinates(self.lift_basis, vec)
 
 
 def subgroup_sum(s: Subgroup, t: Subgroup) -> Subgroup:

@@ -3,7 +3,11 @@
 Everything here works with arbitrary-precision Python ints.  Matrices are
 immutable; reduction algorithms copy into lists, reduce with elementary
 row/column operations (minimal-pivot selection to keep coefficients small),
-and freeze the result.  Intended scale is small dense matrices (rank <= 12
+and freeze the result.  Kernels, preimage lattices and coordinates over a
+lattice basis come from one-sided Hermite reduction, which builds no
+transform; the Smith form, with its four accumulated transforms, serves
+invariant factors, diagonal presentations and particular solutions of
+inhomogeneous systems.  Intended scale is small dense matrices (rank <= 12
 plus the auxiliary systems built from them), so no sparsity or modular
 arithmetic is attempted.
 """
@@ -17,7 +21,7 @@ Vec = tuple[int, ...]
 
 
 def _as_vec(values: Iterable[int]) -> Vec:
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 class IntMatrix:
@@ -80,12 +84,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -141,9 +139,12 @@ def matrix_times_col(m: IntMatrix, v: Sequence[int]) -> Vec:
 class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    The inverses of the transforms are accumulated during reduction, since
-    several callers (saturation, solving) need them and unimodular inversion
-    is cheapest when tracked alongside the elimination.
+    The inverses of the transforms are tracked alongside the elimination,
+    where unimodular inversion is cheapest.  Rows of ``vinv`` give
+    saturation, diagonal presentations and group enumeration; ``solve``
+    reads ``u`` and ``v``.  Kernels and coordinates need no transform and
+    come from Hermite reduction instead (``preimage_lattice``,
+    ``hermite_coordinates``).
     """
 
     u: IntMatrix
@@ -258,6 +259,40 @@ def smith(a: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _echelon(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
+    """Row echelon basis of the lattice spanned by ``rows``.
+
+    Pivots are positive and strictly increasing; entries above a pivot are
+    left as they fall.  Pivot rows never take part in later eliminations,
+    so leaving them unreduced changes no later row.
+    """
+    work = [r for r in (list(map(int, r)) for r in rows) if any(r)]
+    for r in work:
+        if len(r) != width:
+            raise ValueError("row width mismatch")
+    basis: list[list[int]] = []
+    for col in range(width):
+        live = [r for r in work if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            base = live[0]
+            p, tail = base[col], base[col:]
+            for r in live[1:]:
+                q = r[col] // p
+                if q:
+                    r[col:] = [x - q * y for x, y in zip(r[col:], tail)]
+            live = [r for r in live if r[col]]
+        row = live[0]
+        # rows reduced to zero stay in ``work``; they never turn live again
+        work = [r for r in work if not r[col]]
+        if row[col] < 0:
+            row[col:] = [-x for x in row[col:]]
+        basis.append(row)
+    return basis
+
+
 def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
     """Canonical row Hermite basis of the lattice spanned by ``rows``.
 
@@ -266,72 +301,62 @@ def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
     Hermite bases are equal, which is what subgroup canonicalization relies
     on.
     """
-    work = [list(_as_vec(r)) for r in rows if any(r)]
-    for r in work:
-        if len(r) != width:
-            raise ValueError("row width mismatch")
-    pivots: list[list[int]] = []
-    for col in range(width):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                if q:
-                    for k in range(col, width):
-                        r[k] -= q * base[k]
-            live = [r for r in live if r[col] != 0]
-        row = live[0]
-        work = [r for r in work if r is not row and any(r[col:])]
-        if row[col] < 0:
-            for k in range(col, width):
-                row[k] = -row[k]
-        for p in pivots:
-            if p[col]:
-                q = p[col] // row[col]
-                if q:
-                    for k in range(col, width):
-                        p[k] -= q * row[k]
-        pivots.append(row)
-    return tuple(tuple(r) for r in pivots)
+    basis = _echelon(rows, width)
+    col = 0
+    for j, row in enumerate(basis):
+        while not row[col]:
+            col += 1
+        p, tail = row[col], row[col:]
+        for prow in basis[:j]:
+            q = prow[col] // p
+            if q:
+                prow[col:] = [x - q * y for x, y in zip(prow[col:], tail)]
+    return tuple(tuple(r) for r in basis)
+
+
+def _divide_along_pivots(
+    basis: Sequence[Sequence[int]], vec: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Quotients and remainder of ``vec`` by the Hermite basis rows, pivot
+    by pivot (floor division at each pivot)."""
+    out = list(map(int, vec))
+    if basis and len(out) != len(basis[0]):
+        raise ValueError("vector width does not match the basis")
+    quotients = []
+    col = 0
+    for row in basis:
+        while not row[col]:
+            col += 1
+        q = out[col] // row[col]
+        quotients.append(q)
+        if q:
+            out[col:] = [x - q * y for x, y in zip(out[col:], row[col:])]
+    return quotients, out
 
 
 def hermite_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec:
     """Canonical representative of ``vec`` modulo the Hermite basis rows."""
-    out = list(_as_vec(vec))
-    for row in basis:
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        q = out[col] // row[col]
-        if q:
-            for k in range(col, len(out)):
-                out[k] -= q * row[k]
-    return tuple(out)
+    return tuple(_divide_along_pivots(basis, vec)[1])
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    return all(x == 0 for x in hermite_reduce(basis, vec))
+    return not any(_divide_along_pivots(basis, vec)[1])
+
+
+def hermite_coordinates(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec | None:
+    """Coordinates of ``vec`` over the rows of a Hermite basis, or ``None``.
+
+    Hermite rows are independent with strictly increasing pivots, so
+    back-substitution along the pivots yields the only coordinates there
+    are; a non-member leaves a nonzero remainder.
+    """
+    quotients, rest = _divide_along_pivots(basis, vec)
+    return None if any(rest) else tuple(quotients)
 
 
 def left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
-    """Basis rows for {y : y·A = 0}."""
-    dec = smith(a)
-    diag = dec.diagonal
-    free = [
-        i
-        for i in range(a.rows)
-        if i >= len(diag) or diag[i] == 0
-    ]
-    return tuple(dec.u.row(i) for i in free)
-
-
-def right_kernel(a: IntMatrix) -> tuple[Vec, ...]:
-    """Basis (as vectors) for {x : A·x = 0}."""
-    return left_kernel(a.transpose())
+    """Hermite basis rows for {y : y·A = 0}."""
+    return preimage_lattice(a, ())
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]] | None:
@@ -377,7 +402,7 @@ def solve_congruences(
     where modulus 0 means exact equality.  Returns a particular solution and
     a basis of the homogeneous solution lattice, or ``None``.  With
     ``rhs=None`` the zero solution is returned as the particular part, which
-    turns this into a kernel computation.
+    turns this into a kernel computation, and the basis is in Hermite form.
     """
     eqs = [list(_as_vec(e)) for e in equations]
     if len(eqs) != len(moduli):
@@ -395,19 +420,26 @@ def solve_congruences(
             tuple(1 if i == j else 0 for j in range(nunk)) for i in range(nunk)
         )
         return tuple([0] * nunk), basis
-    aux = [i for i, m in enumerate(moduli) if m != 0]
-    cols = nunk + len(aux)
-    rows = []
-    for r, eq in enumerate(eqs):
-        row = eq + [0] * len(aux)
-        if moduli[r]:
-            row[nunk + aux.index(r)] = -int(moduli[r])
-        rows.append(row)
-    mat = IntMatrix(rows, cols=cols)
     if rhs is None:
-        kern = right_kernel(mat)
-        return tuple([0] * nunk), tuple(k[:nunk] for k in kern)
-    res = solve(mat, rhs)
+        # z solves the system iff the combination of equation columns it
+        # takes lies in the span of the modulus vectors m_r·e_r
+        columns = IntMatrix(list(zip(*eqs)), cols=len(eqs))
+        modulus_rows = [
+            [int(m) if i == r else 0 for i in range(len(eqs))]
+            for r, m in enumerate(moduli)
+            if m
+        ]
+        return tuple([0] * nunk), preimage_lattice(columns, modulus_rows)
+    naux = sum(1 for m in moduli if m)
+    rows = []
+    slack = nunk
+    for eq, m in zip(eqs, moduli):
+        row = eq + [0] * naux
+        if m:
+            row[slack] = -int(m)
+            slack += 1
+        rows.append(row)
+    res = solve(IntMatrix(rows, cols=nunk + naux), rhs)
     if res is None:
         return None
     part, kern = res
@@ -417,9 +449,18 @@ def solve_congruences(
 def preimage_lattice(
     w: IntMatrix, target_basis: Sequence[Sequence[int]]
 ) -> tuple[Vec, ...]:
-    """Basis rows of {x : x·W lies in the lattice spanned by target_basis}."""
-    tb = [list(_as_vec(r)) for r in target_basis]
-    rows = [list(r) for r in w.data] + [[-v for v in r] for r in tb]
-    stacked = IntMatrix(rows, cols=w.cols) if rows else IntMatrix([], cols=w.cols)
-    kern = left_kernel(stacked)
-    return hermite_rows([k[: w.rows] for k in kern], w.rows)
+    """Hermite basis rows of {x : x·W lies in the lattice spanned by target_basis}.
+
+    The rows of [W | I] and [T | 0] span {(x·W + t, x)}.  In an echelon
+    basis of that lattice the rows whose left part vanishes carry, on the
+    right, a basis of the wanted x (Cohen, GTM 138, §2.4); no transform is
+    built, and only those rows are reduced to Hermite form.
+    """
+    width, tags = w.cols, w.rows
+    rows = [
+        list(r) + [1 if j == i else 0 for j in range(tags)]
+        for i, r in enumerate(w.data)
+    ]
+    rows += [list(t) + [0] * tags for t in target_basis]
+    kernel = [r[width:] for r in _echelon(rows, width + tags) if not any(r[:width])]
+    return hermite_rows(kernel, tags)

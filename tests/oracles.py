@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from fdzring.intlinalg import IntMatrix, row_times_matrix
+from fdzring.intlinalg import IntMatrix, Vec, row_times_matrix, smith
 from fdzring.rings import FdzRing
 
 
@@ -191,3 +191,17 @@ def random_lattice_preserving_unimodular(
         for k in range(r):
             tinv[i][k] -= q * tinv[j][k]
     return IntMatrix(t), IntMatrix(tinv)
+
+
+def smith_left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
+    """Basis rows for {y : y·A = 0}, read off a full Smith decomposition.
+
+    The rows of U past the nonzero diagonal of U·A·V = D span the left
+    kernel.  This is the kernel the library computed before it switched to
+    one-sided Hermite reduction, kept as the reference for that rewrite.
+    """
+    dec = smith(a)
+    diag = dec.diagonal
+    return tuple(
+        dec.u.row(i) for i in range(a.rows) if i >= len(diag) or diag[i] == 0
+    )

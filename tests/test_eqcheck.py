@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from fdzring.corpus import NAMED_RINGS, twoz_ring, w_ring, z_ring, zx2_ring
 from fdzring.eqcheck import (
+    _candidate_images,
+    _LazyPool,
     brute_force_isomorphic,
     equivalence_verdict,
     invariant_profile,
@@ -136,6 +139,19 @@ def test_seeded_ordering_still_finds_witnesses():
         res = iso_search(w_ring(), w_ring(), seed=seed)
         assert res.kind == "yes"
         assert verify_iso_witness(w_ring(), w_ring(), res.witness.matrix)
+
+
+def test_lazy_candidate_pool_keeps_order_and_stores_only_what_is_taken():
+    b = direct_product(w_ring(), z0_ring())
+    pool = _LazyPool(_candidate_images(b, 0, 2))
+    full = list(_candidate_images(b, 0, 2))
+    # nested passes over one pool, as two free generators share it in the DFS
+    pairs = [(x, y) for x in itertools.islice(pool, 3) for y in pool]
+    assert pairs == [(x, y) for x in full[:3] for y in full]
+    counting = _LazyPool(itertools.count())
+    assert list(itertools.islice(counting, 4)) == [0, 1, 2, 3]
+    assert list(itertools.islice(counting, 2)) == [0, 1]
+    assert len(counting._seen) == 4
 
 
 def test_finite_oracle_agreement():

@@ -1,16 +1,22 @@
 import random
 
+import pytest
+
 from fdzring.intlinalg import (
     IntMatrix,
+    hermite_coordinates,
     hermite_reduce,
     hermite_rows,
     lattice_contains,
     left_kernel,
     preimage_lattice,
+    row_times_matrix,
     smith,
     solve,
     solve_congruences,
+    vec_add,
 )
+from oracles import smith_left_kernel
 
 
 def check_smith(a):
@@ -113,3 +119,85 @@ def test_preimage_lattice():
     # {x : x * [1 1] in span{(2, 0), (0, 2)}} = 2Z
     w2 = IntMatrix([[1, 1]])
     assert preimage_lattice(w2, [(2, 0), (0, 2)]) == ((2,),)
+
+
+def _random_rows(rng, count, width, density=0.6, bound=6):
+    rows = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(width)]
+        for _ in range(count)
+    ]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(count)] = [0] * width
+    return rows
+
+
+def test_left_kernel_matches_smith_oracle():
+    rng = random.Random(23)
+    cases = [IntMatrix.zero(3, 2), IntMatrix([[], []]), IntMatrix([], cols=3)]
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 6)
+        cases.append(IntMatrix(_random_rows(rng, m, n), cols=n))
+    for a in cases:
+        kernel = left_kernel(a)
+        assert kernel == hermite_rows(smith_left_kernel(a), a.rows)
+        for y in kernel:
+            assert row_times_matrix(y, a) == (0,) * a.cols
+
+
+def test_preimage_lattice_matches_smith_oracle():
+    rng = random.Random(31)
+    for _ in range(150):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+        w = IntMatrix(_random_rows(rng, m, n), cols=n)
+        target = _random_rows(rng, k, n)
+        stacked = IntMatrix(list(w.data) + [[-x for x in t] for t in target], cols=n)
+        expect = hermite_rows([y[:m] for y in smith_left_kernel(stacked)], m)
+        assert preimage_lattice(w, target) == expect
+
+
+def test_congruence_kernel_matches_smith_oracle():
+    rng = random.Random(37)
+    for trial in range(200):
+        nunk = rng.randint(0, 5)
+        neq = 0 if trial % 10 == 0 else rng.randint(1, 6)
+        eqs = _random_rows(rng, neq, nunk)
+        moduli = [rng.choice((0, 0, 2, 3, 4, 6, 12)) for _ in range(neq)]
+        part, kernel = solve_congruences(eqs, moduli, unknowns=nunk)
+        assert part == (0,) * nunk
+        # the right kernel of [E | -m_r·e_r], truncated to the unknowns
+        slack = [r for r, m in enumerate(moduli) if m]
+        transposed = [[e[j] for e in eqs] for j in range(nunk)] + [
+            [-moduli[r] if i == r else 0 for i in range(neq)] for r in slack
+        ]
+        old = smith_left_kernel(IntMatrix(transposed, cols=neq))
+        assert kernel == hermite_rows([y[:nunk] for y in old], nunk)
+        for z in kernel:
+            for e, m in zip(eqs, moduli):
+                value = sum(c * x for c, x in zip(e, z))
+                assert (value == 0) if m == 0 else (value % m == 0)
+
+
+def test_hermite_coordinates_random_bases():
+    rng = random.Random(41)
+    checked_outside = 0
+    for _ in range(300):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        basis = hermite_rows(_random_rows(rng, k, n, density=0.7, bound=5), n)
+        coeffs = tuple(rng.randint(-4, 4) for _ in basis)
+        as_matrix = IntMatrix(basis, cols=n)
+        vec = row_times_matrix(coeffs, as_matrix)
+        coords = hermite_coordinates(basis, vec)
+        assert coords == coeffs  # Hermite rows are independent
+        assert row_times_matrix(coords, as_matrix) == vec
+        eqs = [[b[j] for b in basis] for j in range(n)]
+        res = solve_congruences(eqs, [0] * n, rhs=list(vec), unknowns=len(basis))
+        assert res is not None and res[0] == coords
+        off = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not lattice_contains(basis, off):
+            outside = vec_add(vec, off)
+            assert hermite_coordinates(basis, outside) is None
+            assert solve_congruences(eqs, [0] * n, rhs=list(outside), unknowns=len(basis)) is None
+            checked_outside += 1
+    assert checked_outside > 100
+    with pytest.raises(ValueError):
+        hermite_coordinates(((1, 0),), (1, 0, 0))
