@@ -24,10 +24,9 @@ from .groups import FgAbelianGroup, Subgroup
 from .intlinalg import (
     IntMatrix,
     Vec,
+    diagonal_presentation,
     hermite_coordinates,
-    lattice_contains,
     row_times_matrix,
-    smith,
     solve_congruences,
 )
 from .rings import (
@@ -399,12 +398,15 @@ def _build_action(
     assert res is not None
     sol_basis = res[1]
     smat = IntMatrix(sol_basis, cols=nunk)
-    degenerate = _degenerate_pair_rows(f)
-    for row in degenerate:
-        if not lattice_contains(sol_basis, row):
+    relations = []
+    for row in _degenerate_pair_rows(f):
+        coords = hermite_coordinates(sol_basis, row)
+        if coords is None:
             raise ScalarRingError(
                 "scalar ring axioms violated: degenerate pairs escape the solution lattice"
             )
+        relations.append(coords)
+    pres = diagonal_presentation(relations, len(sol_basis))
 
     def express_z(z: Sequence[int]) -> Vec:
         coords = hermite_coordinates(sol_basis, z)
@@ -413,15 +415,6 @@ def _build_action(
                 "scalar ring axioms violated: composite pair escapes the lattice"
             )
         return coords
-
-    relations = [express_z(row) for row in degenerate]
-    s = len(sol_basis)
-    dec = smith(IntMatrix(relations, cols=s) if relations else IntMatrix([], cols=s))
-    diag = list(dec.diagonal) + [0] * (s - len(dec.diagonal))
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    orders = [diag[i] for i in keep]
-    to_new = IntMatrix([[dec.v[(i, j)] for j in keep] for i in range(s)], cols=len(keep))
-    from_new = IntMatrix([dec.vinv.row(i) for i in keep], cols=s)
 
     def unpack(z: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
         phi = IntMatrix([[z[i * m + j] for j in range(m)] for i in range(m)], cols=m)
@@ -433,24 +426,16 @@ def _build_action(
     def pack(phi: IntMatrix, psi: IntMatrix) -> Vec:
         return tuple(phi.entries) + tuple(psi.entries)
 
-    basis_pairs = []
-    for alpha in range(len(keep)):
-        z = row_times_matrix(from_new.row(alpha), smat)
-        basis_pairs.append(unpack(z))
+    basis_pairs = [unpack(row_times_matrix(row, smat)) for row in pres.lift.data]
 
     def express_pair(phi: IntMatrix, psi: IntMatrix) -> Vec:
-        coords = row_times_matrix(express_z(pack(phi, psi)), to_new)
-        return tuple(
-            c % d if d else c for c, d in zip(coords, orders)
-        )
+        return pres.coordinates(express_z(pack(phi, psi)))
 
-    tensor = []
-    for alpha, (pa, sa) in enumerate(basis_pairs):
-        row = []
-        for beta, (pb, sb) in enumerate(basis_pairs):
-            row.append(express_pair(pa.mul(pb), sa.mul(sb)))
-        tensor.append(row)
-    ring = FdzRing(orders, tensor)
+    tensor = [
+        [express_pair(pa.mul(pb), sa.mul(sb)) for pb, sb in basis_pairs]
+        for pa, sa in basis_pairs
+    ]
+    ring = FdzRing(pres.orders, tensor)
     unity = express_pair(IntMatrix.identity(m), IntMatrix.identity(n))
     if not ring.is_commutative() or not ring.is_associative():
         raise ScalarRingError("scalar ring axioms violated: composition is not scalar")
@@ -514,60 +499,3 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
         express_pair=action.express_pair,
         in_parent=in_parent,
     )
-
-
-def brute_force_pairs(f: BilinearMap) -> set[tuple[Vec, ...]]:
-    """All compatible endomorphism pairs of a finite map, canonicalized.
-
-    Oracle for the lattice construction: enumerates every pair of matrices
-    respecting the relation lattices and keeps those satisfying the three-way
-    compatibility on generator pairs.  Pairs are canonicalized entrywise
-    (column k reduced modulo the order of generator k).
-    """
-    m, n = f.domain_rank, f.codomain_rank
-    if any(d == 0 for d in f.domain_orders) or any(d == 0 for d in f.codomain_orders):
-        raise BilinearMapError("brute force requires finite domain and codomain")
-
-    def endo_candidates(orders: Vec) -> list[IntMatrix]:
-        size = len(orders)
-        choices_per_entry = []
-        for i in range(size):
-            for k in range(size):
-                valid = [
-                    v
-                    for v in range(orders[k])
-                    if (orders[i] * v) % orders[k] == 0
-                ]
-                choices_per_entry.append(valid)
-        out = []
-        for flat in itertools.product(*choices_per_entry):
-            out.append(
-                IntMatrix(
-                    [[flat[i * size + k] for k in range(size)] for i in range(size)],
-                    cols=size,
-                )
-            )
-        return out
-
-    result = set()
-    gens = [tuple(1 if t == i else 0 for t in range(m)) for i in range(m)]
-    for phi in endo_candidates(f.domain_orders):
-        phi_rows = [phi.row(i) for i in range(m)]
-        for psi in endo_candidates(f.codomain_orders):
-            ok = True
-            for i in range(m):
-                for j in range(m):
-                    target = f.reduce_codomain(
-                        row_times_matrix(f.values[i][j], psi)
-                    )
-                    if f.evaluate(phi_rows[i], gens[j]) != target:
-                        ok = False
-                        break
-                    if f.evaluate(gens[i], phi_rows[j]) != target:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                result.add((tuple(phi.entries), tuple(psi.entries)))
-    return result

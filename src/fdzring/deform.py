@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .groups import FgAbelianGroup, split_complement
 from .intlinalg import (
@@ -310,29 +310,46 @@ class GroupExtension:
         return cocycle_pair_add(self.cocycle, a, b)
 
 
+def _extension_group(
+    source_orders: Vec,
+    target_orders: Vec,
+    twist: Callable[[Sequence[int], Sequence[int]], Vec],
+) -> tuple[FgAbelianGroup, list[Vec]]:
+    """The extension of the source by the target under the addition twist.
+
+    Adding the i-th source generator e_i times to zero closes its source
+    coordinates and leaves a target value beta_i, so e_i·g_i = beta_i is a
+    relation.  Returns the group on (source, target) generators and the
+    beta_i of the finite source factors, in order.
+    """
+    rg, rd = len(source_orders), len(target_orders)
+    rows: list[list[int]] = []
+    closing: list[Vec] = []
+    for i, e in enumerate(source_orders):
+        if e == 0:
+            continue
+        gen = _reduce_mod_orders([1 if j == i else 0 for j in range(rg)], source_orders)
+        point, beta = tuple([0] * rg), tuple([0] * rd)
+        for _ in range(e):
+            shift = twist(point, gen)
+            point = _reduce_mod_orders([x + y for x, y in zip(point, gen)], source_orders)
+            beta = _reduce_mod_orders([x + t for x, t in zip(beta, shift)], target_orders)
+        assert not any(point), "source relation must close"
+        closing.append(beta)
+        rows.append([e if j == i else 0 for j in range(rg)] + [-v for v in beta])
+    for k, d in enumerate(target_orders):
+        if d:
+            rows.append([0] * rg + [d if j == k else 0 for j in range(rd)])
+    return FgAbelianGroup(rg + rd, rows), closing
+
+
 def build_group_extension(c: SymmetricCocycle) -> GroupExtension:
     """The abelian extension of the cocycle's source by its target."""
     if c.table is not None and not cocycle_analyze(c).is_cocycle:
         raise CocycleError("not a symmetric normalized cocycle")
     rg = len(c.source_orders)
     rd = len(c.target_orders)
-    rows: list[list[int]] = []
-    zero_pair = (tuple([0] * rg), tuple([0] * rd))
-    for i, e in enumerate(c.source_orders):
-        if e == 0:
-            continue
-        gen_pair = (tuple(1 if j == i else 0 for j in range(rg)), tuple([0] * rd))
-        acc = zero_pair
-        for _ in range(e):
-            acc = cocycle_pair_add(c, acc, gen_pair)
-        assert not any(acc[0]), "source relation must close"
-        rows.append(
-            [e if j == i else 0 for j in range(rg)] + [-v for v in acc[1]]
-        )
-    for k, d in enumerate(c.target_orders):
-        if d:
-            rows.append([0] * rg + [d if j == k else 0 for j in range(rd)])
-    group = FgAbelianGroup(rg + rd, rows)
+    group, _ = _extension_group(c.source_orders, c.target_orders, c.evaluate)
     embed = IntMatrix(
         [[0] * rg + [1 if j == k else 0 for j in range(rd)] for k in range(rd)],
         cols=rg + rd,
@@ -356,18 +373,17 @@ def build_group_extension(c: SymmetricCocycle) -> GroupExtension:
 class DeformationSpec:
     """Input data for the deformation constructor at the integer instance.
 
-    ``g`` lives on the finite torsion quotient l/k, ``f`` on the free part
-    of A/k, both valued in the would-be annihilator (free addition
-    coordinates followed by the coordinates of ann ∩ delta).  ``h`` lives on
-    the free addition and must be class-trivial here, since extensions of a
-    free group split.
+    ``g`` lives on the finite torsion quotient l/k and is valued in the
+    would-be annihilator (free addition coordinates followed by the
+    coordinates of ann ∩ delta); None means the zero cocycle.  The paper's
+    cocycles on the free part of A/k and on the free addition have a free
+    source; extensions of a free group split, so ``SymmetricCocycle`` admits
+    only the zero cocycle there, and they take no input.
     """
 
     base: FdzRing
     addition_rank: int | None = None
-    f: SymmetricCocycle | None = None
     g: SymmetricCocycle | None = None
-    h: SymmetricCocycle | None = None
     independence_bound: int = 16
 
 
@@ -406,18 +422,15 @@ class DeformationContext:
     # -- annihilator (d) coordinates --
 
     def ambient_to_d(self, vec: Sequence[int]) -> Vec:
-        """Coordinates of an annihilator element as addition ⊕ o-part."""
+        """Coordinates of an annihilator element as addition ⊕ o-part.
+
+        Ann = A0 ⊕ O with A0 free, so the reduced coordinates are unique.
+        """
         if not self.chain.ann.contains(vec):
             raise DeformationError("value must lie in the annihilator")
-        n = self.addition_rank
-        no = len(self.o_pres.orders)
-        rows = list(self.addition_basis.data) + list(self.o_pres.lift.data) + [
-            list(r) for r in self.base.additive.relation_basis
-        ]
-        eqs = [[rows[i][j] for i in range(len(rows))] for j in range(self.base.rank)]
-        res = solve_congruences(eqs, [0] * self.base.rank, rhs=list(vec))
-        assert res is not None
-        coords = res[0][: n + no]
+        rows = IntMatrix(self.addition_basis.data + self.o_pres.lift.data, cols=self.base.rank)
+        coords = _express_in_rows(vec, rows, self.base)
+        assert coords is not None
         return _reduce_mod_orders(coords, self.d_orders)
 
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
@@ -429,17 +442,15 @@ class DeformationContext:
         )
 
     def ambient_to_k(self, vec: Sequence[int]) -> Vec:
-        """Coordinates of a k-ideal element as delta ⊕ addition."""
-        nd = self.delta.ring.rank
-        n = self.addition_rank
-        rows = list(self.delta.lift.data) + list(self.addition_basis.data) + [
-            list(r) for r in self.base.additive.relation_basis
-        ]
-        eqs = [[rows[i][j] for i in range(len(rows))] for j in range(self.base.rank)]
-        res = solve_congruences(eqs, [0] * self.base.rank, rhs=list(vec))
-        if res is None:
+        """Coordinates of a k-ideal element as delta ⊕ addition.
+
+        k = delta ⊕ A0, so the reduced coordinates are unique.
+        """
+        rows = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=self.base.rank)
+        coords = _express_in_rows(vec, rows, self.base)
+        if coords is None:
             raise DeformationError("value must lie in the k-ideal")
-        return _reduce_mod_orders(res[0][: nd + n], self.k_orders)
+        return _reduce_mod_orders(coords, self.k_orders)
 
     def k_to_ambient(self, kvec: Sequence[int]) -> Vec:
         nd = self.delta.ring.rank
@@ -540,37 +551,25 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
         )
     m = ctx.free_rank
 
-    f = spec.f or zero_cocycle(tuple([0] * m), ctx.d_orders)
     g = spec.g or zero_cocycle(ctx.n_orders, ctx.d_orders)
-    h = spec.h or zero_cocycle(tuple([0] * n), tuple(d for d in ctx.d_orders[n:] if d == 0))
-    if f.source_orders != tuple([0] * m) or f.target_orders != ctx.d_orders:
-        raise DeformationError("the free-part cocycle has mismatched shape")
     if g.source_orders != ctx.n_orders or g.target_orders != ctx.d_orders:
         raise DeformationError("the torsion cocycle has mismatched shape")
-    if h.cyclic_values is not None and any(any(v) for v in h.cyclic_values):
-        raise DeformationError(
-            "the addition is free, so its extension cocycle must be trivial"
-        )
-    for coc in (f, g):
-        if not cocycle_analyze(coc).is_cocycle:
-            raise DeformationError("deformation data must be valid cocycles")
+    if not cocycle_analyze(g).is_cocycle:
+        raise DeformationError("deformation data must be valid cocycles")
 
-    def carrier_cocycle(x: Sequence[int], y: Sequence[int]) -> Vec:
-        xm, xn = x[:m], x[m:]
-        ym, yn = y[:m], y[m:]
-        acc = list(ctx.base_extension_cocycle(xn, yn))
-        for shift in (f.evaluate(xm, ym), g.evaluate(xn, yn)):
-            kvec = ctx.d_to_k(shift)
-            acc = [a + b for a, b in zip(acc, kvec)]
+    def carrier_twist(x: Sequence[int], y: Sequence[int]) -> Vec:
+        # the free part of the source carries no twist
+        xn, yn = x[m:], y[m:]
+        shift = ctx.d_to_k(g.evaluate(xn, yn))
+        acc = [a + b for a, b in zip(ctx.base_extension_cocycle(xn, yn), shift)]
         return _reduce_mod_orders(acc, ctx.k_orders)
 
-    combined = _FunctionCocycle(ctx.source_orders, ctx.k_orders, carrier_cocycle)
-    ext = build_group_extension(combined)
+    group, closing = _extension_group(ctx.source_orders, ctx.k_orders, carrier_twist)
     rs = len(ctx.source_orders)
     rk = len(ctx.k_orders)
     rank_e = rs + rk
 
-    _check_independence(ctx, ext, spec.independence_bound)
+    _check_independence(ctx, closing, spec.independence_bound)
 
     # ambient representative of each extension generator
     reps = []
@@ -595,15 +594,7 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
 
     tensor = [[product_coords(u, v) for v in range(rank_e)] for u in range(rank_e)]
 
-    relations = [list(r) for r in ext.group.relation_basis]
-    dec = smith(IntMatrix(relations, cols=rank_e) if relations else IntMatrix([], cols=rank_e))
-    diag = list(dec.d.diagonal()) + [0] * (rank_e - len(dec.d.diagonal()))
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    orders = [diag[i] for i in keep]
-    project = IntMatrix(
-        [[dec.v[(i, j)] for j in keep] for i in range(rank_e)], cols=len(keep)
-    )
-    lift = IntMatrix([dec.vinv.row(i) for i in keep], cols=rank_e)
+    pres = group.diagonal
 
     def transport(u_coords: Sequence[int], v_coords: Sequence[int]) -> Vec:
         acc = [0] * rank_e
@@ -616,22 +607,19 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
                 contrib = tensor[i][j]
                 for t in range(rank_e):
                     acc[t] += ci * cj * contrib[t]
-        return row_times_matrix(acc, project)
+        return row_times_matrix(acc, pres.project)
 
-    new_tensor = [
-        [transport(lift.row(p), lift.row(q)) for q in range(len(keep))]
-        for p in range(len(keep))
-    ]
-    ring = FdzRing(orders, new_tensor)
+    new_tensor = [[transport(x, y) for y in pres.lift.data] for x in pres.lift.data]
+    ring = FdzRing(pres.orders, new_tensor)
     d_embed_rows = []
     for i in range(len(ctx.d_orders)):
         dvec = tuple(1 if j == i else 0 for j in range(len(ctx.d_orders)))
         evec = tuple([0] * rs) + ctx.d_to_k(dvec)
-        d_embed_rows.append(row_times_matrix(evec, project))
+        d_embed_rows.append(row_times_matrix(evec, pres.project))
     result = DeformationResult(
         ring=ring,
         context=ctx,
-        annihilator_embedding=IntMatrix(d_embed_rows, cols=len(keep)),
+        annihilator_embedding=IntMatrix(d_embed_rows, cols=len(pres.orders)),
     )
     chain = characteristic_ideals(ring)
     for row in result.annihilator_embedding.data:
@@ -642,37 +630,15 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
     return result
 
 
-class _FunctionCocycle(SymmetricCocycle):
-    """A cocycle given by a callable; used for the combined carrier twist."""
-
-    def __init__(self, source_orders, target_orders, fn):
-        self.source_orders = tuple(source_orders)
-        self.target_orders = tuple(target_orders)
-        self.table = None
-        self.cyclic_values = None
-        self._fn = fn
-
-    def evaluate(self, x, y):
-        return self._fn(self.reduce_source(x), self.reduce_source(y))
-
-
-def _check_independence(ctx: DeformationContext, ext: GroupExtension, bound: int):
+def _check_independence(ctx: DeformationContext, closing: Sequence[Vec], bound: int):
     """Torsion lifts scaled by their periods must stay independent in every
-    finite quotient of the addition (schema truncated at ``bound``)."""
-    m = ctx.free_rank
+    finite quotient of the addition (schema truncated at ``bound``).
+
+    ``closing`` holds the k-coordinates of e_i·g_i for the torsion source
+    generators; the addition coordinates come last.
+    """
     n = ctx.addition_rank
-    beta_rows = []
-    for i, e in enumerate(ctx.n_orders):
-        gen_pair = (
-            tuple(1 if j == m + i else 0 for j in range(len(ctx.source_orders))),
-            tuple([0] * len(ctx.k_orders)),
-        )
-        acc = (tuple([0] * len(ctx.source_orders)), tuple([0] * len(ctx.k_orders)))
-        for _ in range(e):
-            acc = ext.pair_add(acc, gen_pair)
-        assert not any(acc[0])
-        kvec = acc[1]
-        beta_rows.append(list(kvec[len(ctx.k_orders) - n :]))
+    beta_rows = [list(kvec[len(kvec) - n :]) for kvec in closing]
     if not beta_rows:
         return
     dec = smith(IntMatrix(beta_rows, cols=n))
@@ -866,8 +832,13 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
 
 
 def _express_in_rows(vec: Sequence[int], rows: IntMatrix, ambient_ring: FdzRing) -> Vec | None:
+    """Coefficients c with c·rows = vec in the ring's additive group, or None.
+
+    The particular solution is returned as found; callers whose rows are a
+    diagonal presentation reduce it modulo the orders, which makes it unique.
+    """
     if rows.rows == 0:
-        return () if not any(vec) else None
+        return () if not any(ambient_ring.reduce(vec)) else None
     eqs = [
         [rows[(i, j)] for i in range(rows.rows)] for j in range(rows.cols)
     ]

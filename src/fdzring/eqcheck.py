@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
 from .groups import Subgroup, quotient_of_subgroups
@@ -152,8 +153,8 @@ def _element_additive_order(b: FdzRing, vec: Sequence[int]) -> int:
             if x:
                 return 0
         elif x % d:
-            dd = d // _gcd(d, x % d)
-            order = order * dd // _gcd(order, dd)
+            dd = d // gcd(d, x % d)
+            order = order * dd // gcd(order, dd)
     return order
 
 
@@ -314,42 +315,6 @@ def iso_search(
     return IsoResult(kind="unknown", reason="bounded search exhausted")
 
 
-def brute_force_isomorphic(a: FdzRing, b: FdzRing) -> bool:
-    """Oracle: enumerate every additive bijection given by generator images."""
-    if a.order is None or b.order is None:
-        raise ValueError("brute force requires finite rings")
-    if a.order != b.order:
-        return False
-    b_elements = list(b.elements())
-
-    def candidates(d: int) -> list[Vec]:
-        return [e for e in b_elements if b.scale(d, e) == b.zero()]
-
-    from .groups import FgAbelianGroup
-
-    per_gen = [candidates(d) for d in a.orders]
-    for choice in itertools.product(*per_gen):
-        h = IntMatrix(list(choice), cols=b.rank) if choice else IntMatrix([], cols=b.rank)
-        # bijectivity: the images generate all of B
-        generated = hermite_rows(
-            list(choice) + [list(r) for r in b.additive.relation_basis], b.rank
-        )
-        if FgAbelianGroup(b.rank, generated).order != 1:
-            continue
-        ok = True
-        for i in range(a.rank):
-            for j in range(a.rank):
-                image = row_times_matrix(a.tensor[i][j], h)
-                if b.reduce(image) != b.mul(choice[i], choice[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 # -- embedding verification ----------------------------------------------------
 
 
@@ -400,7 +365,7 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
 
     k = chain_b.n_quot.order
     assert k is not None
-    coprime = index is not None and _gcd(index, k) == 1
+    coprime = index is not None and gcd(index, k) == 1
     checks.append(("index_coprime", coprime, f"gcd(index, {k}) == 1"))
 
     delta_image = b.additive.subgroup(
@@ -439,12 +404,6 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
     return EmbeddingReport(
         passed=passed, checks=tuple(checks), index=index, torsion_quotient_order=k
     )
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 # -- equivalence verdict --------------------------------------------------------

@@ -16,8 +16,10 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intlinalg import (
+    DiagonalPresentation,
     IntMatrix,
     Vec,
+    diagonal_presentation,
     hermite_coordinates,
     hermite_reduce,
     hermite_rows,
@@ -67,16 +69,14 @@ class FgAbelianGroup:
         return cls(r, rels)
 
     @cached_property
-    def _smith(self):
-        mat = IntMatrix(self.relation_basis, cols=self.rank)
-        return smith(mat)
+    def diagonal(self) -> DiagonalPresentation:
+        """This group as a product of cyclic groups, with coordinate maps."""
+        return diagonal_presentation(self.relation_basis, self.rank)
 
-    @cached_property
+    @property
     def invariant_factors(self) -> Vec:
         """d1 | d2 | ... then zeros for free rank; unit factors dropped."""
-        diag = list(self._smith.diagonal)
-        diag += [0] * (self.rank - len(diag))
-        return tuple(d for d in diag if d != 1)
+        return self.diagonal.orders
 
     @cached_property
     def order(self) -> int | None:
@@ -132,12 +132,10 @@ class FgAbelianGroup:
         assert self.order is not None
         if self.order > limit:
             raise GroupError(f"group of order {self.order} exceeds enumeration limit")
-        dec = self._smith
-        diag = list(dec.diagonal) + [0] * (self.rank - len(dec.diagonal))
-        # coordinates y relative to the diagonalized presentation; x = y·Vinv
-        ranges = [range(d) for d in diag]
-        for y in itertools.product(*ranges):
-            yield self.reduce(row_times_matrix(y, dec.vinv))
+        lift = self.diagonal.lift
+        # coordinates y over the cyclic factors; x = y·lift
+        for y in itertools.product(*(range(d) for d in self.invariant_factors)):
+            yield self.reduce(row_times_matrix(y, lift))
 
     def zero(self) -> Vec:
         return tuple([0] * self.rank)
@@ -249,29 +247,17 @@ class Subgroup:
         ``to_coords`` writes an ambient member in those coordinates.
         """
         abstract, basis = self.as_group()
-        dec = smith(IntMatrix(abstract.relation_basis, cols=abstract.rank))
-        diag = list(dec.d.diagonal()) + [0] * (abstract.rank - len(dec.d.diagonal()))
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        orders = tuple(diag[i] for i in keep)
-        to_new = IntMatrix(
-            [[dec.v[(i, j)] for j in keep] for i in range(abstract.rank)],
-            cols=len(keep),
-        )
-        from_new = IntMatrix([dec.vinv.row(i) for i in keep], cols=abstract.rank)
-        lift = (
-            from_new.mul(basis)
-            if keep
-            else IntMatrix([], cols=self.parent.rank)
-        )
+        diagonal = abstract.diagonal
 
         def to_coords(vec: Sequence[int]) -> Vec:
             coeffs = self.express(vec)
             if coeffs is None:
                 raise GroupError("element lies outside the subgroup")
-            raw = row_times_matrix(coeffs, to_new)
-            return tuple(x % d if d else x for x, d in zip(raw, orders))
+            return diagonal.coordinates(coeffs)
 
-        return SubgroupPresentation(orders=orders, lift=lift, to_coords=to_coords)
+        return SubgroupPresentation(
+            orders=diagonal.orders, lift=diagonal.lift.mul(basis), to_coords=to_coords
+        )
 
     def express(self, vec: Sequence[int]) -> Vec | None:
         """Coefficients of ``vec`` over the abstract basis, if it lies here.
@@ -330,22 +316,28 @@ class Splitting:
     projection: IntMatrix  # ambient endomorphism projecting onto the subgroup
 
 
-def split_complement(g: FgAbelianGroup, s: Subgroup) -> Splitting | None:
+def split_complement(
+    g: FgAbelianGroup, s: Subgroup, kill: Subgroup | None = None
+) -> Splitting | None:
     """A complement C with G = S ⊕ C, or None when S is not a summand.
 
     Decided by integer solvability of a projection p: G -> S with p
-    restricting to the identity on S; the complement is its kernel.
+    restricting to the identity on S; the complement is its kernel.  With
+    ``kill`` given, p must also vanish on it, so C contains ``kill``, and
+    None means no complement of S contains ``kill``.
     """
-    if s.parent != g:
+    if s.parent != g or (kill is not None and kill.parent != g):
         raise GroupError("subgroup does not live in the given group")
     r = g.rank
     sbasis = s.lift_basis
     t = len(sbasis)
+    kbasis = kill.lift_basis if kill is not None else ()
     rels = g.relation_basis
     nrel = len(rels)
     # unknowns: P (r*r), A (r*t) coefficients writing e_i·P over the S basis,
-    # B (t*nrel) slack writing s_k·P - s_k over the parent relations
-    nunk = r * r + r * t + t * nrel
+    # B (t*nrel) slack writing s_k·P - s_k over the parent relations,
+    # C (len(kbasis)*nrel) slack writing w_k·P over the parent relations
+    nunk = r * r + r * t + t * nrel + len(kbasis) * nrel
     eqs: list[list[int]] = []
     rhs: list[int] = []
 
@@ -357,6 +349,9 @@ def split_complement(g: FgAbelianGroup, s: Subgroup) -> Splitting | None:
 
     def b_idx(k: int, m: int) -> int:
         return r * r + r * t + k * nrel + m
+
+    def c_idx(k: int, m: int) -> int:
+        return r * r + r * t + t * nrel + k * nrel + m
 
     for i in range(r):
         for j in range(r):
@@ -375,6 +370,15 @@ def split_complement(g: FgAbelianGroup, s: Subgroup) -> Splitting | None:
                 row[b_idx(k, m)] = -rels[m][j]
             eqs.append(row)
             rhs.append(sbasis[k][j])
+    for k, w in enumerate(kbasis):
+        for j in range(r):
+            row = [0] * nunk
+            for i in range(r):
+                row[p_idx(i, j)] += w[i]
+            for m in range(nrel):
+                row[c_idx(k, m)] = -rels[m][j]
+            eqs.append(row)
+            rhs.append(0)
     res = solve_congruences(eqs, [0] * len(eqs), rhs=rhs, unknowns=nunk)
     if res is None:
         return None

@@ -5,11 +5,12 @@ immutable; reduction algorithms copy into lists, reduce with elementary
 row/column operations (minimal-pivot selection to keep coefficients small),
 and freeze the result.  Kernels, preimage lattices and coordinates over a
 lattice basis come from one-sided Hermite reduction, which builds no
-transform; the Smith form, with its four accumulated transforms, serves
-invariant factors, diagonal presentations and particular solutions of
-inhomogeneous systems.  Intended scale is small dense matrices (rank <= 12
-plus the auxiliary systems built from them), so no sparsity or modular
-arithmetic is attempted.
+transform.  The Smith form, with its four accumulated transforms, serves
+``diagonal_presentation`` (invariant factors plus the coordinate change
+onto them, read from ``v`` and ``vinv``), saturation and particular
+solutions of inhomogeneous systems.  Intended scale is small dense
+matrices (rank <= 12 plus the auxiliary systems built from them), so no
+sparsity or modular arithmetic is attempted.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class IntMatrix:
     def diagonal(self) -> Vec:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("dimension mismatch in vertical stack")
-        return IntMatrix(self.data + other.data, cols=self.cols)
-
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
@@ -140,11 +136,11 @@ class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     The inverses of the transforms are tracked alongside the elimination,
-    where unimodular inversion is cheapest.  Rows of ``vinv`` give
-    saturation, diagonal presentations and group enumeration; ``solve``
-    reads ``u`` and ``v``.  Kernels and coordinates need no transform and
-    come from Hermite reduction instead (``preimage_lattice``,
-    ``hermite_coordinates``).
+    where unimodular inversion is cheapest.  ``diagonal_presentation``
+    keeps columns of ``v`` and rows of ``vinv``, saturation reads rows of
+    ``vinv``, and ``solve`` reads ``u`` and ``v``.  Kernels and coordinates
+    need no transform and come from Hermite reduction instead
+    (``preimage_lattice``, ``hermite_coordinates``).
     """
 
     u: IntMatrix
@@ -256,6 +252,45 @@ def smith(a: IntMatrix) -> SmithDecomposition:
         d=IntMatrix(d, cols=n),
         uinv=IntMatrix(uinv, cols=m),
         vinv=IntMatrix(vinv, cols=n),
+    )
+
+
+@dataclass(frozen=True)
+class DiagonalPresentation:
+    """Z^rank modulo a relation lattice, rewritten as a product of cyclic groups.
+
+    ``orders`` are the non-unit invariant factors (0 meaning infinite);
+    ``project`` (rank x k) sends ambient coordinates to coordinates over the
+    cyclic factors, and the rows of ``lift`` (k x rank) are ambient
+    representatives of their generators, so ``lift·project = I``.
+    """
+
+    orders: Vec
+    project: IntMatrix
+    lift: IntMatrix
+
+    def coordinates(self, vec: Sequence[int]) -> Vec:
+        """``vec·project`` reduced modulo the orders."""
+        raw = row_times_matrix(vec, self.project)
+        return tuple(x % d if d else x for x, d in zip(raw, self.orders))
+
+
+def diagonal_presentation(
+    relations: Sequence[Sequence[int]], rank: int
+) -> DiagonalPresentation:
+    """Diagonal presentation of Z^rank modulo the span of ``relations``.
+
+    Runs Smith on the rows exactly as given (so the coordinate change is a
+    function of the row list, not only of its lattice), pads the diagonal
+    with zeros to ``rank`` and drops the unit factors (Cohen, GTM 138, §2.4).
+    """
+    dec = smith(IntMatrix(relations, cols=rank))
+    diag = list(dec.diagonal) + [0] * (rank - len(dec.diagonal))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return DiagonalPresentation(
+        orders=tuple(diag[i] for i in keep),
+        project=IntMatrix([[row[j] for j in keep] for row in dec.v.data], cols=len(keep)),
+        lift=IntMatrix([dec.vinv.row(i) for i in keep], cols=rank),
     )
 
 

@@ -28,13 +28,7 @@ from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, quotient_of_subgroups, split_complement
-from .intlinalg import (
-    IntMatrix,
-    Vec,
-    row_times_matrix,
-    smith,
-    solve_congruences,
-)
+from .intlinalg import IntMatrix, Vec, diagonal_presentation, row_times_matrix, solve_congruences
 
 ELEMENT_LIMIT = 4096
 
@@ -346,27 +340,15 @@ def quotient_ring(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
             g = a.generator(i)
             if not ideal.contains(a.mul(row, g)) or not ideal.contains(a.mul(g, row)):
                 raise GroupError("subgroup is not a two-sided ideal")
-    rel = IntMatrix(
-        list(ideal.lift_basis) + [list(r) for r in a.additive.relation_basis],
-        cols=a.rank,
-    )
-    dec = smith(rel)
-    diag = list(dec.diagonal) + [0] * (a.rank - len(dec.diagonal))
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    orders = [diag[i] for i in keep]
-    project = IntMatrix(
-        [[dec.v[(i, j)] for j in keep] for i in range(a.rank)], cols=len(keep)
-    )
-    lift = IntMatrix([dec.vinv.row(i) for i in keep], cols=a.rank)
-    tensor = []
-    for p in range(len(keep)):
-        row = []
-        for q in range(len(keep)):
-            prod_ambient = a.mul(lift.row(p), lift.row(q))
-            row.append(row_times_matrix(prod_ambient, project))
-        tensor.append(row)
-    ring = FdzRing(orders, tensor)
-    return QuotientPresentation(ring=ring, project=project, lift=lift)
+    # Smith's coordinate change depends on the row list, not only on its
+    # lattice: the ideal's rows go in front of the parent relations
+    pres = diagonal_presentation(ideal.lift_basis + a.additive.relation_basis, a.rank)
+    lift = pres.lift.data
+    tensor = [
+        [row_times_matrix(a.mul(x, y), pres.project) for y in lift] for x in lift
+    ]
+    ring = FdzRing(pres.orders, tensor)
+    return QuotientPresentation(ring=ring, project=pres.project, lift=pres.lift)
 
 
 def reduce_mod_n(a: FdzRing, n: int) -> FdzRing:
@@ -466,77 +448,14 @@ def _complement_in_subgroup(
     return Subgroup(g, gens)
 
 
-def _projection_killing(
-    a: FdzRing, target: Subgroup, kill: Subgroup
-) -> IntMatrix | None:
-    """An idempotent projection of A onto ``target`` vanishing on ``kill``."""
-    g = a.additive
-    r = g.rank
-    tbasis = target.lift_basis
-    t = len(tbasis)
-    rels = g.relation_basis
-    nrel = len(rels)
-    kbasis = kill.lift_basis
-    nunk = r * r + r * t + t * nrel + len(kbasis) * nrel
-    eqs: list[list[int]] = []
-    rhs: list[int] = []
-
-    def p_idx(i, j):
-        return i * r + j
-
-    def a_idx(i, k):
-        return r * r + i * t + k
-
-    def b_idx(k, m):
-        return r * r + r * t + k * nrel + m
-
-    def c_idx(k, m):
-        return r * r + r * t + t * nrel + k * nrel + m
-
-    for i in range(r):
-        for j in range(r):
-            row = [0] * nunk
-            row[p_idx(i, j)] = 1
-            for k in range(t):
-                row[a_idx(i, k)] = -tbasis[k][j]
-            eqs.append(row)
-            rhs.append(0)
-    for k in range(t):
-        for j in range(r):
-            row = [0] * nunk
-            for i in range(r):
-                row[p_idx(i, j)] += tbasis[k][i]
-            for m in range(nrel):
-                row[b_idx(k, m)] = -rels[m][j]
-            eqs.append(row)
-            rhs.append(tbasis[k][j])
-    for k, w in enumerate(kbasis):
-        for j in range(r):
-            row = [0] * nunk
-            for i in range(r):
-                row[p_idx(i, j)] += w[i]
-            for m in range(nrel):
-                row[c_idx(k, m)] = -rels[m][j]
-            eqs.append(row)
-            rhs.append(0)
-    res = solve_congruences(eqs, [0] * len(eqs), rhs=rhs, unknowns=nunk)
-    if res is None:
-        return None
-    sol = res[0]
-    return IntMatrix([[sol[p_idx(i, j)] for j in range(r)] for i in range(r)], cols=r)
-
-
 def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
     chain = characteristic_ideals(a)
     addition = _complement_in_subgroup(a.additive, chain.ann, chain.o_ideal)
     if addition is None:
         return AdditionFoundation(None, None, None)
-    proj = _projection_killing(a, addition, chain.delta)
-    if proj is not None:
-        from .intlinalg import preimage_lattice
-
-        kernel_rows = preimage_lattice(proj, a.additive.relation_basis)
-        foundation = Subgroup(a.additive, kernel_rows)
+    split = split_complement(a.additive, addition, kill=chain.delta)
+    if split is not None:
+        foundation = split.complement
         # products land in sq ⊆ delta ⊆ foundation, so it is a subring
         assert foundation.contains_subgroup(chain.delta)
         return AdditionFoundation(addition, foundation, None)

@@ -6,10 +6,13 @@ deliberately avoiding the lattice machinery it is used to check.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
-from fdzring.intlinalg import IntMatrix, Vec, row_times_matrix, smith
+from fdzring.bilinear import BilinearMap, BilinearMapError
+from fdzring.groups import FgAbelianGroup
+from fdzring.intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix, smith
 from fdzring.rings import FdzRing
 
 
@@ -205,3 +208,94 @@ def smith_left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
     return tuple(
         dec.u.row(i) for i in range(a.rows) if i >= len(diag) or diag[i] == 0
     )
+
+
+def brute_force_pairs(f: BilinearMap) -> set[tuple[Vec, ...]]:
+    """All compatible endomorphism pairs of a finite map, canonicalized.
+
+    Oracle for the lattice construction: enumerates every pair of matrices
+    respecting the relation lattices and keeps those satisfying the three-way
+    compatibility on generator pairs.  Pairs are canonicalized entrywise
+    (column k reduced modulo the order of generator k).
+    """
+    m, n = f.domain_rank, f.codomain_rank
+    if any(d == 0 for d in f.domain_orders) or any(d == 0 for d in f.codomain_orders):
+        raise BilinearMapError("brute force requires finite domain and codomain")
+
+    def endo_candidates(orders: Vec) -> list[IntMatrix]:
+        size = len(orders)
+        choices_per_entry = []
+        for i in range(size):
+            for k in range(size):
+                valid = [
+                    v
+                    for v in range(orders[k])
+                    if (orders[i] * v) % orders[k] == 0
+                ]
+                choices_per_entry.append(valid)
+        out = []
+        for flat in itertools.product(*choices_per_entry):
+            out.append(
+                IntMatrix(
+                    [[flat[i * size + k] for k in range(size)] for i in range(size)],
+                    cols=size,
+                )
+            )
+        return out
+
+    result = set()
+    gens = [tuple(1 if t == i else 0 for t in range(m)) for i in range(m)]
+    for phi in endo_candidates(f.domain_orders):
+        phi_rows = [phi.row(i) for i in range(m)]
+        for psi in endo_candidates(f.codomain_orders):
+            ok = True
+            for i in range(m):
+                for j in range(m):
+                    target = f.reduce_codomain(
+                        row_times_matrix(f.values[i][j], psi)
+                    )
+                    if f.evaluate(phi_rows[i], gens[j]) != target:
+                        ok = False
+                        break
+                    if f.evaluate(gens[i], phi_rows[j]) != target:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                result.add((tuple(phi.entries), tuple(psi.entries)))
+    return result
+
+
+def brute_force_isomorphic(a: FdzRing, b: FdzRing) -> bool:
+    """Oracle: enumerate every additive bijection given by generator images."""
+    if a.order is None or b.order is None:
+        raise ValueError("brute force requires finite rings")
+    if a.order != b.order:
+        return False
+    b_elements = list(b.elements())
+
+    def candidates(d: int) -> list[Vec]:
+        return [e for e in b_elements if b.scale(d, e) == b.zero()]
+
+    per_gen = [candidates(d) for d in a.orders]
+    for choice in itertools.product(*per_gen):
+        h = IntMatrix(list(choice), cols=b.rank) if choice else IntMatrix([], cols=b.rank)
+        # bijectivity: the images generate all of B
+        generated = hermite_rows(
+            list(choice) + [list(r) for r in b.additive.relation_basis], b.rank
+        )
+        if FgAbelianGroup(b.rank, generated).order != 1:
+            continue
+        ok = True
+        for i in range(a.rank):
+            for j in range(a.rank):
+                image = row_times_matrix(a.tensor[i][j], h)
+                if b.reduce(image) != b.mul(choice[i], choice[j]):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False

@@ -9,7 +9,6 @@ import random
 import time
 
 from fdzring.bilinear import (
-    brute_force_pairs,
     induced_bilinear_map,
     pf_ring,
 )
@@ -26,7 +25,6 @@ from fdzring.deform import (
     verify_sixterm,
 )
 from fdzring.eqcheck import (
-    brute_force_isomorphic,
     equivalence_verdict,
     invariant_profile,
     iso_search,
@@ -39,6 +37,8 @@ from fdzring.rings import characteristic_ideals, reduce_mod_n
 
 from oracles import (
     brute_force_chain,
+    brute_force_isomorphic,
+    brute_force_pairs,
     random_finite_ring,
     subgroup_elements,
 )

@@ -6,7 +6,6 @@ from fdzring.bilinear import (
     BilinearMapError,
     DegenerateMapError,
     BilinearMap,
-    brute_force_pairs,
     complete_system,
     induced_bilinear_map,
     pa_ring,
@@ -17,7 +16,7 @@ from fdzring.corpus import twoz_ring, w_ring, z_mod, z_ring, zx2_ring
 from fdzring.intlinalg import lattice_contains, row_times_matrix
 from fdzring.rings import z0_ring
 
-from oracles import random_finite_ring
+from oracles import brute_force_pairs, random_finite_ring
 
 
 def test_induced_map_shapes():

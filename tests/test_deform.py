@@ -207,6 +207,43 @@ def test_w_deformation_suite():
     assert report.status == "commutes"
 
 
+def test_coordinate_round_trips():
+    # k = delta ⊕ A0 and ann = A0 ⊕ O, so reduced coordinates are unique
+    import random
+
+    from oracles import random_mixed_ring
+
+    rng = random.Random(57)
+    rings = [(name, builder()) for name, builder in NAMED_RINGS.items()]
+    rings += [(f"mixed {i}", random_mixed_ring(rng)) for i in range(12)]
+    checked = 0
+    for name, ring in rings:
+        try:
+            ctx = DeformationContext(ring)
+        except DeformationError:
+            continue
+        checked += 1
+        kr = len(ctx.k_orders)
+
+        def shifted(vec):
+            return tuple(v + rng.randint(-2, 2) * d for v, d in zip(vec, ring.orders))
+
+        for x in itertools.product(range(-1, 3), repeat=min(kr, 3)):
+            kvec = tuple(
+                v % d if d else v for v, d in zip(x + (0,) * (kr - len(x)), ctx.k_orders)
+            )
+            ambient = ctx.k_to_ambient(kvec)
+            assert ctx.ambient_to_k(ambient) == kvec, name
+            # the same element, written off its canonical representative
+            assert ctx.ambient_to_k(shifted(ambient)) == kvec, name
+        # the d-coordinates are read over the addition basis, then o's lifts
+        for i, row in enumerate(ctx.addition_basis.data + ctx.o_pres.lift.data):
+            unit = tuple(int(j == i) for j in range(len(ctx.d_orders)))
+            assert ctx.ambient_to_d(row) == unit, name
+            assert ctx.ambient_to_d(shifted(row)) == unit, name
+    assert checked
+
+
 def test_w_deformation_value_must_be_annihilator():
     ctx = DeformationContext(w_ring())
     with pytest.raises(DeformationError):

@@ -7,7 +7,6 @@ from fdzring.corpus import NAMED_RINGS, twoz_ring, w_ring, z_ring, zx2_ring
 from fdzring.eqcheck import (
     _candidate_images,
     _LazyPool,
-    brute_force_isomorphic,
     equivalence_verdict,
     invariant_profile,
     iso_search,
@@ -17,7 +16,7 @@ from fdzring.eqcheck import (
 from fdzring.intlinalg import IntMatrix
 from fdzring.rings import FdzRing, direct_product, z0_ring
 
-from oracles import random_finite_ring
+from oracles import brute_force_isomorphic, random_finite_ring
 
 
 def test_profile_reflexive():

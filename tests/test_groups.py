@@ -107,6 +107,10 @@ def test_split_complement_examples():
     assert split_complement(z1, z1.subgroup([(2,)])) is None
     sp2 = split_complement(z2, z2.subgroup([(1, 1)]))
     assert sp2 is not None
+    s = z2.subgroup([(1, 0)])
+    sp3 = split_complement(z2, s, kill=z2.subgroup([(1, 1)]))
+    assert sp3 is not None and sp3.complement == z2.subgroup([(1, 1)])
+    assert split_complement(z2, s, kill=s) is None
 
 
 def test_split_complement_directness():
@@ -126,6 +130,21 @@ def test_split_complement_directness():
         c = sp.complement
         assert s.sum(c) == g.full_subgroup()
         assert s.intersect(c).is_zero()
+        # any subgroup of one complement lies in a complement, so killing it
+        # must still split
+        kill = g.subgroup(
+            [
+                row_times_matrix(
+                    [rng.randint(-2, 2) for _ in c.lift_basis],
+                    IntMatrix(c.lift_basis, cols=r),
+                )
+            ]
+        )
+        spk = split_complement(g, s, kill=kill)
+        assert spk is not None
+        assert spk.complement.contains_subgroup(kill)
+        assert s.sum(spk.complement) == g.full_subgroup()
+        assert s.intersect(spk.complement).is_zero()
     assert hits > 10
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from fdzring.intlinalg import (
     IntMatrix,
+    diagonal_presentation,
     hermite_coordinates,
     hermite_reduce,
     hermite_rows,
@@ -201,3 +202,45 @@ def test_hermite_coordinates_random_bases():
     assert checked_outside > 100
     with pytest.raises(ValueError):
         hermite_coordinates(((1, 0),), (1, 0, 0))
+
+
+def check_diagonal_presentation(relations, rank):
+    pres = diagonal_presentation(relations, rank)
+    k = len(pres.orders)
+    assert all(d == 0 or d > 1 for d in pres.orders)
+    assert pres.project.rows == rank and pres.project.cols == k
+    assert pres.lift.rows == k and pres.lift.cols == rank
+    assert pres.lift.mul(pres.project) == IntMatrix.identity(k)
+    lattice = hermite_rows(relations, rank)
+    for row in relations:
+        image = row_times_matrix(row, pres.project)
+        assert all(x % d == 0 if d else x == 0 for x, d in zip(image, pres.orders))
+        assert pres.coordinates(row) == tuple([0] * k)
+    # v - (v·project)·lift is linear in v, so the unit vectors suffice
+    for e in range(rank):
+        v = tuple(1 if j == e else 0 for j in range(rank))
+        back = row_times_matrix(row_times_matrix(v, pres.project), pres.lift)
+        assert lattice_contains(lattice, tuple(x - y for x, y in zip(v, back)))
+    return pres
+
+
+def test_diagonal_presentation():
+    # no relations, all-unit factors, an empty rank, zero rows
+    edges = {
+        ((), 3): (0, 0, 0),
+        (((2, 1), (1, 1)), 2): (),
+        (((1,),), 1): (),
+        ((), 0): (),
+        (((2, 4), (6, 8)), 2): (2, 4),
+        (((0, 0), (0, 6)), 2): (6, 0),
+    }
+    for (relations, rank), orders in edges.items():
+        assert check_diagonal_presentation(relations, rank).orders == orders
+    rng = random.Random(17)
+    for _ in range(150):
+        rank = rng.randint(1, 5)
+        relations = [
+            [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(rank)]
+            for _ in range(rng.randint(0, 5))
+        ]
+        check_diagonal_presentation(relations, rank)
