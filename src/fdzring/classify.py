@@ -2,12 +2,16 @@
 
 The spectrum side works on a scalar ring P (commutative, associative,
 unital).  Idempotents are found exactly: the torsion part is finite and
-enumerable; the torsion-free quotient is taken into a rational algebra,
-where the nilradical is the radical of the trace form, the semisimple
-quotient is split by factoring the minimal polynomial of a primitive
-element, and the primitive idempotents are Hensel-lifted back through the
-nilpotents.  Only idempotents with integral coordinates survive, and each
-is re-lifted against the torsion by finite enumeration.
+enumerable; on the torsion-free quotient, the rank of the trace form gives
+the dimension of the semisimple part, an element whose characteristic
+polynomial has a squarefree part of that degree is chosen, and the CRT
+idempotents of its factored characteristic polynomial, evaluated at it,
+are the primitive idempotents of the rational algebra.  Only sums of them
+with integral coordinates survive, and each is re-lifted against the
+torsion by finite enumeration.  When the semisimple part has dimension 1
+the algebra is local and its idempotents are 0 and 1, so sympy, which
+factors the polynomial, is imported only for a semisimple part of
+dimension 2 or more.
 
 The punctured-spectrum connectivity rule is deliberately isolated in
 ``spec0_connected_rule``: connected iff at most one indecomposable factor
@@ -17,15 +21,11 @@ the puncture removes).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from sympy import Poly, Symbol
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
-from .intlinalg import IntMatrix, Vec, row_times_matrix
+from .intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix
 from .rings import (
     FdzRing,
     SubringPresentation,
@@ -89,146 +89,19 @@ def _require_scalar(p: FdzRing) -> Vec:
     return unity
 
 
-# -- rational polynomial helpers (coefficients lowest-first) ----------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and _poly_trim(list(a)):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] -= c * y
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(list(a))
-
-
-def _poly_egcd(a, b):
-    # returns (g, u, v) with u*a + v*b = g, g monic
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=Fraction(0))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in itertools.zip_longest(t0, _poly_mul(q, t1), fillvalue=Fraction(0))])
-    if not r0:
-        return [], s0, t0
-    lead = r0[-1]
-    return ([c / lead for c in r0], [c / lead for c in s0], [c / lead for c in t0])
-
-
-# -- exact rational algebra -------------------------------------------------
-
-
-class _RationalAlgebra:
-    """A finite-dimensional commutative Q-algebra from an integer tensor."""
-
-    def __init__(self, tensor: Sequence[Sequence[Sequence[int]]], unity: Sequence[int]):
-        self.dim = len(tensor)
-        self.tensor = tensor
-        self.unity = [Fraction(v) for v in unity]
-
-    def mul(self, a, b):
-        out = [Fraction(0)] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                f = x * y
-                for k, c in enumerate(self.tensor[i][j]):
-                    if c:
-                        out[k] += f * c
-        return out
-
-    def mult_operator(self, a):
-        return [self.mul(a, [Fraction(1) if t == i else Fraction(0) for t in range(self.dim)]) for i in range(self.dim)]
-
-    def trace_of_mult(self, a) -> Fraction:
-        op = self.mult_operator(a)
-        return sum((op[i][i] for i in range(self.dim)), Fraction(0))
-
-
-def _express_over(rows: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients x with sum x_i·rows_i = target, or None."""
-    if not rows:
-        return [] if all(v == 0 for v in target) else None
-    ncols = len(rows)
-    n = len(target)
-    aug = [[rows[i][j] for i in range(ncols)] + [target[j]] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    for j in range(n):
-        if sum(rows[i][j] * x[i] for i in range(ncols)) != target[j]:
-            return None
-    return x
-
-
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    work = [r[:] for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        scale = work[r][col]
-        work[r] = [x / scale for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+# -- the torsion-free part ----------------------------------------------------
 
 
 def _free_idempotents(ring: FdzRing) -> list[Vec]:
-    """All idempotents of a torsion-free scalar ring, via the Q-algebra."""
+    """All idempotents of a torsion-free scalar ring, via its Q-algebra A.
+
+    The radical N of the trace form is the nilradical of A.  An element a
+    generates A/N exactly when the squarefree part of its characteristic
+    polynomial chi has degree dim A/N; then the CRT idempotents of
+    Q[x]/(chi) = prod Q[x]/(f_i^m_i), evaluated at a, are the primitive
+    idempotents of A.  When dim A/N is 1, A/N is Q and A is local: its
+    only idempotents are 0 and 1, and nothing needs factoring.
+    """
     dim = ring.rank
     if dim == 0:
         return [()]
@@ -238,99 +111,48 @@ def _free_idempotents(ring: FdzRing) -> list[Vec]:
         )
     unity = ring.unity()
     assert unity is not None
-    alg = _RationalAlgebra(ring.tensor, unity)
-    # nilradical = radical of the trace form
+    # the trace form Tr(e_i·e_j), from the traces of multiplication by each e_k
+    traces = [sum(ring.tensor[k][j][j] for j in range(dim)) for k in range(dim)]
     gram = [
-        [alg.trace_of_mult([Fraction(v) for v in ring.tensor[i][j]]) for j in range(dim)]
+        [sum(c * t for c, t in zip(ring.tensor[i][j], traces)) for j in range(dim)]
         for i in range(dim)
     ]
-    nil_rows = _nullspace(gram)
-    nil_ech, nil_pivots = _echelon(nil_rows) if nil_rows else ([], [])
-    complement = [c for c in range(dim) if c not in nil_pivots]
+    sdim = len(hermite_rows(gram, dim))
+    if sdim == 1:
+        return sorted([ring.zero(), unity])
+    from sympy import QQ, ZZ, Poly, Symbol
+    from sympy.polys.matrices import DomainMatrix
 
-    def project(vec):
-        out = vec[:]
-        for row, col in zip(nil_ech, nil_pivots):
-            f = out[col]
-            if f != 0:
-                out = [x - f * y for x, y in zip(out, row)]
-        return [out[c] for c in complement]
-
-    sdim = len(complement)
-    assert sdim > 0, "a unital algebra cannot be entirely nilpotent"
-
-    def embed(svec):
-        out = [Fraction(0)] * dim
-        for c, v in zip(complement, svec):
-            out[c] = v
-        return out
-
-    class _SemiSimple:
-        def mul(self, a, b):
-            return project(alg.mul(embed(a), embed(b)))
-
-    ss = _SemiSimple()
-    ss_unity = project(list(alg.unity))
-
-    def ss_minpoly(a):
-        rows: list[list[Fraction]] = []
-        power = list(ss_unity)
-        while True:
-            dep = _express_over(rows, power)
-            if dep is not None:
-                return [-d for d in dep] + [Fraction(1)]
-            rows.append(list(power))
-            power = ss.mul(power, a)
-
-    primitive = None
-    candidates = [
-        [Fraction(1) if i == t else Fraction(0) for t in range(sdim)]
-        for i in range(sdim)
-    ]
-    for t in range(1, 64):
-        candidates.append([Fraction(t) ** i for i in range(sdim)])
-    for cand in candidates:
-        mp = ss_minpoly(cand)
-        if len(mp) - 1 == sdim:
-            primitive = cand
-            minpoly = mp
+    x = Symbol("x")
+    candidates = [ring.generator(i) for i in range(dim)]
+    candidates += [tuple(t**i for i in range(dim)) for t in range(1, 64)]
+    for a in candidates:
+        mult = IntMatrix([ring.mul(a, ring.generator(i)) for i in range(dim)])
+        chi = Poly(DomainMatrix.from_list(mult.data, ZZ).charpoly(), x, domain=QQ)
+        if chi.sqf_part().degree() == sdim:
             break
-    if primitive is None:
+    else:
         raise FactorizationIncomplete("no primitive element found for the semisimple part")
 
-    factors = _factor_rational_poly(minpoly)
-    prim_idems_ss = []
-    for f in factors:
-        g, _ = _poly_divmod(minpoly, f)
-        gcd, u, _ = _poly_egcd(g, f)
-        assert len(gcd) == 1, "minimal polynomial of an etale algebra must be squarefree"
-        _, e_poly = _poly_divmod(_poly_mul(u, g), minpoly)
-        # evaluate at the primitive element inside the semisimple quotient
-        val = [Fraction(0)] * sdim
-        power = list(ss_unity)
-        for c in e_poly:
-            if c:
-                val = [x + c * y for x, y in zip(val, power)]
-            power = ss.mul(power, primitive)
-        prim_idems_ss.append(val)
-
-    # lift to the full rational algebra through the nilradical
-    lifted = []
-    for e_ss in prim_idems_ss:
-        e = embed(e_ss)
-        for _ in range(64):
-            e2 = alg.mul(e, e)
-            if e2 == e:
-                break
-            e3 = alg.mul(e2, e)
-            e = [3 * a - 2 * b for a, b in zip(e2, e3)]
-        else:
-            raise FactorizationIncomplete("idempotent lifting did not converge")
-        lifted.append(e)
-    return _lift_subset_sums(alg, lifted, dim)
+    powers = [unity]
+    for _ in range(dim - 1):
+        powers.append(row_times_matrix(powers[-1], mult))
+    primitives = []
+    for f, m in chi.factor_list()[1]:
+        block = f**m
+        rest = chi.exquo(block)
+        s, _, _ = rest.gcdex(block)
+        coeffs = (s * rest).rem(chi).all_coeffs()[::-1]
+        primitives.append(
+            [
+                sum(Fraction(c.p, c.q) * power[j] for c, power in zip(coeffs, powers))
+                for j in range(dim)
+            ]
+        )
+    return _lift_subset_sums(primitives, dim)
 
 
-def _lift_subset_sums(alg, primitives, dim) -> list[Vec]:
+def _lift_subset_sums(primitives, dim) -> list[Vec]:
     out = set()
     for mask in range(1 << len(primitives)):
         total = [Fraction(0)] * dim
@@ -340,46 +162,6 @@ def _lift_subset_sums(alg, primitives, dim) -> list[Vec]:
         if all(v.denominator == 1 for v in total):
             out.add(tuple(int(v) for v in total))
     return sorted(out)
-
-
-def _nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    if n == 0:
-        return []
-    ech, pivots = _echelon([list(map(Fraction, row)) for row in matrix])
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, pc in zip(ech, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
-
-
-def _factor_rational_poly(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Monic irreducible factors over Q of a monic rational polynomial."""
-    x = Symbol("x")
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    poly = Poly(list(reversed(ints)), x)
-    _, factor_list = poly.factor_list()
-    out = []
-    for fac, mult in factor_list:
-        assert mult == 1, "expected a squarefree minimal polynomial"
-        fac_coeffs = [Fraction(int(c)) for c in reversed(fac.all_coeffs())]
-        lead = fac_coeffs[-1]
-        out.append([c / lead for c in fac_coeffs])
-    return out
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- idempotents and spectrum -------------------------------------------------
@@ -392,12 +174,12 @@ def idempotents(p: FdzRing) -> list[Vec]:
     torsion_group, torsion_basis = torsion.as_group()
     if torsion_group.order is None or torsion_group.order > 4096:
         raise FactorizationIncomplete("torsion part too large to enumerate")
+    if all(d != 0 for d in p.orders):
+        return sorted(e for e in p.elements() if p.mul(e, e) == e)
     torsion_elements = [
         p.reduce(row_times_matrix(coords, torsion_basis))
         for coords in torsion_group.elements()
     ]
-    if all(d != 0 for d in p.orders):
-        return sorted(e for e in p.elements() if p.mul(e, e) == e)
     free = quotient_ring(p, torsion)
     free_idems = _free_idempotents(free.ring)
     found = set()

@@ -699,10 +699,8 @@ def verify_sixterm(
         mu = _induced_on_k_quotient(parts_a, parts_b, phi)
         if mu is None or not verify_iso_witness(parts_a.ak_ring, parts_b.ak_ring, mu):
             continue
-        psi_found = _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes)
-        if psi_found is None:
+        if _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes) is None:
             continue
-        psi, eta = psi_found
         return SixTermReport(
             status="commutes",
             detail="all three squares commute",
@@ -824,7 +822,7 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
             eta_rows.append(coords)
         if not solved:
             continue
-        eta = IntMatrix(eta_rows, cols=parts_b.o_ring.rank) if eta_rows else IntMatrix([], cols=parts_b.o_ring.rank)
+        eta = IntMatrix(eta_rows, cols=parts_b.o_ring.rank)
         if eta_rows and not verify_iso_witness(parts_a.o_ring, parts_b.o_ring, eta):
             continue
         return psi, eta

@@ -1,5 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+from fdzring.bilinear import BilinearMapError, pa_ring
 from fdzring.classify import (
     CITATION_TAGS,
     FactorizationIncomplete,
@@ -15,7 +21,26 @@ from fdzring.classify import (
 )
 from fdzring.corpus import NAMED_RINGS, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.eqcheck import verify_iso_witness
-from fdzring.rings import FdzRing, direct_product, z0_ring
+from fdzring.intlinalg import IntMatrix, row_times_matrix
+from fdzring.rings import FdzRing, direct_product, transport, z0_ring
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def zx_mod(tail):
+    """Z[x]/(f) in the basis 1, x, ..., x^(n-1), for the monic
+    f = x^n + tail[n-1]·x^(n-1) + ... + tail[0]."""
+    n = len(tail)
+
+    def power(k):
+        v = [int(i == k) for i in range(2 * n)]
+        for d in range(2 * n - 1, n - 1, -1):
+            c, v[d] = v[d], 0
+            for i, t in enumerate(tail):
+                v[d - n + i] -= c * t
+        return v[:n]
+
+    return FdzRing([0] * n, [[power(i + j) for j in range(n)] for i in range(n)])
 
 
 def test_idempotents_examples():
@@ -24,6 +49,59 @@ def test_idempotents_examples():
     assert idempotents(zz) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert idempotents(zx2_ring()) == [(0, 0), (1, 0)]
     assert idempotents(z_mod(6)) == [(0,), (1,), (3,), (4,)]
+    # no basis vector and not the unity generates Q^3: the search goes on
+    z3 = direct_product(zz, z_ring())
+    assert idempotents(z3) == sorted(
+        tuple((mask >> i) & 1 for i in range(3)) for mask in range(8)
+    )
+    # Q[x]/(x^3 - x) = Q^3 has 8 idempotents, only 4 of them integral
+    assert idempotents(zx_mod([0, -1, 0])) == [
+        (0, 0, 0),
+        (0, 0, 1),
+        (1, 0, -1),
+        (1, 0, 0),
+    ]
+    # (1 ± x)/2 are not integral, with or without the nilpotent x^2 - 1
+    assert idempotents(zx_mod([-1, 0])) == [(0, 0), (1, 0)]
+    assert idempotents(zx_mod([1, 0, -2, 0])) == [(0, 0, 0, 0), (1, 0, 0, 0)]
+    # a base change carries the idempotents along
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import base_change, random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(4)
+    tested = 0
+    while tested < 6:
+        orders, tensor = random_ring_data(rng, 2 + tested % 4)
+        try:
+            scalar = pa_ring(FdzRing(orders, tensor)).ring
+        except BilinearMapError:
+            continue
+        tested += 1
+        for extra in (zx_mod([0, -1, 0]), zx_mod([0, 0, -1]), z_mod(6)):
+            p = direct_product(scalar, extra)
+            t, tinv = base_change(rng, p.orders)
+            t, tinv = IntMatrix(t), IntMatrix(tinv)
+            moved = transport(p, t, tinv)
+            expected = sorted(p.reduce(row_times_matrix(e, t)) for e in idempotents(p))
+            assert idempotents(moved) == expected
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, fdzring, fdzring.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    # a local torsion-free part (semisimple part Q) has only 0 and 1: no factoring
+    probe = (
+        "import sys; from fdzring.classify import idempotents; "
+        "from fdzring.corpus import z_ring, zx2_ring; "
+        "print(idempotents(z_ring()), idempotents(zx2_ring()), 'sympy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[(0,), (1,)] [(0, 0), (1, 0)] False"
 
 
 def test_idempotents_mixed_torsion():
