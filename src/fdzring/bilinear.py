@@ -11,12 +11,17 @@ form an integer solution lattice; modulo the pairs whose image dies in the
 relation lattices this quotient is the scalar ring, with composition as its
 product and (id, id) as unity.  Commutativity and associativity follow from
 fullness and non-degeneracy; both are asserted after construction.
+
+The pair lattice is solved once.  The subring pa making sq -> A/ann linear
+has as its pairs those pf pairs that also satisfy the linearity
+conditions; these are solved over the coordinates of the pf pair basis,
+not as a second pair system.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -26,6 +31,7 @@ from .intlinalg import (
     Vec,
     diagonal_presentation,
     hermite_coordinates,
+    hermite_rows,
     row_times_matrix,
     solve_congruences,
 )
@@ -33,6 +39,8 @@ from .rings import (
     ELEMENT_LIMIT,
     FdzRing,
     characteristic_ideals,
+    ill_defined_product,
+    pairing_kernel,
     quotient_ring,
     subring_presentation,
 )
@@ -64,20 +72,14 @@ class BilinearMap:
         n = len(self.codomain_orders)
         if len(self.values) != m or any(len(r) != m for r in self.values):
             raise BilinearMapError("value tensor must be square in the domain rank")
-        for i in range(m):
-            for j in range(m):
-                if len(self.values[i][j]) != n:
-                    raise BilinearMapError("value vectors must match the codomain rank")
-                for k in range(n):
-                    c = self.values[i][j][k]
-                    dk = self.codomain_orders[k]
-                    for side in (self.domain_orders[i], self.domain_orders[j]):
-                        v = side * c
-                        if (dk == 0 and v != 0) or (dk != 0 and v % dk):
-                            raise BilinearMapError(
-                                f"value at ({i}, {j}) is not well defined modulo the "
-                                "relation lattices"
-                            )
+        if any(len(v) != n for r in self.values for v in r):
+            raise BilinearMapError("value vectors must match the codomain rank")
+        bad = ill_defined_product(self.domain_orders, self.codomain_orders, self.values)
+        if bad is not None:
+            raise BilinearMapError(
+                f"value at ({bad[0]}, {bad[1]}) is not well defined modulo the "
+                "relation lattices"
+            )
 
     @cached_property
     def domain_group(self) -> FgAbelianGroup:
@@ -116,17 +118,9 @@ class BilinearMap:
 
     def radical(self) -> Subgroup:
         """Elements x with f(x, ·) = f(·, x) = 0, as a domain subgroup."""
-        eqs = []
-        moduli = []
-        for j in range(self.domain_rank):
-            for k in range(self.codomain_rank):
-                eqs.append([self.values[i][j][k] for i in range(self.domain_rank)])
-                moduli.append(self.codomain_orders[k])
-                eqs.append([self.values[j][i][k] for i in range(self.domain_rank)])
-                moduli.append(self.codomain_orders[k])
-        res = solve_congruences(eqs, moduli, unknowns=self.domain_rank)
-        assert res is not None
-        return self.domain_group.subgroup(res[1])
+        return pairing_kernel(
+            self.values, self.codomain_orders, self.domain_group, range(self.domain_rank)
+        )
 
     def is_nondegenerate(self) -> bool:
         return self.radical().is_zero()
@@ -234,28 +228,14 @@ class CompleteSystem:
     size_bound: int
 
 
-def _pairing_kernel(f: BilinearMap, indices: Sequence[int]) -> Subgroup:
-    eqs = []
-    moduli = []
-    for j in indices:
-        for k in range(f.codomain_rank):
-            eqs.append([f.values[i][j][k] for i in range(f.domain_rank)])
-            moduli.append(f.codomain_orders[k])
-            eqs.append([f.values[j][i][k] for i in range(f.domain_rank)])
-            moduli.append(f.codomain_orders[k])
-    res = solve_congruences(eqs, moduli, unknowns=f.domain_rank)
-    assert res is not None
-    return f.domain_group.subgroup(res[1])
-
-
 def complete_system(f: BilinearMap) -> CompleteSystem:
     """The smallest generator subset pairing trivially only with zero."""
-    all_indices = range(f.domain_rank)
-    if not _pairing_kernel(f, all_indices).is_zero():
+    if not f.is_nondegenerate():
         raise DegenerateMapError("map has a nonzero radical")
     for size in range(f.domain_rank + 1):
-        for combo in itertools.combinations(all_indices, size):
-            if _pairing_kernel(f, combo).is_zero():
+        for combo in itertools.combinations(range(f.domain_rank), size):
+            kernel = pairing_kernel(f.values, f.codomain_orders, f.domain_group, combo)
+            if kernel.is_zero():
                 witness = tuple(
                     tuple(1 if i == c else 0 for i in range(f.domain_rank))
                     for c in combo
@@ -288,22 +268,17 @@ class ScalarRingAction:
     in_parent: IntMatrix | None = None
 
     def pair_of(self, coords: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
-        m = self.bilinear.domain_rank
-        n = self.bilinear.codomain_rank
-        phi = [[0] * m for _ in range(m)]
-        psi = [[0] * n for _ in range(n)]
-        for g, c in enumerate(coords):
-            if not c:
-                continue
-            dom = self.action_on_domain[g]
-            cod = self.action_on_codomain[g]
-            for i in range(m):
-                for j in range(m):
-                    phi[i][j] += c * dom[(i, j)]
-            for i in range(n):
-                for j in range(n):
-                    psi[i][j] += c * cod[(i, j)]
-        return IntMatrix(phi, cols=m), IntMatrix(psi, cols=n)
+        pairs = zip(self.action_on_domain, self.action_on_codomain)
+        gens = IntMatrix([p.entries + q.entries for p, q in pairs], cols=self.pair_basis.cols)
+        return _unpack_pair(row_times_matrix(coords, gens), self.bilinear)
+
+
+def _unpack_pair(z: Sequence[int], f: BilinearMap) -> tuple[IntMatrix, IntMatrix]:
+    """The pair (phi, psi) of a flattened pair vector."""
+    m, n = f.domain_rank, f.codomain_rank
+    phi = IntMatrix([[z[i * m + j] for j in range(m)] for i in range(m)], cols=m)
+    psi = IntMatrix([[z[m * m + i * n + j] for j in range(n)] for i in range(n)], cols=n)
+    return phi, psi
 
 
 def _pair_conditions(f: BilinearMap) -> tuple[list[list[int]], list[int]]:
@@ -374,14 +349,12 @@ def _degenerate_pair_rows(f: BilinearMap) -> list[Vec]:
     return rows
 
 
-def _build_action(
-    f: BilinearMap,
-    extra_eqs: list[list[int]] | None = None,
-    extra_moduli: list[int] | None = None,
-) -> tuple[ScalarRingAction, IntMatrix]:
-    """Shared pipeline; returns the action and its solution basis matrix."""
-    m, n = f.domain_rank, f.codomain_rank
-    nunk = m * m + n * n
+def _pair_lattice(f: BilinearMap) -> tuple[Vec, ...]:
+    """Hermite basis of all endomorphism pairs compatible with f.
+
+    Refuses maps with a trivial side, and maps that are not full or are
+    degenerate, since no scalar ring is defined for them.
+    """
     if f.domain_group.is_trivial or f.codomain_group.is_trivial:
         raise BilinearMapError(
             "largest scalar ring undefined: quotient or square is trivial"
@@ -391,13 +364,17 @@ def _build_action(
     if not f.is_nondegenerate():
         raise ScalarRingError("scalar ring axioms violated: map is degenerate")
     eqs, moduli = _pair_conditions(f)
-    if extra_eqs:
-        eqs = eqs + extra_eqs
-        moduli = moduli + list(extra_moduli or [])
-    res = solve_congruences(eqs, moduli, unknowns=nunk)
+    m, n = f.domain_rank, f.codomain_rank
+    res = solve_congruences(eqs, moduli, unknowns=m * m + n * n)
     assert res is not None
-    sol_basis = res[1]
-    smat = IntMatrix(sol_basis, cols=nunk)
+    return res[1]
+
+
+def _build_action(f: BilinearMap, sol_basis: Sequence[Vec]) -> ScalarRingAction:
+    """The scalar ring on a lattice of compatible pairs, given by its
+    Hermite basis, modulo the pairs that vanish on both sides."""
+    m, n = f.domain_rank, f.codomain_rank
+    smat = IntMatrix(sol_basis, cols=m * m + n * n)
     relations = []
     for row in _degenerate_pair_rows(f):
         coords = hermite_coordinates(sol_basis, row)
@@ -416,20 +393,10 @@ def _build_action(
             )
         return coords
 
-    def unpack(z: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
-        phi = IntMatrix([[z[i * m + j] for j in range(m)] for i in range(m)], cols=m)
-        psi = IntMatrix(
-            [[z[m * m + i * n + j] for j in range(n)] for i in range(n)], cols=n
-        )
-        return phi, psi
-
-    def pack(phi: IntMatrix, psi: IntMatrix) -> Vec:
-        return tuple(phi.entries) + tuple(psi.entries)
-
-    basis_pairs = [unpack(row_times_matrix(row, smat)) for row in pres.lift.data]
+    basis_pairs = [_unpack_pair(row_times_matrix(row, smat), f) for row in pres.lift.data]
 
     def express_pair(phi: IntMatrix, psi: IntMatrix) -> Vec:
-        return pres.coordinates(express_z(pack(phi, psi)))
+        return pres.coordinates(express_z(phi.entries + psi.entries))
 
     tensor = [
         [express_pair(pa.mul(pb), sa.mul(sb)) for pb, sb in basis_pairs]
@@ -441,7 +408,7 @@ def _build_action(
         raise ScalarRingError("scalar ring axioms violated: composition is not scalar")
     if ring.unity() != unity:
         raise ScalarRingError("scalar ring axioms violated: (id, id) is not a unity")
-    action = ScalarRingAction(
+    return ScalarRingAction(
         ring=ring,
         action_on_domain=tuple(p for p, _ in basis_pairs),
         action_on_codomain=tuple(q for _, q in basis_pairs),
@@ -450,28 +417,32 @@ def _build_action(
         pair_basis=smat,
         express_pair=express_pair,
     )
-    return action, smat
 
 
 def pf_ring(f: BilinearMap) -> ScalarRingAction:
     """The largest scalar ring keeping f bilinear, with both actions."""
-    action, _ = _build_action(f)
-    return action
+    return _build_action(f, _pair_lattice(f))
 
 
 def pa_ring(a: FdzRing) -> ScalarRingAction:
-    """The subring of the largest scalar ring making sq -> A/ann linear."""
+    """The subring of the largest scalar ring making sq -> A/ann linear.
+
+    Its pairs are the pf pairs z = c·B (B the pf pair basis) that also
+    satisfy the linearity rows r·z ≡ 0, so the rows are solved over the
+    coordinates c as r·B·c ≡ 0.
+    """
     induced = induced_bilinear_map(a)
     f = induced.map
-    parent, parent_basis = _build_action(f)
+    basis = _pair_lattice(f)
+    parent = _build_action(f, basis)
     m, n = f.domain_rank, f.codomain_rank
     nunk = m * m + n * n
     pi = [
         row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
         for k in range(n)
     ]
-    extra_eqs: list[list[int]] = []
-    extra_moduli: list[int] = []
+    eqs: list[list[int]] = []
+    moduli: list[int] = []
     for k in range(n):
         for c in range(m):
             row = [0] * nunk
@@ -479,9 +450,14 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
                 row[m * m + k * n + s] += pi[s][c]
             for t in range(m):
                 row[t * m + c] -= pi[k][t]
-            extra_eqs.append(row)
-            extra_moduli.append(f.domain_orders[c])
-    action, _ = _build_action(f, extra_eqs, extra_moduli)
+            eqs.append([sum(x * y for x, y in zip(row, z)) for z in basis])
+            moduli.append(f.domain_orders[c])
+    res = solve_congruences(eqs, moduli, unknowns=len(basis))
+    assert res is not None
+    sub_basis = hermite_rows(
+        (row_times_matrix(coords, parent.pair_basis) for coords in res[1]), nunk
+    )
+    action = _build_action(f, sub_basis)
     in_parent = IntMatrix(
         [
             parent.express_pair(phi, psi)
@@ -489,13 +465,4 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
         ],
         cols=parent.ring.rank,
     )
-    return ScalarRingAction(
-        ring=action.ring,
-        action_on_domain=action.action_on_domain,
-        action_on_codomain=action.action_on_codomain,
-        unity=action.unity,
-        bilinear=f,
-        pair_basis=action.pair_basis,
-        express_pair=action.express_pair,
-        in_parent=in_parent,
-    )
+    return replace(action, in_parent=in_parent)

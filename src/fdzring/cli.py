@@ -97,10 +97,6 @@ def _classification_json(report: ClassificationReport) -> dict:
     }
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _matrix_json(m) -> list[list[int]]:
     return [list(row) for row in m.data]
 
@@ -117,74 +113,50 @@ def _action_json(action: ScalarRingAction) -> dict:
     return out
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def _predicates_json(ring: FdzRing) -> dict:
+    preds = predicates(ring)
+    return {"tame": preds.tame, "regular": preds.regular}
+
+
+def cmd_analyze(args) -> dict:
     ring = load_ring(args.ring)
-    payload = {
+    return {
         "input": _input_summary(args.ring, ring),
         "ideal_chain": _chain_json(ring),
-        "predicates": {
-            "tame": predicates(ring).tame,
-            "regular": predicates(ring).regular,
-        },
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+        "predicates": _predicates_json(ring),
     }
-    _emit(payload)
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args) -> dict:
     ring = load_ring(args.ring)
     report = classify_ring(ring, use_pa_ring=args.use_pa)
-    chain = characteristic_ideals(ring)
-    payload = {
+    return {
         "input": _input_summary(args.ring, ring),
         "ideal_chain_invariants": {
-            "ann": list(chain.ann.as_group()[0].invariant_factors),
-            "square": list(chain.sq.as_group()[0].invariant_factors),
-            "delta": list(chain.delta.as_group()[0].invariant_factors),
-            "k": list(chain.k_ideal.as_group()[0].invariant_factors),
-            "l": list(chain.l_ideal.as_group()[0].invariant_factors),
-            "o": list(chain.o_ideal.as_group()[0].invariant_factors),
-            "m": list(chain.m_quot.invariant_factors),
-            "n": list(chain.n_quot.invariant_factors),
+            name: part["invariant_factors"] for name, part in _chain_json(ring).items()
         },
-        "predicates": {
-            "tame": predicates(ring).tame,
-            "regular": predicates(ring).regular,
-        },
+        "predicates": _predicates_json(ring),
         "classification": _classification_json(report),
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    _emit(payload)
-    return EXIT_OK
 
 
-def cmd_pf(args) -> int:
-    started = time.perf_counter()
+def cmd_pf(args) -> dict:
     ring = load_ring(args.ring)
     induced = induced_bilinear_map(ring)
-    action = pf_ring(induced.map)
-    sub = pa_ring(ring)
-    payload = {
+    return {
         "input": _input_summary(args.ring, ring),
-        "pf": _action_json(action),
-        "pa": _action_json(sub),
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+        "pf": _action_json(pf_ring(induced.map)),
+        "pa": _action_json(pa_ring(ring)),
     }
-    _emit(payload)
-    return EXIT_OK
 
 
-def cmd_eqcheck(args) -> int:
-    started = time.perf_counter()
+def cmd_eqcheck(args) -> dict:
     ring_a = load_ring(args.ring_a)
     ring_b = load_ring(args.ring_b)
     verdict = equivalence_verdict(
         ring_a, ring_b, coeff_bound=args.bound, seed=args.seed
     )
-    payload = {
+    return {
         "input": {
             "a": _input_summary(args.ring_a, ring_a),
             "b": _input_summary(args.ring_b, ring_b),
@@ -193,10 +165,7 @@ def cmd_eqcheck(args) -> int:
         "verdict": verdict.kind,
         "reason": verdict.reason,
         "witness": _matrix_json(verdict.witness.matrix) if verdict.witness else None,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    _emit(payload)
-    return EXIT_OK
 
 
 def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
@@ -222,8 +191,7 @@ def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
     return order, value, factor
 
 
-def cmd_deform(args) -> int:
-    started = time.perf_counter()
+def cmd_deform(args) -> dict:
     ring = load_ring(args.ring)
     context = DeformationContext(ring)
     g = None
@@ -252,13 +220,11 @@ def cmd_deform(args) -> int:
         "ring_file": serialize_ring(deformed),
         "valid": True,
         "profile_match": profile_match,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
     }
     if args.check_sixterm:
         report = verify_sixterm(ring, deformed)
         payload["sixterm"] = {"status": report.status, "detail": report.detail}
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
 def _parse_builtin(text: str) -> tuple[str, int]:
@@ -278,8 +244,7 @@ def _parse_builtin(text: str) -> tuple[str, int]:
     return name, k
 
 
-def cmd_modelcheck(args) -> int:
-    started = time.perf_counter()
+def cmd_modelcheck(args) -> dict:
     ring = load_ring(args.ring)
     if args.mod is not None:
         if args.mod < 1:
@@ -299,7 +264,6 @@ def cmd_modelcheck(args) -> int:
     payload: dict = {
         "input": _input_summary(args.ring, ring),
         "source": source,
-        "timing_ms": None,
     }
     if len(free) == 1:
         payload["kind"] = "defined_set"
@@ -310,13 +274,10 @@ def cmd_modelcheck(args) -> int:
     else:
         payload["kind"] = "truth_of_closure"
         payload["value"] = evaluate(ring, exists_closure(formula))
-    payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
-def cmd_corpus(args) -> int:
-    started = time.perf_counter()
+def cmd_corpus(args) -> dict:
     entries = []
     names = sorted(
         name for name in os.listdir(args.directory) if name.endswith(".ring")
@@ -333,12 +294,7 @@ def cmd_corpus(args) -> int:
                 "classification": _classification_json(report),
             }
         )
-    payload = {
-        "corpus": entries,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-    }
-    _emit(payload)
-    return EXIT_OK
+    return {"corpus": entries}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,8 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        payload = args.func(args)
+        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     except (RingFileError, FormulaError, CliParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -418,6 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # anything unexpected is an internal failure, per the exit contract
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

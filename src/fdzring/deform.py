@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
+from .eqcheck import _iso_witnesses, verify_iso_witness
 from .groups import FgAbelianGroup, split_complement
 from .intlinalg import (
     IntMatrix,
@@ -39,11 +40,15 @@ from .rings import (
     FdzRing,
     QuotientPresentation,
     SubringPresentation,
-    addition_and_foundation,
+    annihilator_addition,
     characteristic_ideals,
     quotient_ring,
     subring_presentation,
 )
+
+
+# the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
+INDEPENDENCE_BOUND = 16
 
 
 class CocycleError(ValueError):
@@ -306,9 +311,6 @@ class GroupExtension:
     project_source: IntMatrix
     cocycle: SymmetricCocycle
 
-    def pair_add(self, a: tuple[Vec, Vec], b: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
-        return cocycle_pair_add(self.cocycle, a, b)
-
 
 def _extension_group(
     source_orders: Vec,
@@ -384,7 +386,6 @@ class DeformationSpec:
     base: FdzRing
     addition_rank: int | None = None
     g: SymmetricCocycle | None = None
-    independence_bound: int = 16
 
 
 class DeformationContext:
@@ -400,16 +401,17 @@ class DeformationContext:
     def __init__(self, base: FdzRing):
         self.base = base
         self.chain = characteristic_ideals(base)
-        af = addition_and_foundation(base)
-        if af.addition is None:
+        self.addition = annihilator_addition(base)
+        if self.addition is None:
             raise DeformationError("the ring has no addition to deform along")
-        self.addition = af.addition
-        add_pres = af.addition.presentation()
+        add_pres = self.addition.presentation()
         if any(d != 0 for d in add_pres.orders):
             raise AssertionError("an addition must be free")
         self.addition_rank = len(add_pres.orders)
         self.addition_basis = add_pres.lift
         self.delta = subring_presentation(base, self.chain.delta)
+        # k = delta ⊕ A0: the rows are the k-space basis in ambient coordinates
+        self.k_basis = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=base.rank)
         self.o_pres = self.chain.o_ideal.presentation()
         self.d_orders: Vec = tuple([0] * self.addition_rank) + self.o_pres.orders
         self.k_orders: Vec = self.delta.ring.orders + tuple([0] * self.addition_rank)
@@ -446,22 +448,13 @@ class DeformationContext:
 
         k = delta ⊕ A0, so the reduced coordinates are unique.
         """
-        rows = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=self.base.rank)
-        coords = _express_in_rows(vec, rows, self.base)
+        coords = _express_in_rows(vec, self.k_basis, self.base)
         if coords is None:
             raise DeformationError("value must lie in the k-ideal")
         return _reduce_mod_orders(coords, self.k_orders)
 
     def k_to_ambient(self, kvec: Sequence[int]) -> Vec:
-        nd = self.delta.ring.rank
-        out = [0] * self.base.rank
-        for i in range(nd):
-            for j, v in enumerate(self.delta.lift.row(i)):
-                out[j] += kvec[i] * v
-        for i in range(self.addition_rank):
-            for j, v in enumerate(self.addition_basis.row(i)):
-                out[j] += kvec[nd + i] * v
-        return self.base.reduce(out)
+        return self.base.reduce(row_times_matrix(kvec, self.k_basis))
 
     # -- carrier source: free complement ⊕ torsion quotient --
 
@@ -503,11 +496,8 @@ class DeformationContext:
     def torsion_transversal(self, ncoords: Sequence[int]) -> Vec:
         """The canonical representative in the ring of a torsion-quotient
         element."""
-        acc = [0] * self.base.rank
-        for i, c in enumerate(_reduce_mod_orders(ncoords, self.n_orders)):
-            if c:
-                for j, v in enumerate(self.n_lift_ambient.row(i)):
-                    acc[j] += c * v
+        coords = _reduce_mod_orders(ncoords, self.n_orders)
+        acc = row_times_matrix(coords, self.n_lift_ambient)
         return self._canonical_l_representative(self.base.reduce(acc))
 
     def base_extension_cocycle(self, x: Sequence[int], y: Sequence[int]) -> Vec:
@@ -569,22 +559,14 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
     rk = len(ctx.k_orders)
     rank_e = rs + rk
 
-    _check_independence(ctx, closing, spec.independence_bound)
+    _check_independence(ctx, closing)
 
     # ambient representative of each extension generator
-    reps = []
-    for i in range(m):
-        reps.append(ctx.free_section.row(i))
-    for i in range(len(ctx.n_orders)):
-        reps.append(
-            ctx.torsion_transversal(
-                tuple(1 if j == i else 0 for j in range(len(ctx.n_orders)))
-            )
-        )
-    for t in range(rk):
-        reps.append(
-            ctx.k_to_ambient(tuple(1 if j == t else 0 for j in range(rk)))
-        )
+    reps = list(ctx.free_section.data)
+    for unit in IntMatrix.identity(len(ctx.n_orders)).data:
+        reps.append(ctx.torsion_transversal(unit))
+    for row in ctx.k_basis.data:
+        reps.append(ctx.base.reduce(row))
 
     def product_coords(u: int, v: int) -> Vec:
         prod = ctx.base.mul(reps[u], reps[v])
@@ -630,9 +612,9 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
     return result
 
 
-def _check_independence(ctx: DeformationContext, closing: Sequence[Vec], bound: int):
+def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
     """Torsion lifts scaled by their periods must stay independent in every
-    finite quotient of the addition (schema truncated at ``bound``).
+    finite quotient of the addition (schema truncated at INDEPENDENCE_BOUND).
 
     ``closing`` holds the k-coordinates of e_i·g_i for the torsion source
     generators; the addition coordinates come last.
@@ -647,7 +629,7 @@ def _check_independence(ctx: DeformationContext, closing: Sequence[Vec], bound: 
         raise DeformationError(
             "independence condition fails: torsion lifts collapse in the addition"
         )
-    for d in range(2, bound + 1):
+    for d in range(2, INDEPENDENCE_BOUND + 1):
         for s in invariants:
             if s and gcd(s, d) != 1:
                 raise DeformationError(
@@ -675,15 +657,18 @@ def verify_sixterm(
     inclusion, restriction, and projection maps.  Invariant mismatches give
     a definitive ``no``; exhausting the bounded search gives ``unknown``.
     """
-    from .eqcheck import _iso_witnesses, verify_iso_witness
-
     chain_a = characteristic_ideals(a)
     chain_b = characteristic_ideals(b)
     parts_a = _sixterm_parts(a, chain_a)
     parts_b = _sixterm_parts(b, chain_b)
-    for name in ("o_ring", "delta_ring", "hat_ring", "ak_ring"):
-        inv_a = getattr(parts_a, name).additive.invariant_factors
-        inv_b = getattr(parts_b, name).additive.invariant_factors
+    for name, field in (
+        ("o_ring", "o_pres"),
+        ("delta_ring", "delta_pres"),
+        ("hat_ring", "hat"),
+        ("ak_ring", "ak"),
+    ):
+        inv_a = getattr(parts_a, field).ring.additive.invariant_factors
+        inv_b = getattr(parts_b, field).ring.additive.invariant_factors
         if inv_a != inv_b:
             return SixTermReport(
                 status="no",
@@ -692,12 +677,12 @@ def verify_sixterm(
             )
 
     budget_hit = False
-    for phi in _iso_witnesses(parts_a.hat_ring, parts_b.hat_ring, coeff_bound, max_nodes):
+    for phi in _iso_witnesses(parts_a.hat.ring, parts_b.hat.ring, coeff_bound, max_nodes):
         if phi is None:
             budget_hit = True
             break
         mu = _induced_on_k_quotient(parts_a, parts_b, phi)
-        if mu is None or not verify_iso_witness(parts_a.ak_ring, parts_b.ak_ring, mu):
+        if mu is None or not verify_iso_witness(parts_a.ak.ring, parts_b.ak.ring, mu):
             continue
         if _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes) is None:
             continue
@@ -720,10 +705,6 @@ class _SixTermParts:
     delta_pres: SubringPresentation
     hat: QuotientPresentation
     ak: QuotientPresentation
-    o_ring: FdzRing
-    delta_ring: FdzRing
-    hat_ring: FdzRing
-    ak_ring: FdzRing
     delta_to_hat: IntMatrix
     o_in_delta: IntMatrix
     hat_to_ak: IntMatrix
@@ -749,10 +730,6 @@ def _sixterm_parts(a: FdzRing, chain) -> _SixTermParts:
         delta_pres=delta_pres,
         hat=hat,
         ak=ak,
-        o_ring=o_pres.ring,
-        delta_ring=delta_pres.ring,
-        hat_ring=hat.ring,
-        ak_ring=ak.ring,
         delta_to_hat=delta_to_hat,
         o_in_delta=o_in_delta,
         hat_to_ak=hat_to_ak,
@@ -762,38 +739,36 @@ def _sixterm_parts(a: FdzRing, chain) -> _SixTermParts:
 
 def _induced_on_k_quotient(parts_a, parts_b, phi: IntMatrix) -> IntMatrix | None:
     # phi must send the image of k to the image of k
-    image_k_b = parts_b.hat_ring.additive.subgroup(list(parts_b.k_in_hat))
+    image_k_b = parts_b.hat.ring.additive.subgroup(list(parts_b.k_in_hat))
     for row in parts_a.k_in_hat:
         if not image_k_b.contains(row_times_matrix(row, phi)):
             return None
     rows = []
-    for t in range(parts_a.ak_ring.rank):
+    for t in range(parts_a.ak.ring.rank):
         hat_coords = row_times_matrix(parts_a.ak.lift.row(t), parts_a.hat.project)
         rows.append(
             row_times_matrix(row_times_matrix(hat_coords, phi), parts_b.hat_to_ak)
         )
-    return IntMatrix(rows, cols=parts_b.ak_ring.rank)
+    return IntMatrix(rows, cols=parts_b.ak.ring.rank)
 
 
 def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
-    from .eqcheck import _iso_witnesses, verify_iso_witness
-
-    o_image_b = parts_b.delta_ring.additive.subgroup(list(parts_b.o_in_delta.data))
+    o_image_b = parts_b.delta_pres.ring.additive.subgroup(list(parts_b.o_in_delta.data))
     for psi in _iso_witnesses(
-        parts_a.delta_ring, parts_b.delta_ring, coeff_bound, max_nodes
+        parts_a.delta_pres.ring, parts_b.delta_pres.ring, coeff_bound, max_nodes
     ):
         if psi is None:
             return None
         # middle square: restriction to the annihilator quotient commutes
         ok = True
-        for s in range(parts_a.delta_ring.rank):
-            left = parts_b.hat_ring.reduce(
+        for s in range(parts_a.delta_pres.ring.rank):
+            left = parts_b.hat.ring.reduce(
                 row_times_matrix(psi.row(s), parts_b.delta_to_hat)
             )
-            right = parts_b.hat_ring.reduce(
+            right = parts_b.hat.ring.reduce(
                 row_times_matrix(
                     row_times_matrix(
-                        tuple(1 if j == s else 0 for j in range(parts_a.delta_ring.rank)),
+                        tuple(1 if j == s else 0 for j in range(parts_a.delta_pres.ring.rank)),
                         parts_a.delta_to_hat,
                     ),
                     phi,
@@ -808,13 +783,13 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
         image_rows = [
             row_times_matrix(row, psi) for row in parts_a.o_in_delta.data
         ]
-        if parts_b.delta_ring.additive.subgroup(image_rows) != o_image_b:
+        if parts_b.delta_pres.ring.additive.subgroup(image_rows) != o_image_b:
             continue
         eta_rows = []
         solved = True
         for row in image_rows:
             coords = _express_in_rows(
-                row, parts_b.o_in_delta, parts_b.delta_ring
+                row, parts_b.o_in_delta, parts_b.delta_pres.ring
             )
             if coords is None:
                 solved = False
@@ -822,8 +797,8 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
             eta_rows.append(coords)
         if not solved:
             continue
-        eta = IntMatrix(eta_rows, cols=parts_b.o_ring.rank)
-        if eta_rows and not verify_iso_witness(parts_a.o_ring, parts_b.o_ring, eta):
+        eta = IntMatrix(eta_rows, cols=parts_b.o_pres.ring.rank)
+        if eta_rows and not verify_iso_witness(parts_a.o_pres.ring, parts_b.o_pres.ring, eta):
             continue
         return psi, eta
     return None

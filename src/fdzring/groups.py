@@ -111,9 +111,6 @@ class FgAbelianGroup:
             raise GroupError("vector length does not match ambient rank")
         return hermite_reduce(self.relation_basis, vec)
 
-    def contains_zero(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def element_order(self, vec: Sequence[int]) -> int | None:
         """Additive order of the coset of ``vec`` (None = infinite)."""
         # order = index of {n : n·vec in relations} in Z

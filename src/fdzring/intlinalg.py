@@ -109,12 +109,6 @@ class IntMatrix:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
 def vec_scale(c: int, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, quotient_of_subgroups, split_complement
 from .intlinalg import IntMatrix, Vec, diagonal_presentation, row_times_matrix, solve_congruences
@@ -62,6 +62,28 @@ def _freeze_tensor(tensor: Sequence[Sequence[Sequence[int]]], rank: int) -> Tens
     return tuple(out)
 
 
+def ill_defined_product(
+    domain_orders: Sequence[int],
+    codomain_orders: Sequence[int],
+    values: Tensor,
+) -> tuple[int, int, int] | None:
+    """The first (i, j, k) at which a product table is not well defined.
+
+    ``values[i][j]`` is the product of the i-th and j-th domain generators
+    in codomain coordinates; d_i·c[i][j][k] and d_j·c[i][j][k] must vanish
+    modulo the k-th codomain order (0 meaning exact equality).
+    """
+    for i, di in enumerate(domain_orders):
+        for j, dj in enumerate(domain_orders):
+            for k, dk in enumerate(codomain_orders):
+                c = values[i][j][k]
+                for d_side in (di, dj):
+                    v = d_side * c
+                    if (dk == 0 and v != 0) or (dk != 0 and v % dk):
+                        return i, j, k
+    return None
+
+
 class FdzRing:
     """A finitely generated ring presented by orders and structure constants."""
 
@@ -73,16 +95,9 @@ class FdzRing:
             raise RingValidationError(0, 0, 0, "orders must be nonnegative")
         raw = _freeze_tensor(tensor, self.rank)
         self.additive = FgAbelianGroup.from_orders(self.orders)
-        # well-definedness: d_i·c[i][j] and d_j·c[i][j] must vanish coordinatewise
-        for i in range(self.rank):
-            for j in range(self.rank):
-                for k in range(self.rank):
-                    c = raw[i][j][k]
-                    for d_side in (self.orders[i], self.orders[j]):
-                        v = d_side * c
-                        dk = self.orders[k]
-                        if (dk == 0 and v != 0) or (dk != 0 and v % dk):
-                            raise RingValidationError(i, j, k)
+        bad = ill_defined_product(self.orders, self.orders, raw)
+        if bad is not None:
+            raise RingValidationError(*bad)
         self.tensor = tuple(
             tuple(self.reduce(v) for v in row) for row in raw
         )
@@ -187,17 +202,10 @@ class FdzRing:
 
     def unity(self) -> Vec | None:
         """The two-sided multiplicative identity, if one exists."""
-        eqs = []
-        moduli = []
-        rhs = []
-        for j in range(self.rank):
-            for k in range(self.rank):
-                left = [self.tensor[i][j][k] for i in range(self.rank)]
-                right = [self.tensor[j][i][k] for i in range(self.rank)]
-                for row in (left, right):
-                    eqs.append(row)
-                    moduli.append(self.orders[k])
-                    rhs.append(1 if j == k else 0)
+        gens = range(self.rank)
+        eqs, moduli = _pairing_equations(self.tensor, self.orders, self.rank, gens)
+        # u·e_j and e_j·u must both have coordinate k equal to [j == k]
+        rhs = [1 if j == k else 0 for j in gens for k in gens for _ in range(2)]
         res = solve_congruences(eqs, moduli, rhs=rhs, unknowns=self.rank)
         if res is None:
             return None
@@ -245,18 +253,38 @@ class IdealChain:
     n_quot: FgAbelianGroup
 
 
-def annihilator(a: FdzRing) -> Subgroup:
+def _pairing_equations(
+    values: Tensor, codomain_orders: Sequence[int], rank: int, indices: Iterable[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Congruences in x for coordinate k of x·e_j, then of e_j·x, for each j
+    in ``indices`` and each k, where ``values[i][j]`` is e_i·e_j in a
+    codomain with the given orders."""
     eqs = []
     moduli = []
-    for j in range(a.rank):
-        for k in range(a.rank):
-            eqs.append([a.tensor[i][j][k] for i in range(a.rank)])
-            moduli.append(a.orders[k])
-            eqs.append([a.tensor[j][i][k] for i in range(a.rank)])
-            moduli.append(a.orders[k])
-    res = solve_congruences(eqs, moduli, unknowns=a.rank)
+    for j in indices:
+        for k, dk in enumerate(codomain_orders):
+            eqs.append([values[i][j][k] for i in range(rank)])
+            moduli.append(dk)
+            eqs.append([values[j][i][k] for i in range(rank)])
+            moduli.append(dk)
+    return eqs, moduli
+
+
+def pairing_kernel(
+    values: Tensor,
+    codomain_orders: Sequence[int],
+    group: FgAbelianGroup,
+    indices: Iterable[int],
+) -> Subgroup:
+    """Elements x of ``group`` with x·e_j = e_j·x = 0 for every j in ``indices``."""
+    eqs, moduli = _pairing_equations(values, codomain_orders, group.rank, indices)
+    res = solve_congruences(eqs, moduli, unknowns=group.rank)
     assert res is not None
-    return a.additive.subgroup(res[1])
+    return group.subgroup(res[1])
+
+
+def annihilator(a: FdzRing) -> Subgroup:
+    return pairing_kernel(a.tensor, a.orders, a.additive, range(a.rank))
 
 
 def ideal_closure(a: FdzRing, s: Subgroup) -> Subgroup:
@@ -448,9 +476,15 @@ def _complement_in_subgroup(
     return Subgroup(g, gens)
 
 
+def annihilator_addition(a: FdzRing) -> Subgroup | None:
+    """An addition A0 with Ann = A0 ⊕ O, or None when none exists."""
+    chain = characteristic_ideals(a)
+    return _complement_in_subgroup(a.additive, chain.ann, chain.o_ideal)
+
+
 def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
     chain = characteristic_ideals(a)
-    addition = _complement_in_subgroup(a.additive, chain.ann, chain.o_ideal)
+    addition = annihilator_addition(a)
     if addition is None:
         return AdditionFoundation(None, None, None)
     split = split_complement(a.additive, addition, kill=chain.delta)

@@ -10,9 +10,16 @@ import itertools
 import random
 from math import gcd
 
-from fdzring.bilinear import BilinearMap, BilinearMapError
+from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
 from fdzring.groups import FgAbelianGroup
-from fdzring.intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix, smith
+from fdzring.intlinalg import (
+    IntMatrix,
+    Vec,
+    hermite_rows,
+    row_times_matrix,
+    smith,
+    solve_congruences,
+)
 from fdzring.rings import FdzRing
 
 
@@ -299,3 +306,36 @@ def brute_force_isomorphic(a: FdzRing, b: FdzRing) -> bool:
         if ok:
             return True
     return False
+
+
+def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
+    """Hermite basis of the pa pair lattice, solved as one system.
+
+    Appends the linearity conditions of sq -> A/ann to the pair conditions
+    and solves both together in the pair unknowns (phi flattened, then psi);
+    the library instead solves the linearity conditions over the
+    coordinates of the pf pair basis.  The pair ψ on sq and φ on A/ann must
+    satisfy pi(ψ(s_k)) = φ(pi(s_k)) for every square generator s_k, where
+    pi is the projection sq -> A/ann.
+    """
+    induced = induced_bilinear_map(ring)
+    f = induced.map
+    m, n = f.domain_rank, f.codomain_rank
+    nunk = m * m + n * n
+    pi = [
+        row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
+        for k in range(n)
+    ]
+    eqs, moduli = _pair_conditions(f)
+    for k in range(n):
+        for c in range(m):
+            row = [0] * nunk
+            for s in range(n):
+                row[m * m + k * n + s] += pi[s][c]
+            for t in range(m):
+                row[t * m + c] -= pi[k][t]
+            eqs.append(row)
+            moduli.append(f.domain_orders[c])
+    res = solve_congruences(eqs, moduli, unknowns=nunk)
+    assert res is not None
+    return res[1]

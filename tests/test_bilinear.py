@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -14,9 +16,11 @@ from fdzring.bilinear import (
 )
 from fdzring.corpus import twoz_ring, w_ring, z_mod, z_ring, zx2_ring
 from fdzring.intlinalg import lattice_contains, row_times_matrix
-from fdzring.rings import z0_ring
+from fdzring.rings import FdzRing, z0_ring
 
-from oracles import brute_force_pairs, random_finite_ring
+from oracles import brute_force_pairs, joint_pa_basis, random_finite_ring
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_induced_map_shapes():
@@ -272,14 +276,35 @@ def test_pa_constraint_random_finite():
         for phi, psi in zip(sub.action_on_domain, sub.action_on_codomain):
             pair = tuple(phi.entries) + tuple(psi.entries)
             assert lattice_contains(parent.pair_basis.data, pair)
+        # maximality: no pair of the joint system is lost
+        assert sub.pair_basis.data == joint_pa_basis(ring)
         done += 1
 
 
+def _seeded_gen_rings(count: int) -> list[FdzRing]:
+    """Rings from the benchmark generator, ranks 2-6, with pf defined."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(17)
+    out = []
+    while len(out) < count:
+        ring = FdzRing(*random_ring_data(rng, 2 + len(out) % 5))
+        f = induced_bilinear_map(ring).map
+        if not (f.domain_group.is_trivial or f.codomain_group.is_trivial):
+            out.append(ring)
+    return out
+
+
 def test_pa_inside_pf():
-    for builder in (z_ring, w_ring, zx2_ring, lambda: z_mod(4)):
-        ring = builder()
+    builders = [z_ring, w_ring, zx2_ring, lambda: z_mod(4)]
+    for ring in [b() for b in builders] + _seeded_gen_rings(30):
         pa = pa_ring(ring)
         pf = pf_ring(induced_bilinear_map(ring).map)
+        # maximality: pa keeps every pf pair that meets the linearity rows
+        assert pa.pair_basis.data == joint_pa_basis(ring)
         # each generator of pa, written in pf coordinates, is a pf element
         # and the embedding respects the pair representations
         assert pa.in_parent is not None

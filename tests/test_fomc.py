@@ -124,7 +124,8 @@ def test_psi_matches_complete_system_kernel():
     # when the pairing-kernel test of the complete-system search passes
     import itertools
 
-    from fdzring.bilinear import _pairing_kernel, induced_bilinear_map
+    from fdzring.bilinear import induced_bilinear_map
+    from fdzring.rings import pairing_kernel
 
     for builder in (lambda: z_mod(4), lambda: reduce_mod_n(w_ring(), 2),
                     lambda: reduce_mod_n(zx2_ring(), 2)):
@@ -137,7 +138,8 @@ def test_psi_matches_complete_system_kernel():
                 lifted = [induced.domain_lift.row(i) for i in combo]
                 assignment = {f"x{t+1}": v for t, v in enumerate(lifted)}
                 truth = evaluate(ring, psi(size), assignment)
-                assert truth == _pairing_kernel(f, combo).is_zero(), (
+                kernel = pairing_kernel(f.values, f.codomain_orders, f.domain_group, combo)
+                assert truth == kernel.is_zero(), (
                     ring.orders,
                     combo,
                 )
