@@ -10,24 +10,43 @@ the set of achievable values of each side is computed compositionally
 (subterms with disjoint variable sets combine exactly via sumsets and
 product sets) and the block reduces to a containment or intersection test.
 The strategy is sound, not approximate: whenever exactness cannot be
-guaranteed the evaluator falls back to plain enumeration, and the fallback
-is the semantic reference the fast path is tested against.
+guaranteed the evaluator falls back to plain enumeration.
+
+The fast evaluator (``optimize=True``) runs on a ring compiled for the
+call.  Elements are numbered 0..N-1 in ``ring.elements()`` order (mixed
+radix, last coordinate fastest).  Negation is one list; the addition row
+of a is built by Horner over the digits, and the multiplication row of a
+by bilinearity from the rank products a·e_j and the addition table, each
+the first time a is used as a left operand, so a formula that needs few
+lookups never pays N² (Libkin, *Elements of Finite Model Theory*, ch. 6:
+bottom-up evaluation by relation tables).  Two memos live on the compiled
+ring: value sets, keyed by (term, its quantified variables, the values of
+its other free variables), and the truth of quantifier nodes, keyed by
+(node, the values of its free variables).  So a side of an equation that
+does not mention the defined variable is built once, not once per
+element.  ``optimize=False`` is the semantic reference the fast path is
+tested against: plain recursion on coordinate tuples through ``FdzRing``
+arithmetic, with no tables and no memo.
 
 The concrete formula syntax is fully parenthesized prefix text, e.g.
 ``(exists x1 (eq x (mul x1 x1)))``; ``sub`` is sugar for adding a negation.
+Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from .intlinalg import Vec
 from .rings import FdzRing
 
 CARRIER_GUARD = 4096
 ENUMERATION_GUARD = 200_000
+NESTING_GUARD = 200
 
 
 class FormulaError(ValueError):
@@ -232,17 +251,125 @@ def exists_closure(f: Formula) -> Formula:
 # -- evaluation ----------------------------------------------------------------
 
 
-class _Model:
+class _Reference:
+    """Plain Tarskian semantics: coordinate tuples and ``FdzRing`` arithmetic.
+
+    No tables and no memo; the compiled model is tested against this one.
+    """
+
+    fast = False
+
     def __init__(self, ring: FdzRing):
-        if ring.order is None:
-            raise FormulaError("model checking requires a finite ring")
-        if ring.order > CARRIER_GUARD:
-            raise FormulaError(
-                f"carrier of size {ring.order} exceeds the guard {CARRIER_GUARD}"
-            )
+        self.elements = list(ring.elements())
+        self.zero = ring.zero()
+        self.add, self.neg, self.mul = ring.add, ring.neg, ring.mul
+
+    def encode(self, vec: Vec) -> Vec:
+        return vec
+
+    def decode(self, value: Vec) -> Vec:
+        return value
+
+
+class _Model:
+    """A finite ring compiled to index tables, plus the memos of one call.
+
+    ``carrier[i]`` is element i and ``index`` maps a reduced coordinate
+    tuple back to i.  Rows are ``array('H')`` (the carrier guard is below
+    2**16) and ``rows_built`` counts them.
+    """
+
+    fast = True
+
+    def __init__(self, ring: FdzRing):
         self.ring = ring
         self.carrier = list(ring.elements())
-        self.carrier_set = set(self.carrier)
+        self.size = len(self.carrier)
+        self.elements = range(self.size)
+        self.full = set(self.elements)
+        self.zero = 0
+        self.neg = self._horner([[-t % d for t in range(d)] for d in ring.orders]).__getitem__
+        self._add_rows: list[array | None] = [None] * self.size
+        self._mul_rows: list[array | None] = [None] * self.size
+        self.rows_built = 0
+        self.value_sets: dict = {}
+        self.truth: dict = {}
+        self._names: dict[int, tuple[str, ...]] = {}
+
+    def index(self, vec: Sequence[int]) -> int:
+        i = 0
+        for x, d in zip(vec, self.ring.orders):
+            i = i * d + x
+        return i
+
+    encode = index
+
+    def decode(self, i: int) -> Vec:
+        return self.carrier[i]
+
+    def _horner(self, digit_maps: Sequence[Sequence[int]]) -> list[int]:
+        """For every element c in carrier order, the index of the element
+        whose k-th coordinate is digit_maps[k][c_k]."""
+        out = [0]
+        for digits, d in zip(digit_maps, self.ring.orders):
+            out = [v * d + s for v in out for s in digits]
+        return out
+
+    def add_row(self, a: int) -> array:
+        row = self._add_rows[a]
+        if row is None:
+            digits = [
+                [(x + t) % d for t in range(d)]
+                for x, d in zip(self.carrier[a], self.ring.orders)
+            ]
+            row = self._add_rows[a] = array("H", self._horner(digits))
+            self.rows_built += 1
+        return row
+
+    def mul_row(self, a: int) -> array:
+        """a·b for every b, by bilinearity: walking b's digits in carrier
+        order, each unit of b_j adds the rank product a·e_j once."""
+        row = self._mul_rows[a]
+        if row is None:
+            ring = self.ring
+            out = [0]
+            for j, d in enumerate(ring.orders):
+                step = self.add_row(self.index(ring.mul(self.carrier[a], ring.generator(j))))
+                walked = []
+                for v in out:
+                    for _ in range(d):
+                        walked.append(v)
+                        v = step[v]
+                out = walked
+            row = self._mul_rows[a] = array("H", out)
+            self.rows_built += 1
+        return row
+
+    def add(self, a: int, b: int) -> int:
+        return self.add_row(a)[b]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.mul_row(a)[b]
+
+    def names(self, node: Term | Formula) -> tuple[str, ...]:
+        """The sorted free variables of a node of the formula under evaluation
+        (cached by identity: the formula outlives the model)."""
+        key = id(node)
+        found = self._names.get(key)
+        if found is None:
+            free = term_variables(node) if isinstance(node, Term) else free_variables(node)
+            found = self._names[key] = tuple(sorted(free))
+        return found
+
+
+def _model(ring: FdzRing, optimize: bool) -> _Model | _Reference:
+    if ring.order is None:
+        raise FormulaError("model checking requires a finite ring")
+    if ring.order > CARRIER_GUARD:
+        raise FormulaError(
+            f"carrier of size {ring.order} exceeds the guard {CARRIER_GUARD}"
+        )
+    return _Model(ring) if optimize else _Reference(ring)
 
 
 def evaluate(
@@ -252,14 +379,14 @@ def evaluate(
     optimize: bool = True,
 ) -> bool:
     """Tarskian truth of the formula under the assignment."""
-    model = _Model(ring)
+    model = _model(ring, optimize)
     env = {}
     for name, value in (assignment or {}).items():
-        env[name] = ring.reduce(value)
+        env[name] = model.encode(ring.reduce(value))
     missing = free_variables(formula) - set(env)
     if missing:
         raise FormulaError(f"unassigned free variables: {sorted(missing)}")
-    return _eval(model, formula, env, optimize)
+    return _eval(model, formula, env)
 
 
 def defined_set(ring: FdzRing, formula: Formula, optimize: bool = True) -> list[tuple[int, ...]]:
@@ -270,57 +397,58 @@ def defined_set(ring: FdzRing, formula: Formula, optimize: bool = True) -> list[
             f"defined_set needs exactly one free variable, got {sorted(free)}"
         )
     (name,) = free
-    model = _Model(ring)
+    model = _model(ring, optimize)
     return sorted(
-        element
-        for element in model.carrier
-        if _eval(model, formula, {name: element}, optimize)
+        model.decode(element)
+        for element in model.elements
+        if _eval(model, formula, {name: element})
     )
 
 
-def _term_value(model: _Model, t: Term, env) -> tuple[int, ...]:
-    ring = model.ring
+def _term_value(model: _Model | _Reference, t: Term, env):
     match t:
         case Var(name):
             return env[name]
         case Zero():
-            return ring.zero()
+            return model.zero
         case Add(l, r):
-            return ring.add(_term_value(model, l, env), _term_value(model, r, env))
+            return model.add(_term_value(model, l, env), _term_value(model, r, env))
         case Neg(x):
-            return ring.neg(_term_value(model, x, env))
+            return model.neg(_term_value(model, x, env))
         case Mul(l, r):
-            return ring.mul(_term_value(model, l, env), _term_value(model, r, env))
+            return model.mul(_term_value(model, l, env), _term_value(model, r, env))
     raise FormulaError(f"not a term: {t!r}")
 
 
-def _eval(model: _Model, f: Formula, env, optimize: bool) -> bool:
+def _eval(model: _Model | _Reference, f: Formula, env) -> bool:
     match f:
         case Eq(l, r):
             return _term_value(model, l, env) == _term_value(model, r, env)
         case Not(x):
-            return not _eval(model, x, env, optimize)
+            return not _eval(model, x, env)
         case And(l, r):
-            return _eval(model, l, env, optimize) and _eval(model, r, env, optimize)
+            return _eval(model, l, env) and _eval(model, r, env)
         case Or(l, r):
-            return _eval(model, l, env, optimize) or _eval(model, r, env, optimize)
+            return _eval(model, l, env) or _eval(model, r, env)
         case Implies(l, r):
-            return not _eval(model, l, env, optimize) or _eval(model, r, env, optimize)
+            return not _eval(model, l, env) or _eval(model, r, env)
         case Exists(_, _) | Forall(_, _):
-            if optimize:
-                fast = _eval_block(model, f, env)
-                if fast is not None:
-                    return fast
-            if isinstance(f, Exists):
-                return any(
-                    _eval(model, f.body, {**env, f.var: e}, optimize)
-                    for e in model.carrier
-                )
-            return all(
-                _eval(model, f.body, {**env, f.var: e}, optimize)
-                for e in model.carrier
-            )
+            if not model.fast:
+                return _quantify(model, f, env)
+            key = (id(f), tuple(env[v] for v in model.names(f)))
+            truth = model.truth.get(key)
+            if truth is None:
+                truth = _eval_block(model, f, env)
+                if truth is None:
+                    truth = _quantify(model, f, env)
+                model.truth[key] = truth
+            return truth
     raise FormulaError(f"not a formula: {f!r}")
+
+
+def _quantify(model: _Model | _Reference, f: Exists | Forall, env) -> bool:
+    test = any if isinstance(f, Exists) else all
+    return test(_eval(model, f.body, {**env, f.var: e}) for e in model.elements)
 
 
 def _collect_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -403,46 +531,62 @@ def _eval_block(model: _Model, f: Formula, env) -> bool | None:
     return bool(left_set & right_set)
 
 
-def _term_value_set(
-    model: _Model, t: Term, qvars: set[str], env
-) -> set[tuple[int, ...]] | None:
-    """Exact set of values of t as the quantified variables range freely."""
-    ring = model.ring
-    tvars = term_variables(t) & qvars
+def _term_value_set(model: _Model, t: Term, qvars: set[str], env) -> set[int] | None:
+    """Exact set of values of t as the quantified variables range freely.
+
+    Memoised by (term, its quantified variables, the values of its other
+    free variables), which is everything the set depends on.
+    """
+    names = model.names(t)
+    tvars = tuple(v for v in names if v in qvars)
     if not tvars:
         return {_term_value(model, t, env)}
+    key = (id(t), tvars, tuple(env[v] for v in names if v not in qvars))
+    if key not in model.value_sets:
+        model.value_sets[key] = _compose_value_set(model, t, tvars, qvars, env)
+    return model.value_sets[key]
+
+
+def _compose_value_set(
+    model: _Model, t: Term, tvars: tuple[str, ...], qvars: set[str], env
+) -> set[int] | None:
     match t:
         case Var(_):
-            return model.carrier_set
+            return model.full
         case Neg(x):
             inner = _term_value_set(model, x, qvars, env)
             if inner is None:
                 return None
-            return {ring.neg(v) for v in inner}
+            return {model.neg(v) for v in inner}
         case Add(l, r) | Mul(l, r):
-            lv = term_variables(l) & qvars
-            rv = term_variables(r) & qvars
-            if lv & rv:
+            if set(model.names(l)) & set(model.names(r)) & qvars:
                 return _enumerated_value_set(model, t, tvars, env)
             ls = _term_value_set(model, l, qvars, env)
             rs = _term_value_set(model, r, qvars, env)
             if ls is None or rs is None:
                 return None
-            op = ring.add if isinstance(t, Add) else ring.mul
-            return {op(a, b) for a in ls for b in rs}
-        case Zero():
-            return {ring.zero()}
+            if isinstance(t, Mul):
+                row_of = model.mul_row
+            else:
+                row_of = model.add_row
+                if len(ls) > len(rs):
+                    ls, rs = rs, ls
+            out: set[int] = set()
+            for a in ls:
+                row = row_of(a)
+                out.update(row if len(rs) == model.size else map(row.__getitem__, rs))
+                if len(out) == model.size:
+                    break
+            return out
     raise FormulaError(f"not a term: {t!r}")
 
 
-def _enumerated_value_set(model: _Model, t: Term, tvars: set[str], env):
-    names = sorted(tvars)
-    size = len(model.carrier) ** len(names)
-    if size > ENUMERATION_GUARD:
+def _enumerated_value_set(model: _Model, t: Term, tvars: tuple[str, ...], env):
+    if model.size ** len(tvars) > ENUMERATION_GUARD:
         return None
     out = set()
-    for combo in itertools.product(model.carrier, repeat=len(names)):
-        inner = {**env, **dict(zip(names, combo))}
+    for combo in itertools.product(model.elements, repeat=len(tvars)):
+        inner = {**env, **dict(zip(tvars, combo))}
         out.add(_term_value(model, t, inner))
     return out
 
@@ -469,15 +613,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_sexpr(tokens: list[str], pos: int):
+def _parse_sexpr(tokens: list[str], pos: int, depth: int = 0):
     if pos >= len(tokens):
         raise FormulaParseError("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
+        if depth >= NESTING_GUARD:
+            raise FormulaParseError(f"formula nested deeper than {NESTING_GUARD}")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse_sexpr(tokens, pos)
+            item, pos = _parse_sexpr(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise FormulaParseError("missing closing parenthesis")

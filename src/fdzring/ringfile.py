@@ -5,10 +5,11 @@
     orders: 0 0 2
     mult 1 1 : 0 0 1
 
-Indices are 1-based; absent generator pairs default to the zero product;
-integers are decimal and whitespace-separated.  Serialization is canonical
-(header, then nonzero products in row-major order), so parse ∘ serialize is
-the identity on canonicalized files.
+Indices are 1-based; absent generator pairs default to the zero product,
+and each pair may appear at most once; integers are decimal and
+whitespace-separated.  Serialization is canonical (header, then nonzero
+products in row-major order), so parse ∘ serialize is the identity on
+canonicalized files.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def parse_ring_text(text: str) -> FdzRing:
                 if len(parts) != 3:
                     raise ValueError("expected 'mult i j : c1 ... cr'")
                 i, j = int(parts[1]), int(parts[2])
-                vec = [int(v) for v in tail.split()]
-                products[(i, j)] = vec
+                if (i, j) in products:
+                    raise ValueError(f"duplicate product ({i}, {j})")
+                products[(i, j)] = [int(v) for v in tail.split()]
             else:
                 raise ValueError(f"unrecognized line: {line!r}")
         except ValueError as exc:

@@ -71,6 +71,29 @@ def brute_force_chain(ring: FdzRing) -> dict[str, frozenset]:
     return {"ann": ann, "sq": sq, "delta": delta, "k": k, "l": l, "o": o}
 
 
+def sums_of_products(ring: FdzRing, n: int) -> frozenset:
+    """Every sum of n products x·y of a finite ring, by enumeration."""
+    elements = list(ring.elements())
+    products = {ring.mul(x, y) for x in elements for y in elements}
+    sums = products
+    for _ in range(n - 1):
+        sums = {ring.add(s, p) for s in sums for p in products}
+    return frozenset(sums)
+
+
+def complete_singletons(ring: FdzRing) -> frozenset:
+    """The x that form a complete system on their own: whatever multiplies x
+    to zero from both sides multiplies everything to zero."""
+    elements = list(ring.elements())
+    zero = ring.zero()
+
+    def kills(y, x):
+        return ring.mul(y, x) == zero and ring.mul(x, y) == zero
+
+    ann = {y for y in elements if all(kills(y, z) for z in elements)}
+    return frozenset(x for x in elements if all(y in ann for y in elements if kills(y, x)))
+
+
 def subgroup_elements(ring: FdzRing, sub) -> frozenset:
     """The element set of a lattice-presented subgroup of a finite ring."""
     group, basis = sub.as_group()

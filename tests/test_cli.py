@@ -4,7 +4,8 @@ import os
 import pytest
 
 from fdzring.cli import main
-from fdzring.corpus import NAMED_RINGS
+from fdzring.corpus import NAMED_RINGS, z_mod
+from fdzring.fomc import NESTING_GUARD, defined_set, parse_formula
 from fdzring.ringfile import RingFileError, parse_ring_text, serialize_ring
 from fdzring.rings import FdzRing
 
@@ -49,6 +50,16 @@ def test_ring_file_errors():
         parse_ring_text("rank: 1\norders: 0\nmult 1 2 : 1\n")
     with pytest.raises(RingFileError):
         parse_ring_text("rank: one\norders: 0\n")
+
+
+def test_ring_file_duplicate_product(capsys, tmp_path):
+    text = "rank: 1\norders: 0\nmult 1 1 : 1\nmult 1 1 : 2\n"
+    with pytest.raises(RingFileError, match=r"^line 4: duplicate product \(1, 1\)$"):
+        parse_ring_text(text)
+    duplicate = tmp_path / "duplicate.ring"
+    duplicate.write_text(text)
+    code, out, err = run(capsys, "analyze", str(duplicate))
+    assert code == 2 and not out and "duplicate product (1, 1)" in err
 
 
 def test_corpus_files_parse_and_validate():
@@ -122,6 +133,25 @@ def test_modelcheck_formula_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "truth" and payload["value"] is True
+
+
+def test_modelcheck_nesting_guard(capsys, tmp_path):
+    def nested(depth):
+        # depth levels of parentheses: negations around a three-level core
+        return "(not " * (depth - 3) + "(exists y (eq x (mul y y)))" + ")" * (depth - 3)
+
+    def modelcheck(text):
+        path = tmp_path / "f.formula"
+        path.write_text(text)
+        return run(capsys, "modelcheck", corpus_path("z4.ring"), "--formula", str(path))
+
+    code, out, _ = modelcheck(nested(NESTING_GUARD))
+    assert code == 0
+    plain = defined_set(z_mod(4), parse_formula(nested(NESTING_GUARD)), optimize=False)
+    assert json.loads(out)["elements"] == [list(e) for e in plain] == [[2], [3]]
+    for depth in (NESTING_GUARD + 1, 3000):
+        code, out, err = modelcheck(nested(depth))
+        assert code == 2 and not out and "nested deeper" in err
 
 
 def test_modelcheck_requires_finite(capsys):

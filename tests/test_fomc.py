@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from fdzring.corpus import NAMED_RINGS, w_ring, z_mod, z_ring, zx2_ring
+from fdzring.corpus import NAMED_RINGS, w_ring, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.fomc import (
+    CARRIER_GUARD,
     Add,
     And,
     Eq,
@@ -28,10 +29,18 @@ from fdzring.fomc import (
     phi,
     psi,
     theta,
+    _eval,
+    _Model,
 )
-from fdzring.rings import characteristic_ideals, reduce_mod_n, z0_ring
+from fdzring.rings import FdzRing, characteristic_ideals, reduce_mod_n, z0_ring
 
-from oracles import brute_force_chain, random_finite_ring, subgroup_elements
+from oracles import (
+    brute_force_chain,
+    complete_singletons,
+    random_finite_ring,
+    subgroup_elements,
+    sums_of_products,
+)
 
 
 def quantifier_count(f, kind):
@@ -285,6 +294,81 @@ def test_value_set_path_speed():
     wm4 = reduce_mod_n(w_ring(), 4)
     assert wm4.order == 32
     assert evaluate(wm4, phi(3))
+
+
+def test_compiled_tables_match_ring_arithmetic():
+    rng = random.Random(29)
+    rings = [reduce_mod_n(builder(), n) for builder in NAMED_RINGS.values() for n in range(2, 7)]
+    rings += [random_finite_ring(rng, max_order=24) for _ in range(10)]
+    rings.append(FdzRing([], []))
+    assert any(ring.rank == 0 for ring in rings)
+    for ring in rings:
+        model = _Model(ring)
+        elements = list(ring.elements())
+        assert model.carrier == elements
+        assert [model.index(vec) for vec in elements] == list(range(len(elements)))
+        for a, x in enumerate(elements):
+            assert elements[model.neg(a)] == ring.neg(x)
+            add_row, mul_row = model.add_row(a), model.mul_row(a)
+            for b, y in enumerate(elements):
+                assert elements[add_row[b]] == ring.add(x, y), (ring.orders, x, y)
+                assert elements[mul_row[b]] == ring.mul(x, y), (ring.orders, x, y)
+
+
+def test_compiled_rows_are_built_on_demand():
+    # a quantifier-free formula on the largest carrier the guard admits
+    # touches one multiplication row, the rank-many addition rows it is
+    # built from, and one addition row: never the N x N tables
+    ring = reduce_mod_n(zx2_ring(), 64)
+    assert ring.order == CARRIER_GUARD
+    model = _Model(ring)
+    x, y = (3, 5), (7, 11)
+    formula = Eq(Mul(Var("x"), Var("y")), Add(Var("y"), Var("x")))
+    truth = _eval(model, formula, {"x": model.index(x), "y": model.index(y)})
+    assert truth == evaluate(ring, formula, {"x": x, "y": y}, optimize=False)
+    assert model.rows_built <= ring.rank + 2
+
+
+def test_memo_reuse_matches_plain():
+    # one subterm or subformula object evaluated under different bindings
+    yy = Mul(Var("y"), Var("y"))
+    formulas = [
+        # shadowed binder: the inner y is not the outer one
+        Exists("y", And(Eq(Var("x"), yy), Exists("y", Eq(Add(Var("x"), Var("y")), yy)))),
+        # the same object quantified in one place and bound from outside in
+        # another, next to a value set that depends on the defined variable
+        And(
+            Exists("y", Eq(Var("x"), yy)),
+            Forall("y", Exists("z", Eq(Mul(Var("z"), Var("x")), yy))),
+        ),
+        Or(Forall("y", Eq(Mul(Var("x"), yy), Zero())), Exists("y", Eq(yy, Neg(Var("x"))))),
+    ]
+    rings = [reduce_mod_n(w_ring(), 4), reduce_mod_n(zx2_ring(), 4), z_mod(6)]
+    for ring in rings:
+        for formula in formulas:
+            assert defined_set(ring, formula) == defined_set(ring, formula, optimize=False), (
+                ring.orders,
+                format_formula(formula),
+            )
+    for ring in (reduce_mod_n(w_ring(), 2), reduce_mod_n(zx2_ring(), 3)):
+        for closure in (Exists("x2", psi(2)), Forall("x2", psi(2))):
+            for v in ring.elements():
+                assert evaluate(ring, closure, {"x1": v}) == evaluate(
+                    ring, closure, {"x1": v}, optimize=False
+                ), (ring.orders, v, format_formula(closure))
+
+
+def test_definability_formulas_against_sumsets():
+    for ring in (
+        reduce_mod_n(w_ring(), 4),
+        reduce_mod_n(zx2_ring(), 8),
+        reduce_mod_n(zxz0_ring(), 6),
+    ):
+        once, twice = sums_of_products(ring, 1), sums_of_products(ring, 2)
+        assert defined_set(ring, theta(1)) == sorted(once)
+        assert defined_set(ring, theta(2)) == sorted(twice)
+        assert evaluate(ring, phi(1)) == (twice <= once)
+        assert defined_set(ring, psi(1)) == sorted(complete_singletons(ring))
 
 
 def test_parse_and_format():
