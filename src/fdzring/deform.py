@@ -684,7 +684,9 @@ def verify_sixterm(
         mu = _induced_on_k_quotient(parts_a, parts_b, phi)
         if mu is None or not verify_iso_witness(parts_a.ak.ring, parts_b.ak.ring, mu):
             continue
-        if _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes) is None:
+        found, exhausted = _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes)
+        budget_hit = budget_hit or exhausted
+        if found is None:
             continue
         return SixTermReport(
             status="commutes",
@@ -753,12 +755,14 @@ def _induced_on_k_quotient(parts_a, parts_b, phi: IntMatrix) -> IntMatrix | None
 
 
 def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
+    """A compatible pair (psi, eta) over phi, or None, and whether the psi
+    search ran out of budget (so a None is not a definitive answer)."""
     o_image_b = parts_b.delta_pres.ring.additive.subgroup(list(parts_b.o_in_delta.data))
     for psi in _iso_witnesses(
         parts_a.delta_pres.ring, parts_b.delta_pres.ring, coeff_bound, max_nodes
     ):
         if psi is None:
-            return None
+            return None, True
         # middle square: restriction to the annihilator quotient commutes
         ok = True
         for s in range(parts_a.delta_pres.ring.rank):
@@ -800,8 +804,8 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
         eta = IntMatrix(eta_rows, cols=parts_b.o_pres.ring.rank)
         if eta_rows and not verify_iso_witness(parts_a.o_pres.ring, parts_b.o_pres.ring, eta):
             continue
-        return psi, eta
-    return None
+        return (psi, eta), False
+    return None, False
 
 
 def _express_in_rows(vec: Sequence[int], rows: IntMatrix, ambient_ring: FdzRing) -> Vec | None:

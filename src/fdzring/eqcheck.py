@@ -122,6 +122,11 @@ def _coefficient_order(bound: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple[Vec, ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def verify_iso_witness(a: FdzRing, b: FdzRing, h: IntMatrix) -> bool:
     """Full independent check that h defines a ring isomorphism A -> B."""
     if h.rows != a.rank or h.cols != b.rank:
@@ -138,8 +143,7 @@ def verify_iso_witness(a: FdzRing, b: FdzRing, h: IntMatrix) -> bool:
     full = hermite_rows(
         list(h.data) + [list(r) for r in b.additive.relation_basis], b.rank
     )
-    identity = tuple(tuple(1 if i == j else 0 for j in range(b.rank)) for i in range(b.rank))
-    if full != identity:
+    if full != _identity_rows(b.rank):
         return False
     kernel = preimage_lattice(h, b.additive.relation_basis)
     return hermite_rows(kernel, a.rank) == a.additive.relation_basis
@@ -178,6 +182,18 @@ def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
     for cand in itertools.product(*per_coord):
         if _element_additive_order(b, cand) == order:
             yield tuple(cand)
+
+
+def _extends_to_basis(rows: Sequence[Sequence[int]], width: int) -> bool:
+    """Whether the k rows of width f extend to a basis of Z^f.
+
+    That holds iff the gcd of the k x k minors is 1, i.e. iff the f columns
+    span Z^k: the Hermite basis of the transposed rows is the k x k
+    identity (Cohen, GTM 138, 2.4).  It implies the rows are independent.
+    """
+    k = len(rows)
+    columns = [[row[t] for row in rows] for t in range(width)]
+    return hermite_rows(columns, k) == _identity_rows(k)
 
 
 class _LazyPool:
@@ -229,37 +245,34 @@ def _iso_witnesses(
 
     # a product constraint becomes checkable once its factors and the
     # support of its value are all assigned; fire each at that moment
-    checks_at: list[list[tuple[int, int]]] = [[] for _ in gen_order]
+    checks_at: list[list[tuple[int, int, tuple]]] = [[] for _ in gen_order]
     for p in range(a.rank):
         for q in range(a.rank):
-            needed = {p, q} | {
-                k for k in range(a.rank) if a.tensor[p][q][k]
-            }
-            checks_at[max(position[i] for i in needed)].append((p, q))
+            terms = tuple((k, c) for k, c in enumerate(a.tensor[p][q]) if c)
+            needed = {p, q} | {k for k, _ in terms}
+            checks_at[max(position[i] for i in needed)].append((p, q, terms))
 
     images: dict[int, Vec] = {}
     budget = [max_nodes]
     free_gens = [i for i in gen_order if order_of[i] == 0]
+    free_coords = [t for t in range(b.rank) if b.orders[t] == 0]
 
     def partial_ok(pos: int, idx: int) -> bool:
-        for p, q in checks_at[pos]:
-            coeffs = a.tensor[p][q]
+        for p, q, terms in checks_at[pos]:
             acc = [0] * b.rank
-            for k in range(a.rank):
-                if coeffs[k]:
-                    img = images[k]
-                    for t in range(b.rank):
-                        acc[t] += coeffs[k] * img[t]
+            for k, c in terms:
+                acc = [x + c * y for x, y in zip(acc, images[k])]
             if b.reduce(acc) != b.mul(images[p], images[q]):
                 return False
         if order_of[idx] == 0:
-            # assigned free generators must stay independent modulo torsion
+            # the free images taken so far, modulo torsion, must extend to a
+            # basis of B/T(B): an isomorphism induces A/T(A) = B/T(B)
             rows = [
-                [images[i][t] for t in range(b.rank) if b.orders[t] == 0]
+                [images[i][t] for t in free_coords]
                 for i in free_gens
                 if i in images
             ]
-            if rows and len(hermite_rows(rows, len(rows[0]))) != len(rows):
+            if not _extends_to_basis(rows, len(free_coords)):
                 return False
         return True
 
@@ -298,9 +311,14 @@ def iso_search(
     Profiles are compared first; a mismatch is a definitive ``no``.  The
     image search enumerates generator images with free coordinates bounded
     by ``coeff_bound`` (torsion coordinates always range over their full
-    canonical span), smallest coefficients first.  For finite rings the
-    search is exhaustive, so running out of candidates is a definitive
-    ``no``; with free generators it is only ``unknown``.
+    canonical span), smallest coefficients first.  A partial assignment is
+    dropped as soon as its free generator images, read modulo torsion, no
+    longer extend to a basis of B/T(B) (gcd of the maximal minors 1).  This
+    cuts no witness: an isomorphism induces A/T(A) = B/T(B), so the free
+    block of every witness is unimodular, and so is every prefix of it.
+    For finite rings the search is exhaustive, so running out of
+    candidates is a definitive ``no``; with free generators it is only
+    ``unknown``.
     """
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
     if mismatch is not None:
@@ -387,10 +405,7 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
     covering = hermite_rows(
         list(h.data) + [list(r) for r in chain_b.ann.lift_basis], b.rank
     )
-    identity = tuple(
-        tuple(1 if i == j else 0 for j in range(b.rank)) for i in range(b.rank)
-    )
-    ann_surjective = covering == identity
+    ann_surjective = covering == _identity_rows(b.rank)
     hat_iso = maps_ann and ann_injective and ann_surjective
     checks.append(
         (

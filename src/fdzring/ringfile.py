@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from .rings import FdzRing, validate_ring
 
+# above every corpus, test and benchmark rank; the tensor has rank^3 cells
+RANK_LIMIT = 64
+
 
 class RingFileError(ValueError):
     pass
@@ -32,6 +35,8 @@ def parse_ring_text(text: str) -> FdzRing:
         try:
             if line.startswith("rank:"):
                 rank = int(line.split(":", 1)[1])
+                if rank > RANK_LIMIT:
+                    raise ValueError(f"rank {rank} exceeds the limit of {RANK_LIMIT}")
             elif line.startswith("orders:"):
                 orders = [int(v) for v in line.split(":", 1)[1].split()]
             elif line.startswith("mult"):

@@ -87,7 +87,7 @@ def ill_defined_product(
 class FdzRing:
     """A finitely generated ring presented by orders and structure constants."""
 
-    __slots__ = ("orders", "tensor", "additive", "_hash")
+    __slots__ = ("orders", "tensor", "additive", "_hash", "_products")
 
     def __init__(self, orders: Sequence[int], tensor: Sequence[Sequence[Sequence[int]]]):
         self.orders = tuple(int(d) for d in orders)
@@ -102,6 +102,7 @@ class FdzRing:
             tuple(self.reduce(v) for v in row) for row in raw
         )
         self._hash = hash((self.orders, self.tensor))
+        self._products = None
 
     @property
     def rank(self) -> int:
@@ -123,11 +124,10 @@ class FdzRing:
     # -- element arithmetic ------------------------------------------------
 
     def reduce(self, vec: Sequence[int]) -> Vec:
-        if len(vec) != self.rank:
+        orders = self.orders
+        if len(vec) != len(orders):
             raise GroupError("coordinate vector has wrong length")
-        return tuple(
-            int(x) % d if d else int(x) for x, d in zip(vec, self.orders)
-        )
+        return tuple([int(x) % d if d else int(x) for x, d in zip(vec, orders)])
 
     def zero(self) -> Vec:
         return tuple([0] * self.rank)
@@ -145,18 +145,28 @@ class FdzRing:
         return self.reduce([n * x for x in a])
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> Vec:
-        acc = [0] * self.rank
+        products = self._products
+        if products is None:
+            # per i, the pairs (j, ((k, c), ...)) of nonzero structure constants
+            products = self._products = tuple(
+                tuple(
+                    (j, tuple((k, c) for k, c in enumerate(vec) if c))
+                    for j, vec in enumerate(row)
+                    if any(vec)
+                )
+                for row in self.tensor
+            )
+        acc = [0] * len(self.orders)
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            row = self.tensor[i]
-            for j, bj in enumerate(b):
+            for j, terms in products[i]:
+                bj = b[j]
                 if not bj:
                     continue
-                c = row[j]
                 f = ai * bj
-                for k in range(self.rank):
-                    acc[k] += f * c[k]
+                for k, c in terms:
+                    acc[k] += f * c
         return self.reduce(acc)
 
     @property

@@ -362,3 +362,41 @@ def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
     res = solve_congruences(eqs, moduli, unknowns=nunk)
     assert res is not None
     return res[1]
+
+
+def _leibniz_det(m) -> int:
+    """Determinant by the permutation expansion (small square matrices)."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y]
+        )
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def maximal_minors_gcd(rows, width: int) -> int:
+    """gcd of the k x k minors of a k x width matrix; 0 when k > width.
+
+    The k rows extend to a basis of Z^width exactly when this is 1.
+    """
+    k = len(rows)
+    out = 0
+    for cols in itertools.combinations(range(width), k):
+        out = gcd(out, _leibniz_det([[row[c] for c in cols] for row in rows]))
+    return out
+
+
+def dense_mul(ring: FdzRing, a, b) -> Vec:
+    """a·b summed over every (i, j, k) of the structure tensor, reduced."""
+    r = ring.rank
+    acc = [0] * r
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                acc[k] += a[i] * b[j] * ring.tensor[i][j][k]
+    return tuple(x % d if d else x for x, d in zip(acc, ring.orders))

@@ -16,8 +16,9 @@ from fdzring.deform import (
     cyclic_cocycle,
     verify_sixterm,
     zero_cocycle,
+    _sixterm_parts,
 )
-from fdzring.eqcheck import equivalence_verdict, invariant_profile, iso_search
+from fdzring.eqcheck import _iso_witnesses, equivalence_verdict, invariant_profile, iso_search
 from fdzring.groups import FgAbelianGroup
 from fdzring.rings import FdzRing, characteristic_ideals
 from fdzring.intlinalg import row_times_matrix
@@ -290,3 +291,19 @@ def test_sixterm_negative_control():
     report = verify_sixterm(w, corrupted)
     assert report.status == "no"
     assert "invariants differ" in report.detail
+
+
+def test_sixterm_reports_inner_budget_exhaustion():
+    # (Z/2)^5 with e1·e1 = e2: the annihilator quotient is Z/2, so the outer
+    # search over it completes in one node, while delta is the whole ring
+    # and its compatible isomorphism lies past the first few hundred nodes
+    tensor = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    tensor[0][0][1] = 1
+    ring = FdzRing((2,) * 5, tensor)
+    hat = _sixterm_parts(ring, characteristic_ideals(ring)).hat.ring
+    assert hat.orders == (2,)
+    assert None not in list(_iso_witnesses(hat, hat, 5, 400))
+    report = verify_sixterm(ring, ring, max_nodes=400)
+    assert report.status == "unknown"
+    assert report.detail == "search budget exhausted"
+    assert verify_sixterm(ring, ring).status == "commutes"

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
+import fdzring.eqcheck as eqcheck
 from fdzring.corpus import NAMED_RINGS, twoz_ring, w_ring, z_ring, zx2_ring
 from fdzring.eqcheck import (
     _candidate_images,
+    _extends_to_basis,
+    _iso_witnesses,
     _LazyPool,
     equivalence_verdict,
     invariant_profile,
@@ -13,10 +18,12 @@ from fdzring.eqcheck import (
     verify_embedding,
     verify_iso_witness,
 )
-from fdzring.intlinalg import IntMatrix
+from fdzring.intlinalg import IntMatrix, hermite_rows
 from fdzring.rings import FdzRing, direct_product, z0_ring
 
-from oracles import brute_force_isomorphic, random_finite_ring
+from oracles import brute_force_isomorphic, maximal_minors_gcd, random_finite_ring
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def test_profile_reflexive():
@@ -131,6 +138,77 @@ def test_unknown_on_budget_exhaustion():
     assert res.kind == "unknown"
     verdict = equivalence_verdict(zx2_ring(), zx2_ring(), max_nodes=1)
     assert verdict.kind == "unknown"
+
+
+def test_self_equivalence_every_seed():
+    w = w_ring()
+    for seed in range(8):
+        assert equivalence_verdict(w, w, seed=seed).kind == "equivalent", seed
+
+
+def test_extends_to_basis_against_minors_gcd():
+    rng = random.Random(11)
+    outcomes = []
+    for n in range(300):
+        f = rng.randint(1, 4)
+        k = f if n % 3 == 0 else rng.randint(1, f)
+        rows = [[rng.randint(-3, 3) for _ in range(f)] for _ in range(k)]
+        if n % 5 == 1:
+            rows[rng.randrange(k)] = [0] * f
+        elif n % 5 == 2 and k >= 2:
+            first, second = rng.sample(range(k), 2)
+            rows[second] = [rng.choice((1, -1)) * x for x in rows[first]]
+        expected = maximal_minors_gcd(rows, f) == 1
+        assert _extends_to_basis(rows, f) == expected, rows
+        outcomes.append(expected)
+    assert 30 <= sum(outcomes) <= 270
+    # unimodular but not triangular, index 2, and more rows than columns
+    assert _extends_to_basis([[2, 3], [1, 2]], 2)
+    assert not _extends_to_basis([[1, 1], [1, -1]], 2)
+    assert not _extends_to_basis([[1], [0]], 1)
+    assert not _extends_to_basis([[]], 0)
+
+
+def _transported_gen_pairs(count: int) -> list[tuple[FdzRing, FdzRing]]:
+    """Benchmark-generator rings of rank 2-5, each against a base change."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import base_change, random_ring_data, transport_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(5)
+    pairs = []
+    for n in range(count):
+        orders, tensor = random_ring_data(rng, 2 + n % 4)
+        t, tinv = base_change(rng, orders)
+        moved = transport_data(orders, tensor, t, tinv)
+        pairs.append((FdzRing(orders, tensor), FdzRing(orders, moved)))
+    return pairs
+
+
+def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
+    # the pruning only cuts subtrees without a witness, so under one budget
+    # the pruned search meets every witness the independence-only search
+    # meets, in the same order, and meets them after fewer nodes
+    def independent_only(rows, width):
+        return len(hermite_rows(rows, width)) == len(rows)
+
+    padded = [direct_product(z0_ring(), b()) for b in NAMED_RINGS.values()]
+    pairs = [(r, r) for r in padded] + _transported_gen_pairs(20)
+    compared = 0
+    for a, b in pairs:
+        for seed in range(4):
+            # coefficient bound 2 keeps the independence-only leaves cheap
+            pruned = list(itertools.islice(_iso_witnesses(a, b, 2, 3_000, seed), 3))
+            with monkeypatch.context() as patch:
+                patch.setattr(eqcheck, "_extends_to_basis", independent_only)
+                plain = list(itertools.islice(_iso_witnesses(a, b, 2, 3_000, seed), 3))
+            found = plain[: plain.index(None)] if None in plain else plain
+            assert pruned[: len(found)] == found, (a, seed)
+            if None not in plain:
+                assert pruned == plain, (a, seed)
+            compared += len(found)
+    assert compared >= 100
 
 
 def test_seeded_ordering_still_finds_witnesses():

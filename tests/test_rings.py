@@ -1,9 +1,12 @@
+import os
 import random
+import sys
 
 import pytest
 
 from fdzring.corpus import twoz_ring, w_ring, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.rings import (
+    FdzRing,
     RingValidationError,
     addition_and_foundation,
     characteristic_ideals,
@@ -20,10 +23,40 @@ from fdzring.rings import (
 
 from oracles import (
     brute_force_chain,
+    dense_mul,
     random_finite_ring,
     random_lattice_preserving_unimodular,
     subgroup_elements,
 )
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def test_mul_matches_dense_products():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(23)
+    for n in range(50):
+        if n % 5 == 4:
+            ring = random_finite_ring(rng)
+        else:
+            orders, tensor = random_ring_data(
+                rng, 2 + n % 6, density=rng.choice((0.05, 0.3, 0.8)), coeff=3
+            )
+            ring = FdzRing(orders, tensor)
+        gens = [ring.generator(i) for i in range(ring.rank)]
+        pairs = [(x, y) for x in gens for y in gens]
+        for _ in range(20):
+            pairs.append(tuple(
+                tuple(rng.randint(-7, 7) for _ in range(ring.rank)) for _ in range(2)
+            ))
+        for x, y in pairs:
+            assert ring.mul(x, y) == dense_mul(ring, x, y), (ring, x, y)
+        assert ring.mul(ring.zero(), gens[0]) == ring.zero()
 
 
 def test_validate_accepts_and_rejects():
