@@ -74,7 +74,7 @@ from .groups import (
     subgroup_intersect,
     subgroup_sum,
 )
-from .intlinalg import IntMatrix, SmithDecomposition, hermite_rows, smith, solve
+from .intlinalg import IntMatrix, SmithDecomposition, hermite_rows, smith
 from .ringfile import RingFileError, load_ring, parse_ring_text, serialize_ring
 from .rings import (
     AdditionFoundation,

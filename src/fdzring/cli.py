@@ -367,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload = args.func(args)
         payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
         print(json.dumps(payload, indent=2, sort_keys=True))
-    except (RingFileError, FormulaError, CliParseError, FileNotFoundError) as exc:
+    except (RingFileError, FormulaError, CliParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (RingValidationError, BilinearMapError, DeformationError, GroupError) as exc:

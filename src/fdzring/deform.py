@@ -30,6 +30,7 @@ from .groups import FgAbelianGroup, split_complement
 from .intlinalg import (
     IntMatrix,
     Vec,
+    affine_preimage,
     hermite_reduce,
     hermite_rows,
     row_times_matrix,
@@ -811,16 +812,11 @@ def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
 def _express_in_rows(vec: Sequence[int], rows: IntMatrix, ambient_ring: FdzRing) -> Vec | None:
     """Coefficients c with c·rows = vec in the ring's additive group, or None.
 
-    The particular solution is returned as found; callers whose rows are a
-    diagonal presentation reduce it modulo the orders, which makes it unique.
+    The coefficients are the canonical solution of ``affine_preimage``
+    against the ring's relation lattice: reduced modulo the combinations of
+    ``rows`` that vanish in the ring, so they depend only on ``vec``'s class
+    and on the row span.  Callers whose rows are a diagonal presentation
+    also reduce them modulo its orders.
     """
-    if rows.rows == 0:
-        return () if not any(ambient_ring.reduce(vec)) else None
-    eqs = [
-        [rows[(i, j)] for i in range(rows.rows)] for j in range(rows.cols)
-    ]
-    moduli = list(ambient_ring.orders)
-    res = solve_congruences(eqs, moduli, rhs=list(vec))
-    if res is None:
-        return None
-    return res[0]
+    res = affine_preimage(rows, ambient_ring.additive.relation_basis, vec)
+    return None if res is None else res[0]

@@ -19,6 +19,7 @@ from .intlinalg import (
     DiagonalPresentation,
     IntMatrix,
     Vec,
+    affine_preimage,
     diagonal_presentation,
     hermite_coordinates,
     hermite_reduce,
@@ -26,7 +27,6 @@ from .intlinalg import (
     preimage_lattice,
     row_times_matrix,
     smith,
-    solve_congruences,
     vec_add,
     vec_scale,
 )
@@ -318,69 +318,45 @@ def split_complement(
 ) -> Splitting | None:
     """A complement C with G = S ⊕ C, or None when S is not a summand.
 
-    Decided by integer solvability of a projection p: G -> S with p
-    restricting to the identity on S; the complement is its kernel.  With
-    ``kill`` given, p must also vanish on it, so C contains ``kill``, and
-    None means no complement of S contains ``kill``.
+    Decided by integer solvability of a projection p: G -> S restricting to
+    the identity on S; the complement is its kernel.  The only unknowns are
+    the r x r entries of P (acting on row vectors), and each condition is a
+    block of r columns asking that v·P - value lie in a lattice:
+
+      * e_i·P ∈ S for each unit vector e_i, so p lands in S;
+      * s·P - s ∈ relations for each row s of S's lift basis, so p is the
+        identity on S (the relation rows among them make p well defined);
+      * w·P ∈ relations for each row w of ``kill``'s lift basis, so C
+        contains ``kill``; with ``kill`` given, None means no complement of
+        S contains it.
+
+    ``affine_preimage`` returns the canonical P of the solution coset.
     """
     if s.parent != g or (kill is not None and kill.parent != g):
         raise GroupError("subgroup does not live in the given group")
     r = g.rank
-    sbasis = s.lift_basis
-    t = len(sbasis)
-    kbasis = kill.lift_basis if kill is not None else ()
     rels = g.relation_basis
-    nrel = len(rels)
-    # unknowns: P (r*r), A (r*t) coefficients writing e_i·P over the S basis,
-    # B (t*nrel) slack writing s_k·P - s_k over the parent relations,
-    # C (len(kbasis)*nrel) slack writing w_k·P over the parent relations
-    nunk = r * r + r * t + t * nrel + len(kbasis) * nrel
-    eqs: list[list[int]] = []
+    zero = g.zero()
+    conditions = [(unit, s.lift_basis, zero) for unit in IntMatrix.identity(r).data]
+    conditions += [(row, rels, row) for row in s.lift_basis]
+    if kill is not None:
+        conditions += [(row, rels, zero) for row in kill.lift_basis]
+    width = r * len(conditions)
+    # the unknown P[a][c] feeds column c of every block, weighted by v[a]
+    w = [[0] * width for _ in range(r * r)]
+    target: list[list[int]] = []
     rhs: list[int] = []
-
-    def p_idx(i: int, j: int) -> int:
-        return i * r + j
-
-    def a_idx(i: int, k: int) -> int:
-        return r * r + i * t + k
-
-    def b_idx(k: int, m: int) -> int:
-        return r * r + r * t + k * nrel + m
-
-    def c_idx(k: int, m: int) -> int:
-        return r * r + r * t + t * nrel + k * nrel + m
-
-    for i in range(r):
-        for j in range(r):
-            row = [0] * nunk
-            row[p_idx(i, j)] = 1
-            for k in range(t):
-                row[a_idx(i, k)] = -sbasis[k][j]
-            eqs.append(row)
-            rhs.append(0)
-    for k in range(t):
-        for j in range(r):
-            row = [0] * nunk
-            for i in range(r):
-                row[p_idx(i, j)] += sbasis[k][i]
-            for m in range(nrel):
-                row[b_idx(k, m)] = -rels[m][j]
-            eqs.append(row)
-            rhs.append(sbasis[k][j])
-    for k, w in enumerate(kbasis):
-        for j in range(r):
-            row = [0] * nunk
-            for i in range(r):
-                row[p_idx(i, j)] += w[i]
-            for m in range(nrel):
-                row[c_idx(k, m)] = -rels[m][j]
-            eqs.append(row)
-            rhs.append(0)
-    res = solve_congruences(eqs, [0] * len(eqs), rhs=rhs, unknowns=nunk)
+    for b, (v, lattice, value) in enumerate(conditions):
+        for a in range(r):
+            for c in range(r):
+                w[a * r + c][b * r + c] = v[a]
+        target += [[0] * (b * r) + list(t) + [0] * (width - b * r - r) for t in lattice]
+        rhs += value
+    res = affine_preimage(IntMatrix(w, cols=width), target, rhs)
     if res is None:
         return None
     sol = res[0]
-    proj = IntMatrix([[sol[p_idx(i, j)] for j in range(r)] for i in range(r)], cols=r)
+    proj = IntMatrix([sol[i * r : (i + 1) * r] for i in range(r)], cols=r)
     kernel_rows = preimage_lattice(proj, rels)
     complement = Subgroup(g, kernel_rows)
     return Splitting(complement=complement, projection=proj)

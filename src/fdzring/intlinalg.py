@@ -3,14 +3,14 @@
 Everything here works with arbitrary-precision Python ints.  Matrices are
 immutable; reduction algorithms copy into lists, reduce with elementary
 row/column operations (minimal-pivot selection to keep coefficients small),
-and freeze the result.  Kernels, preimage lattices and coordinates over a
-lattice basis come from one-sided Hermite reduction, which builds no
-transform.  The Smith form, with its four accumulated transforms, serves
-``diagonal_presentation`` (invariant factors plus the coordinate change
-onto them, read from ``v`` and ``vinv``), saturation and particular
-solutions of inhomogeneous systems.  Intended scale is small dense
-matrices (rank <= 12 plus the auxiliary systems built from them), so no
-sparsity or modular arithmetic is attempted.
+and freeze the result.  Kernels, preimage lattices, particular solutions of
+inhomogeneous systems and coordinates over a lattice basis come from
+one-sided Hermite reduction, which builds no transform.  The Smith form
+serves only ``diagonal_presentation`` (invariant factors plus the
+coordinate change onto them, read from ``v`` and ``vinv``) and saturation.
+Intended scale is small dense matrices (rank <= 12 plus the auxiliary
+systems built from them), so no sparsity or modular arithmetic is
+attempted.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class IntMatrix:
     def row(self, i: int) -> Vec:
         return self.data[i]
 
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.data[i][j]
@@ -99,9 +96,6 @@ class IntMatrix:
             )
         return IntMatrix(out, cols=other.cols)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def diagonal(self) -> Vec:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -119,11 +113,6 @@ def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
         sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
     )
 
-def matrix_times_col(m: IntMatrix, v: Sequence[int]) -> Vec:
-    if len(v) != m.cols:
-        raise ValueError("dimension mismatch in matrix-vector product")
-    return tuple(sum(row[j] * v[j] for j in range(m.cols)) for row in m.data)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -131,10 +120,13 @@ class SmithDecomposition:
 
     The inverses of the transforms are tracked alongside the elimination,
     where unimodular inversion is cheapest.  ``diagonal_presentation``
-    keeps columns of ``v`` and rows of ``vinv``, saturation reads rows of
-    ``vinv``, and ``solve`` reads ``u`` and ``v``.  Kernels and coordinates
-    need no transform and come from Hermite reduction instead
-    (``preimage_lattice``, ``hermite_coordinates``).
+    keeps columns of ``v`` and rows of ``vinv``, and saturation reads rows
+    of ``vinv``.  No library code reads ``u`` or ``uinv``: they stay only
+    because ``_bits`` in ``perfbench/tracer.py`` recognises a Smith result
+    by ``uinv``, and the Smith checks and oracles under ``tests/`` read
+    both.  Kernels, particular solutions and coordinates need no transform
+    and come from Hermite reduction instead (``preimage_lattice``,
+    ``affine_preimage``, ``hermite_coordinates``).
     """
 
     u: IntMatrix
@@ -388,37 +380,6 @@ def left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
     return preimage_lattice(a, ())
 
 
-def solve(a: IntMatrix, b: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]] | None:
-    """Solve A·x = b over the integers.
-
-    Returns ``(particular, kernel_basis)`` or ``None`` when no integer
-    solution exists.  The kernel basis spans all homogeneous solutions.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    dec = smith(a)
-    c = matrix_times_col(dec.u, b)
-    diag = dec.diagonal
-    y = [0] * a.cols
-    free: list[int] = []
-    for j in range(a.cols):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            free.append(j)
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    x = matrix_times_col(dec.v, y)
-    kernel = tuple(dec.v.column(j) for j in free)
-    return x, kernel
-
-
 def solve_congruences(
     equations: Sequence[Sequence[int]],
     moduli: Sequence[int],
@@ -429,9 +390,10 @@ def solve_congruences(
 
     Each equation row ``e`` with modulus ``m`` imposes  e·z = rhs_e (mod m),
     where modulus 0 means exact equality.  Returns a particular solution and
-    a basis of the homogeneous solution lattice, or ``None``.  With
-    ``rhs=None`` the zero solution is returned as the particular part, which
-    turns this into a kernel computation, and the basis is in Hermite form.
+    the Hermite basis of the homogeneous solution lattice, or ``None``.
+    With ``rhs=None`` the zero solution is returned as the particular part,
+    which turns this into a kernel computation; otherwise the particular
+    solution is the canonical one of ``affine_preimage``.
     """
     eqs = [list(_as_vec(e)) for e in equations]
     if len(eqs) != len(moduli):
@@ -444,35 +406,17 @@ def solve_congruences(
         raise ValueError("unknown count required for an empty system")
     if any(len(e) != nunk for e in eqs):
         raise ValueError("ragged equation rows")
-    if not eqs:
-        basis = tuple(
-            tuple(1 if i == j else 0 for j in range(nunk)) for i in range(nunk)
-        )
-        return tuple([0] * nunk), basis
+    # z solves the system iff the combination of equation columns it takes
+    # lies in rhs plus the span of the modulus vectors m_r·e_r
+    columns = IntMatrix(list(zip(*eqs)) if eqs else [()] * nunk, cols=len(eqs))
+    modulus_rows = [
+        [int(m) if i == r else 0 for i in range(len(eqs))]
+        for r, m in enumerate(moduli)
+        if m
+    ]
     if rhs is None:
-        # z solves the system iff the combination of equation columns it
-        # takes lies in the span of the modulus vectors m_r·e_r
-        columns = IntMatrix(list(zip(*eqs)), cols=len(eqs))
-        modulus_rows = [
-            [int(m) if i == r else 0 for i in range(len(eqs))]
-            for r, m in enumerate(moduli)
-            if m
-        ]
         return tuple([0] * nunk), preimage_lattice(columns, modulus_rows)
-    naux = sum(1 for m in moduli if m)
-    rows = []
-    slack = nunk
-    for eq, m in zip(eqs, moduli):
-        row = eq + [0] * naux
-        if m:
-            row[slack] = -int(m)
-            slack += 1
-        rows.append(row)
-    res = solve(IntMatrix(rows, cols=nunk + naux), rhs)
-    if res is None:
-        return None
-    part, kern = res
-    return part[:nunk], tuple(k[:nunk] for k in kern)
+    return affine_preimage(columns, modulus_rows, rhs)
 
 
 def preimage_lattice(
@@ -493,3 +437,27 @@ def preimage_lattice(
     rows += [list(t) + [0] * tags for t in target_basis]
     kernel = [r[width:] for r in _echelon(rows, width + tags) if not any(r[:width])]
     return hermite_rows(kernel, tags)
+
+
+def affine_preimage(
+    w: IntMatrix, target_basis: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[Vec, tuple[Vec, ...]] | None:
+    """Solve x·W = rhs modulo the lattice spanned by ``target_basis``.
+
+    Returns ``(particular, kernel)`` with ``kernel`` the Hermite basis of
+    ``preimage_lattice(w, target_basis)``, or ``None`` when no x exists.
+    The rows (c, x) with x·W - c·rhs in the lattice are the preimage of W
+    with one leading tag row -rhs.  The system is solvable iff some such
+    row has c = 1, that is iff their Hermite basis starts with pivot 1 in
+    the tag column.  That row's tail is the particular solution: Hermite
+    form reduces it modulo the kernel rows below it, so it is the canonical
+    representative of the solution coset and depends only on the solution
+    set, not on how the system was written down.
+    """
+    if len(rhs) != w.cols:
+        raise ValueError("right-hand side length mismatch")
+    tagged = IntMatrix([[-int(x) for x in rhs], *w.data], cols=w.cols)
+    basis = preimage_lattice(tagged, target_basis)
+    if not basis or basis[0][0] != 1:
+        return None
+    return basis[0][1:], tuple(row[1:] for row in basis[1:])

@@ -24,20 +24,21 @@ from fdzring.rings import FdzRing
 
 
 def subgroup_closure(ring: FdzRing, seed) -> frozenset:
-    """The additive subgroup generated by the seed elements, as a set."""
+    """The additive subgroup generated by the seed elements, as a set.
+
+    Walks from zero by adding generators; in a finite group the sums of
+    generators already form the subgroup.
+    """
+    gens = {ring.reduce(s) for s in seed}
     current = {ring.zero()}
-    frontier = [ring.reduce(s) for s in seed]
+    frontier = list(current)
     while frontier:
-        nxt = frontier.pop()
-        if nxt in current:
-            continue
-        extra = {ring.add(nxt, x) for x in current} | {nxt}
-        fresh = extra - current
-        current |= fresh
-        frontier.extend(fresh)
-        neg = ring.neg(nxt)
-        if neg not in current:
-            frontier.append(neg)
+        a = frontier.pop()
+        for b in gens:
+            c = ring.add(a, b)
+            if c not in current:
+                current.add(c)
+                frontier.append(c)
     return frozenset(current)
 
 
@@ -237,6 +238,47 @@ def smith_left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
     diag = dec.diagonal
     return tuple(
         dec.u.row(i) for i in range(a.rows) if i >= len(diag) or diag[i] == 0
+    )
+
+
+def brute_force_complement_exists(g: FgAbelianGroup, s_gens, kill_gens=()) -> bool:
+    """Whether G = S ⊕ C for a subgroup C containing ``kill``, by search.
+
+    Builds the addition table of the finite group g on its canonical
+    representatives, lists every subgroup as a closure of generators, and
+    asks for one C with S ∩ C = 0, |S|·|C| = |G| and kill ⊆ C.
+    """
+    elements = sorted(subgroup_closure(g, IntMatrix.identity(g.rank).data))
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[g.add(x, y)] for y in elements] for x in elements]
+    zero = index[g.zero()]
+
+    def closure(gens) -> frozenset:
+        members, frontier = {zero}, [zero]
+        while frontier:
+            a = frontier.pop()
+            for b in gens:
+                c = table[a][b]
+                if c not in members:
+                    members.add(c)
+                    frontier.append(c)
+        return frozenset(members)
+
+    subgroups = {closure(()): ()}
+    frontier = list(subgroups.items())
+    while frontier:
+        h, gens = frontier.pop()
+        for x in range(len(elements)):
+            if x not in h:
+                bigger = closure(gens + (x,))
+                if bigger not in subgroups:
+                    subgroups[bigger] = gens + (x,)
+                    frontier.append((bigger, gens + (x,)))
+    s = closure([index[g.reduce(v)] for v in s_gens])
+    kill = closure([index[g.reduce(v)] for v in kill_gens])
+    return any(
+        len(s) * len(c) == len(elements) and s & c == {zero} and kill <= c
+        for c in subgroups
     )
 
 

@@ -242,6 +242,20 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_codes_unreadable_paths(capsys, tmp_path):
+    binary = tmp_path / "binary.ring"
+    binary.write_bytes(b"rank: 1\norders: 0\nmult 1 1 : 1\n\xff\n")
+    probes = [
+        ("analyze", CORPUS),
+        ("analyze", str(binary)),
+        ("corpus", corpus_path("w.ring")),
+        ("modelcheck", corpus_path("w.ring"), "--mod", "2", "--formula", CORPUS),
+    ]
+    for argv in probes:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
+
+
 VERDICT = {"enum": ["yes", "no", "unknown", "not_applicable"]}
 
 CLASSIFY_SCHEMA = {

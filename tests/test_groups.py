@@ -8,6 +8,7 @@ from fdzring.groups import (
     split_complement,
 )
 from fdzring.intlinalg import IntMatrix, row_times_matrix
+from oracles import brute_force_complement_exists
 
 import pytest
 
@@ -113,23 +114,49 @@ def test_split_complement_examples():
     assert split_complement(z2, s, kill=s) is None
 
 
+def _random_group(rng, r):
+    """Z^r modulo random rows, so the relation lattice is rarely diagonal."""
+    rows = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rng.randint(0, r + 1))]
+    return FgAbelianGroup(r, rows)
+
+
+def check_splitting(g, s, sp, kill=None):
+    """The projection is an idempotent onto S vanishing on ``kill``, and its
+    kernel is a complement of S."""
+    p = sp.projection
+    assert p.rows == p.cols == g.rank
+    for row in s.lift_basis:
+        assert g.reduce(row_times_matrix(row, p)) == g.reduce(row)
+    for unit in IntMatrix.identity(g.rank).data:
+        image = row_times_matrix(unit, p)
+        assert s.contains(image)
+        assert g.reduce(row_times_matrix(image, p)) == g.reduce(image)
+    for row in kill.lift_basis if kill is not None else ():
+        assert g.reduce(row_times_matrix(row, p)) == g.zero()
+        assert sp.complement.contains(row)
+    assert s.sum(sp.complement) == g.full_subgroup()
+    assert s.intersect(sp.complement).is_zero()
+
+
 def test_split_complement_directness():
     rng = random.Random(13)
-    hits = 0
-    for _ in range(60):
+    hits = {True: 0, False: 0}
+    for trial in range(160):
         r = rng.randint(1, 4)
-        orders = [rng.choice([0, 0, 2, 3, 4]) for _ in range(r)]
-        g = FgAbelianGroup.from_orders(orders)
+        diagonal = trial % 2 == 0
+        if diagonal:
+            g = FgAbelianGroup.from_orders([rng.choice([0, 0, 2, 3, 4]) for _ in range(r)])
+        else:
+            g = _random_group(rng, r)
         s = g.subgroup(
             [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(1, 2))]
         )
         sp = split_complement(g, s)
         if sp is None:
             continue
-        hits += 1
+        hits[diagonal] += 1
+        check_splitting(g, s, sp)
         c = sp.complement
-        assert s.sum(c) == g.full_subgroup()
-        assert s.intersect(c).is_zero()
         # any subgroup of one complement lies in a complement, so killing it
         # must still split
         kill = g.subgroup(
@@ -142,10 +169,42 @@ def test_split_complement_directness():
         )
         spk = split_complement(g, s, kill=kill)
         assert spk is not None
-        assert spk.complement.contains_subgroup(kill)
-        assert s.sum(spk.complement) == g.full_subgroup()
-        assert s.intersect(spk.complement).is_zero()
-    assert hits > 10
+        check_splitting(g, s, spk, kill)
+    assert hits[True] > 10 and hits[False] > 10
+
+
+def test_split_complement_matches_brute_force():
+    rng = random.Random(29)
+    seen = {(k, v): 0 for k in (False, True) for v in (False, True)}
+    nondiagonal = 0
+    while sum(seen.values()) < 400:
+        r = rng.randint(1, 3)
+        g = _random_group(rng, r)
+        if not g.is_finite or g.order > 16:
+            continue
+        if g.order in (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15) and rng.random() < 0.7:
+            continue  # every subgroup of a squarefree order splits off
+        # multiples of a generator are the usual non-summands
+        s = g.subgroup(
+            [
+                [c * rng.randint(-3, 3) for _ in range(r)]
+                for c in rng.choices((1, 2, 2, 3), k=rng.randint(1, 2))
+            ]
+        )
+        with_kill = rng.random() < 0.5
+        kill = g.subgroup([[rng.randint(-3, 3) for _ in range(r)]]) if with_kill else None
+        sp = split_complement(g, s, kill=kill)
+        expect = brute_force_complement_exists(
+            g, s.lift_basis, kill.lift_basis if with_kill else ()
+        )
+        assert (sp is not None) == expect
+        if sp is not None:
+            check_splitting(g, s, sp, kill)
+        seen[(with_kill, expect)] += 1
+        nondiagonal += any(
+            x for i, row in enumerate(g.relation_basis) for j, x in enumerate(row) if j != i
+        )
+    assert min(seen.values()) > 30 and nondiagonal > 80
 
 
 def test_element_order_and_enumeration():

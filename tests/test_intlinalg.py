@@ -4,6 +4,7 @@ import pytest
 
 from fdzring.intlinalg import (
     IntMatrix,
+    affine_preimage,
     diagonal_presentation,
     hermite_coordinates,
     hermite_reduce,
@@ -13,7 +14,6 @@ from fdzring.intlinalg import (
     preimage_lattice,
     row_times_matrix,
     smith,
-    solve,
     solve_congruences,
     vec_add,
 )
@@ -51,14 +51,20 @@ def test_smith_random():
         check_smith(IntMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]))
 
 
-def test_solve_basic():
-    x, kernel = solve(IntMatrix([[2]]), [4])
+def test_affine_preimage_basic():
+    x, kernel = affine_preimage(IntMatrix([[2]]), (), [4])
     assert x == (2,) and kernel == ()
-    assert solve(IntMatrix([[2]]), [3]) is None
+    assert affine_preimage(IntMatrix([[2]]), (), [3]) is None
+    # 2x = 3 (mod 5) -> x = 4 (mod 5), reduced into [0, 5)
+    x, kernel = affine_preimage(IntMatrix([[2]]), [(5,)], [3])
+    assert x == (4,) and kernel == ((5,),)
+    with pytest.raises(ValueError):
+        affine_preimage(IntMatrix([[2]]), (), [1, 2])
 
 
-def test_solve_with_kernel():
-    res = solve(IntMatrix([[1, 2], [2, 4]]), [3, 6])
+def test_affine_preimage_with_kernel():
+    # A·x = b for A = [[1, 2], [2, 4]] and b = (3, 6), written as x·Aᵀ = b
+    res = affine_preimage(IntMatrix([[1, 2], [2, 4]]), (), [3, 6])
     assert res is not None
     x, kernel = res
     # substitute and check both rows
@@ -66,21 +72,82 @@ def test_solve_with_kernel():
     assert len(kernel) == 1
     k = kernel[0]
     assert k[0] + 2 * k[1] == 0 and (k[0], k[1]) != (0, 0)
+    assert hermite_reduce(kernel, x) == x
 
 
-def test_solve_random_consistency():
+def test_affine_preimage_random_consistency():
     rng = random.Random(5)
     for _ in range(100):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-        x = [rng.randint(-5, 5) for _ in range(n)]
-        b = [sum(a[(i, j)] * x[j] for j in range(n)) for i in range(m)]
-        res = solve(a, b)
+        x = [rng.randint(-5, 5) for _ in range(m)]
+        b = row_times_matrix(x, a)
+        res = affine_preimage(a, (), b)
         assert res is not None
         got, kernel = res
-        assert [sum(a[(i, j)] * got[j] for j in range(n)) for i in range(m)] == b
+        assert row_times_matrix(got, a) == b
         for k in kernel:
-            assert all(sum(a[(i, j)] * k[j] for j in range(n)) == 0 for i in range(m))
+            assert row_times_matrix(k, a) == (0,) * n
+
+
+def _other_basis(rng, rows, width):
+    """The same lattice as ``rows``, from shuffled, mixed and padded
+    generators."""
+    rows = [list(r) for r in rows]
+    rng.shuffle(rows)
+    for _ in range(4):
+        if len(rows) < 2:
+            break
+        i, j = rng.sample(range(len(rows)), 2)
+        q = rng.randint(-3, 3)
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    if rows and rng.random() < 0.5:
+        c = rng.randint(-2, 2)
+        rows.append([c * x for x in rows[0]])
+    if rng.random() < 0.3:
+        rows.append([0] * width)
+    return rows
+
+
+def test_affine_preimage_random_systems():
+    rng = random.Random(43)
+    counts = {"none": 0, "solved": 0, "no_target": 0, "empty_w": 0, "zero_row": 0}
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        m = 0 if trial % 20 == 0 else rng.randint(1, 5)
+        w = IntMatrix(_random_rows(rng, m, n), cols=n)
+        target = [] if trial % 3 == 0 else _random_rows(rng, rng.randint(1, 4), n)
+        if trial % 2:
+            # reachable: a combination of the rows, moved off it along L(T)
+            rhs = row_times_matrix([rng.randint(-4, 4) for _ in range(m)], w)
+            shift = [rng.randint(-2, 2) for _ in target]
+            rhs = vec_add(rhs, row_times_matrix(shift, IntMatrix(target, cols=n)))
+        else:
+            rhs = tuple(rng.randint(-6, 6) for _ in range(n))
+        res = affine_preimage(w, target, rhs)
+        reachable = hermite_rows(list(w.data) + target, n)
+        assert (res is None) == (not lattice_contains(reachable, rhs))
+        counts["no_target"] += not target
+        counts["empty_w"] += not m
+        counts["zero_row"] += any(not any(r) for r in w.data)
+        counts["none" if res is None else "solved"] += 1
+        if res is None:
+            continue
+        x, kernel = res
+        lattice = hermite_rows(target, n)
+        diff = tuple(p - q for p, q in zip(row_times_matrix(x, w), rhs))
+        assert lattice_contains(lattice, diff)
+        assert kernel == preimage_lattice(w, target)
+        assert hermite_reduce(kernel, x) == x
+        # the particular solution depends only on the solution set
+        assert affine_preimage(w, _other_basis(rng, target, n), rhs)[0] == x
+        if target:
+            moved = vec_add(rhs, row_times_matrix(
+                [rng.randint(-3, 3) for _ in target], IntMatrix(target, cols=n)
+            ))
+            assert affine_preimage(w, target, moved)[0] == x
+    assert counts["none"] > 60 and counts["solved"] > 100
+    assert counts["no_target"] > 50 and counts["empty_w"] >= 10 and counts["zero_row"] > 50
 
 
 def test_hermite_canonical():
