@@ -1,10 +1,9 @@
 """Elementary-equivalence and isomorphism testing between rings.
 
-Equality of invariant profiles (characteristic-ideal invariant factors plus
-finite-quotient fingerprints) is a necessary condition for elementary
-equivalence; the sufficient direction goes through a bounded search for an
-isomorphism between the two rings padded with a null line, mirroring the
-equivalence  "A = B elementarily  iff  Z0 x A and Z0 x B are isomorphic".
+Equal invariant profiles (ideal-chain invariant factors and closed-form
+fingerprints of each A/nA) are necessary for elementary equivalence; the
+sufficient direction is a bounded isomorphism search on the rings padded
+with a null line, after "A = B elementarily iff Z0 x A = Z0 x B".
 
 Witnesses found by the search are always re-verified independently by a
 full tensor comparison before being returned.
@@ -14,13 +13,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Sequence
 
-from .groups import Subgroup, quotient_of_subgroups
-from .intlinalg import IntMatrix, Vec, hermite_rows, preimage_lattice, row_times_matrix
+from .groups import Subgroup
+from .intlinalg import (
+    IntMatrix, Vec, diagonal_presentation, hermite_rows, preimage_lattice, row_times_matrix
+)
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 
@@ -48,19 +49,9 @@ class InvariantProfile:
     fingerprints: tuple[tuple[int, int, Vec, Vec], ...]
 
     def first_mismatch(self, other: "InvariantProfile") -> str | None:
-        for name in (
-            "additive",
-            "ann",
-            "square",
-            "delta",
-            "k_ideal",
-            "l_ideal",
-            "m_quot",
-            "n_quot",
-            "mod_square",
-        ):
-            if getattr(self, name) != getattr(other, name):
-                return name
+        for field in fields(self)[:-1]:
+            if getattr(self, field.name) != getattr(other, field.name):
+                return field.name
         for mine, theirs in zip(self.fingerprints, other.fingerprints):
             if mine != theirs:
                 return f"mod_{mine[0]}"
@@ -72,19 +63,25 @@ FINGERPRINT_RANGE = range(2, 17)
 
 @lru_cache(maxsize=512)
 def invariant_profile(a: FdzRing) -> InvariantProfile:
+    """The invariant profile of A; the mod-n fingerprints are closed forms.
+
+    A = Z^r / diag(d_i) with d_i = ``a.orders``, so nA lifts to the lattice
+    L = diag(gcd(n, d_i)), gcd(n, 0) = n, and |A/nA| = prod gcd(n, d_i).
+    A/nA is the sum of the Z/gcd(n, e) over the invariant factors e of A;
+    gcd(n, .) keeps e_i | e_j and each value divides n = gcd(n, 0), so without
+    the 1s they are the invariant factors of A/nA, with no Smith run (Cohen,
+    GTM 138, §2.4).  With S the k independent rows of the square's lift
+    basis, (sq + nA)/nA = Z^k / {c : c·S in L}: one preimage, one Smith.
+    """
     chain = characteristic_ideals(a)
+    lift = IntMatrix(chain.sq.lift_basis, cols=a.rank)
     fingerprints = []
     for n in FINGERPRINT_RANGE:
-        scaled = a.additive.subgroup(
-            [[n if j == i else 0 for j in range(a.rank)] for i in range(a.rank)]
-        )
-        quot = scaled.quotient()
-        order = quot.order
-        assert order is not None
-        sq_image = quotient_of_subgroups(chain.sq.sum(scaled), scaled)
-        fingerprints.append(
-            (n, order, quot.invariant_factors, sq_image.invariant_factors)
-        )
+        scaled = [gcd(n, d) for d in a.orders]
+        lattice = [[g if j == i else 0 for j in range(a.rank)] for i, g in enumerate(scaled)]
+        image = diagonal_presentation(preimage_lattice(lift, lattice), lift.rows).orders
+        quotient = tuple(g for g in (gcd(n, e) for e in a.additive.invariant_factors) if g != 1)
+        fingerprints.append((n, prod(scaled), quotient, image))
     return InvariantProfile(
         additive=a.additive.invariant_factors,
         ann=_group_invariants(chain.ann),
@@ -323,12 +320,16 @@ def iso_search(
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
     if mismatch is not None:
         return IsoResult(kind="no", reason=f"invariant mismatch: {mismatch}")
-    complete = all(d != 0 for d in a.orders)
+    return _search(a, b, coeff_bound, max_nodes, seed)
+
+
+def _search(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int) -> IsoResult:
+    """The image search of ``iso_search``, run after the profiles agree."""
     for witness in _iso_witnesses(a, b, coeff_bound, max_nodes, seed):
         if witness is None:
             return IsoResult(kind="unknown", reason="search budget exhausted")
         return IsoResult(kind="yes", witness=IsoWitness(matrix=witness, verified=True))
-    if complete:
+    if all(d != 0 for d in a.orders):
         return IsoResult(kind="no", reason="exhaustive search found no isomorphism")
     return IsoResult(kind="unknown", reason="bounded search exhausted")
 
@@ -438,23 +439,22 @@ def equivalence_verdict(
     max_nodes: int = 150_000,
     seed: int = 0,
 ) -> EquivalenceResult:
-    """Decide elementary equivalence as far as the two criteria reach."""
+    """Decide elementary equivalence as far as the two criteria reach.
+
+    A = B iff Z0 x A = Z0 x B.  A profile mismatch of A and B refutes it;
+    otherwise the padded rings go straight to the search.  Z0 adds a free
+    summand to the additive group, ann, k, l and A/sq, keeps sq, delta, m,
+    n and each image of the square, and adds Z/n to each A/nA, so by
+    cancellation the padded profiles agree iff those of A and B do.  The
+    padded search finds a verified witness or ends ``unknown``, never ``no``.
+    """
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
     if mismatch is not None:
         return EquivalenceResult(
             kind="not_equivalent", reason=f"invariant mismatch: {mismatch}"
         )
-    padded = iso_search(
-        direct_product(z0_ring(), a),
-        direct_product(z0_ring(), b),
-        coeff_bound=coeff_bound,
-        max_nodes=max_nodes,
-        seed=seed,
-    )
+    z0 = z0_ring()
+    padded = _search(direct_product(z0, a), direct_product(z0, b), coeff_bound, max_nodes, seed)
     if padded.kind == "yes":
         return EquivalenceResult(kind="equivalent", witness=padded.witness)
-    if padded.kind == "no":
-        # profiles agree, so a definitive refutation can only come from an
-        # exhaustive finite search
-        return EquivalenceResult(kind="not_equivalent", reason=padded.reason)
     return EquivalenceResult(kind="unknown", reason=padded.reason)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here works by exhaustive element enumeration on finite rings,
-deliberately avoiding the lattice machinery it is used to check.
+Most of these work by exhaustive element enumeration on finite rings,
+deliberately avoiding the lattice machinery they are used to check.  The
+rest keep a recipe the library used before a rewrite, as its reference.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 from math import gcd
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
-from fdzring.groups import FgAbelianGroup
+from fdzring.groups import FgAbelianGroup, quotient_of_subgroups
 from fdzring.intlinalg import (
     IntMatrix,
     Vec,
@@ -20,7 +21,7 @@ from fdzring.intlinalg import (
     smith,
     solve_congruences,
 )
-from fdzring.rings import FdzRing
+from fdzring.rings import FdzRing, characteristic_ideals
 
 
 def subgroup_closure(ring: FdzRing, seed) -> frozenset:
@@ -170,7 +171,24 @@ MIXED_ORDER_SHAPES = [
 
 def random_mixed_ring(rng: random.Random, max_entry: int = 2) -> FdzRing:
     """A random valid ring over a mixed free/torsion diagonal group."""
-    orders = rng.choice(MIXED_ORDER_SHAPES)
+    return random_ring_over(rng, rng.choice(MIXED_ORDER_SHAPES), max_entry)
+
+
+RANKED_ORDERS = (0, 0, 1, 2, 3, 4, 6, 12)
+
+
+def random_ring_of_rank(rng: random.Random, rank: int, max_entry: int = 2) -> FdzRing:
+    """A random valid ring on ``rank`` generators of mixed orders.
+
+    Orders come from 0 (free), 1 (a trivial generator) and 2, 3, 4, 6, 12,
+    so coprime orders merge into larger invariant factors.
+    """
+    orders = tuple(rng.choice(RANKED_ORDERS) for _ in range(rank))
+    return random_ring_over(rng, orders, max_entry)
+
+
+def random_ring_over(rng: random.Random, orders, max_entry: int = 2) -> FdzRing:
+    """Random structure constants that are well defined over ``orders``."""
     r = len(orders)
     tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
@@ -337,6 +355,25 @@ def brute_force_pairs(f: BilinearMap) -> set[tuple[Vec, ...]]:
             if ok:
                 result.add((tuple(phi.entries), tuple(psi.entries)))
     return result
+
+
+def profile_fingerprints_oracle(a: FdzRing) -> tuple:
+    """The mod-n fingerprints of the invariant profile, by subgroup algebra.
+
+    For n = 2..16 it builds nA as a subgroup of A, then takes A/nA and the
+    image of the square (sq + nA)/nA as quotient groups, the way the library
+    did before it computed them in closed form.
+    """
+    sq = characteristic_ideals(a).sq
+    out = []
+    for n in range(2, 17):
+        scaled = a.additive.subgroup(
+            [[n if j == i else 0 for j in range(a.rank)] for i in range(a.rank)]
+        )
+        quot = scaled.quotient()
+        image = quotient_of_subgroups(sq.sum(scaled), scaled)
+        out.append((n, quot.order, quot.invariant_factors, image.invariant_factors))
+    return tuple(out)
 
 
 def brute_force_isomorphic(a: FdzRing, b: FdzRing) -> bool:

@@ -12,6 +12,7 @@ from fdzring.eqcheck import (
     _extends_to_basis,
     _iso_witnesses,
     _LazyPool,
+    _search,
     equivalence_verdict,
     invariant_profile,
     iso_search,
@@ -19,11 +20,38 @@ from fdzring.eqcheck import (
     verify_iso_witness,
 )
 from fdzring.intlinalg import IntMatrix, hermite_rows
-from fdzring.rings import FdzRing, direct_product, z0_ring
+from fdzring.ringfile import load_ring
+from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transport, z0_ring
 
-from oracles import brute_force_isomorphic, maximal_minors_gcd, random_finite_ring
+from oracles import (
+    brute_force_isomorphic,
+    maximal_minors_gcd,
+    profile_fingerprints_oracle,
+    random_finite_ring,
+    random_lattice_preserving_unimodular,
+    random_ring_of_rank,
+    random_ring_over,
+)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _corpus_rings() -> list[FdzRing]:
+    """Every ring under ``corpus/``, in file-name order."""
+    folder = os.path.join(ROOT, "corpus")
+    return [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
+
+
+def _twisted_w() -> FdzRing:
+    """W in permuted, sheared coordinates."""
+    return FdzRing(
+        (2, 0, 0),
+        (
+            ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+            ((0, 0, 0), (1, 0, 0), (0, 0, 0)),
+            ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ),
+    )
 
 
 def test_profile_reflexive():
@@ -39,6 +67,96 @@ def test_profile_separations():
     p2 = invariant_profile(twoz_ring())
     p3 = invariant_profile(FdzRing((0,), (((3,),),)))
     assert p2.first_mismatch(p3) is not None
+
+
+def test_closed_form_fingerprints_match_the_subgroup_oracle():
+    corpus = _corpus_rings()
+    rng = random.Random(23)
+    generated = [random_ring_of_rank(rng, 2 + n % 6) for n in range(210)]
+    # the square's lift basis holds the relations, so it is empty only for
+    # a free ring with zero square
+    zero_square = FdzRing((0, 0), [[[0] * 2] * 2] * 2)
+    torsion_zero_square = FdzRing((0, 4, 6), [[[0] * 3] * 3] * 3)
+    rank_zero = FdzRing((), ())
+    rings = corpus + [direct_product(z0_ring(), r) for r in corpus] + generated
+    rings += [zero_square, torsion_zero_square, rank_zero]
+    assert not characteristic_ideals(zero_square).sq.lift_basis
+    assert any(r.rank == 7 and 0 < r.orders.count(0) < 7 for r in generated)
+    for ring in rings:
+        assert invariant_profile(ring).fingerprints == profile_fingerprints_oracle(ring), ring
+
+
+def _profile_pairs() -> list[tuple[FdzRing, FdzRing]]:
+    """Seeded pairs: unrelated rings, rings over equal orders, transports."""
+    rng = random.Random(31)
+    pairs = []
+    for n in range(60):
+        rank = 2 + n % 4
+        a = random_ring_of_rank(rng, rank)
+        pairs.append((a, random_ring_of_rank(rng, rank)))
+        pairs.append((a, random_ring_over(rng, a.orders)))
+        t, tinv = random_lattice_preserving_unimodular(rng, a.orders)
+        pairs.append((a, transport(a, t, tinv)))
+    corpus = _corpus_rings()
+    return pairs + [(a, b) for a in corpus for b in corpus]
+
+
+def test_padding_keeps_profile_equality():
+    # the profile of Z0 x X is a function of the profile of X, so one
+    # comparison before the padded search decides both
+    equal = unequal = equal_orders_unequal = 0
+    for a, b in _profile_pairs():
+        same = invariant_profile(a) == invariant_profile(b)
+        pa, pb = (invariant_profile(direct_product(z0_ring(), r)) for r in (a, b))
+        assert (pa == pb) == same, (a, b)
+        equal += same
+        unequal += not same
+        equal_orders_unequal += a.orders == b.orders and not same
+    assert equal >= 60 and unequal >= 60 and equal_orders_unequal >= 10
+
+
+def test_equivalence_verdict_matches_the_padded_iso_search():
+    kinds = {"yes": "equivalent", "no": "not_equivalent", "unknown": "unknown"}
+    outcomes = set()
+    corpus = _corpus_rings()
+    assert len(corpus) == 8
+    for a in corpus:
+        for b in corpus:
+            for seed in range(4):
+                old = iso_search(
+                    direct_product(z0_ring(), a),
+                    direct_product(z0_ring(), b),
+                    max_nodes=2_000,
+                    seed=seed,
+                )
+                new = equivalence_verdict(a, b, max_nodes=2_000, seed=seed)
+                assert new.kind == kinds[old.kind], (a, b, seed)
+                assert new.reason == old.reason and new.witness == old.witness
+                outcomes.add(new.kind)
+    assert outcomes == {"equivalent", "not_equivalent", "unknown"}
+
+
+def test_equivalence_verdict_builds_two_profiles_and_no_padded_chain():
+    w, twisted = w_ring(), _twisted_w()
+    assert w != twisted
+    invariant_profile.cache_clear()
+    characteristic_ideals.cache_clear()
+    assert equivalence_verdict(w, twisted).kind == "equivalent"
+    assert invariant_profile.cache_info().misses == 2
+    assert characteristic_ideals.cache_info().currsize == 2
+    characteristic_ideals(w)
+    characteristic_ideals(twisted)
+    assert characteristic_ideals.cache_info().currsize == 2
+
+
+def test_padded_search_never_refutes():
+    # a padded ring has a free generator, so even a search that runs out of
+    # candidates on two non-isomorphic rings is not exhaustive
+    zero, unit = FdzRing((2,), (((0,),),)), FdzRing((2,), (((1,),),))
+    assert _search(zero, unit, 5, 150_000, 0).kind == "no"
+    z0 = z0_ring()
+    padded = _search(direct_product(z0, zero), direct_product(z0, unit), 5, 150_000, 0)
+    assert padded.kind == "unknown" and padded.reason == "bounded search exhausted"
 
 
 def test_iso_search_identity_and_null():
@@ -60,16 +178,7 @@ def test_iso_search_profile_refutation():
 
 def test_iso_search_twisted_presentation():
     # W presented in permuted, sheared coordinates is still found isomorphic
-    w = w_ring()
-    twisted = FdzRing(
-        (2, 0, 0),
-        (
-            ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
-            ((0, 0, 0), (1, 0, 0), (0, 0, 0)),
-            ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
-        ),
-    )
-    res = iso_search(w, twisted)
+    res = iso_search(w_ring(), _twisted_w())
     assert res.kind == "yes"
 
 
