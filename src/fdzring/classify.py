@@ -22,7 +22,6 @@ the puncture removes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from .intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix
@@ -120,6 +119,8 @@ def _free_idempotents(ring: FdzRing) -> list[Vec]:
     sdim = len(hermite_rows(gram, dim))
     if sdim == 1:
         return sorted([ring.zero(), unity])
+    from fractions import Fraction
+
     from sympy import QQ, ZZ, Poly, Symbol
     from sympy.polys.matrices import DomainMatrix
 
@@ -155,7 +156,7 @@ def _free_idempotents(ring: FdzRing) -> list[Vec]:
 def _lift_subset_sums(primitives, dim) -> list[Vec]:
     out = set()
     for mask in range(1 << len(primitives)):
-        total = [Fraction(0)] * dim
+        total = [0] * dim
         for i, e in enumerate(primitives):
             if mask >> i & 1:
                 total = [a + b for a, b in zip(total, e)]

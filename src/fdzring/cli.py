@@ -9,40 +9,22 @@ unknown), 2 parse error, 3 invalid ring, 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .bilinear import (
-    BilinearMapError,
-    ScalarRingAction,
-    induced_bilinear_map,
-    pa_ring,
-    pf_ring,
-)
-from .classify import ClassificationReport, classify_ring
-from .deform import (
-    DeformationContext,
-    DeformationError,
-    DeformationSpec,
-    build_deformation,
-    verify_sixterm,
-)
-from .eqcheck import equivalence_verdict, invariant_profile
-from .fomc import (
-    FormulaError,
-    builtin,
-    defined_set,
-    evaluate,
-    exists_closure,
-    free_variables,
-    parse_formula,
-)
+# Every subcommand reads a ring and reports on its ideal chain, so only these
+# three modules load with the CLI; each ``cmd_*`` imports the rest it runs.
 from .groups import GroupError, Subgroup
 from .rings import FdzRing, RingValidationError, characteristic_ideals, predicates, reduce_mod_n
 from .ringfile import RingFileError, load_ring, serialize_ring
+
+if TYPE_CHECKING:
+    from .bilinear import ScalarRingAction
+    from .classify import ClassificationReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -128,6 +110,8 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    from .classify import classify_ring
+
     ring = load_ring(args.ring)
     report = classify_ring(ring, use_pa_ring=args.use_pa)
     return {
@@ -141,6 +125,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_pf(args) -> dict:
+    from .bilinear import induced_bilinear_map, pa_ring, pf_ring
+
     ring = load_ring(args.ring)
     induced = induced_bilinear_map(ring)
     return {
@@ -151,6 +137,10 @@ def cmd_pf(args) -> dict:
 
 
 def cmd_eqcheck(args) -> dict:
+    from .eqcheck import equivalence_verdict
+
+    if args.bound < 1:
+        raise CliParseError("--bound must be at least 1")
     ring_a = load_ring(args.ring_a)
     ring_b = load_ring(args.ring_b)
     verdict = equivalence_verdict(
@@ -192,6 +182,9 @@ def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
 
 
 def cmd_deform(args) -> dict:
+    from .deform import DeformationContext, DeformationSpec, build_deformation, verify_sixterm
+    from .eqcheck import invariant_profile
+
     ring = load_ring(args.ring)
     context = DeformationContext(ring)
     g = None
@@ -245,6 +238,8 @@ def _parse_builtin(text: str) -> tuple[str, int]:
 
 
 def cmd_modelcheck(args) -> dict:
+    from .fomc import builtin, defined_set, evaluate, exists_closure, free_variables, parse_formula
+
     ring = load_ring(args.ring)
     if args.mod is not None:
         if args.mod < 1:
@@ -278,6 +273,8 @@ def cmd_modelcheck(args) -> dict:
 
 
 def cmd_corpus(args) -> dict:
+    from .classify import classify_ring
+
     entries = []
     names = sorted(
         name for name in os.listdir(args.directory) if name.endswith(".ring")
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute the characteristic ideal chain")
     p.add_argument("ring")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, modules=())
 
     p = sub.add_parser("classify", help="render the classification verdicts")
     p.add_argument("ring")
@@ -322,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="base the spectrum condition on the subring action instead",
     )
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, modules=("classify",))
 
     p = sub.add_parser("pf", help="compute the largest scalar ring and its actions")
     p.add_argument("ring")
-    p.set_defaults(func=cmd_pf)
+    p.set_defaults(func=cmd_pf, modules=("bilinear",))
 
     p = sub.add_parser("eqcheck", help="test elementary equivalence of two rings")
     p.add_argument("ring_a")
     p.add_argument("ring_b")
     p.add_argument("--bound", type=int, default=5)
-    p.set_defaults(func=cmd_eqcheck)
+    p.set_defaults(func=cmd_eqcheck, modules=("eqcheck",))
 
     p = sub.add_parser("deform", help="build a cocycle deformation of a ring")
     p.add_argument("ring")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(value in ambient coordinates, inside the annihilator)",
     )
     p.add_argument("--check-sixterm", action="store_true")
-    p.set_defaults(func=cmd_deform)
+    p.set_defaults(func=cmd_deform, modules=("deform", "eqcheck"))
 
     p = sub.add_parser("modelcheck", help="evaluate a formula on a finite quotient")
     p.add_argument("ring")
@@ -350,33 +347,52 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", help="NAME,k=N with NAME in theta|phi|psi")
     group.add_argument("--formula", help="path to a formula file")
-    p.set_defaults(func=cmd_modelcheck)
+    p.set_defaults(func=cmd_modelcheck, modules=("fomc",))
 
     p = sub.add_parser("corpus", help="classify every ring file in a directory")
     p.add_argument("directory")
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(func=cmd_corpus, modules=("classify",))
 
     return parser
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code for an exception raised by a subcommand.
+
+    The error classes of ``fomc``, ``bilinear`` and ``deform`` are imported
+    here, so that a successful run never loads those modules for them.
+    """
+    from .bilinear import BilinearMapError
+    from .deform import DeformationError
+    from .fomc import FormulaError
+
+    if isinstance(exc, (RingFileError, FormulaError, CliParseError, OSError, UnicodeDecodeError)):
+        return EXIT_PARSE
+    if isinstance(exc, (RingValidationError, BilinearMapError, DeformationError, GroupError)):
+        return EXIT_INVALID_RING
+    return EXIT_INTERNAL
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the subcommand's modules (those its cmd_* imports from) load before the
+    # clock starts, so that timing_ms covers the computation alone
+    for name in args.modules:
+        importlib.import_module(f"{__package__}.{name}")
     started = time.perf_counter()
     try:
         payload = args.func(args)
         payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
         print(json.dumps(payload, indent=2, sort_keys=True))
-    except (RingFileError, FormulaError, CliParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (RingValidationError, BilinearMapError, DeformationError, GroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_RING
     except Exception as exc:
-        # anything unexpected is an internal failure, per the exit contract
-        print(f"internal assertion failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = _exit_code(exc)
+        if code == EXIT_INTERNAL:
+            # anything unexpected is an internal failure, per the exit contract
+            print(f"internal assertion failure: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

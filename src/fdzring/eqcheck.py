@@ -12,7 +12,6 @@ full tensor comparison before being returned.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd, prod
@@ -228,6 +227,8 @@ def _iso_witnesses(
     position = {idx: pos for pos, idx in enumerate(gen_order)}
     candidates: dict[int, list[Vec] | _LazyPool]
     if seed:
+        import random
+
         # alternative deterministic orderings; 0 keeps smallest-first
         candidates = {
             d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)

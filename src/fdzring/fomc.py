@@ -30,7 +30,8 @@ arithmetic, with no tables and no memo.
 
 The concrete formula syntax is fully parenthesized prefix text, e.g.
 ``(exists x1 (eq x (mul x1 x1)))``; ``sub`` is sugar for adding a negation.
-Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time.
+Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time,
+and ``builtin`` refuses an arity whose formula would nest that deep.
 """
 
 from __future__ import annotations
@@ -231,17 +232,34 @@ def psi(n: int) -> Formula:
     return Forall("y", Implies(conj(conditions), annihilates))
 
 
-BUILTIN_NAMES = ("theta", "phi", "psi")
+# Each builtin with the parenthesis depth of its text at arity n: theta
+# nests 2n quantifiers over an equation with a sum of n products, phi 4n + 2
+# quantifiers over sums of n + 1 and n products, and psi an implication
+# whose premise chains 2n equations under one universal.
+_BUILTINS = {
+    "theta": (theta, lambda n: 3 * n + 1),
+    "phi": (phi, lambda n: 5 * n + 4),
+    "psi": (psi, lambda n: max(2 * n + 3, 6)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, n: int) -> Formula:
-    if name == "theta":
-        return theta(n)
-    if name == "phi":
-        return phi(n)
-    if name == "psi":
-        return psi(n)
-    raise FormulaError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
+    """The named definability formula at arity n.
+
+    Refused, before it is built, when it would nest deeper than
+    ``NESTING_GUARD``, the depth ``parse_formula`` accepts, so every
+    builtin prints to text that parses back and evaluates within the
+    recursion limit.
+    """
+    if name not in _BUILTINS:
+        raise FormulaError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
+    build, depth = _BUILTINS[name]
+    if depth(n) > NESTING_GUARD:
+        raise FormulaError(
+            f"builtin {name} with k={n} nests {depth(n)} deep, beyond the limit {NESTING_GUARD}"
+        )
+    return build(n)
 
 
 def exists_closure(f: Formula) -> Formula:

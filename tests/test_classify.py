@@ -1,3 +1,5 @@
+import importlib
+import json
 import os
 import random
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import pytest
 
+import fdzring
 from fdzring.bilinear import BilinearMapError, pa_ring
 from fdzring.classify import (
     CITATION_TAGS,
@@ -102,6 +105,65 @@ def test_import_leaves_sympy_out():
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[(0,), (1,)] [(0, 0), (1, 0)] False"
+
+
+# The library modules each subcommand loads besides ``fdzring.cli``: every
+# one reads a ring and its ideal chain, and adds only the modules it runs.
+CHAIN_MODULES = {"rings", "groups", "intlinalg", "ringfile"}
+SUBCOMMAND_MODULES = [
+    (["analyze", "corpus/w.ring"], set()),
+    (["classify", "corpus/w.ring"], {"bilinear", "classify"}),
+    (["corpus", "corpus"], {"bilinear", "classify"}),
+    (["pf", "corpus/w.ring"], {"bilinear"}),
+    (["eqcheck", "corpus/zx2.ring", "corpus/zx2.ring"], {"eqcheck"}),
+    (["deform", "corpus/w.ring", "--check-sixterm"], {"deform", "eqcheck"}),
+    (["modelcheck", "corpus/w.ring", "--mod", "2", "--builtin", "theta,k=2"], {"fomc"}),
+]
+LOADED_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from fdzring.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('fdzring.') and m != 'fdzring.cli')\n"
+    "print(json.dumps([code, loaded, 'sympy' in sys.modules]))\n"
+)
+
+
+def fresh_interpreter(*args):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    for argv, extra in SUBCOMMAND_MODULES:
+        out = fresh_interpreter("-c", LOADED_PROBE, *argv)
+        code, loaded, sympy = json.loads(out.stdout)
+        assert code == 0, argv
+        assert loaded == sorted(f"fdzring.{m}" for m in CHAIN_MODULES | extra), argv
+        assert not sympy, argv
+    # a failing run maps its error to an exit code without the modules of
+    # the other error classes loaded beforehand
+    invalid = tmp_path / "invalid.ring"
+    invalid.write_text("rank: 2\norders: 2 0\nmult 1 1 : 0 1\n")
+    out = fresh_interpreter("-c", LOADED_PROBE, "analyze", str(invalid))
+    assert json.loads(out.stdout)[0] == 3 and out.stderr.startswith("error: ")
+
+
+def test_package_namespace_is_lazy():
+    out = fresh_interpreter("-c", "import sys, fdzring; print(sorted(m for m in sys.modules if 'fdzring' in m))")
+    assert out.stdout.strip() == "['fdzring']"
+    assert len(fdzring.__all__) == 76 and set(fdzring.__all__) == set(fdzring._EXPORTS)
+    for name in fdzring.__all__:
+        home = importlib.import_module(f"fdzring.{fdzring._EXPORTS[name]}")
+        assert getattr(fdzring, name) is getattr(home, name), name
+    namespace = {}
+    exec("from fdzring import *", namespace)
+    assert all(namespace[name] is getattr(fdzring, name) for name in fdzring.__all__)
+    assert set(fdzring.__all__) <= set(dir(fdzring))
+    assert fdzring.rings is importlib.import_module("fdzring.rings")
+    with pytest.raises(AttributeError):
+        fdzring.no_such_name
 
 
 def test_idempotents_mixed_torsion():

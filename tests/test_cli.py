@@ -331,14 +331,43 @@ def test_classify_reports_validate_against_schema(capsys):
 
 
 def test_exit_code_internal_failure(capsys, monkeypatch):
-    import fdzring.cli as cli_module
+    # the classify subcommand imports classify_ring from its module per call
+    import fdzring.classify as classify_module
 
     def boom(*_args, **_kwargs):
         raise AssertionError("synthetic")
 
-    monkeypatch.setattr(cli_module, "classify_ring", boom)
+    monkeypatch.setattr(classify_module, "classify_ring", boom)
     code, _, err = run(capsys, "classify", corpus_path("z.ring"))
     assert code == 4 and "internal" in err
+
+
+def test_exit_code_refused_deformation(capsys):
+    # e1 of W squares to t, so it lies outside the annihilator
+    code, out, err = run(capsys, "deform", corpus_path("w.ring"), "--g", "e=2,d=1:0:0")
+    assert code == 3 and not out and "annihilator" in err
+
+
+def test_modelcheck_builtin_nesting_guard(capsys):
+    # the largest arity of each builtin whose formula nests at most
+    # NESTING_GUARD deep still evaluates; one more, or far more, is refused
+    largest = {"theta": 66, "phi": 39, "psi": 98}
+    for name, k in largest.items():
+        argv = ("modelcheck", corpus_path("w.ring"), "--mod", "2", "--builtin")
+        code, out, _ = run(capsys, *argv, f"{name},k={k}")
+        assert code == 0 and json.loads(out)["source"] == {"builtin": name, "k": k}
+        for big in (k + 1, 300, 100_000):
+            code, out, err = run(capsys, *argv, f"{name},k={big}")
+            assert code == 2 and not out and f"beyond the limit {NESTING_GUARD}" in err, (name, big)
+
+
+def test_eqcheck_refuses_bound_below_one(capsys):
+    zx2 = corpus_path("zx2.ring")
+    for bound in ("0", "-3"):
+        code, out, err = run(capsys, "eqcheck", zx2, zx2, "--bound", bound)
+        assert code == 2 and not out and "--bound" in err
+    code, out, _ = run(capsys, "eqcheck", zx2, zx2, "--bound", "1")
+    assert code == 0 and json.loads(out)["verdict"] == "equivalent"
 
 
 def test_modelcheck_rejects_bad_mod(capsys):

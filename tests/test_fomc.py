@@ -13,6 +13,7 @@ from fdzring.fomc import (
     FormulaError,
     FormulaParseError,
     Implies,
+    NESTING_GUARD,
     Mul,
     Neg,
     Not,
@@ -380,6 +381,35 @@ def test_parse_and_format():
     sugar = parse_formula("(eq (sub u v) 0)")
     assert sugar == Eq(Add(Var("u"), Neg(Var("v"))), Zero())
     assert format_formula(sugar) == "(eq (sub u v) 0)"
+
+
+def paren_depth(text):
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
+def test_builtin_refuses_what_the_parser_would():
+    builders = {"theta": theta, "phi": phi, "psi": psi}
+    for name, build in builders.items():
+        for n in range(1, 8):
+            assert builtin(name, n) == build(n)
+        # the largest accepted arity prints to text the parser takes back;
+        # the next one nests past the parser's guard and is refused unbuilt
+        largest = max(n for n in range(1, 120) if paren_depth(format_formula(build(n))) <= NESTING_GUARD)
+        text = format_formula(builtin(name, largest))
+        assert paren_depth(text) <= NESTING_GUARD
+        assert parse_formula(text) == build(largest)
+        with pytest.raises(FormulaParseError):
+            parse_formula(format_formula(build(largest + 1)))
+        for n in (largest + 1, 300, 100_000, 10**18):
+            with pytest.raises(FormulaError, match="beyond the limit"):
+                builtin(name, n)
 
 
 def test_parse_errors():
