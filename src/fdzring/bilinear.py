@@ -41,8 +41,6 @@ from .rings import (
     characteristic_ideals,
     ill_defined_product,
     pairing_kernel,
-    quotient_ring,
-    subring_presentation,
 )
 
 
@@ -149,8 +147,7 @@ class InducedBilinearMap:
 
 def induced_bilinear_map(a: FdzRing) -> InducedBilinearMap:
     chain = characteristic_ideals(a)
-    hat = quotient_ring(a, chain.ann)
-    square = subring_presentation(a, chain.sq)
+    hat, square = chain.hat, chain.square_pres
     m = hat.ring.rank
     values = tuple(
         tuple(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
-from .eqcheck import _iso_witnesses, verify_iso_witness
+from .eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
 from .groups import FgAbelianGroup, split_complement
 from .intlinalg import (
     IntMatrix,
@@ -37,15 +37,7 @@ from .intlinalg import (
     smith,
     solve_congruences,
 )
-from .rings import (
-    FdzRing,
-    QuotientPresentation,
-    SubringPresentation,
-    annihilator_addition,
-    characteristic_ideals,
-    quotient_ring,
-    subring_presentation,
-)
+from .rings import FdzRing, IdealChain, characteristic_ideals
 
 
 # the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
@@ -401,25 +393,20 @@ class DeformationContext:
 
     def __init__(self, base: FdzRing):
         self.base = base
-        self.chain = characteristic_ideals(base)
-        self.addition = annihilator_addition(base)
-        if self.addition is None:
+        self.chain = chain = characteristic_ideals(base)
+        if chain.addition is None:
             raise DeformationError("the ring has no addition to deform along")
-        add_pres = self.addition.presentation()
+        add_pres = chain.addition.presentation()
         if any(d != 0 for d in add_pres.orders):
             raise AssertionError("an addition must be free")
         self.addition_rank = len(add_pres.orders)
         self.addition_basis = add_pres.lift
-        self.delta = subring_presentation(base, self.chain.delta)
+        self.delta = chain.delta_pres
+        self.o_pres = chain.o_pres
         # k = delta ⊕ A0: the rows are the k-space basis in ambient coordinates
         self.k_basis = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=base.rank)
-        self.o_pres = self.chain.o_ideal.presentation()
-        self.d_orders: Vec = tuple([0] * self.addition_rank) + self.o_pres.orders
+        self.d_orders: Vec = tuple([0] * self.addition_rank) + self.o_pres.ring.orders
         self.k_orders: Vec = self.delta.ring.orders + tuple([0] * self.addition_rank)
-        self.o_in_delta = IntMatrix(
-            [self.delta.express(self.o_pres.lift.row(i)) for i in range(len(self.o_pres.orders))],
-            cols=self.delta.ring.rank,
-        )
         self._init_carrier()
 
     # -- annihilator (d) coordinates --
@@ -439,7 +426,7 @@ class DeformationContext:
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
         n = self.addition_rank
         o_part = dvec[n:]
-        delta_part = row_times_matrix(o_part, self.o_in_delta)
+        delta_part = row_times_matrix(o_part, self.chain.o_in_delta)
         return _reduce_mod_orders(
             tuple(delta_part) + tuple(dvec[:n]), self.k_orders
         )
@@ -461,8 +448,7 @@ class DeformationContext:
 
     def _init_carrier(self):
         base = self.base
-        ak = quotient_ring(base, self.chain.k_ideal)
-        self.ak = ak
+        ak = self.chain.ak
         q_group = ak.ring.additive
         torsion_rows = [
             row_times_matrix(row, ak.project) for row in self.chain.l_ideal.lift_basis
@@ -614,11 +600,16 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
 
 
 def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
-    """Torsion lifts scaled by their periods must stay independent in every
+    """Check a hypothesis of the construction, not a property of the result:
+    torsion lifts scaled by their periods must stay independent in every
     finite quotient of the addition (schema truncated at INDEPENDENCE_BOUND).
 
     ``closing`` holds the k-coordinates of e_i·g_i for the torsion source
-    generators; the addition coordinates come last.
+    generators; the addition coordinates come last.  Their invariant factors
+    (the beta addition invariants) must be nonzero and prime to every
+    d <= INDEPENDENCE_BOUND.  The zero cocycle still carries the ring's own
+    transversal defects, so the check can refuse a ring's own zero-cocycle
+    deformation: a refusal means the construction does not apply.
     """
     n = ctx.addition_rank
     beta_rows = [list(kvec[len(kvec) - n :]) for kvec in closing]
@@ -628,13 +619,16 @@ def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
     invariants = [d for d in dec.d.diagonal()]
     if len([d for d in invariants if d != 0]) < len(beta_rows):
         raise DeformationError(
-            "independence condition fails: torsion lifts collapse in the addition"
+            "independence hypothesis of the construction fails: torsion lifts "
+            "collapse in the addition"
         )
     for d in range(2, INDEPENDENCE_BOUND + 1):
         for s in invariants:
             if s and gcd(s, d) != 1:
                 raise DeformationError(
-                    f"independence condition fails modulo {d}"
+                    f"independence hypothesis of the construction fails modulo {d}: "
+                    f"the beta addition invariant {s} must be prime to every "
+                    f"d <= {INDEPENDENCE_BOUND}, even for the zero cocycle"
                 )
 
 
@@ -658,18 +652,17 @@ def verify_sixterm(
     inclusion, restriction, and projection maps.  Invariant mismatches give
     a definitive ``no``; exhausting the bounded search gives ``unknown``.
     """
+    _check_bound(coeff_bound)
     chain_a = characteristic_ideals(a)
     chain_b = characteristic_ideals(b)
-    parts_a = _sixterm_parts(a, chain_a)
-    parts_b = _sixterm_parts(b, chain_b)
     for name, field in (
         ("o_ring", "o_pres"),
         ("delta_ring", "delta_pres"),
         ("hat_ring", "hat"),
         ("ak_ring", "ak"),
     ):
-        inv_a = getattr(parts_a, field).ring.additive.invariant_factors
-        inv_b = getattr(parts_b, field).ring.additive.invariant_factors
+        inv_a = getattr(chain_a, field).ring.additive.invariant_factors
+        inv_b = getattr(chain_b, field).ring.additive.invariant_factors
         if inv_a != inv_b:
             return SixTermReport(
                 status="no",
@@ -677,15 +670,33 @@ def verify_sixterm(
                 annihilator_sequence_exact=False,
             )
 
+    delta_to_hat_a, delta_to_hat_b = (
+        c.delta_pres.lift.mul(c.hat.project) for c in (chain_a, chain_b)
+    )
+    k_in_hat_a, k_in_hat_b = (
+        [row_times_matrix(row, c.hat.project) for row in c.k_ideal.lift_basis]
+        for c in (chain_a, chain_b)
+    )
+    k_image_b = chain_b.hat.ring.additive.subgroup(k_in_hat_b)
+    # A/k -> A/ann and B/ann -> B/k on coordinates
+    ak_to_hat_a = chain_a.ak.lift.mul(chain_a.hat.project)
+    hat_to_ak_b = chain_b.hat.lift.mul(chain_b.ak.project)
+
     budget_hit = False
-    for phi in _iso_witnesses(parts_a.hat.ring, parts_b.hat.ring, coeff_bound, max_nodes):
+    for phi in _iso_witnesses(chain_a.hat.ring, chain_b.hat.ring, coeff_bound, max_nodes):
         if phi is None:
             budget_hit = True
             break
-        mu = _induced_on_k_quotient(parts_a, parts_b, phi)
-        if mu is None or not verify_iso_witness(parts_a.ak.ring, parts_b.ak.ring, mu):
+        # phi must carry the image of k(A) into that of k(B) and induce an
+        # isomorphism A/k -> B/k
+        if not all(k_image_b.contains(row_times_matrix(row, phi)) for row in k_in_hat_a):
             continue
-        found, exhausted = _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes)
+        mu = ak_to_hat_a.mul(phi).mul(hat_to_ak_b)
+        if not verify_iso_witness(chain_a.ak.ring, chain_b.ak.ring, mu):
+            continue
+        found, exhausted = _find_delta_iso(
+            chain_a, chain_b, delta_to_hat_a.mul(phi), delta_to_hat_b, coeff_bound, max_nodes
+        )
         budget_hit = budget_hit or exhausted
         if found is None:
             continue
@@ -702,108 +713,38 @@ def verify_sixterm(
     )
 
 
-@dataclass(frozen=True)
-class _SixTermParts:
-    o_pres: SubringPresentation
-    delta_pres: SubringPresentation
-    hat: QuotientPresentation
-    ak: QuotientPresentation
-    delta_to_hat: IntMatrix
-    o_in_delta: IntMatrix
-    hat_to_ak: IntMatrix
-    k_in_hat: tuple[Vec, ...]
-
-
-def _sixterm_parts(a: FdzRing, chain) -> _SixTermParts:
-    o_pres = subring_presentation(a, chain.o_ideal)
-    delta_pres = subring_presentation(a, chain.delta)
-    hat = quotient_ring(a, chain.ann)
-    ak = quotient_ring(a, chain.k_ideal)
-    delta_to_hat = delta_pres.lift.mul(hat.project)
-    o_in_delta = IntMatrix(
-        [delta_pres.express(row) for row in o_pres.lift.data],
-        cols=delta_pres.ring.rank,
-    )
-    hat_to_ak = hat.lift.mul(ak.project)
-    k_in_hat = tuple(
-        row_times_matrix(row, hat.project) for row in chain.k_ideal.lift_basis
-    )
-    return _SixTermParts(
-        o_pres=o_pres,
-        delta_pres=delta_pres,
-        hat=hat,
-        ak=ak,
-        delta_to_hat=delta_to_hat,
-        o_in_delta=o_in_delta,
-        hat_to_ak=hat_to_ak,
-        k_in_hat=k_in_hat,
-    )
-
-
-def _induced_on_k_quotient(parts_a, parts_b, phi: IntMatrix) -> IntMatrix | None:
-    # phi must send the image of k to the image of k
-    image_k_b = parts_b.hat.ring.additive.subgroup(list(parts_b.k_in_hat))
-    for row in parts_a.k_in_hat:
-        if not image_k_b.contains(row_times_matrix(row, phi)):
-            return None
-    rows = []
-    for t in range(parts_a.ak.ring.rank):
-        hat_coords = row_times_matrix(parts_a.ak.lift.row(t), parts_a.hat.project)
-        rows.append(
-            row_times_matrix(row_times_matrix(hat_coords, phi), parts_b.hat_to_ak)
-        )
-    return IntMatrix(rows, cols=parts_b.ak.ring.rank)
-
-
-def _find_delta_iso(parts_a, parts_b, phi, coeff_bound, max_nodes):
+def _find_delta_iso(
+    chain_a: IdealChain,
+    chain_b: IdealChain,
+    phi_on_delta: IntMatrix,
+    delta_to_hat_b: IntMatrix,
+    coeff_bound: int,
+    max_nodes: int,
+):
     """A compatible pair (psi, eta) over phi, or None, and whether the psi
-    search ran out of budget (so a None is not a definitive answer)."""
-    o_image_b = parts_b.delta_pres.ring.additive.subgroup(list(parts_b.o_in_delta.data))
-    for psi in _iso_witnesses(
-        parts_a.delta_pres.ring, parts_b.delta_pres.ring, coeff_bound, max_nodes
-    ):
+    search ran out of budget (so a None is not a definitive answer).
+
+    ``phi_on_delta`` rows are the images under phi of the generators of
+    delta(A), in B/ann coordinates.
+    """
+    delta_b, hat_b = chain_b.delta_pres, chain_b.hat.ring
+    o_image_b = delta_b.ring.additive.subgroup(chain_b.o_in_delta.data)
+    restricted = [hat_b.reduce(row) for row in phi_on_delta.data]
+    for psi in _iso_witnesses(chain_a.delta_pres.ring, delta_b.ring, coeff_bound, max_nodes):
         if psi is None:
             return None, True
         # middle square: restriction to the annihilator quotient commutes
-        ok = True
-        for s in range(parts_a.delta_pres.ring.rank):
-            left = parts_b.hat.ring.reduce(
-                row_times_matrix(psi.row(s), parts_b.delta_to_hat)
-            )
-            right = parts_b.hat.ring.reduce(
-                row_times_matrix(
-                    row_times_matrix(
-                        tuple(1 if j == s else 0 for j in range(parts_a.delta_pres.ring.rank)),
-                        parts_a.delta_to_hat,
-                    ),
-                    phi,
-                )
-            )
-            if left != right:
-                ok = False
-                break
-        if not ok:
+        if [hat_b.reduce(row) for row in psi.mul(delta_to_hat_b).data] != restricted:
             continue
         # left square: psi must carry o(A) onto o(B)
-        image_rows = [
-            row_times_matrix(row, psi) for row in parts_a.o_in_delta.data
-        ]
-        if parts_b.delta_pres.ring.additive.subgroup(image_rows) != o_image_b:
+        image_rows = [row_times_matrix(row, psi) for row in chain_a.o_in_delta.data]
+        if delta_b.ring.additive.subgroup(image_rows) != o_image_b:
             continue
-        eta_rows = []
-        solved = True
-        for row in image_rows:
-            coords = _express_in_rows(
-                row, parts_b.o_in_delta, parts_b.delta_pres.ring
-            )
-            if coords is None:
-                solved = False
-                break
-            eta_rows.append(coords)
-        if not solved:
-            continue
-        eta = IntMatrix(eta_rows, cols=parts_b.o_pres.ring.rank)
-        if eta_rows and not verify_iso_witness(parts_a.o_pres.ring, parts_b.o_pres.ring, eta):
+        eta = IntMatrix(
+            [chain_b.o_pres.express(row_times_matrix(row, delta_b.lift)) for row in image_rows],
+            cols=chain_b.o_pres.ring.rank,
+        )
+        if image_rows and not verify_iso_witness(chain_a.o_pres.ring, chain_b.o_pres.ring, eta):
             continue
         return (psi, eta), False
     return None, False

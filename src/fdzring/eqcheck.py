@@ -318,10 +318,18 @@ def iso_search(
     candidates is a definitive ``no``; with free generators it is only
     ``unknown``.
     """
+    _check_bound(coeff_bound)
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
     if mismatch is not None:
         return IsoResult(kind="no", reason=f"invariant mismatch: {mismatch}")
     return _search(a, b, coeff_bound, max_nodes, seed)
+
+
+def _check_bound(coeff_bound: int) -> None:
+    # a bound below 1 leaves no image of infinite order, so a ring of
+    # positive free rank would end ``unknown`` even against itself
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
 
 
 def _search(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int) -> IsoResult:
@@ -449,6 +457,7 @@ def equivalence_verdict(
     cancellation the padded profiles agree iff those of A and B do.  The
     padded search finds a verified witness or ends ``unknown``, never ``no``.
     """
+    _check_bound(coeff_bound)
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
     if mismatch is not None:
         return EquivalenceResult(

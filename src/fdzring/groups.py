@@ -236,6 +236,18 @@ class Subgroup:
         rels = preimage_lattice(basis, self.parent.relation_basis)
         return FgAbelianGroup(basis.rows, rels), basis
 
+    def as_group_with(self, part: "Subgroup") -> tuple[FgAbelianGroup, IntMatrix, "Subgroup"]:
+        """``as_group`` together with ``part`` as a subgroup of the abstract
+        group; ``part`` must lie inside this subgroup."""
+        group, basis = self.as_group()
+        inner = []
+        for row in part.lift_basis:
+            coeffs = self.express(row)
+            if coeffs is None:
+                raise GroupError("part is not inside the subgroup")
+            inner.append(coeffs)
+        return group, basis, group.subgroup(inner)
+
     def presentation(self) -> "SubgroupPresentation":
         """Diagonal presentation: orders, ambient lifts, coordinate map.
 
@@ -289,15 +301,7 @@ def invariant_factors(g: FgAbelianGroup) -> Vec:
 
 def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:
     """big/small as an abstract group (small must lie inside big)."""
-    if not big.contains_subgroup(small):
-        raise GroupError("quotient requires containment")
-    group, basis = big.as_group()
-    inner = []
-    for row in small.lift_basis:
-        coeffs = big.express(row)
-        assert coeffs is not None
-        inner.append(list(coeffs))
-    return quotient_group(group, group.subgroup(inner))
+    return big.as_group_with(small)[2].quotient()
 
 
 @dataclass(frozen=True)

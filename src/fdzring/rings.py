@@ -13,17 +13,20 @@ sit the characteristic two-sided ideals
     l     : the saturation of ann + sq
     o     : ann ∩ delta
 
-and the derived quotients m = A/l (torsion-free) and n = l/k (finite),
-together with the tame/regular predicates, additions and foundations,
-quotient and product constructions, and the torsion/free normal
-presentation used when coding a ring into integer tuples.
+and the derived quotients m = A/l (torsion-free) and n = l/k (finite).
+The chain of a ring is cached, and it carries the presentations that the
+induced map, the deformations and the six-term check read: the quotient
+rings A/ann and A/k, the subrings sq, delta and o, o in delta coordinates,
+and an addition A0 with ann = A0 ⊕ o.  Each is built once, on first use.
+The module also holds the tame/regular predicates, foundations, and the
+quotient, subring and product constructions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -253,6 +256,14 @@ def direct_product(a: FdzRing, b: FdzRing) -> FdzRing:
 
 @dataclass(frozen=True)
 class IdealChain:
+    """The characteristic ideals of ``ring`` and the presentations built on them.
+
+    Each presentation is built on first access and then kept on the chain,
+    which ``characteristic_ideals`` caches per ring, so every caller shares
+    one copy.
+    """
+
+    ring: FdzRing
     ann: Subgroup
     sq: Subgroup
     delta: Subgroup
@@ -261,6 +272,46 @@ class IdealChain:
     o_ideal: Subgroup
     m_quot: FgAbelianGroup
     n_quot: FgAbelianGroup
+
+    @cached_property
+    def hat(self) -> QuotientPresentation:
+        """The annihilator quotient A/ann."""
+        return quotient_ring(self.ring, self.ann)
+
+    @cached_property
+    def ak(self) -> QuotientPresentation:
+        """The quotient A/k."""
+        return quotient_ring(self.ring, self.k_ideal)
+
+    @cached_property
+    def square_pres(self) -> SubringPresentation:
+        return subring_presentation(self.ring, self.sq)
+
+    @cached_property
+    def delta_pres(self) -> SubringPresentation:
+        return subring_presentation(self.ring, self.delta)
+
+    @cached_property
+    def o_pres(self) -> SubringPresentation:
+        return subring_presentation(self.ring, self.o_ideal)
+
+    @cached_property
+    def o_in_delta(self) -> IntMatrix:
+        """Rows: the generators of ``o_pres`` in ``delta_pres`` coordinates."""
+        delta = self.delta_pres
+        return IntMatrix(
+            [delta.express(row) for row in self.o_pres.lift.data], cols=delta.ring.rank
+        )
+
+    @cached_property
+    def addition(self) -> Subgroup | None:
+        """An addition A0 with Ann = A0 ⊕ O, or None when none exists."""
+        abstract, basis, o_part = self.ann.as_group_with(self.o_ideal)
+        split = split_complement(abstract, o_part)
+        if split is None:
+            return None
+        gens = [row_times_matrix(row, basis) for row in split.complement.lift_basis]
+        return self.ring.subgroup(gens)
 
 
 def _pairing_equations(
@@ -329,6 +380,7 @@ def characteristic_ideals(a: FdzRing) -> IdealChain:
     m_quot = l_ideal.quotient()
     n_quot = quotient_of_subgroups(l_ideal, k_ideal)
     return IdealChain(
+        ring=a,
         ann=ann,
         sq=sq,
         delta=delta,
@@ -468,33 +520,9 @@ class AdditionFoundation:
     foundation_quotient: QuotientPresentation | None
 
 
-def _complement_in_subgroup(
-    g: FgAbelianGroup, ambient: Subgroup, part: Subgroup
-) -> Subgroup | None:
-    """A complement of ``part`` inside ``ambient`` (both subgroups of g)."""
-    abstract, basis = ambient.as_group()
-    inner = []
-    for row in part.lift_basis:
-        coeffs = ambient.express(row)
-        if coeffs is None:
-            raise GroupError("part is not inside the ambient subgroup")
-        inner.append(list(coeffs))
-    split = split_complement(abstract, abstract.subgroup(inner))
-    if split is None:
-        return None
-    gens = [row_times_matrix(row, basis) for row in split.complement.lift_basis]
-    return Subgroup(g, gens)
-
-
-def annihilator_addition(a: FdzRing) -> Subgroup | None:
-    """An addition A0 with Ann = A0 ⊕ O, or None when none exists."""
-    chain = characteristic_ideals(a)
-    return _complement_in_subgroup(a.additive, chain.ann, chain.o_ideal)
-
-
 def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
     chain = characteristic_ideals(a)
-    addition = annihilator_addition(a)
+    addition = chain.addition
     if addition is None:
         return AdditionFoundation(None, None, None)
     split = split_complement(a.additive, addition, kill=chain.delta)
@@ -504,70 +532,6 @@ def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
         assert foundation.contains_subgroup(chain.delta)
         return AdditionFoundation(addition, foundation, None)
     return AdditionFoundation(addition, None, quotient_ring(a, addition))
-
-
-# -- normal presentation -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalPresentation:
-    """Generator products split along the free/torsion decomposition.
-
-    With free generators a_1..a_l and torsion generators b_1..b_m of orders
-    d_1..d_m, the constants satisfy
-
-        a_i·a_j = sum_k c[i][j][k]·a_k + sum_k t[i][j][k]·b_k
-        a_i·b_j = sum_k s[i][j][k]·b_k
-        b_j·a_i = sum_k u[i][j][k]·b_k
-        b_i·b_j = sum_k v[i][j][k]·b_k
-
-    with every torsion constant reduced into [0, d_k).
-    """
-
-    free_indices: Vec
-    torsion_indices: Vec
-    torsion_orders: Vec
-    c: tuple
-    t: tuple
-    s: tuple
-    u: tuple
-    v: tuple
-
-
-def normal_presentation(a: FdzRing) -> NormalPresentation:
-    free = tuple(i for i, d in enumerate(a.orders) if d == 0)
-    tors = tuple(i for i, d in enumerate(a.orders) if d != 0)
-
-    def torsion_part(vec: Vec) -> Vec:
-        for i in free:
-            assert vec[i] == 0, "product of mixed generators left the torsion part"
-        return tuple(vec[i] for i in tors)
-
-    c = tuple(
-        tuple(tuple(a.tensor[i][j][k] for k in free) for j in free) for i in free
-    )
-    t = tuple(
-        tuple(tuple(a.tensor[i][j][k] for k in tors) for j in free) for i in free
-    )
-    s = tuple(
-        tuple(torsion_part(a.tensor[i][j]) for j in tors) for i in free
-    )
-    u = tuple(
-        tuple(torsion_part(a.tensor[j][i]) for j in tors) for i in free
-    )
-    v = tuple(
-        tuple(torsion_part(a.tensor[i][j]) for j in tors) for i in tors
-    )
-    return NormalPresentation(
-        free_indices=free,
-        torsion_indices=tors,
-        torsion_orders=tuple(a.orders[i] for i in tors),
-        c=c,
-        t=t,
-        s=s,
-        u=u,
-        v=v,
-    )
 
 
 # -- torsion -----------------------------------------------------------------

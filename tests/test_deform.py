@@ -16,7 +16,6 @@ from fdzring.deform import (
     cyclic_cocycle,
     verify_sixterm,
     zero_cocycle,
-    _sixterm_parts,
 )
 from fdzring.eqcheck import _iso_witnesses, equivalence_verdict, invariant_profile, iso_search
 from fdzring.groups import FgAbelianGroup
@@ -245,6 +244,29 @@ def test_coordinate_round_trips():
     assert checked
 
 
+def test_independence_hypothesis_can_refuse_the_zero_cocycle():
+    # the zero-cocycle deformation of a ring is the ring itself, but its beta
+    # addition invariant is 5, so the construction's hypothesis fails mod 5
+    ring = FdzRing(
+        (0, 0, 3, 6),
+        [
+            [[2, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]],
+            [[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 3], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 1, 4]],
+        ],
+    )
+    with pytest.raises(DeformationError, match="hypothesis of the construction fails modulo 5"):
+        build_deformation(DeformationSpec(base=ring))
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_sixterm_rejects_a_bound_below_one(bound):
+    w = w_ring()
+    with pytest.raises(ValueError, match="coeff_bound"):
+        verify_sixterm(w, w, coeff_bound=bound)
+
+
 def test_w_deformation_value_must_be_annihilator():
     ctx = DeformationContext(w_ring())
     with pytest.raises(DeformationError):
@@ -300,7 +322,7 @@ def test_sixterm_reports_inner_budget_exhaustion():
     tensor = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     tensor[0][0][1] = 1
     ring = FdzRing((2,) * 5, tensor)
-    hat = _sixterm_parts(ring, characteristic_ideals(ring)).hat.ring
+    hat = characteristic_ideals(ring).hat.ring
     assert hat.orders == (2,)
     assert None not in list(_iso_witnesses(hat, hat, 5, 400))
     report = verify_sixterm(ring, ring, max_nodes=400)

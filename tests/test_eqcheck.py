@@ -171,6 +171,16 @@ def test_iso_search_identity_and_null():
     assert res.kind == "yes"
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_searches_reject_a_bound_below_one(bound):
+    # with no free image in range, zx2 against itself would end ``unknown``
+    zx2 = zx2_ring()
+    with pytest.raises(ValueError, match="coeff_bound"):
+        iso_search(zx2, zx2, coeff_bound=bound)
+    with pytest.raises(ValueError, match="coeff_bound"):
+        equivalence_verdict(zx2, zx2, coeff_bound=bound)
+
+
 def test_iso_search_profile_refutation():
     res = iso_search(twoz_ring(), FdzRing((0,), (((3,),),)))
     assert res.kind == "no" and "mismatch" in res.reason

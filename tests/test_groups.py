@@ -37,6 +37,27 @@ def test_saturation_idempotent_and_finite_quotient():
         assert quotient_of_subgroups(sat, s).order is not None
 
 
+def test_as_group_with_presents_the_part_inside():
+    rng = random.Random(9)
+    for _ in range(40):
+        r = rng.randint(1, 4)
+        g = FgAbelianGroup(
+            r, [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rng.randint(0, 2))]
+        )
+        big = g.subgroup(
+            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, 3))]
+        )
+        scales = [rng.randint(-3, 3) for _ in big.lift_basis]
+        small = g.subgroup([k * x for x in row] for k, row in zip(scales, big.lift_basis))
+        group, basis, part = big.as_group_with(small)
+        assert group == big.as_group()[0]
+        assert g.subgroup(row_times_matrix(row, basis) for row in part.lift_basis) == small
+        outside = g.full_subgroup()
+        if not big.contains_subgroup(outside):
+            with pytest.raises(GroupError):
+                big.as_group_with(outside)
+
+
 def test_sum_and_intersect():
     z1 = FgAbelianGroup(1)
     two, three = z1.subgroup([(2,)]), z1.subgroup([(3,)])

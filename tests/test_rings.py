@@ -11,7 +11,6 @@ from fdzring.rings import (
     addition_and_foundation,
     characteristic_ideals,
     direct_product,
-    normal_presentation,
     predicates,
     quotient_ring,
     reduce_mod_n,
@@ -21,10 +20,14 @@ from fdzring.rings import (
     z0_ring,
 )
 
+from fdzring.intlinalg import row_times_matrix
+from fdzring.ringfile import load_ring
+
 from oracles import (
     brute_force_chain,
     dense_mul,
     random_finite_ring,
+    random_mixed_ring,
     random_lattice_preserving_unimodular,
     subgroup_elements,
 )
@@ -228,72 +231,6 @@ def test_foundation_subring_properties():
         assert f.intersect(af.addition).is_zero()
 
 
-def test_normal_presentation():
-    npz = normal_presentation(z_ring())
-    assert npz.free_indices == (0,) and npz.torsion_indices == ()
-    assert npz.c[0][0][0] == 1
-
-    np0 = normal_presentation(z0_ring())
-    assert np0.c[0][0][0] == 0
-
-    npw = normal_presentation(w_ring())
-    assert npw.free_indices == (0, 1)
-    assert npw.torsion_indices == (2,)
-    assert npw.torsion_orders == (2,)
-    assert npw.t[0][0] == (1,)
-    assert all(
-        not any(npw.t[i][j])
-        for i in range(2)
-        for j in range(2)
-        if (i, j) != (0, 0)
-    )
-    assert not any(v for row in npw.s for vec in row for v in vec)
-    assert not any(v for row in npw.v for vec in row for v in vec)
-
-
-def test_normal_presentation_reconstructs_products():
-    from oracles import random_mixed_ring
-
-    rng = random.Random(61)
-    rings = [w_ring(), zx2_ring(), zxz0_ring()] + [
-        random_mixed_ring(rng) for _ in range(12)
-    ]
-    for ring in rings:
-        pres = normal_presentation(ring)
-        free, tors = pres.free_indices, pres.torsion_indices
-
-        def rebuild(i, j):
-            out = [0] * ring.rank
-            if i in free and j in free:
-                fi, fj = free.index(i), free.index(j)
-                for k, idx in enumerate(free):
-                    out[idx] += pres.c[fi][fj][k]
-                for k, idx in enumerate(tors):
-                    out[idx] += pres.t[fi][fj][k]
-            elif i in free and j in tors:
-                fi, tj = free.index(i), tors.index(j)
-                for k, idx in enumerate(tors):
-                    out[idx] += pres.s[fi][tj][k]
-            elif i in tors and j in free:
-                fj, ti = free.index(j), tors.index(i)
-                for k, idx in enumerate(tors):
-                    out[idx] += pres.u[fj][ti][k]
-            else:
-                ti, tj = tors.index(i), tors.index(j)
-                for k, idx in enumerate(tors):
-                    out[idx] += pres.v[ti][tj][k]
-            return ring.reduce(out)
-
-        for i in range(ring.rank):
-            for j in range(ring.rank):
-                assert rebuild(i, j) == ring.tensor[i][j], (ring, i, j)
-        for block in (pres.t, pres.s, pres.u, pres.v):
-            for row in block:
-                for vec in row:
-                    for value, k in zip(vec, pres.torsion_orders):
-                        assert 0 <= value < k
-
-
 def test_reduce_mod_n():
     assert reduce_mod_n(z_ring(), 4) == z_mod(4)
     assert z_mod(4).orders == (4,) and z_mod(4).tensor[0][0] == (1,)
@@ -335,3 +272,57 @@ def test_subring_presentation_transport():
     pres = subring_presentation(w, chain.delta)
     assert pres.ring.orders == (2,)
     assert pres.express((0, 0, 1)) == (1,)
+
+
+def _chain_test_rings():
+    folder = os.path.join(ROOT, "corpus")
+    rings = [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
+    rng = random.Random(71)
+    return rings + [random_mixed_ring(rng) for _ in range(20)]
+
+
+def _same_subring(built, direct):
+    return built.ring == direct.ring and built.lift == direct.lift and all(
+        built.express(row) == direct.express(row) for row in direct.lift.data
+    )
+
+
+def test_chain_presentations_match_direct_construction():
+    for ring in _chain_test_rings():
+        chain = characteristic_ideals(ring)
+        assert chain.ring == ring
+        assert chain.hat == quotient_ring(ring, chain.ann), ring
+        assert chain.ak == quotient_ring(ring, chain.k_ideal), ring
+        assert _same_subring(chain.square_pres, subring_presentation(ring, chain.sq)), ring
+        delta = subring_presentation(ring, chain.delta)
+        o_pres = subring_presentation(ring, chain.o_ideal)
+        assert _same_subring(chain.delta_pres, delta), ring
+        assert _same_subring(chain.o_pres, o_pres), ring
+        # each row of o_in_delta lifts to the matching generator of o
+        assert chain.o_in_delta.rows == o_pres.ring.rank
+        for row, o_row in zip(chain.o_in_delta.data, o_pres.lift.data):
+            assert ring.reduce(row_times_matrix(row, delta.lift)) == ring.reduce(o_row)
+        # Ann = A0 ⊕ O whenever an addition exists
+        a0 = chain.addition
+        if a0 is not None:
+            assert a0.sum(chain.o_ideal) == chain.ann, ring
+            assert a0.intersect(chain.o_ideal).is_zero(), ring
+            assert addition_and_foundation(ring).addition is a0
+
+
+def test_chain_presentations_are_built_once_per_chain():
+    members = ("hat", "ak", "square_pres", "delta_pres", "o_pres", "o_in_delta", "addition")
+    for ring in _chain_test_rings():
+        chain = characteristic_ideals(ring)
+        first = {name: getattr(chain, name) for name in members}
+        assert characteristic_ideals(ring) is chain
+        for name in members:
+            assert getattr(chain, name) is first[name], name
+        characteristic_ideals.cache_clear()
+        fresh = characteristic_ideals(ring)
+        assert fresh is not chain
+        for name in ("hat", "ak", "square_pres", "delta_pres", "o_pres", "o_in_delta"):
+            rebuilt = getattr(fresh, name)
+            assert rebuilt is not first[name], name
+            assert getattr(rebuilt, "ring", rebuilt) == getattr(first[name], "ring", first[name])
+        assert fresh.addition == first["addition"]
