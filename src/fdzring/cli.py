@@ -359,14 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: Exception) -> int:
     """The exit code for an exception raised by a subcommand.
 
-    The error classes of ``fomc``, ``bilinear`` and ``deform`` are imported
-    here, so that a successful run never loads those modules for them.
+    The error classes of ``fomc``, ``bilinear``, ``deform`` and ``eqcheck``
+    are imported here, so that a successful run never loads those modules
+    for them.  A seeded search refused by its pool guard is a usage error.
     """
     from .bilinear import BilinearMapError
     from .deform import DeformationError
+    from .eqcheck import SearchPoolError
     from .fomc import FormulaError
 
-    if isinstance(exc, (RingFileError, FormulaError, CliParseError, OSError, UnicodeDecodeError)):
+    if isinstance(
+        exc,
+        (RingFileError, FormulaError, CliParseError, SearchPoolError, OSError, UnicodeDecodeError),
+    ):
         return EXIT_PARSE
     if isinstance(exc, (RingValidationError, BilinearMapError, DeformationError, GroupError)):
         return EXIT_INVALID_RING

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .groups import Subgroup
@@ -158,13 +159,8 @@ def _element_additive_order(b: FdzRing, vec: Sequence[int]) -> int:
     return order
 
 
-def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
-    """Images for a generator of the given additive order (0 = infinite).
-
-    An isomorphism preserves element orders exactly, so torsion generators
-    only range over elements of equal order; free generators range over
-    bounded coefficient vectors of infinite order.
-    """
+def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[list[int]]:
+    """The values each coordinate of a candidate image runs over."""
     values = _coefficient_order(bound)
     per_coord = []
     for d in b.orders:
@@ -175,9 +171,40 @@ def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
                 per_coord.append([x for x in range(d) if (order * x) % d == 0])
             else:
                 per_coord.append(list(range(d)))
-    for cand in itertools.product(*per_coord):
+    return per_coord
+
+
+def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
+    """Images for a generator of the given additive order (0 = infinite).
+
+    An isomorphism preserves element orders exactly, so torsion generators
+    only range over elements of equal order; free generators range over
+    bounded coefficient vectors of infinite order.
+    """
+    for cand in itertools.product(*_coordinate_ranges(b, order, bound)):
         if _element_additive_order(b, cand) == order:
             yield tuple(cand)
+
+
+# A seeded search shuffles its whole candidate pool, so it holds every
+# candidate at once; a pool has (2·bound+1)^(free rank) entries before the
+# order filter.  The largest seeded pool the corpus searches at the default
+# bound is padded W's, 2 · 11^3 = 2,662.
+SEEDED_POOL_LIMIT = 50_000
+
+
+class SearchPoolError(ValueError):
+    """A seeded search would have to hold more candidates than the guard."""
+
+
+def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
+    size = prod(len(values) for values in _coordinate_ranges(b, order, bound))
+    if size > SEEDED_POOL_LIMIT:
+        raise SearchPoolError(
+            f"a seeded search would shuffle {size} candidate images, above "
+            f"SEEDED_POOL_LIMIT = {SEEDED_POOL_LIMIT}; lower the coefficient "
+            "bound or search with seed 0"
+        )
 
 
 def _extends_to_basis(rows: Sequence[Sequence[int]], width: int) -> bool:
@@ -216,10 +243,89 @@ class _LazyPool:
             i += 1
 
 
+class _FoldedLevel:
+    """The product checks of one search level, as tests on its candidate.
+
+    With every earlier generator image fixed, the check x_p·x_q = sum c_k x_k
+    is affine in the candidate x = x_idx unless p = q = idx: with both
+    factors earlier the product is a constant, with one of them x it is x
+    times the fixed factor's left or right multiplication matrix, and a
+    support term on idx adds c·I.  Each coordinate k of each check is a
+    column (n, v, d) demanding x·n + v = 0 modulo d, the order of the k-th
+    generator of B (0: exactly), so ``linear`` is the single affine test
+    x·N + v = 0 of the level, its trivial columns dropped and the rest
+    deduplicated.  Only the check x·x keeps a multiplication per candidate;
+    ``square`` holds its columns as (k, n, v, d), tested against (x·x)_k.
+    Every coordinate is compared modulo its order, as ``reduce`` does, so a
+    candidate passes exactly when it passes each product check.
+    """
+
+    __slots__ = ("b", "linear", "square")
+
+    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec]):
+        self.b = b
+        rank = b.rank
+        units = _identity_rows(rank)
+        linear: dict[tuple[Vec, int, int], None] = {}
+        square = []
+        for p, q, terms in checks:
+            scalar = 0
+            offset = [0] * rank
+            for k, c in terms:
+                if k == idx:
+                    scalar = c
+                else:
+                    offset = [x + c * y for x, y in zip(offset, images[k])]
+            if p == idx and q != idx:
+                rows = [b.mul(e, images[q]) for e in units]
+            elif q == idx and p != idx:
+                rows = [b.mul(images[p], e) for e in units]
+            else:
+                rows = [(0,) * rank] * rank
+                if p != idx:
+                    offset = [x - y for x, y in zip(offset, b.mul(images[p], images[q]))]
+            for k, d in enumerate(b.orders):
+                column = [(scalar if i == k else 0) - rows[i][k] for i in range(rank)]
+                v = offset[k]
+                if d:
+                    column = [x % d for x in column]
+                    v %= d
+                if p == q == idx:
+                    if d != 1:
+                        square.append((k, tuple(column), v, d))
+                elif v or any(column):
+                    linear[tuple(column), v, d] = None
+        self.linear = tuple(linear)
+        self.square = tuple(square)
+
+    def accepts(self, cand: Vec) -> bool:
+        for column, v, d in self.linear:
+            x = v + sum(map(mul, cand, column))
+            if x % d if d else x:
+                return False
+        if self.square:
+            sq = self.b.mul(cand, cand)
+            for k, column, v, d in self.square:
+                x = v + sum(map(mul, cand, column)) - sq[k]
+                if x % d if d else x:
+                    return False
+        return True
+
+
 def _iso_witnesses(
     a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int = 0
 ) -> Iterator[IntMatrix | None]:
-    """Yields verified witnesses; a final ``None`` means the budget ran out."""
+    """Yields verified witnesses; a final ``None`` means the budget ran out.
+
+    A depth-first search over generator images, torsion generators first,
+    charging one node per candidate taken.  On entering a level, on its
+    first candidate, the product checks that fire there are folded over the
+    fixed earlier images into one ``_FoldedLevel``; it accepts exactly the
+    candidates the checks accept, so the nodes charged, the witnesses and
+    their order are those of checking each product pair per candidate.
+    With ``seed`` the candidate pools are shuffled, which holds each pool
+    whole; a pool above ``SEEDED_POOL_LIMIT`` raises ``SearchPoolError``.
+    """
     order_of = list(a.orders)
     gen_order = sorted(
         range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i])
@@ -229,6 +335,8 @@ def _iso_witnesses(
     if seed:
         import random
 
+        for d in set(order_of):
+            _check_seeded_pool(b, d, coeff_bound)
         # alternative deterministic orderings; 0 keeps smallest-first
         candidates = {
             d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
@@ -255,13 +363,7 @@ def _iso_witnesses(
     free_gens = [i for i in gen_order if order_of[i] == 0]
     free_coords = [t for t in range(b.rank) if b.orders[t] == 0]
 
-    def partial_ok(pos: int, idx: int) -> bool:
-        for p, q, terms in checks_at[pos]:
-            acc = [0] * b.rank
-            for k, c in terms:
-                acc = [x + c * y for x, y in zip(acc, images[k])]
-            if b.reduce(acc) != b.mul(images[p], images[q]):
-                return False
+    def basis_ok(idx: int) -> bool:
         if order_of[idx] == 0:
             # the free images taken so far, modulo torsion, must extend to a
             # basis of B/T(B): an isomorphism induces A/T(A) = B/T(B)
@@ -270,8 +372,7 @@ def _iso_witnesses(
                 for i in free_gens
                 if i in images
             ]
-            if not _extends_to_basis(rows, len(free_coords)):
-                return False
+            return _extends_to_basis(rows, len(free_coords))
         return True
 
     def dfs(pos: int) -> Iterator[IntMatrix]:
@@ -283,12 +384,15 @@ def _iso_witnesses(
                 yield h
             return
         idx = gen_order[pos]
+        level = None
         for cand in candidates[order_of[idx]]:
             budget[0] -= 1
             if budget[0] <= 0:
                 return
+            if level is None:
+                level = _FoldedLevel(b, idx, checks_at[pos], images)
             images[idx] = cand
-            if partial_ok(pos, idx):
+            if level.accepts(cand) and basis_ok(idx):
                 yield from dfs(pos + 1)
             del images[idx]
 
@@ -314,6 +418,12 @@ def iso_search(
     longer extend to a basis of B/T(B) (gcd of the maximal minors 1).  This
     cuts no witness: an isomorphism induces A/T(A) = B/T(B), so the free
     block of every witness is unimodular, and so is every prefix of it.
+    The product checks of each level are folded, once per prefix, into one
+    affine test of the candidate (``_FoldedLevel``); it accepts exactly
+    the candidates the checks accept, so nodes, witnesses and verdicts are
+    those of checking each product per candidate.  A nonzero ``seed``
+    shuffles the candidate pools, and raises ``SearchPoolError`` when one
+    would exceed ``SEEDED_POOL_LIMIT`` candidates.
     For finite rings the search is exhaustive, so running out of
     candidates is a definitive ``no``; with free generators it is only
     ``unknown``.

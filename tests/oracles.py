@@ -479,3 +479,85 @@ def dense_mul(ring: FdzRing, a, b) -> Vec:
             for k in range(r):
                 acc[k] += a[i] * b[j] * ring.tensor[i][j][k]
     return tuple(x % d if d else x for x, d in zip(acc, ring.orders))
+
+
+def pair_checks_at(a: FdzRing, gen_order) -> list[list[tuple[int, int, tuple]]]:
+    """Each product x_p·x_q = sum c_k x_k of A, at the first search position
+    where its factors and the support of its value are all assigned."""
+    position = {idx: pos for pos, idx in enumerate(gen_order)}
+    checks_at: list[list[tuple[int, int, tuple]]] = [[] for _ in gen_order]
+    for p in range(a.rank):
+        for q in range(a.rank):
+            terms = tuple((k, c) for k, c in enumerate(a.tensor[p][q]) if c)
+            needed = {p, q} | {k for k, _ in terms}
+            checks_at[max(position[i] for i in needed)].append((p, q, terms))
+    return checks_at
+
+
+def pair_checks_ok(b: FdzRing, checks, images) -> bool:
+    """Every product check holds: sum c_k x_k and x_p·x_q agree in B."""
+    for p, q, terms in checks:
+        acc = [0] * b.rank
+        for k, c in terms:
+            acc = [x + c * y for x, y in zip(acc, images[k])]
+        if b.reduce(acc) != b.mul(images[p], images[q]):
+            return False
+    return True
+
+
+def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int = 0):
+    """The isomorphism search checking each product pair per candidate.
+
+    The search the library ran before it folded each level's checks into
+    one affine test: same candidate order, one node per candidate taken,
+    the same basis-extension prune and the same witness verification.
+    Seeded pools are built whole, with no size guard.
+    """
+    from fdzring.eqcheck import _candidate_images, _extends_to_basis, _LazyPool, verify_iso_witness
+
+    order_of = list(a.orders)
+    gen_order = sorted(range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i]))
+    if seed:
+        candidates = {d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)}
+        rng = random.Random(seed)
+        for pool in candidates.values():
+            rng.shuffle(pool)
+    else:
+        candidates = {
+            d: _LazyPool(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
+        }
+    checks_at = pair_checks_at(a, gen_order)
+    images: dict[int, Vec] = {}
+    budget = [max_nodes]
+    free_gens = [i for i in gen_order if order_of[i] == 0]
+    free_coords = [t for t in range(b.rank) if b.orders[t] == 0]
+
+    def partial_ok(pos: int, idx: int) -> bool:
+        if not pair_checks_ok(b, checks_at[pos], images):
+            return False
+        if order_of[idx] == 0:
+            rows = [[images[i][t] for t in free_coords] for i in free_gens if i in images]
+            return _extends_to_basis(rows, len(free_coords))
+        return True
+
+    def dfs(pos: int):
+        if budget[0] <= 0:
+            return
+        if pos == len(gen_order):
+            h = IntMatrix([images[i] for i in range(a.rank)], cols=b.rank)
+            if verify_iso_witness(a, b, h):
+                yield h
+            return
+        idx = gen_order[pos]
+        for cand in candidates[order_of[idx]]:
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return
+            images[idx] = cand
+            if partial_ok(pos, idx):
+                yield from dfs(pos + 1)
+            del images[idx]
+
+    yield from dfs(0)
+    if budget[0] <= 0:
+        yield None

@@ -370,6 +370,14 @@ def test_eqcheck_refuses_bound_below_one(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "equivalent"
 
 
+def test_seeded_eqcheck_refuses_a_pool_above_the_guard(capsys):
+    z = corpus_path("z.ring")
+    code, out, err = run(capsys, "--seed", "1", "eqcheck", z, z, "--bound", "1000")
+    assert code == 2 and not out and "SEEDED_POOL_LIMIT" in err
+    code, out, _ = run(capsys, "eqcheck", z, z, "--bound", "1000")
+    assert code == 0 and json.loads(out)["verdict"] == "equivalent"
+
+
 def test_modelcheck_rejects_bad_mod(capsys):
     code, _, err = run(
         capsys, "modelcheck", corpus_path("z.ring"), "--mod", "0", "--builtin", "phi,k=1"

@@ -2,14 +2,20 @@ import itertools
 import os
 import random
 import sys
+from collections import Counter
+from math import isqrt
 
 import pytest
 
 import fdzring.eqcheck as eqcheck
 from fdzring.corpus import NAMED_RINGS, twoz_ring, w_ring, z_ring, zx2_ring
+from fdzring.deform import DeformationSpec, build_deformation
 from fdzring.eqcheck import (
+    SEEDED_POOL_LIMIT,
+    SearchPoolError,
     _candidate_images,
     _extends_to_basis,
+    _FoldedLevel,
     _iso_witnesses,
     _LazyPool,
     _search,
@@ -26,11 +32,14 @@ from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transp
 from oracles import (
     brute_force_isomorphic,
     maximal_minors_gcd,
+    pair_checks_at,
+    pair_checks_ok,
     profile_fingerprints_oracle,
     random_finite_ring,
     random_lattice_preserving_unimodular,
     random_ring_of_rank,
     random_ring_over,
+    reference_iso_witnesses,
 )
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -328,6 +337,118 @@ def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
                 assert pruned == plain, (a, seed)
             compared += len(found)
     assert compared >= 100
+
+
+def _sixterm_search_pairs() -> list[tuple[FdzRing, FdzRing]]:
+    """The A/ann and delta pairs ``verify_sixterm`` searches for each corpus
+    ring against its zero-cocycle deformation."""
+    pairs = []
+    for ring in _corpus_rings():
+        deformed = build_deformation(DeformationSpec(base=ring)).ring
+        chain_a, chain_b = characteristic_ideals(ring), characteristic_ideals(deformed)
+        pairs.append((chain_a.hat.ring, chain_b.hat.ring))
+        pairs.append((chain_a.delta_pres.ring, chain_b.delta_pres.ring))
+    return pairs
+
+
+def test_folded_search_matches_the_reference_search():
+    # the folded level test accepts exactly what the per-pair checks accept,
+    # so under every budget and seed the witnesses, their order and the
+    # closing None are those of the per-pair search
+    padded = [(direct_product(z0_ring(), r), direct_product(z0_ring(), r)) for r in _corpus_rings()]
+    pairs = padded + _transported_gen_pairs(20) + _sixterm_search_pairs()
+    witnesses = exhausted = 0
+    for a, b in pairs:
+        for seed in range(4):
+            for budget in (1, 7, 50, 3_000):
+                folded = list(_iso_witnesses(a, b, 2, budget, seed))
+                assert folded == list(reference_iso_witnesses(a, b, 2, budget, seed)), (a, seed, budget)
+                witnesses += len(folded) - (None in folded)
+                exhausted += None in folded
+    assert witnesses >= 200 and exhausted >= 100, (witnesses, exhausted)
+
+
+def _drop_square(level: _FoldedLevel) -> _FoldedLevel:
+    level.square = ()
+    return level
+
+
+def _fold_disagreements(build) -> tuple[int, Counter]:
+    """Compare a level build against the per-pair checks on random prefixes.
+
+    Prefix images are the rows of a known isomorphism, one or all of them
+    perturbed or replaced by vectors the search never takes (unreduced
+    torsion coordinates, coefficients beyond any bound, wrong orders, zero,
+    which makes whole columns of a level constant);
+    candidates are the true image, small perturbations of it and random
+    vectors.  Returns the number of disagreements and the counts of check
+    kinds and outcomes seen.
+    """
+    rng = random.Random(23)
+    seen: Counter = Counter()
+    wrong = 0
+    for _ in range(60):
+        a = random_ring_of_rank(rng, rng.randint(2, 5))
+        t, tinv = random_lattice_preserving_unimodular(rng, a.orders)
+        b = transport(a, t, tinv)
+        h = t if verify_iso_witness(a, b, t) else tinv
+        assert verify_iso_witness(a, b, h)
+        gen_order = list(range(a.rank))
+        rng.shuffle(gen_order)
+        checks_at = pair_checks_at(a, gen_order)
+
+        def wild(row):
+            choice = rng.random()
+            if choice < 0.6:
+                return row
+            if choice < 0.75:
+                return tuple(x + rng.choice((-1, 0, 0, 1)) for x in row)
+            if choice < 0.9:
+                return tuple(rng.randint(-40, 40) for _ in row)
+            return (0,) * len(row)
+
+        for pos, idx in enumerate(gen_order):
+            for n in range(6):
+                # a true prefix, one changed image, or every image drawn wild
+                images = {i: h.row(i) if n < 4 else wild(h.row(i)) for i in gen_order[:pos]}
+                if pos and n in (1, 2, 3):
+                    changed = rng.choice(gen_order[:pos])
+                    images[changed] = wild(images[changed])
+                checks = checks_at[pos]
+                for p, q, _ in checks:
+                    seen["square" if p == q == idx else "one-sided" if idx in (p, q) else "support"] += 1
+                level = build(b, idx, checks, images)
+                for _ in range(6):
+                    cand = wild(h.row(idx))
+                    expected = pair_checks_ok(b, checks, {**images, idx: cand})
+                    seen[expected] += 1
+                    wrong += level.accepts(cand) != expected
+    return wrong, seen
+
+
+def test_folded_level_accepts_exactly_what_the_pair_checks_accept():
+    wrong, seen = _fold_disagreements(_FoldedLevel)
+    assert wrong == 0
+    assert min(seen["square"], seen["one-sided"], seen["support"]) >= 50, seen
+    assert min(seen[True], seen[False]) >= 500, seen
+    # the comparison sees a build that forgets the quadratic check
+    dropped, _ = _fold_disagreements(lambda *args: _drop_square(_FoldedLevel(*args)))
+    assert dropped > 0
+
+
+def test_seeded_pool_guard():
+    z = z_ring()
+    # padded Z has two free coordinates: (2·bound + 1)^2 candidates
+    limit_bound = (isqrt(SEEDED_POOL_LIMIT) - 1) // 2
+    assert equivalence_verdict(z, z, coeff_bound=limit_bound, seed=1).kind == "equivalent"
+    with pytest.raises(SearchPoolError, match="SEEDED_POOL_LIMIT"):
+        equivalence_verdict(z, z, coeff_bound=limit_bound + 1, seed=1)
+    zz = direct_product(z, z)
+    with pytest.raises(SearchPoolError, match="SEEDED_POOL_LIMIT"):
+        iso_search(zz, zz, coeff_bound=limit_bound + 1, seed=2)
+    assert issubclass(SearchPoolError, ValueError)
+    # seed 0 takes candidates lazily and needs no guard
+    assert equivalence_verdict(z, z, coeff_bound=1000).kind == "equivalent"
 
 
 def test_seeded_ordering_still_finds_witnesses():
