@@ -3,7 +3,9 @@
 Equal invariant profiles (ideal-chain invariant factors and closed-form
 fingerprints of each A/nA) are necessary for elementary equivalence; the
 sufficient direction is a bounded isomorphism search on the rings padded
-with a null line, after "A = B elementarily iff Z0 x A = Z0 x B".
+with a null line, after "A = B elementarily iff Z0 x A = Z0 x B".  For
+finite rings that search is exhaustive, so running out of candidates
+refutes equivalence.
 
 Witnesses found by the search are always re-verified independently by a
 full tensor comparison before being returned.
@@ -20,13 +22,22 @@ from typing import Iterator, Sequence
 
 from .groups import Subgroup
 from .intlinalg import (
-    IntMatrix, Vec, diagonal_presentation, hermite_rows, preimage_lattice, row_times_matrix
+    IntMatrix, Vec, hermite_rows, preimage_lattice, row_times_matrix, smith_diagonal
 )
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 
+def _invariant_factors(relations: Sequence[Sequence[int]], rank: int) -> Vec:
+    """Invariant factors of Z^rank modulo the relations: the Smith diagonal
+    padded with zeros to ``rank``, unit factors dropped."""
+    diag = smith_diagonal(relations, rank)
+    return tuple(d for d in diag + (0,) * (rank - len(diag)) if d != 1)
+
+
 def _group_invariants(s: Subgroup) -> Vec:
-    return s.as_group()[0].invariant_factors
+    """The invariant factors of ``s.as_group()``, with no diagonal presentation."""
+    basis = IntMatrix(s.lift_basis, cols=s.parent.rank)
+    return _invariant_factors(preimage_lattice(basis, s.parent.relation_basis), basis.rows)
 
 
 @dataclass(frozen=True)
@@ -63,35 +74,43 @@ FINGERPRINT_RANGE = range(2, 17)
 
 @lru_cache(maxsize=512)
 def invariant_profile(a: FdzRing) -> InvariantProfile:
-    """The invariant profile of A; the mod-n fingerprints are closed forms.
+    """The invariant profile of A, every field read off a Smith diagonal.
 
-    A = Z^r / diag(d_i) with d_i = ``a.orders``, so nA lifts to the lattice
-    L = diag(gcd(n, d_i)), gcd(n, 0) = n, and |A/nA| = prod gcd(n, d_i).
-    A/nA is the sum of the Z/gcd(n, e) over the invariant factors e of A;
-    gcd(n, .) keeps e_i | e_j and each value divides n = gcd(n, 0), so without
-    the 1s they are the invariant factors of A/nA, with no Smith run (Cohen,
-    GTM 138, §2.4).  With S the k independent rows of the square's lift
-    basis, (sq + nA)/nA = Z^k / {c : c·S in L}: one preimage, one Smith.
+    No field needs the coordinate change of a Smith form, so each comes
+    from ``smith_diagonal``, which builds no transform.  A = Z^r / diag(d_i)
+    with d_i = ``a.orders``, so nA lifts to the lattice L = diag(g_j),
+    g_j = gcd(n, d_j) with gcd(n, 0) = n, and |A/nA| = prod g_j.  A/nA is
+    the sum of the Z/gcd(n, e) over the invariant factors e of A; gcd(n, .)
+    keeps e_i | e_j and each value divides n = gcd(n, 0), so without the 1s
+    they are the invariant factors of A/nA (Cohen, GTM 138, §2.4).  For the
+    image (sq + nA)/nA, x -> (n/g_j)·x embeds Z/g_j into Z/n, so the image
+    is the row module in (Z/n)^r of S' with S'_ij = S_ij·(n/g_j), S the
+    rows of the square's lift basis.  Row and column operations keep that
+    module up to isomorphism, so with e_1 | e_2 | ... the diagonal of S'
+    over Z/n (entries dividing n) it is the sum of the Z/(n/e_i): one
+    elimination per modulus, with no preimage lattice.
     """
     chain = characteristic_ideals(a)
-    lift = IntMatrix(chain.sq.lift_basis, cols=a.rank)
+    additive = _invariant_factors(a.additive.relation_basis, a.rank)
+    square = chain.sq.lift_basis
     fingerprints = []
     for n in FINGERPRINT_RANGE:
         scaled = [gcd(n, d) for d in a.orders]
-        lattice = [[g if j == i else 0 for j in range(a.rank)] for i, g in enumerate(scaled)]
-        image = diagonal_presentation(preimage_lattice(lift, lattice), lift.rows).orders
-        quotient = tuple(g for g in (gcd(n, e) for e in a.additive.invariant_factors) if g != 1)
+        steps = [n // g for g in scaled]
+        diag = smith_diagonal([[x * s for x, s in zip(row, steps)] for row in square], a.rank, n)
+        image = tuple(n // e for e in reversed(diag) if e != n)
+        quotient = tuple(g for g in (gcd(n, e) for e in additive) if g != 1)
         fingerprints.append((n, prod(scaled), quotient, image))
     return InvariantProfile(
-        additive=a.additive.invariant_factors,
+        additive=additive,
         ann=_group_invariants(chain.ann),
         square=_group_invariants(chain.sq),
         delta=_group_invariants(chain.delta),
         k_ideal=_group_invariants(chain.k_ideal),
         l_ideal=_group_invariants(chain.l_ideal),
-        m_quot=chain.m_quot.invariant_factors,
-        n_quot=chain.n_quot.invariant_factors,
-        mod_square=chain.sq.quotient().invariant_factors,
+        m_quot=_invariant_factors(chain.m_quot.relation_basis, chain.m_quot.rank),
+        n_quot=_invariant_factors(chain.n_quot.relation_basis, chain.n_quot.rank),
+        mod_square=_invariant_factors(square, a.rank),
         fingerprints=tuple(fingerprints),
     )
 
@@ -566,6 +585,17 @@ def equivalence_verdict(
     n and each image of the square, and adds Z/n to each A/nA, so by
     cancellation the padded profiles agree iff those of A and B do.  The
     padded search finds a verified witness or ends ``unknown``, never ``no``.
+
+    For finite A and B an exhausted padded search (one that ran out of
+    candidates, not of budget) gives ``not_equivalent``.  Every isomorphism
+    h: A -> B, its rows reduced into the torsion ranges, gives the padded
+    witness diag(1, h): the null line goes to the unit vector of the null
+    line, which has coefficient 1 <= ``coeff_bound`` and extends to a basis
+    of the free part, and each generator of A to its image under h, an
+    element of equal order inside the full torsion ranges.  That witness
+    lies in the candidate space for every bound >= 1 and every seed, so
+    exhaustion proves A and B not isomorphic, and finite rings are
+    elementarily equivalent exactly when they are isomorphic.
     """
     _check_bound(coeff_bound)
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
@@ -577,4 +607,10 @@ def equivalence_verdict(
     padded = _search(direct_product(z0, a), direct_product(z0, b), coeff_bound, max_nodes, seed)
     if padded.kind == "yes":
         return EquivalenceResult(kind="equivalent", witness=padded.witness)
+    if padded.reason == "bounded search exhausted" and all(a.orders) and all(b.orders):
+        return EquivalenceResult(
+            kind="not_equivalent",
+            reason="finite rings are equivalent only if isomorphic, "
+            "and the exhausted padded search found no isomorphism",
+        )
     return EquivalenceResult(kind="unknown", reason=padded.reason)

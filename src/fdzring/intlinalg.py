@@ -6,16 +6,18 @@ row/column operations (minimal-pivot selection to keep coefficients small),
 and freeze the result.  Kernels, preimage lattices, particular solutions of
 inhomogeneous systems and coordinates over a lattice basis come from
 one-sided Hermite reduction, which builds no transform.  The Smith form
-serves only ``diagonal_presentation`` (invariant factors plus the
-coordinate change onto them, read from ``v`` and ``vinv``) and saturation.
-Intended scale is small dense matrices (rank <= 12 plus the auxiliary
-systems built from them), so no sparsity or modular arithmetic is
-attempted.
+with transforms serves ``diagonal_presentation`` (invariant factors plus
+the coordinate change onto them, read from ``v`` and ``vinv``) and
+saturation; ``smith_diagonal`` gives the diagonal alone, over Z or over
+Z/n with every entry reduced into [0, n), for invariants that need no
+coordinates.  Intended scale is small dense matrices (rank <= 12 plus the
+auxiliary systems built from them), so no sparsity is attempted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -239,6 +241,82 @@ def smith(a: IntMatrix) -> SmithDecomposition:
         uinv=IntMatrix(uinv, cols=m),
         vinv=IntMatrix(vinv, cols=n),
     )
+
+
+def smith_diagonal(
+    rows: Iterable[Sequence[int]], width: int, modulus: int | None = None
+) -> Vec:
+    """The Smith diagonal of the rows, over Z or over Z/modulus, with no transforms.
+
+    Euclid with minimal pivots on rows and columns leaves a diagonal that
+    need not be a divisor chain; replacing each pair (a, b) by
+    (gcd(a, b), lcm(a, b)), which diag(a, b) is equivalent to, sorts it into
+    one (Cohen, GTM 138, §2.4).  Over Z the result is ``smith(...).diagonal``
+    of the same rows, ``min(len(rows), width)`` entries.  With a modulus n
+    every entry is kept reduced into [0, n), and each diagonal entry d is
+    given as gcd(d, n), the divisor of n that generates the same ideal of
+    Z/n (a zero entry reads n); the row module in (Z/n)^width is then the
+    sum of the Z/(n / d_i).
+    """
+    work = [[x % modulus for x in r] if modulus else list(map(int, r)) for r in rows]
+    if any(len(r) != width for r in work):
+        raise ValueError("row width mismatch")
+    diag = [0] * min(len(work), width)
+    # zero rows take no part in the elimination, only in the diagonal's length
+    work = [r for r in work if any(r)]
+    m = len(work)
+    for t in range(min(m, width)):
+        while True:
+            # the pivot has the least absolute value in the block, so every
+            # remainder below or right of it is smaller and Euclid ends; no
+            # entry is smaller than a unit
+            best, pivot = 0, None
+            for i in range(t, m):
+                row = work[i]
+                for j in range(t, width):
+                    val = abs(row[j])
+                    if val and (not best or val < best):
+                        best, pivot = val, (i, j)
+                if best == 1:
+                    break
+            if pivot is None:
+                break
+            pi, pj = pivot
+            work[t], work[pi] = work[pi], work[t]
+            if pj != t:
+                for r in work[t:]:
+                    r[t], r[pj] = r[pj], r[t]
+            top = work[t]
+            p = top[t]
+            dirty = False
+            for r in work[t + 1:]:
+                q = r[t] // p
+                if q:
+                    r[t:] = [x - q * y for x, y in zip(r[t:], top[t:])]
+                    if modulus:
+                        r[t:] = [x % modulus for x in r[t:]]
+                dirty = dirty or r[t] != 0
+            for j in range(t + 1, width):
+                q = top[j] // p
+                if q:
+                    for r in work[t:]:
+                        r[j] -= q * r[t]
+                        if modulus:
+                            r[j] %= modulus
+                dirty = dirty or top[j] != 0
+            if not dirty:
+                diag[t] = p
+                break
+        if pivot is None:
+            break
+    diag = [gcd(x, modulus) for x in diag] if modulus else [abs(x) for x in diag]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            if g != a:
+                diag[i], diag[j] = g, a * b // g if g else 0
+    return tuple(diag)
 
 
 @dataclass(frozen=True)

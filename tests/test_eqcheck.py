@@ -16,6 +16,7 @@ from fdzring.eqcheck import (
     _candidate_images,
     _extends_to_basis,
     _FoldedLevel,
+    _group_invariants,
     _iso_witnesses,
     _LazyPool,
     _search,
@@ -95,6 +96,26 @@ def test_closed_form_fingerprints_match_the_subgroup_oracle():
         assert invariant_profile(ring).fingerprints == profile_fingerprints_oracle(ring), ring
 
 
+def test_profile_invariants_match_the_presented_groups():
+    # every field is read off a transform-free Smith diagonal; the groups
+    # the library presents with a full diagonal presentation must agree
+    corpus = _corpus_rings()
+    rng = random.Random(43)
+    generated = [random_ring_of_rank(rng, 1 + n % 7) for n in range(100)]
+    rings = corpus + [direct_product(z0_ring(), r) for r in corpus] + generated
+    rings.append(FdzRing((), ()))
+    for ring in rings:
+        chain = characteristic_ideals(ring)
+        profile = invariant_profile(ring)
+        for name in ("ann", "sq", "delta", "k_ideal", "l_ideal"):
+            ideal = getattr(chain, name)
+            assert _group_invariants(ideal) == ideal.as_group()[0].invariant_factors, (ring, name)
+        assert profile.additive == ring.additive.invariant_factors
+        assert profile.m_quot == chain.m_quot.invariant_factors
+        assert profile.n_quot == chain.n_quot.invariant_factors
+        assert profile.mod_square == chain.sq.quotient().invariant_factors
+
+
 def _profile_pairs() -> list[tuple[FdzRing, FdzRing]]:
     """Seeded pairs: unrelated rings, rings over equal orders, transports."""
     rng = random.Random(31)
@@ -166,6 +187,39 @@ def test_padded_search_never_refutes():
     z0 = z0_ring()
     padded = _search(direct_product(z0, zero), direct_product(z0, unit), 5, 150_000, 0)
     assert padded.kind == "unknown" and padded.reason == "bounded search exhausted"
+
+
+def test_finite_pair_refuted_by_exhausted_padded_search():
+    f2 = FdzRing((2,), (((1,),),))
+    f2xf2 = direct_product(f2, f2)
+    # F4 = F2[x]/(x^2 + x + 1) on the basis 1, x
+    f4 = FdzRing((2, 2), (((1, 0), (0, 1)), ((0, 1), (1, 1))))
+    assert invariant_profile(f4) == invariant_profile(f2xf2)
+    for seed in range(3):
+        for bound in (1, 5):
+            res = equivalence_verdict(f4, f2xf2, coeff_bound=bound, seed=seed)
+            assert res.kind == "not_equivalent" and "isomorphi" in res.reason
+            assert equivalence_verdict(f4, f4, coeff_bound=bound, seed=seed).kind == "equivalent"
+    # running out of budget is never a refutation
+    assert equivalence_verdict(f4, f2xf2, max_nodes=3).kind == "unknown"
+
+
+def test_finite_verdicts_agree_with_brute_force_isomorphism():
+    rng = random.Random(47)
+    kinds = Counter()
+    for n in range(150):
+        a = random_finite_ring(rng)
+        if n % 3 == 2:
+            b = transport(a, *random_lattice_preserving_unimodular(rng, a.orders))
+        else:
+            b = random_ring_over(rng, a.orders)
+        if invariant_profile(a) != invariant_profile(b):
+            continue
+        res = equivalence_verdict(a, b, max_nodes=20_000)
+        assert res.kind in ("equivalent", "not_equivalent"), (a, b, res)
+        assert (res.kind == "equivalent") == brute_force_isomorphic(a, b), (a, b)
+        kinds[res.kind] += 1
+    assert kinds["equivalent"] >= 20 and kinds["not_equivalent"] >= 10, kinds
 
 
 def test_iso_search_identity_and_null():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from fdzring.intlinalg import (
     preimage_lattice,
     row_times_matrix,
     smith,
+    smith_diagonal,
     solve_congruences,
     vec_add,
 )
@@ -311,3 +313,53 @@ def test_diagonal_presentation():
             for _ in range(rng.randint(0, 5))
         ]
         check_diagonal_presentation(relations, rank)
+
+
+def _smith_diagonal_cases():
+    """Seeded matrices with the shapes the elimination has to get right."""
+    rng = random.Random(41)
+    cases = [
+        ([], 3),
+        ([[], []], 0),
+        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([[2, 4], [6, 8]], 2),
+        ([[0, 0], [0, 6]], 2),
+        ([[-4, 0], [0, -6]], 2),
+        ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3),
+        ([[4], [6], [10], [0]], 1),
+    ]
+    for n in range(300):
+        m, w = rng.randint(1, 7), rng.randint(1, 6)
+        if n % 4 == 0:
+            m = w + rng.randint(1, 3)
+        rows = _random_rows(rng, m, w, bound=20)
+        if n % 5 == 1 and m >= 2:
+            # rank-deficient: one row a multiple of another
+            first, second = rng.sample(range(m), 2)
+            rows[second] = [rng.choice((-3, 2, 5)) * x for x in rows[first]]
+        cases.append((rows, w))
+    return cases
+
+
+def test_smith_diagonal_over_z_matches_smith():
+    shapes = set()
+    for rows, width in _smith_diagonal_cases():
+        expect = smith(IntMatrix(rows, cols=width)).diagonal
+        assert smith_diagonal(rows, width) == expect, rows
+        shapes.add(
+            "empty" if not rows else "narrow" if not width else
+            "tall" if len(rows) > width else "deficient" if 0 in expect else "full"
+        )
+    assert shapes == {"empty", "narrow", "tall", "deficient", "full"}
+
+
+def test_smith_diagonal_over_z_mod_n_is_gcd_with_n():
+    for rows, width in _smith_diagonal_cases():
+        integral = smith(IntMatrix(rows, cols=width)).diagonal
+        for n in range(2, 17):
+            assert smith_diagonal(rows, width, n) == tuple(gcd(d, n) for d in integral), (rows, n)
+
+
+def test_smith_diagonal_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        smith_diagonal([[1, 2], [3]], 2)
