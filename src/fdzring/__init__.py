@@ -58,8 +58,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "FgAbelianGroup", "GroupError", "Subgroup", "invariant_factors", "quotient_group",
-            "saturation", "split_complement", "subgroup_intersect", "subgroup_sum",
+            "FgAbelianGroup", "GroupError", "Subgroup", "split_complement",
         ),
         "groups",
     ),

@@ -20,24 +20,10 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .groups import Subgroup
 from .intlinalg import (
     IntMatrix, Vec, hermite_rows, preimage_lattice, row_times_matrix, smith_diagonal
 )
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
-
-
-def _invariant_factors(relations: Sequence[Sequence[int]], rank: int) -> Vec:
-    """Invariant factors of Z^rank modulo the relations: the Smith diagonal
-    padded with zeros to ``rank``, unit factors dropped."""
-    diag = smith_diagonal(relations, rank)
-    return tuple(d for d in diag + (0,) * (rank - len(diag)) if d != 1)
-
-
-def _group_invariants(s: Subgroup) -> Vec:
-    """The invariant factors of ``s.as_group()``, with no diagonal presentation."""
-    basis = IntMatrix(s.lift_basis, cols=s.parent.rank)
-    return _invariant_factors(preimage_lattice(basis, s.parent.relation_basis), basis.rows)
 
 
 @dataclass(frozen=True)
@@ -77,7 +63,9 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     """The invariant profile of A, every field read off a Smith diagonal.
 
     No field needs the coordinate change of a Smith form, so each comes
-    from ``smith_diagonal``, which builds no transform.  A = Z^r / diag(d_i)
+    from ``smith_diagonal``, which builds no transform: the ideal and
+    quotient fields through ``FgAbelianGroup.invariant_factors`` of the
+    chain's groups, the fingerprints directly.  A = Z^r / diag(d_i)
     with d_i = ``a.orders``, so nA lifts to the lattice L = diag(g_j),
     g_j = gcd(n, d_j) with gcd(n, 0) = n, and |A/nA| = prod g_j.  A/nA is
     the sum of the Z/gcd(n, e) over the invariant factors e of A; gcd(n, .)
@@ -91,7 +79,7 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     elimination per modulus, with no preimage lattice.
     """
     chain = characteristic_ideals(a)
-    additive = _invariant_factors(a.additive.relation_basis, a.rank)
+    additive = a.additive.invariant_factors
     square = chain.sq.lift_basis
     fingerprints = []
     for n in FINGERPRINT_RANGE:
@@ -103,14 +91,14 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
         fingerprints.append((n, prod(scaled), quotient, image))
     return InvariantProfile(
         additive=additive,
-        ann=_group_invariants(chain.ann),
-        square=_group_invariants(chain.sq),
-        delta=_group_invariants(chain.delta),
-        k_ideal=_group_invariants(chain.k_ideal),
-        l_ideal=_group_invariants(chain.l_ideal),
-        m_quot=_invariant_factors(chain.m_quot.relation_basis, chain.m_quot.rank),
-        n_quot=_invariant_factors(chain.n_quot.relation_basis, chain.n_quot.rank),
-        mod_square=_invariant_factors(square, a.rank),
+        ann=chain.ann.as_group()[0].invariant_factors,
+        square=chain.sq.as_group()[0].invariant_factors,
+        delta=chain.delta.as_group()[0].invariant_factors,
+        k_ideal=chain.k_ideal.as_group()[0].invariant_factors,
+        l_ideal=chain.l_ideal.as_group()[0].invariant_factors,
+        m_quot=chain.m_quot.invariant_factors,
+        n_quot=chain.n_quot.invariant_factors,
+        mod_square=chain.sq.quotient().invariant_factors,
         fingerprints=tuple(fingerprints),
     )
 

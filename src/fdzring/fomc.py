@@ -12,21 +12,20 @@ product sets) and the block reduces to a containment or intersection test.
 The strategy is sound, not approximate: whenever exactness cannot be
 guaranteed the evaluator falls back to plain enumeration.
 
-The fast evaluator (``optimize=True``) runs on a ring compiled for the
-call.  Elements are numbered 0..N-1 in ``ring.elements()`` order (mixed
-radix, last coordinate fastest).  Negation is one list; the addition row
-of a is built by Horner over the digits, and the multiplication row of a
-by bilinearity from the rank products a·e_j and the addition table, each
-the first time a is used as a left operand, so a formula that needs few
-lookups never pays N² (Libkin, *Elements of Finite Model Theory*, ch. 6:
-bottom-up evaluation by relation tables).  Two memos live on the compiled
-ring: value sets, keyed by (term, its quantified variables, the values of
-its other free variables), and the truth of quantifier nodes, keyed by
-(node, the values of its free variables).  So a side of an equation that
-does not mention the defined variable is built once, not once per
-element.  ``optimize=False`` is the semantic reference the fast path is
-tested against: plain recursion on coordinate tuples through ``FdzRing``
-arithmetic, with no tables and no memo.
+Every call runs on a ring compiled for it.  Elements are numbered 0..N-1
+in ``ring.elements()`` order (mixed radix, last coordinate fastest).
+Negation is one list; the addition row of a is built by Horner over the
+digits, and the multiplication row of a by bilinearity from the rank
+products a·e_j and the addition table, each the first time a is used as a
+left operand, so a formula that needs few lookups never pays N² (Libkin,
+*Elements of Finite Model Theory*, ch. 6: bottom-up evaluation by relation
+tables).  Two memos live on the compiled ring: value sets, keyed by (term,
+its quantified variables, the values of its other free variables), and the
+truth of quantifier nodes, keyed by (node, the values of its free
+variables).  So a side of an equation that does not mention the defined
+variable is built once, not once per element.  The tests check this
+evaluator against a plain Tarskian one on coordinate tuples, kept in
+``tests/oracles.py`` so that it shares no code with this module.
 
 The concrete formula syntax is fully parenthesized prefix text, e.g.
 ``(exists x1 (eq x (mul x1 x1)))``; ``sub`` is sugar for adding a negation.
@@ -42,7 +41,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .intlinalg import Vec
 from .rings import FdzRing
 
 CARRIER_GUARD = 4096
@@ -269,26 +267,6 @@ def exists_closure(f: Formula) -> Formula:
 # -- evaluation ----------------------------------------------------------------
 
 
-class _Reference:
-    """Plain Tarskian semantics: coordinate tuples and ``FdzRing`` arithmetic.
-
-    No tables and no memo; the compiled model is tested against this one.
-    """
-
-    fast = False
-
-    def __init__(self, ring: FdzRing):
-        self.elements = list(ring.elements())
-        self.zero = ring.zero()
-        self.add, self.neg, self.mul = ring.add, ring.neg, ring.mul
-
-    def encode(self, vec: Vec) -> Vec:
-        return vec
-
-    def decode(self, value: Vec) -> Vec:
-        return value
-
-
 class _Model:
     """A finite ring compiled to index tables, plus the memos of one call.
 
@@ -297,9 +275,13 @@ class _Model:
     2**16) and ``rows_built`` counts them.
     """
 
-    fast = True
-
     def __init__(self, ring: FdzRing):
+        if ring.order is None:
+            raise FormulaError("model checking requires a finite ring")
+        if ring.order > CARRIER_GUARD:
+            raise FormulaError(
+                f"carrier of size {ring.order} exceeds the guard {CARRIER_GUARD}"
+            )
         self.ring = ring
         self.carrier = list(ring.elements())
         self.size = len(self.carrier)
@@ -319,11 +301,6 @@ class _Model:
         for x, d in zip(vec, self.ring.orders):
             i = i * d + x
         return i
-
-    encode = index
-
-    def decode(self, i: int) -> Vec:
-        return self.carrier[i]
 
     def _horner(self, digit_maps: Sequence[Sequence[int]]) -> list[int]:
         """For every element c in carrier order, the index of the element
@@ -380,34 +357,23 @@ class _Model:
         return found
 
 
-def _model(ring: FdzRing, optimize: bool) -> _Model | _Reference:
-    if ring.order is None:
-        raise FormulaError("model checking requires a finite ring")
-    if ring.order > CARRIER_GUARD:
-        raise FormulaError(
-            f"carrier of size {ring.order} exceeds the guard {CARRIER_GUARD}"
-        )
-    return _Model(ring) if optimize else _Reference(ring)
-
-
 def evaluate(
     ring: FdzRing,
     formula: Formula,
     assignment: dict[str, Sequence[int]] | None = None,
-    optimize: bool = True,
 ) -> bool:
     """Tarskian truth of the formula under the assignment."""
-    model = _model(ring, optimize)
+    model = _Model(ring)
     env = {}
     for name, value in (assignment or {}).items():
-        env[name] = model.encode(ring.reduce(value))
+        env[name] = model.index(ring.reduce(value))
     missing = free_variables(formula) - set(env)
     if missing:
         raise FormulaError(f"unassigned free variables: {sorted(missing)}")
     return _eval(model, formula, env)
 
 
-def defined_set(ring: FdzRing, formula: Formula, optimize: bool = True) -> list[tuple[int, ...]]:
+def defined_set(ring: FdzRing, formula: Formula) -> list[tuple[int, ...]]:
     """The set defined by a formula with exactly one free variable."""
     free = free_variables(formula)
     if len(free) != 1:
@@ -415,15 +381,15 @@ def defined_set(ring: FdzRing, formula: Formula, optimize: bool = True) -> list[
             f"defined_set needs exactly one free variable, got {sorted(free)}"
         )
     (name,) = free
-    model = _model(ring, optimize)
+    model = _Model(ring)
     return sorted(
-        model.decode(element)
+        model.carrier[element]
         for element in model.elements
         if _eval(model, formula, {name: element})
     )
 
 
-def _term_value(model: _Model | _Reference, t: Term, env):
+def _term_value(model: _Model, t: Term, env):
     match t:
         case Var(name):
             return env[name]
@@ -438,7 +404,7 @@ def _term_value(model: _Model | _Reference, t: Term, env):
     raise FormulaError(f"not a term: {t!r}")
 
 
-def _eval(model: _Model | _Reference, f: Formula, env) -> bool:
+def _eval(model: _Model, f: Formula, env) -> bool:
     match f:
         case Eq(l, r):
             return _term_value(model, l, env) == _term_value(model, r, env)
@@ -451,8 +417,6 @@ def _eval(model: _Model | _Reference, f: Formula, env) -> bool:
         case Implies(l, r):
             return not _eval(model, l, env) or _eval(model, r, env)
         case Exists(_, _) | Forall(_, _):
-            if not model.fast:
-                return _quantify(model, f, env)
             key = (id(f), tuple(env[v] for v in model.names(f)))
             truth = model.truth.get(key)
             if truth is None:
@@ -464,7 +428,7 @@ def _eval(model: _Model | _Reference, f: Formula, env) -> bool:
     raise FormulaError(f"not a formula: {f!r}")
 
 
-def _quantify(model: _Model | _Reference, f: Exists | Forall, env) -> bool:
+def _quantify(model: _Model, f: Exists | Forall, env) -> bool:
     test = any if isinstance(f, Exists) else all
     return test(_eval(model, f.body, {**env, f.var: e}) for e in model.elements)
 

@@ -27,6 +27,7 @@ from .intlinalg import (
     preimage_lattice,
     row_times_matrix,
     smith,
+    smith_diagonal,
     vec_add,
     vec_scale,
 )
@@ -73,10 +74,15 @@ class FgAbelianGroup:
         """This group as a product of cyclic groups, with coordinate maps."""
         return diagonal_presentation(self.relation_basis, self.rank)
 
-    @property
+    @cached_property
     def invariant_factors(self) -> Vec:
-        """d1 | d2 | ... then zeros for free rank; unit factors dropped."""
-        return self.diagonal.orders
+        """d1 | d2 | ... then zeros for free rank; unit factors dropped.
+
+        Read off ``smith_diagonal``, which builds no coordinate change, so
+        the group's invariants never pay for ``diagonal``'s transforms.
+        """
+        diag = smith_diagonal(self.relation_basis, self.rank)
+        return tuple(d for d in diag + (0,) * (self.rank - len(diag)) if d != 1)
 
     @cached_property
     def order(self) -> int | None:
@@ -129,10 +135,10 @@ class FgAbelianGroup:
         assert self.order is not None
         if self.order > limit:
             raise GroupError(f"group of order {self.order} exceeds enumeration limit")
-        lift = self.diagonal.lift
+        diagonal = self.diagonal
         # coordinates y over the cyclic factors; x = y·lift
-        for y in itertools.product(*(range(d) for d in self.invariant_factors)):
-            yield self.reduce(row_times_matrix(y, lift))
+        for y in itertools.product(*(range(d) for d in diagonal.orders)):
+            yield self.reduce(row_times_matrix(y, diagonal.lift))
 
     def zero(self) -> Vec:
         return tuple([0] * self.rank)
@@ -275,28 +281,6 @@ class Subgroup:
         raw vector in the lattice is exactly membership in the subgroup.
         """
         return hermite_coordinates(self.lift_basis, vec)
-
-
-def subgroup_sum(s: Subgroup, t: Subgroup) -> Subgroup:
-    return s.sum(t)
-
-
-def subgroup_intersect(s: Subgroup, t: Subgroup) -> Subgroup:
-    return s.intersect(t)
-
-
-def saturation(s: Subgroup) -> Subgroup:
-    return s.saturate()
-
-
-def quotient_group(g: FgAbelianGroup, s: Subgroup) -> FgAbelianGroup:
-    if s.parent != g:
-        raise GroupError("subgroup does not live in the given group")
-    return s.quotient()
-
-
-def invariant_factors(g: FgAbelianGroup) -> Vec:
-    return g.invariant_factors
 
 
 def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:

@@ -3,6 +3,9 @@
 Most of these work by exhaustive element enumeration on finite rings,
 deliberately avoiding the lattice machinery they are used to check.  The
 rest keep a recipe the library used before a rewrite, as its reference.
+The Tarskian evaluator and the cocycle value tables at the end are the
+references for the model checker and for the cyclic normal form of
+cocycles; the library holds neither.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import random
 from math import gcd
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
+from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
 from fdzring.groups import FgAbelianGroup, quotient_of_subgroups
 from fdzring.intlinalg import (
     IntMatrix,
     Vec,
+    hermite_reduce,
     hermite_rows,
     row_times_matrix,
     smith,
@@ -561,3 +566,194 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
     yield from dfs(0)
     if budget[0] <= 0:
         yield None
+
+
+# -- first-order semantics ------------------------------------------------------
+
+
+def _formula_free(f) -> frozenset:
+    """Free variable names of a term or formula."""
+    match f:
+        case Var(name):
+            return frozenset((name,))
+        case Zero():
+            return frozenset()
+        case Neg(x) | Not(x):
+            return _formula_free(x)
+        case Add(l, r) | Mul(l, r) | Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
+            return _formula_free(l) | _formula_free(r)
+        case Exists(v, body) | Forall(v, body):
+            return _formula_free(body) - {v}
+    raise TypeError(f"not a term or formula: {f!r}")
+
+
+def _tarski_term(ring: FdzRing, t, env) -> Vec:
+    match t:
+        case Var(name):
+            return env[name]
+        case Zero():
+            return ring.zero()
+        case Add(l, r):
+            return ring.add(_tarski_term(ring, l, env), _tarski_term(ring, r, env))
+        case Neg(x):
+            return ring.neg(_tarski_term(ring, x, env))
+        case Mul(l, r):
+            return ring.mul(_tarski_term(ring, l, env), _tarski_term(ring, r, env))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _tarski(ring: FdzRing, elements, f, env) -> bool:
+    match f:
+        case Eq(l, r):
+            return _tarski_term(ring, l, env) == _tarski_term(ring, r, env)
+        case Not(x):
+            return not _tarski(ring, elements, x, env)
+        case And(l, r):
+            return _tarski(ring, elements, l, env) and _tarski(ring, elements, r, env)
+        case Or(l, r):
+            return _tarski(ring, elements, l, env) or _tarski(ring, elements, r, env)
+        case Implies(l, r):
+            return not _tarski(ring, elements, l, env) or _tarski(ring, elements, r, env)
+        case Exists(v, body):
+            return any(_tarski(ring, elements, body, {**env, v: e}) for e in elements)
+        case Forall(v, body):
+            return all(_tarski(ring, elements, body, {**env, v: e}) for e in elements)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def tarski_evaluate(ring: FdzRing, formula, assignment=None) -> bool:
+    """Tarskian truth on a finite ring by plain recursion.
+
+    Elements are reduced coordinate tuples and every operation is the
+    ring's own ``add``/``neg``/``mul``: no index tables, no value sets and
+    no memo, and nothing from the model checker but its formula classes.
+    """
+    env = {name: ring.reduce(value) for name, value in (assignment or {}).items()}
+    assert _formula_free(formula) <= set(env), "unassigned free variables"
+    return _tarski(ring, list(ring.elements()), formula, env)
+
+
+def tarski_defined_set(ring: FdzRing, formula) -> list[Vec]:
+    """The sorted elements satisfying a formula in one free variable."""
+    (name,) = _formula_free(formula)
+    elements = list(ring.elements())
+    return sorted(e for e in elements if _tarski(ring, elements, formula, {name: e}))
+
+
+# -- cocycles as value tables -----------------------------------------------------
+
+
+def _reduce_mod(vec, orders) -> Vec:
+    return tuple(int(x) % d if d else int(x) for x, d in zip(vec, orders))
+
+
+class TableCocycle:
+    """A map G x G -> D on a finite diagonal group G, given by its values on
+    canonical representatives, with no claim that it is a cocycle."""
+
+    def __init__(self, source_orders, target_orders, table):
+        self.source_orders = tuple(int(d) for d in source_orders)
+        self.target_orders = tuple(int(d) for d in target_orders)
+        if any(d == 0 for d in self.source_orders):
+            raise ValueError("table representation requires a finite source")
+        self.table = {
+            (_reduce_mod(x, self.source_orders), _reduce_mod(y, self.source_orders)):
+                _reduce_mod(v, self.target_orders)
+            for (x, y), v in table.items()
+        }
+
+    @classmethod
+    def of(cls, c) -> "TableCocycle":
+        """The value table of a cocycle with a finite source."""
+        elements = source_elements(c)
+        table = {(x, y): c.evaluate(x, y) for x in elements for y in elements}
+        return cls(c.source_orders, c.target_orders, table)
+
+    def evaluate(self, x, y) -> Vec:
+        key = (_reduce_mod(x, self.source_orders), _reduce_mod(y, self.source_orders))
+        value = self.table.get(key)
+        if value is None:
+            raise ValueError("value table is incomplete")
+        return value
+
+
+def source_elements(c) -> list[Vec]:
+    """The canonical representatives of a cocycle's finite source."""
+    return [tuple(v) for v in FgAbelianGroup.from_orders(c.source_orders).elements(4096)]
+
+
+def table_cocycle_defect(c) -> str | None:
+    """Why the table is not a symmetric normalized 2-cocycle, or None.
+
+    Checks c(0, x) = c(x, 0) = 0, c(x, y) = c(y, x) and the three-term
+    identity c(x, y) + c(x + y, z) = c(y, z) + c(x, y + z) on every triple.
+    """
+    src = FgAbelianGroup.from_orders(c.source_orders)
+    target = FgAbelianGroup.from_orders(c.target_orders)
+    elements = source_elements(c)
+    zero = src.zero()
+    for x in elements:
+        if any(c.evaluate(zero, x)) or any(c.evaluate(x, zero)):
+            return "not normalized"
+        for y in elements:
+            if c.evaluate(x, y) != c.evaluate(y, x):
+                return "not symmetric"
+            for z in elements:
+                lhs = [p + q for p, q in zip(c.evaluate(x, y), c.evaluate(src.add(x, y), z))]
+                rhs = [p + q for p, q in zip(c.evaluate(y, z), c.evaluate(x, src.add(y, z)))]
+                if target.reduce(lhs) != target.reduce(rhs):
+                    return "three-term identity fails"
+    return None
+
+
+def table_is_coboundary(c) -> bool:
+    """Whether c(x, y) = t(x) + t(y) - t(x + y) for some t with t(0) = 0,
+    solved as one congruence system in the values of t."""
+    src = FgAbelianGroup.from_orders(c.source_orders)
+    elements = source_elements(c)
+    nonzero = [x for x in elements if any(x)]
+    index = {x: i for i, x in enumerate(nonzero)}
+    tdim = len(c.target_orders)
+    nunk = len(nonzero) * tdim
+    eqs, moduli, rhs = [], [], []
+    for x in elements:
+        for y in elements:
+            value = c.evaluate(x, y)
+            s = src.add(x, y)
+            for k in range(tdim):
+                row = [0] * nunk
+                for point, sign in ((x, 1), (y, 1), (s, -1)):
+                    if any(point):
+                        row[index[point] * tdim + k] += sign
+                eqs.append(row)
+                moduli.append(c.target_orders[k])
+                rhs.append(value[k])
+    return solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk) is not None
+
+
+def table_ext_classes(c) -> tuple[Vec, ...]:
+    """Per cyclic source factor of order e, the sum of c(g, i·g) for
+    i = 0..e-1 along its generator g, reduced modulo e·D."""
+    src = FgAbelianGroup.from_orders(c.source_orders)
+    tdim = len(c.target_orders)
+    relations = [list(r) for r in FgAbelianGroup.from_orders(c.target_orders).relation_basis]
+    classes = []
+    for i, e in enumerate(c.source_orders):
+        gen = tuple(1 if j == i else 0 for j in range(len(c.source_orders)))
+        total = [0] * tdim
+        point = src.zero()
+        for _ in range(e):
+            total = [p + q for p, q in zip(total, c.evaluate(gen, point))]
+            point = src.add(point, gen)
+        scaled = [[e if j == k else 0 for j in range(tdim)] for k in range(tdim)]
+        classes.append(hermite_reduce(hermite_rows(scaled + relations, tdim), total))
+    return tuple(classes)
+
+
+def cocycle_pair_add(c, a: tuple[Vec, Vec], b: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
+    """The twisted addition (g1, d1) + (g2, d2) = (g1 + g2, d1 + d2 + c(g1, g2))
+    on source x target pairs."""
+    g = _reduce_mod([x + y for x, y in zip(a[0], b[0])], c.source_orders)
+    twist = c.evaluate(a[0], b[0])
+    d = _reduce_mod([x + y + t for x, y, t in zip(a[1], b[1], twist)], c.target_orders)
+    return g, d

@@ -5,9 +5,11 @@ import pytest
 
 from fdzring.cli import main
 from fdzring.corpus import NAMED_RINGS, z_mod
-from fdzring.fomc import NESTING_GUARD, defined_set, parse_formula
+from fdzring.fomc import NESTING_GUARD, parse_formula
 from fdzring.ringfile import RANK_LIMIT, RingFileError, parse_ring_text, serialize_ring
 from fdzring.rings import FdzRing
+
+from oracles import tarski_defined_set
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -167,7 +169,7 @@ def test_modelcheck_nesting_guard(capsys, tmp_path):
 
     code, out, _ = modelcheck(nested(NESTING_GUARD))
     assert code == 0
-    plain = defined_set(z_mod(4), parse_formula(nested(NESTING_GUARD)), optimize=False)
+    plain = tarski_defined_set(z_mod(4), parse_formula(nested(NESTING_GUARD)))
     assert json.loads(out)["elements"] == [list(e) for e in plain] == [[2], [3]]
     for depth in (NESTING_GUARD + 1, 3000):
         code, out, err = modelcheck(nested(depth))

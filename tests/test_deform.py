@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from fdzring.deform import (
     build_deformation,
     build_group_extension,
     cocycle_analyze,
-    cocycle_pair_add,
     cyclic_cocycle,
     verify_sixterm,
     zero_cocycle,
@@ -22,12 +22,13 @@ from fdzring.groups import FgAbelianGroup
 from fdzring.rings import FdzRing, characteristic_ideals
 from fdzring.intlinalg import row_times_matrix
 
-
-def table_copy(c: SymmetricCocycle) -> SymmetricCocycle:
-    """Re-express a finite-source cocycle as a raw value table."""
-    elements = c.source_elements()
-    table = {(x, y): c.evaluate(x, y) for x in elements for y in elements}
-    return SymmetricCocycle(c.source_orders, c.target_orders, table=table)
+from oracles import (
+    TableCocycle,
+    cocycle_pair_add,
+    table_cocycle_defect,
+    table_ext_classes,
+    table_is_coboundary,
+)
 
 
 def test_cyclic_cocycle_values():
@@ -45,8 +46,8 @@ def test_cyclic_cocycles_satisfy_identity():
     for e in range(1, 7):
         for target in ((0,), (4,), (2, 3)):
             value = tuple(1 if i == 0 else 2 for i in range(len(target)))
-            c = table_copy(cyclic_cocycle(e, value, target))
-            assert cocycle_analyze(c).is_cocycle
+            c = TableCocycle.of(cyclic_cocycle(e, value, target))
+            assert table_cocycle_defect(c) is None
 
 
 def test_cocycle_analyze_classes():
@@ -61,19 +62,47 @@ def test_cocycle_analyze_classes():
 
 
 def test_cocycle_analyze_table_matches_cyclic():
-    for e in (2, 3, 4):
-        for d in range(4):
-            c = cyclic_cocycle(e, (d,), (4,))
-            t = table_copy(c)
-            a_c, a_t = cocycle_analyze(c), cocycle_analyze(t)
-            assert a_t.is_cocycle
-            assert a_c.is_coboundary == a_t.is_coboundary
-            assert a_c.ext_classes == a_t.ext_classes
+    cocycles = [cyclic_cocycle(e, (d,), (4,)) for e in (2, 3, 4) for d in range(4)]
+    # several factors: the value at (x, y) sums the values of the factors that wrap
+    rng = random.Random(58)
+    for source in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)):
+        for target in ((4,), (2, 2), (6,)):
+            target_elements = list(FgAbelianGroup.from_orders(target).elements())
+            values = [rng.choice(target_elements) for _ in source]
+            cocycles.append(SymmetricCocycle(source, target, cyclic_values=values))
+    for c in cocycles:
+        t = TableCocycle.of(c)
+        a_c = cocycle_analyze(c)
+        assert table_cocycle_defect(t) is None, c.cyclic_values
+        assert a_c.is_coboundary == table_is_coboundary(t), c.cyclic_values
+        assert a_c.ext_classes == table_ext_classes(t), c.cyclic_values
+
+
+def test_table_oracle_refuses_broken_tables():
+    def table(orders, target, value):
+        elements = list(FgAbelianGroup.from_orders(orders).elements())
+        values = {(x, y): value(x, y) for x in elements for y in elements}
+        return TableCocycle(orders, target, values)
+
+    # the bilinear form x0·y1 on (Z/2)^2 is normalized and meets the
+    # three-term identity, but c(e0, e1) = 1 while c(e1, e0) = 0
+    asymmetric = table((2, 2), (2,), lambda x, y: (x[0] * y[1],))
+    assert table_cocycle_defect(asymmetric) == "not symmetric"
+    # the constant 1 on Z/2 is symmetric and meets the three-term identity,
+    # but c(0, x) = 1
+    constant = table((2,), (2,), lambda x, y: (1,))
+    assert table_cocycle_defect(constant) == "not normalized"
+    # symmetric and normalized, but at (1, 1, 2) on Z/3:
+    # c(1, 1) + c(2, 2) = 1 while c(1, 2) + c(1, 0) = 0
+    lone = table((3,), (3,), lambda x, y: (int(x == y == (1,)),))
+    assert table_cocycle_defect(lone) == "three-term identity fails"
+    # while the staircase on the same group passes
+    assert table_cocycle_defect(TableCocycle.of(cyclic_cocycle(3, (1,), (3,)))) is None
 
 
 def test_table_requires_finite_source():
-    with pytest.raises(CocycleError):
-        SymmetricCocycle((0,), (2,), table={((0,), (0,)): (0,)})
+    with pytest.raises(ValueError, match="finite source"):
+        TableCocycle((0,), (2,), {((0,), (0,)): (0,)})
 
 
 def test_infinite_factor_value_must_vanish():

@@ -16,7 +16,6 @@ from fdzring.eqcheck import (
     _candidate_images,
     _extends_to_basis,
     _FoldedLevel,
-    _group_invariants,
     _iso_witnesses,
     _LazyPool,
     _search,
@@ -97,8 +96,9 @@ def test_closed_form_fingerprints_match_the_subgroup_oracle():
 
 
 def test_profile_invariants_match_the_presented_groups():
-    # every field is read off a transform-free Smith diagonal; the groups
-    # the library presents with a full diagonal presentation must agree
+    # every field is read off a transform-free Smith diagonal; the diagonal
+    # presentations of the same groups, built on Smith with transforms,
+    # must agree
     corpus = _corpus_rings()
     rng = random.Random(43)
     generated = [random_ring_of_rank(rng, 1 + n % 7) for n in range(100)]
@@ -107,13 +107,16 @@ def test_profile_invariants_match_the_presented_groups():
     for ring in rings:
         chain = characteristic_ideals(ring)
         profile = invariant_profile(ring)
-        for name in ("ann", "sq", "delta", "k_ideal", "l_ideal"):
-            ideal = getattr(chain, name)
-            assert _group_invariants(ideal) == ideal.as_group()[0].invariant_factors, (ring, name)
-        assert profile.additive == ring.additive.invariant_factors
-        assert profile.m_quot == chain.m_quot.invariant_factors
-        assert profile.n_quot == chain.n_quot.invariant_factors
-        assert profile.mod_square == chain.sq.quotient().invariant_factors
+        for name, field in (
+            ("ann", "ann"), ("sq", "square"), ("delta", "delta"), ("k_ideal", "k_ideal"),
+            ("l_ideal", "l_ideal"),
+        ):
+            group = getattr(chain, name).as_group()[0]
+            assert getattr(profile, field) == group.diagonal.orders, (ring, name)
+        assert profile.additive == ring.additive.diagonal.orders
+        assert profile.m_quot == chain.m_quot.diagonal.orders
+        assert profile.n_quot == chain.n_quot.diagonal.orders
+        assert profile.mod_square == chain.sq.quotient().diagonal.orders
 
 
 def _profile_pairs() -> list[tuple[FdzRing, FdzRing]]:

@@ -41,6 +41,8 @@ from oracles import (
     random_finite_ring,
     subgroup_elements,
     sums_of_products,
+    tarski_defined_set,
+    tarski_evaluate,
 )
 
 
@@ -252,9 +254,7 @@ def test_optimizer_matches_naive():
     for _ in range(400):
         formula = exists_closure(rand_formula(3, names))
         ring = rng.choice(rings)
-        assert evaluate(ring, formula, optimize=True) == evaluate(
-            ring, formula, optimize=False
-        ), format_formula(formula)
+        assert evaluate(ring, formula) == tarski_evaluate(ring, formula), format_formula(formula)
 
 
 def test_optimizer_matches_naive_wider_carriers():
@@ -283,9 +283,7 @@ def test_optimizer_matches_naive_wider_carriers():
             formula = ctor(var, formula)
         formula = exists_closure(formula)
         ring = rng.choice(rings)
-        assert evaluate(ring, formula, optimize=True) == evaluate(
-            ring, formula, optimize=False
-        ), format_formula(formula)
+        assert evaluate(ring, formula) == tarski_evaluate(ring, formula), format_formula(formula)
 
 
 def test_value_set_path_speed():
@@ -326,7 +324,7 @@ def test_compiled_rows_are_built_on_demand():
     x, y = (3, 5), (7, 11)
     formula = Eq(Mul(Var("x"), Var("y")), Add(Var("y"), Var("x")))
     truth = _eval(model, formula, {"x": model.index(x), "y": model.index(y)})
-    assert truth == evaluate(ring, formula, {"x": x, "y": y}, optimize=False)
+    assert truth == tarski_evaluate(ring, formula, {"x": x, "y": y})
     assert model.rows_built <= ring.rank + 2
 
 
@@ -347,15 +345,15 @@ def test_memo_reuse_matches_plain():
     rings = [reduce_mod_n(w_ring(), 4), reduce_mod_n(zx2_ring(), 4), z_mod(6)]
     for ring in rings:
         for formula in formulas:
-            assert defined_set(ring, formula) == defined_set(ring, formula, optimize=False), (
+            assert defined_set(ring, formula) == tarski_defined_set(ring, formula), (
                 ring.orders,
                 format_formula(formula),
             )
     for ring in (reduce_mod_n(w_ring(), 2), reduce_mod_n(zx2_ring(), 3)):
         for closure in (Exists("x2", psi(2)), Forall("x2", psi(2))):
             for v in ring.elements():
-                assert evaluate(ring, closure, {"x1": v}) == evaluate(
-                    ring, closure, {"x1": v}, optimize=False
+                assert evaluate(ring, closure, {"x1": v}) == tarski_evaluate(
+                    ring, closure, {"x1": v}
                 ), (ring.orders, v, format_formula(closure))
 
 
