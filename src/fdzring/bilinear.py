@@ -447,7 +447,8 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
                 row[m * m + k * n + s] += pi[s][c]
             for t in range(m):
                 row[t * m + c] -= pi[k][t]
-            eqs.append([sum(x * y for x, y in zip(row, z)) for z in basis])
+            support = [(j, x) for j, x in enumerate(row) if x]
+            eqs.append([sum(x * z[j] for j, x in support) for z in basis])
             moduli.append(f.domain_orders[c])
     res = solve_congruences(eqs, moduli, unknowns=len(basis))
     assert res is not None

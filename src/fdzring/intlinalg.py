@@ -10,8 +10,8 @@ with transforms serves ``diagonal_presentation`` (invariant factors plus
 the coordinate change onto them, read from ``v`` and ``vinv``) and
 saturation; ``smith_diagonal`` gives the diagonal alone, over Z or over
 Z/n with every entry reduced into [0, n), for invariants that need no
-coordinates.  Intended scale is small dense matrices (rank <= 12 plus the
-auxiliary systems built from them), so no sparsity is attempted.
+coordinates.  Hermite reduction works on sparse rows: the auxiliary
+systems of rank-12 rings are thousands of columns wide and nearly all zero.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
+SparseRow = dict[int, int]
 
 
 def _as_vec(values: Iterable[int]) -> Vec:
@@ -358,38 +359,75 @@ def diagonal_presentation(
     )
 
 
-def _echelon(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
-    """Row echelon basis of the lattice spanned by ``rows``.
-
-    Pivots are positive and strictly increasing; entries above a pivot are
-    left as they fall.  Pivot rows never take part in later eliminations,
-    so leaving them unreduced changes no later row.
-    """
-    work = [r for r in (list(map(int, r)) for r in rows) if any(r)]
-    for r in work:
+def _sparse_rows(rows: Iterable[Sequence[int]], width: int) -> list[SparseRow]:
+    """The rows as {column: value} maps of their nonzero entries."""
+    out = []
+    for r in rows:
         if len(r) != width:
             raise ValueError("row width mismatch")
-    basis: list[list[int]] = []
+        out.append({j: int(x) for j, x in enumerate(r) if x})
+    return out
+
+
+def _echelon(rows: list[SparseRow], width: int) -> list[tuple[int, SparseRow]]:
+    """Row echelon basis of the lattice spanned by sparse ``rows``, which it
+    reuses: (pivot column, row) pairs, pivots positive, strictly increasing.
+
+    Rows are bucketed by leading column; Euclid on a bucket sends each row
+    whose leading entry vanishes on to its next bucket.  Rows m·e_c merge
+    into one g·e_c (g the gcd of the m), which lies in the lattice and is
+    untouched until column c is eliminated; till then every other column-c
+    entry stays reduced mod g (Domich–Kannan–Trotter, Math. Oper. Res. 1987).
+    """
+    moduli: dict[int, int] = {}
+    for (c, x), in (row.items() for row in rows if len(row) == 1):
+        moduli[c] = gcd(moduli.get(c, 0), x)
+    buckets = {c: [{c: g}] for c, g in moduli.items()}
+    for row in (r for r in rows if len(r) > 1):
+        if moduli:
+            row = {j: y for j, x in row.items() if (y := x % moduli[j] if j in moduli else x)}
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    basis = []
     for col in range(width):
-        live = [r for r in work if r[col]]
-        if not live:
+        if not (live := buckets.pop(col, None)):
             continue
+        moduli.pop(col, None)
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            p, tail = base[col], base[col:]
+            base, p = live[0], live[0][col]
             for r in live[1:]:
                 q = r[col] // p
-                if q:
-                    r[col:] = [x - q * y for x, y in zip(r[col:], tail)]
-            live = [r for r in live if r[col]]
-        row = live[0]
-        # rows reduced to zero stay in ``work``; they never turn live again
-        work = [r for r in work if not r[col]]
-        if row[col] < 0:
-            row[col:] = [-x for x in row[col:]]
-        basis.append(row)
+                for j, y in base.items():
+                    x = r.get(j, 0) - q * y
+                    if j in moduli:
+                        x %= moduli[j]
+                    if x:
+                        r[j] = x
+                    else:
+                        r.pop(j, None)
+                if col not in r and r:
+                    buckets.setdefault(min(r), []).append(r)
+            live = [r for r in live if col in r]
+        basis.append((col, live[0] if live[0][col] > 0 else {j: -x for j, x in live[0].items()}))
     return basis
+
+
+def _hermite_form(basis: list[tuple[int, SparseRow]], start: int, stop: int) -> tuple[Vec, ...]:
+    """Echelon rows with each entry above a pivot reduced into [0, pivot),
+    as dense rows of their columns ``start`` to ``stop``."""
+    for k, (col, row) in enumerate(basis):
+        for _, prow in basis[:k]:
+            if q := prow.get(col, 0) // row[col]:
+                for j, y in row.items():
+                    prow[j] = prow.get(j, 0) - q * y
+    out = []
+    for _, row in basis:
+        dense = [0] * (stop - start)
+        for j, x in row.items():
+            dense[j - start] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
@@ -400,17 +438,7 @@ def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
     Hermite bases are equal, which is what subgroup canonicalization relies
     on.
     """
-    basis = _echelon(rows, width)
-    col = 0
-    for j, row in enumerate(basis):
-        while not row[col]:
-            col += 1
-        p, tail = row[col], row[col:]
-        for prow in basis[:j]:
-            q = prow[col] // p
-            if q:
-                prow[col:] = [x - q * y for x, y in zip(prow[col:], tail)]
-    return tuple(tuple(r) for r in basis)
+    return _hermite_form(_echelon(_sparse_rows(rows, width), width), 0, width)
 
 
 def _divide_along_pivots(
@@ -471,11 +499,14 @@ def solve_congruences(
     the Hermite basis of the homogeneous solution lattice, or ``None``.
     With ``rhs=None`` the zero solution is returned as the particular part,
     which turns this into a kernel computation; otherwise the particular
-    solution is the canonical one of ``affine_preimage``.
+    solution is the canonical one of ``affine_preimage``, so neither changes
+    as equations are first taken mod |m|, repeats and ones all z satisfy dropped.
     """
-    eqs = [list(_as_vec(e)) for e in equations]
+    eqs = [_as_vec(e) for e in equations]
     if len(eqs) != len(moduli):
         raise ValueError("one modulus per equation required")
+    if rhs is not None and len(rhs) != len(eqs):
+        raise ValueError("right-hand side length mismatch")
     if eqs:
         nunk = len(eqs[0])
     elif unknowns is not None:
@@ -484,17 +515,19 @@ def solve_congruences(
         raise ValueError("unknown count required for an empty system")
     if any(len(e) != nunk for e in eqs):
         raise ValueError("ragged equation rows")
+    system: dict[tuple[Vec, int, int], None] = {}
+    for e, m, b in zip(eqs, map(abs, map(int, moduli)), map(int, rhs or [0] * len(eqs))):
+        e, b = (tuple(x % m for x in e), b % m) if m else (e, b)
+        if b or any(e):
+            system[e, m, b] = None
     # z solves the system iff the combination of equation columns it takes
     # lies in rhs plus the span of the modulus vectors m_r·e_r
-    columns = IntMatrix(list(zip(*eqs)) if eqs else [()] * nunk, cols=len(eqs))
-    modulus_rows = [
-        [int(m) if i == r else 0 for i in range(len(eqs))]
-        for r, m in enumerate(moduli)
-        if m
-    ]
+    columns = [{r: e[i] for r, (e, _, _) in enumerate(system) if e[i]} for i in range(nunk)]
+    modulus_rows = [{r: m} for r, (_, m, _) in enumerate(system) if m]
     if rhs is None:
-        return tuple([0] * nunk), preimage_lattice(columns, modulus_rows)
-    return affine_preimage(columns, modulus_rows, rhs)
+        return tuple([0] * nunk), _preimage(columns, len(system), modulus_rows)
+    tag = {r: -b for r, (_, _, b) in enumerate(system) if b}
+    return _solution(_preimage([tag, *columns], len(system), modulus_rows))
 
 
 def preimage_lattice(
@@ -507,14 +540,16 @@ def preimage_lattice(
     right, a basis of the wanted x (Cohen, GTM 138, §2.4); no transform is
     built, and only those rows are reduced to Hermite form.
     """
-    width, tags = w.cols, w.rows
-    rows = [
-        list(r) + [1 if j == i else 0 for j in range(tags)]
-        for i, r in enumerate(w.data)
-    ]
-    rows += [list(t) + [0] * tags for t in target_basis]
-    kernel = [r[width:] for r in _echelon(rows, width + tags) if not any(r[:width])]
-    return hermite_rows(kernel, tags)
+    return _preimage(_sparse_rows(w.data, w.cols), w.cols, _sparse_rows(target_basis, w.cols))
+
+
+def _preimage(w: list[SparseRow], width: int, target: list[SparseRow]) -> tuple[Vec, ...]:
+    """``preimage_lattice`` on sparse rows of W and of the target basis."""
+    tags = len(w)
+    rows = [{**row, width + i: 1} for i, row in enumerate(w)] + target
+    # rows with a zero left part pivot right of it, in echelon order already
+    kernel = [(c, r) for c, r in _echelon(rows, width + tags) if c >= width]
+    return _hermite_form(kernel, width, width + tags)
 
 
 def affine_preimage(
@@ -534,8 +569,12 @@ def affine_preimage(
     """
     if len(rhs) != w.cols:
         raise ValueError("right-hand side length mismatch")
-    tagged = IntMatrix([[-int(x) for x in rhs], *w.data], cols=w.cols)
-    basis = preimage_lattice(tagged, target_basis)
+    tagged = _sparse_rows([[-int(x) for x in rhs], *w.data], w.cols)
+    return _solution(_preimage(tagged, w.cols, _sparse_rows(target_basis, w.cols)))
+
+
+def _solution(basis: tuple[Vec, ...]) -> tuple[Vec, tuple[Vec, ...]] | None:
+    """Particular solution and kernel read off the preimage with tag row -rhs."""
     if not basis or basis[0][0] != 1:
         return None
     return basis[0][1:], tuple(row[1:] for row in basis[1:])

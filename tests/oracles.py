@@ -264,6 +264,93 @@ def smith_left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
     )
 
 
+def reference_echelon(rows, width: int) -> list[list[int]]:
+    """Row echelon basis of the lattice spanned by dense ``rows``.
+
+    The dense elimination the library ran before it kept its rows sparse:
+    Euclid on each column over all rows still live there, with no modulus
+    bookkeeping.  Pivots are positive and strictly increasing; entries above
+    a pivot are left as they fall.
+    """
+    work = [r for r in (list(map(int, r)) for r in rows) if any(r)]
+    for r in work:
+        if len(r) != width:
+            raise ValueError("row width mismatch")
+    basis: list[list[int]] = []
+    for col in range(width):
+        live = [r for r in work if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            base = live[0]
+            p, tail = base[col], base[col:]
+            for r in live[1:]:
+                q = r[col] // p
+                if q:
+                    r[col:] = [x - q * y for x, y in zip(r[col:], tail)]
+            live = [r for r in live if r[col]]
+        row = live[0]
+        work = [r for r in work if not r[col]]
+        if row[col] < 0:
+            row[col:] = [-x for x in row[col:]]
+        basis.append(row)
+    return basis
+
+
+def reference_hermite_rows(rows, width: int) -> tuple[Vec, ...]:
+    """Hermite basis by ``reference_echelon`` and reduction above the pivots."""
+    basis = reference_echelon(rows, width)
+    col = 0
+    for j, row in enumerate(basis):
+        while not row[col]:
+            col += 1
+        p, tail = row[col], row[col:]
+        for prow in basis[:j]:
+            q = prow[col] // p
+            if q:
+                prow[col:] = [x - q * y for x, y in zip(prow[col:], tail)]
+    return tuple(tuple(r) for r in basis)
+
+
+def reference_preimage_lattice(w: IntMatrix, target_basis) -> tuple[Vec, ...]:
+    """{x : x·W in span(target_basis)} from a dense echelon of [W | I] over
+    [T | 0], its kernel rows echeloned a second time."""
+    width, tags = w.cols, w.rows
+    rows = [list(r) + [1 if j == i else 0 for j in range(tags)] for i, r in enumerate(w.data)]
+    rows += [list(t) + [0] * tags for t in target_basis]
+    kernel = [r[width:] for r in reference_echelon(rows, width + tags) if not any(r[:width])]
+    return reference_hermite_rows(kernel, tags)
+
+
+def reference_affine_preimage(w: IntMatrix, target_basis, rhs):
+    """``affine_preimage`` on ``reference_preimage_lattice``."""
+    if len(rhs) != w.cols:
+        raise ValueError("right-hand side length mismatch")
+    tagged = IntMatrix([[-int(x) for x in rhs], *w.data], cols=w.cols)
+    basis = reference_preimage_lattice(tagged, target_basis)
+    if not basis or basis[0][0] != 1:
+        return None
+    return basis[0][1:], tuple(row[1:] for row in basis[1:])
+
+
+def reference_solve_congruences(equations, moduli, rhs=None, unknowns=None):
+    """``solve_congruences`` on the system exactly as written: no equation
+    reduced or dropped, one modulus row per nonzero modulus, the dense
+    reference echelon underneath."""
+    eqs = [list(map(int, e)) for e in equations]
+    nunk = len(eqs[0]) if eqs else unknowns
+    columns = IntMatrix(list(zip(*eqs)) if eqs else [()] * nunk, cols=len(eqs))
+    modulus_rows = [
+        [int(m) if i == r else 0 for i in range(len(eqs))]
+        for r, m in enumerate(moduli)
+        if m
+    ]
+    if rhs is None:
+        return tuple([0] * nunk), reference_preimage_lattice(columns, modulus_rows)
+    return reference_affine_preimage(columns, modulus_rows, rhs)
+
+
 def brute_force_complement_exists(g: FgAbelianGroup, s_gens, kill_gens=()) -> bool:
     """Whether G = S ⊕ C for a subgroup C containing ``kill``, by search.
 

@@ -1,10 +1,14 @@
+import os
 import random
 from math import gcd
 
 import pytest
 
+from fdzring.bilinear import _pair_conditions, induced_bilinear_map
 from fdzring.intlinalg import (
     IntMatrix,
+    _echelon,
+    _sparse_rows,
     affine_preimage,
     diagonal_presentation,
     hermite_coordinates,
@@ -19,7 +23,14 @@ from fdzring.intlinalg import (
     solve_congruences,
     vec_add,
 )
-from oracles import smith_left_kernel
+from fdzring.ringfile import load_ring
+from oracles import (
+    reference_affine_preimage,
+    reference_hermite_rows,
+    reference_preimage_lattice,
+    reference_solve_congruences,
+    smith_left_kernel,
+)
 
 
 def check_smith(a):
@@ -181,6 +192,18 @@ def test_solve_congruences():
     x, kernel = res
     assert x[0] % 2 == 1 and x[0] % 3 == 2
     assert kernel and kernel[0][0] % 6 == 0
+
+
+def test_solve_congruences_rejects_a_mismatched_rhs():
+    # checked on the system as given, before any equation is dropped
+    for eqs, moduli, rhs in (
+        ([[1]], [2], [1, 2]),
+        ([[2, 4]], [2], [0, 1]),
+        ([[1, 0], [1, 0]], [3, 3], [1]),
+        ([], [], [0]),
+    ):
+        with pytest.raises(ValueError, match="right-hand side length mismatch"):
+            solve_congruences(eqs, moduli, rhs=rhs, unknowns=2)
 
 
 def test_preimage_lattice():
@@ -363,3 +386,118 @@ def test_smith_diagonal_over_z_mod_n_is_gcd_with_n():
 def test_smith_diagonal_rejects_ragged_rows():
     with pytest.raises(ValueError):
         smith_diagonal([[1, 2], [3]], 2)
+
+
+def _congruence_system(rng):
+    """A random system with moduli of both signs and 0, equations that
+    vanish mod their modulus, right-hand sides that are multiples of it,
+    and exact or near repeats."""
+    nunk, neq = rng.randint(0, 5), rng.randint(0, 7)
+    moduli = [rng.choice((0, 0, 1, 2, 3, 4, 6, 12, -4, -6)) for _ in range(neq)]
+    eqs = _random_rows(rng, neq, nunk)
+    for r, m in enumerate(moduli):
+        if m and rng.random() < 0.3:
+            eqs[r] = [m * rng.randint(-2, 2) for _ in range(nunk)]
+    z = [rng.randint(-3, 3) for _ in range(nunk)]
+    solvable = rng.random() < 0.6
+    rhs = [
+        sum(c * x for c, x in zip(e, z)) + m * rng.randint(-2, 2) if solvable else rng.randint(-6, 6)
+        for e, m in zip(eqs, moduli)
+    ]
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        if eqs:
+            r = rng.randrange(len(eqs))
+            eqs.append(list(eqs[r]))
+            moduli.append(rng.choice((moduli[r], moduli[r], -moduli[r], 2 * moduli[r])))
+            rhs.append(rhs[r] + rng.choice((0, 0, moduli[r], 1)))
+    return eqs, moduli, rhs, nunk
+
+
+def _single_entry_rows(rng, width):
+    """Rows m·e_c, often several in one column with different m."""
+    rows = []
+    for _ in range(rng.randint(0, 4) if width else 0):
+        c = rng.randrange(width)
+        for m in rng.sample((2, 3, 4, 6, -4, -9, 12), rng.randint(1, 3)):
+            rows.append([m if j == c else 0 for j in range(width)])
+    return rows
+
+
+def _corpus_pair_systems():
+    folder = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    for name in sorted(os.listdir(folder)):
+        f = induced_bilinear_map(load_ring(os.path.join(folder, name))).map
+        eqs, moduli = _pair_conditions(f)
+        yield eqs, moduli, f.domain_rank ** 2 + f.codomain_rank ** 2
+
+
+def test_sparse_kernel_matches_the_dense_reference():
+    """The sparse echelon and the pre-reduced congruence solve give the
+    same bytes as the dense echelon on the system as written."""
+
+    def same_solve(eqs, moduli, rhs, nunk):
+        assert solve_congruences(eqs, moduli, unknowns=nunk) == reference_solve_congruences(
+            eqs, moduli, unknowns=nunk
+        )
+        got = solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk)
+        assert got == reference_solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk)
+        return got
+
+    def same_lattices(rows, width, target, rhs):
+        assert hermite_rows(rows, width) == reference_hermite_rows(rows, width)
+        w = IntMatrix(rows, cols=width)
+        assert preimage_lattice(w, target) == reference_preimage_lattice(w, target)
+        assert affine_preimage(w, target, rhs) == reference_affine_preimage(w, target, rhs)
+
+    # width 0, no rows, zero rows, zero equations with a nonzero rhs
+    same_lattices([[], []], 0, [], [])
+    same_lattices([], 3, [[0, 0, 0]], [1, 0, 0])
+    same_lattices([[0, 0], [0, 0]], 2, [[2, 0], [3, 0], [0, -4], [0, 6]], [1, 1])
+    assert same_solve([], [], [], 0) == ((), ())
+    assert same_solve([[], []], [0, 5], [0, 5], 0) == ((), ())
+    assert same_solve([[0, 0]], [0], [3], 2) is None
+    assert same_solve([[6, 0]], [3], [1], 2) is None
+    assert same_solve([[6, -3]], [-3], [9], 2) == ((0, 0), ((1, 0), (0, 1)))
+    assert same_solve([[1, 0], [1, 0]], [4, 6], [1, 1], 2) == ((1, 0), ((12, 0), (0, 1)))
+    rng = random.Random(53)
+    counts = {"none": 0, "solved": 0}
+    for trial in range(400):
+        eqs, moduli, rhs, nunk = _congruence_system(rng)
+        counts["none" if same_solve(eqs, moduli, rhs, nunk) is None else "solved"] += 1
+        rows = _random_rows(rng, rng.randint(0, 5), nunk, bound=9) + _single_entry_rows(rng, nunk)
+        rng.shuffle(rows)
+        width = rng.randint(0, 4)
+        target = _random_rows(rng, rng.randint(0, 3), width) + _single_entry_rows(rng, width)
+        w_rows = _random_rows(rng, rng.randint(0, 5), width, bound=9)
+        same_lattices(rows, nunk, [], [0] * nunk)
+        same_lattices(w_rows, width, target, [rng.randint(-5, 5) for _ in range(width)])
+    assert counts["none"] > 80 and counts["solved"] > 150
+    for eqs, moduli, nunk in _corpus_pair_systems():
+        same_solve(eqs, moduli, [0] * len(eqs), nunk)
+
+
+def test_echelon_keeps_modulus_columns_reduced():
+    """Right of its pivot, every echelon row keeps the entries of a column
+    holding single-entry rows m·e_c below g, the gcd of those m; without the
+    reduction they grow with each Euclid step."""
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(300):
+        width = rng.randint(2, 7)
+        rows = _random_rows(rng, rng.randint(2, 8), width, density=0.8, bound=40)
+        rows += _single_entry_rows(rng, width)
+        rng.shuffle(rows)
+        g = {}
+        for r in rows:
+            support = [j for j, x in enumerate(r) if x]
+            if len(support) == 1:
+                g[support[0]] = gcd(g.get(support[0], 0), r[support[0]])
+        basis = _echelon(_sparse_rows(rows, width), width)
+        assert hermite_rows(rows, width) == reference_hermite_rows(rows, width)
+        for col, row in basis:
+            assert row[col] > 0 and min(row) == col
+            for j, x in row.items():
+                if j > col and j in g:
+                    assert abs(x) < g[j]
+                    checked += 1
+    assert checked > 200
