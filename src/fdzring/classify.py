@@ -21,7 +21,9 @@ the puncture removes).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from .intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix
@@ -32,7 +34,6 @@ from .rings import (
     predicates,
     quotient_ring,
     subring_presentation,
-    torsion_subgroup,
 )
 
 DEGREE_BOUND = 12
@@ -171,17 +172,14 @@ def _lift_subset_sums(primitives, dim) -> list[Vec]:
 def idempotents(p: FdzRing) -> list[Vec]:
     """The complete finite set of idempotents of a scalar ring."""
     _require_scalar(p)
-    torsion = torsion_subgroup(p)
-    torsion_group, torsion_basis = torsion.as_group()
-    if torsion_group.order is None or torsion_group.order > 4096:
+    # p is diagonal, so its torsion is spanned by the generators of finite order
+    finite = [i for i, d in enumerate(p.orders) if d]
+    if prod(p.orders[i] for i in finite) > 4096:
         raise FactorizationIncomplete("torsion part too large to enumerate")
-    if all(d != 0 for d in p.orders):
+    if len(finite) == p.rank:
         return sorted(e for e in p.elements() if p.mul(e, e) == e)
-    torsion_elements = [
-        p.reduce(row_times_matrix(coords, torsion_basis))
-        for coords in torsion_group.elements()
-    ]
-    free = quotient_ring(p, torsion)
+    torsion_elements = list(itertools.product(*(range(d) if d else (0,) for d in p.orders)))
+    free = quotient_ring(p, p.subgroup([p.generator(i) for i in finite]))
     free_idems = _free_idempotents(free.ring)
     found = set()
     for ebar in free_idems:

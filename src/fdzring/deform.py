@@ -29,15 +29,9 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
-from .groups import FgAbelianGroup, split_complement
+from .groups import FgAbelianGroup
 from .intlinalg import (
-    IntMatrix,
-    Vec,
-    affine_preimage,
-    hermite_reduce,
-    hermite_rows,
-    row_times_matrix,
-    smith_diagonal,
+    IntMatrix, Vec, affine_preimage, hermite_reduce, row_times_matrix, smith_diagonal,
 )
 from .rings import FdzRing, IdealChain, characteristic_ideals
 
@@ -130,17 +124,16 @@ def cocycle_analyze(c: SymmetricCocycle) -> CocycleAnalysis:
     The class on a factor of order e is its normal-form value reduced
     modulo e·D, realizing the identification of the extension group of a
     cyclic group with that quotient; the cocycle is a coboundary exactly
-    when every class vanishes.  Infinite factors carry no class.
+    when every class vanishes.  Infinite factors carry no class.  With D
+    diagonal of orders d_k, e·D is the diagonal lattice of the gcd(e, d_k)
+    (gcd(e, 0) = e), so each coordinate is reduced modulo its gcd.
     """
-    tdim = len(c.target_orders)
-    relations = [list(r) for r in FgAbelianGroup.from_orders(c.target_orders).relation_basis]
-    classes = []
-    for e, d in zip(c.source_orders, c.cyclic_values):
-        if e == 0:
-            continue
-        scaled = [[e if j == i else 0 for j in range(tdim)] for i in range(tdim)]
-        classes.append(hermite_reduce(hermite_rows(scaled + relations, tdim), d))
-    return CocycleAnalysis(not any(map(any, classes)), tuple(classes))
+    classes = tuple(
+        tuple(x % gcd(e, dk) for x, dk in zip(d, c.target_orders))
+        for e, d in zip(c.source_orders, c.cyclic_values)
+        if e
+    )
+    return CocycleAnalysis(not any(map(any, classes)), classes)
 
 
 # -- group extensions ----------------------------------------------------------
@@ -241,19 +234,16 @@ class DeformationContext:
     Coordinates:
       * d-space ("annihilator"): addition free part (rank n) ++ o-part
       * k-space: delta presentation ++ addition free part
-      * carrier source: free complement of the torsion part of A/k (rank m)
-        ++ torsion part n_quot (diagonal)
+      * carrier source: the free factors of A/k (rank m) ++ its finite
+        factors, which present the torsion part n_quot = l/k
     """
 
     def __init__(self, base: FdzRing):
         self.base = base
         self.chain = chain = characteristic_ideals(base)
-        if chain.addition is None:
-            raise DeformationError("the ring has no addition to deform along")
-        add_pres = chain.addition.presentation()
-        if any(d != 0 for d in add_pres.orders):
-            raise AssertionError("an addition must be free")
-        self.addition_rank = len(add_pres.orders)
+        add_pres = chain.addition_pres
+        assert not any(add_pres.ring.orders), "an addition must be free"
+        self.addition_rank = add_pres.ring.rank
         self.addition_basis = add_pres.lift
         self.delta = chain.delta_pres
         self.o_pres = chain.o_pres
@@ -298,33 +288,20 @@ class DeformationContext:
     def k_to_ambient(self, kvec: Sequence[int]) -> Vec:
         return self.base.reduce(row_times_matrix(kvec, self.k_basis))
 
-    # -- carrier source: free complement ⊕ torsion quotient --
+    # -- carrier source: free factors ⊕ torsion quotient of A/k --
 
     def _init_carrier(self):
-        base = self.base
+        # A/k is diagonal; l = sat(k), so its finite factors present l/k and
+        # the lifts of its infinite ones span a free complement
         ak = self.chain.ak
-        q_group = ak.ring.additive
-        torsion_rows = [
-            row_times_matrix(row, ak.project) for row in self.chain.l_ideal.lift_basis
-        ]
-        torsion_sub = q_group.subgroup(torsion_rows)
-        splitting = split_complement(q_group, torsion_sub)
-        assert splitting is not None, "the free part always splits off"
-        free_pres = splitting.complement.presentation()
-        assert all(d == 0 for d in free_pres.orders)
-        self.free_rank = len(free_pres.orders)
+        lifts = list(zip(ak.ring.orders, ak.lift.data))
         # homomorphic section of the free part into the base ring
-        self.free_section = free_pres.lift.mul(ak.lift)
-        n_pres = torsion_sub.presentation()
-        self.n_orders = n_pres.orders
+        self.free_section = IntMatrix([row for d, row in lifts if not d], cols=self.base.rank)
+        self.free_rank = self.free_section.rows
+        self.n_orders: Vec = tuple(d for d, _ in lifts if d)
         self.n_lift_ambient = IntMatrix(
-            [
-                self._canonical_l_representative(
-                    row_times_matrix(n_pres.lift.row(i), ak.lift)
-                )
-                for i in range(len(n_pres.orders))
-            ],
-            cols=base.rank,
+            [self._canonical_l_representative(row) for d, row in lifts if d],
+            cols=self.base.rank,
         )
         self.source_orders: Vec = tuple([0] * self.free_rank) + self.n_orders
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     DiagonalPresentation,
@@ -24,13 +24,16 @@ from .intlinalg import (
     hermite_coordinates,
     hermite_reduce,
     hermite_rows,
+    left_kernel,
     preimage_lattice,
     row_times_matrix,
-    smith,
     smith_diagonal,
     vec_add,
     vec_scale,
 )
+
+# the largest group ``FgAbelianGroup.elements`` enumerates
+ENUMERATION_LIMIT = 65536
 
 
 class GroupError(ValueError):
@@ -128,12 +131,12 @@ class FgAbelianGroup:
         n = abs(pre[0][0])
         return n if n else None
 
-    def elements(self, limit: int = 65536) -> Iterator[Vec]:
+    def elements(self) -> Iterator[Vec]:
         """All canonical representatives; finite groups only."""
         if not self.is_finite:
             raise GroupError("cannot enumerate an infinite group")
         assert self.order is not None
-        if self.order > limit:
+        if self.order > ENUMERATION_LIMIT:
             raise GroupError(f"group of order {self.order} exceeds enumeration limit")
         diagonal = self.diagonal
         # coordinates y over the cyclic factors; x = y·lift
@@ -213,16 +216,11 @@ class Subgroup:
         return Subgroup(self.parent, gens)
 
     def saturate(self) -> "Subgroup":
-        """Isolator: all x with n·x inside for some n >= 1."""
-        if not self.lift_basis:
-            basis = ()
-        else:
-            dec = smith(IntMatrix(self.lift_basis, cols=self.parent.rank))
-            diag = dec.diagonal
-            basis = tuple(
-                dec.vinv.row(i) for i in range(len(diag)) if diag[i] != 0
-            )
-        return Subgroup(self.parent, basis)
+        """Isolator: all x with n·x inside for some n >= 1, computed as the
+        kernel of a kernel: {x : x·y = 0 whenever L·y = 0}, L the lift
+        lattice (Cohen, GTM 138, §2.4)."""
+        kernel = left_kernel(_transpose(self.lift_basis, self.parent.rank))
+        return Subgroup(self.parent, left_kernel(_transpose(kernel, self.parent.rank)))
 
     def quotient(self) -> FgAbelianGroup:
         """The parent modulo this subgroup."""
@@ -254,26 +252,6 @@ class Subgroup:
             inner.append(coeffs)
         return group, basis, group.subgroup(inner)
 
-    def presentation(self) -> "SubgroupPresentation":
-        """Diagonal presentation: orders, ambient lifts, coordinate map.
-
-        Unit factors are dropped, so the presented group is minimal; the
-        ``lift`` rows are ambient representatives of its generators and
-        ``to_coords`` writes an ambient member in those coordinates.
-        """
-        abstract, basis = self.as_group()
-        diagonal = abstract.diagonal
-
-        def to_coords(vec: Sequence[int]) -> Vec:
-            coeffs = self.express(vec)
-            if coeffs is None:
-                raise GroupError("element lies outside the subgroup")
-            return diagonal.coordinates(coeffs)
-
-        return SubgroupPresentation(
-            orders=diagonal.orders, lift=diagonal.lift.mul(basis), to_coords=to_coords
-        )
-
     def express(self, vec: Sequence[int]) -> Vec | None:
         """Coefficients of ``vec`` over the abstract basis, if it lies here.
 
@@ -283,16 +261,14 @@ class Subgroup:
         return hermite_coordinates(self.lift_basis, vec)
 
 
+def _transpose(rows: Sequence[Sequence[int]], width: int) -> IntMatrix:
+    """The width x len(rows) matrix whose columns are ``rows``."""
+    return IntMatrix([[row[j] for row in rows] for j in range(width)], cols=len(rows))
+
+
 def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:
     """big/small as an abstract group (small must lie inside big)."""
     return big.as_group_with(small)[2].quotient()
-
-
-@dataclass(frozen=True)
-class SubgroupPresentation:
-    orders: Vec
-    lift: IntMatrix
-    to_coords: "Callable[[Sequence[int]], Vec]"
 
 
 @dataclass(frozen=True)

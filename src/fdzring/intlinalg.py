@@ -5,12 +5,12 @@ immutable; reduction algorithms copy into lists, reduce with elementary
 row/column operations (minimal-pivot selection to keep coefficients small),
 and freeze the result.  Kernels, preimage lattices, particular solutions of
 inhomogeneous systems and coordinates over a lattice basis come from
-one-sided Hermite reduction, which builds no transform.  The Smith form
-with transforms serves ``diagonal_presentation`` (invariant factors plus
-the coordinate change onto them, read from ``v`` and ``vinv``) and
-saturation; ``smith_diagonal`` gives the diagonal alone, over Z or over
-Z/n with every entry reduced into [0, n), for invariants that need no
-coordinates.  Hermite reduction works on sparse rows: the auxiliary
+one-sided Hermite reduction, which builds no transform; so does
+saturation, a kernel of a kernel.  The Smith form with transforms has one
+library caller, ``diagonal_presentation`` (invariant factors plus the
+coordinate change onto them, read from ``v`` and ``vinv``);
+``smith_diagonal`` gives the diagonal alone, over Z or over Z/n with every
+entry reduced into [0, n), for invariants that need no coordinates.  Hermite reduction works on sparse rows: the auxiliary
 systems of rank-12 rings are thousands of columns wide and nearly all zero.
 """
 
@@ -112,9 +112,11 @@ def vec_scale(c: int, a: Vec) -> Vec:
 def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
     if len(v) != m.rows:
         raise ValueError("dimension mismatch in vector-matrix product")
-    return tuple(
-        sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
-    )
+    acc = [0] * m.cols
+    for c, row in zip(v, m.data):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, row)]
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,14 @@ class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     The inverses of the transforms are tracked alongside the elimination,
-    where unimodular inversion is cheapest.  ``diagonal_presentation``
-    keeps columns of ``v`` and rows of ``vinv``, and saturation reads rows
-    of ``vinv``.  No library code reads ``u`` or ``uinv``: they stay only
-    because ``_bits`` in ``perfbench/tracer.py`` recognises a Smith result
-    by ``uinv``, and the Smith checks and oracles under ``tests/`` read
-    both.  Kernels, particular solutions and coordinates need no transform
-    and come from Hermite reduction instead (``preimage_lattice``,
-    ``affine_preimage``, ``hermite_coordinates``).
+    where unimodular inversion is cheapest.  ``diagonal_presentation``, the
+    only library caller, keeps columns of ``v`` and rows of ``vinv``.  No
+    library code reads ``u`` or ``uinv``: they stay only because ``_bits``
+    in ``perfbench/tracer.py`` recognises a Smith result by ``uinv``, and
+    the Smith checks and oracles under ``tests/`` read both.  Kernels,
+    saturations, particular solutions and coordinates need no transform and
+    come from Hermite reduction instead (``preimage_lattice``,
+    ``left_kernel``, ``affine_preimage``, ``hermite_coordinates``).
     """
 
     u: IntMatrix

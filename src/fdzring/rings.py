@@ -13,13 +13,14 @@ sit the characteristic two-sided ideals
     l     : the saturation of ann + sq
     o     : ann ∩ delta
 
-and the derived quotients m = A/l (torsion-free) and n = l/k (finite).
-The chain of a ring is cached, and it carries the presentations that the
-induced map, the deformations and the six-term check read: the quotient
-rings A/ann and A/k, the subrings sq, delta and o, o in delta coordinates,
-and an addition A0 with ann = A0 ⊕ o.  Each is built once, on first use.
-The module also holds the tame/regular predicates, foundations, and the
-quotient, subring and product constructions.
+and the derived quotients m = A/l (torsion-free) and n = l/k (finite);
+l is the saturation of k, so n is the torsion of A/k.  The chain of a ring
+is cached, and it carries the presentations that the induced map, the
+deformations and the six-term check read: the quotient rings A/ann and A/k,
+the subrings sq, delta and o, o in delta coordinates, and an addition A0
+with ann = A0 ⊕ o, which always exists, as a null subring.  Each is built
+once, on first use.  The module also holds the tame/regular predicates,
+foundations, and the quotient, subring and product constructions.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .groups import FgAbelianGroup, GroupError, Subgroup, quotient_of_subgroups, split_complement
-from .intlinalg import IntMatrix, Vec, diagonal_presentation, row_times_matrix, solve_congruences
+from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
+from .intlinalg import IntMatrix, Vec, row_times_matrix, solve_congruences
 
 ELEMENT_LIMIT = 4096
 
@@ -180,18 +181,15 @@ class FdzRing:
     def is_finite(self) -> bool:
         return self.order is not None
 
-    def elements(self, limit: int = ELEMENT_LIMIT) -> Iterator[Vec]:
+    def elements(self) -> Iterator[Vec]:
         if self.order is None:
             raise GroupError("cannot enumerate an infinite ring")
-        if self.order > limit:
+        if self.order > ELEMENT_LIMIT:
             raise GroupError(f"ring of order {self.order} exceeds enumeration limit")
         yield from itertools.product(*(range(d) for d in self.orders))
 
     def generator(self, i: int) -> Vec:
         return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def element_order(self, vec: Sequence[int]) -> int | None:
-        return self.additive.element_order(self.reduce(vec))
 
     def subgroup(self, gens) -> Subgroup:
         return self.additive.subgroup(gens)
@@ -304,14 +302,23 @@ class IdealChain:
         )
 
     @cached_property
-    def addition(self) -> Subgroup | None:
-        """An addition A0 with Ann = A0 ⊕ O, or None when none exists."""
+    def addition(self) -> Subgroup:
+        """An addition A0 with ann = A0 ⊕ o.
+
+        One always exists: ann/o = ann/(ann ∩ delta) embeds in A/delta,
+        which is torsion-free because delta is saturated, so ann/o is free
+        and o is a summand of ann.
+        """
         abstract, basis, o_part = self.ann.as_group_with(self.o_ideal)
         split = split_complement(abstract, o_part)
-        if split is None:
-            return None
+        assert split is not None, "o is a summand of ann"
         gens = [row_times_matrix(row, basis) for row in split.complement.lift_basis]
         return self.ring.subgroup(gens)
+
+    @cached_property
+    def addition_pres(self) -> SubringPresentation:
+        """The addition as a subring; it lies in ann, so all its products vanish."""
+        return subring_presentation(self.ring, self.addition)
 
 
 def _pairing_equations(
@@ -378,7 +385,8 @@ def characteristic_ideals(a: FdzRing) -> IdealChain:
     l_ideal = ann.sum(sq).saturate()
     o_ideal = ann.intersect(delta)
     m_quot = l_ideal.quotient()
-    n_quot = quotient_of_subgroups(l_ideal, k_ideal)
+    # l = sat(k), so l/k is the torsion of A/k, presented on its cyclic factors
+    n_quot = FgAbelianGroup.from_orders([d for d in k_ideal.quotient().invariant_factors if d])
     return IdealChain(
         ring=a,
         ann=ann,
@@ -430,9 +438,7 @@ def quotient_ring(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
             g = a.generator(i)
             if not ideal.contains(a.mul(row, g)) or not ideal.contains(a.mul(g, row)):
                 raise GroupError("subgroup is not a two-sided ideal")
-    # Smith's coordinate change depends on the row list, not only on its
-    # lattice: the ideal's rows go in front of the parent relations
-    pres = diagonal_presentation(ideal.lift_basis + a.additive.relation_basis, a.rank)
+    pres = ideal.quotient().diagonal
     lift = pres.lift.data
     tensor = [
         [row_times_matrix(a.mul(x, y), pres.project) for y in lift] for x in lift
@@ -471,17 +477,18 @@ def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
         for y in s.lift_basis:
             if not s.contains(a.mul(x, y)):
                 raise GroupError("subgroup is not closed under multiplication")
-    pres = s.presentation()
-    lift = pres.lift
-    express = pres.to_coords
-    k = len(pres.orders)
-    tensor = []
-    for p in range(k):
-        row = []
-        for q in range(k):
-            row.append(express(a.mul(lift.row(p), lift.row(q))))
-        tensor.append(row)
-    ring = FdzRing(pres.orders, tensor)
+    abstract, basis = s.as_group()
+    diagonal = abstract.diagonal
+    lift = diagonal.lift.mul(basis)
+
+    def express(vec: Sequence[int]) -> Vec:
+        coeffs = s.express(vec)
+        if coeffs is None:
+            raise GroupError("element lies outside the subgroup")
+        return diagonal.coordinates(coeffs)
+
+    tensor = [[express(a.mul(x, y)) for y in lift.data] for x in lift.data]
+    ring = FdzRing(diagonal.orders, tensor)
     return SubringPresentation(ring=ring, lift=lift, express=express)
 
 
@@ -508,14 +515,14 @@ def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:
 
 @dataclass(frozen=True)
 class AdditionFoundation:
-    """An addition A0 with Ann = A0 ⊕ O, plus the matching foundation.
+    """The chain's addition A0 (ann = A0 ⊕ o), plus the matching foundation.
 
     The foundation is a complementary subring containing delta when one
-    exists, and the quotient ring A/A0 otherwise.  All fields are None when
-    no addition exists.
+    exists, and the quotient ring A/A0 otherwise; exactly one of the two
+    foundation fields is set.
     """
 
-    addition: Subgroup | None
+    addition: Subgroup
     foundation_subring: Subgroup | None
     foundation_quotient: QuotientPresentation | None
 
@@ -523,8 +530,6 @@ class AdditionFoundation:
 def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
     chain = characteristic_ideals(a)
     addition = chain.addition
-    if addition is None:
-        return AdditionFoundation(None, None, None)
     split = split_complement(a.additive, addition, kill=chain.delta)
     if split is not None:
         foundation = split.complement
@@ -532,10 +537,3 @@ def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
         assert foundation.contains_subgroup(chain.delta)
         return AdditionFoundation(addition, foundation, None)
     return AdditionFoundation(addition, None, quotient_ring(a, addition))
-
-
-# -- torsion -----------------------------------------------------------------
-
-
-def torsion_subgroup(a: FdzRing) -> Subgroup:
-    return a.additive.zero_subgroup().saturate()

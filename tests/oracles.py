@@ -16,17 +16,19 @@ from math import gcd
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
 from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
-from fdzring.groups import FgAbelianGroup, quotient_of_subgroups
+from fdzring.groups import FgAbelianGroup, Subgroup, quotient_of_subgroups, split_complement
 from fdzring.intlinalg import (
+    DiagonalPresentation,
     IntMatrix,
     Vec,
+    diagonal_presentation,
     hermite_reduce,
     hermite_rows,
     row_times_matrix,
     smith,
     solve_congruences,
 )
-from fdzring.rings import FdzRing, characteristic_ideals
+from fdzring.rings import FdzRing, IdealChain, characteristic_ideals
 
 
 def subgroup_closure(ring: FdzRing, seed) -> frozenset:
@@ -766,7 +768,7 @@ class TableCocycle:
 
 def source_elements(c) -> list[Vec]:
     """The canonical representatives of a cocycle's finite source."""
-    return [tuple(v) for v in FgAbelianGroup.from_orders(c.source_orders).elements(4096)]
+    return [tuple(v) for v in FgAbelianGroup.from_orders(c.source_orders).elements()]
 
 
 def table_cocycle_defect(c) -> str | None:
@@ -822,19 +824,35 @@ def table_ext_classes(c) -> tuple[Vec, ...]:
     """Per cyclic source factor of order e, the sum of c(g, i·g) for
     i = 0..e-1 along its generator g, reduced modulo e·D."""
     src = FgAbelianGroup.from_orders(c.source_orders)
-    tdim = len(c.target_orders)
-    relations = [list(r) for r in FgAbelianGroup.from_orders(c.target_orders).relation_basis]
     classes = []
     for i, e in enumerate(c.source_orders):
         gen = tuple(1 if j == i else 0 for j in range(len(c.source_orders)))
-        total = [0] * tdim
+        total = [0] * len(c.target_orders)
         point = src.zero()
         for _ in range(e):
             total = [p + q for p, q in zip(total, c.evaluate(gen, point))]
             point = src.add(point, gen)
-        scaled = [[e if j == k else 0 for j in range(tdim)] for k in range(tdim)]
-        classes.append(hermite_reduce(hermite_rows(scaled + relations, tdim), total))
+        classes.append(hermite_class(e, c.target_orders, total))
     return tuple(classes)
+
+
+def hermite_class(e: int, target_orders, vec) -> Vec:
+    """``vec`` reduced modulo e·D, for D the diagonal group of the target
+    orders, by Hermite reduction against e·I stacked on D's relations."""
+    tdim = len(target_orders)
+    relations = [list(r) for r in FgAbelianGroup.from_orders(target_orders).relation_basis]
+    scaled = [[e if j == k else 0 for j in range(tdim)] for k in range(tdim)]
+    return hermite_reduce(hermite_rows(scaled + relations, tdim), vec)
+
+
+def hermite_cocycle_classes(c) -> tuple[Vec, ...]:
+    """The extension classes of a normal-form cocycle as ``cocycle_analyze``
+    computed them before it read them in closed form."""
+    return tuple(
+        hermite_class(e, c.target_orders, d)
+        for e, d in zip(c.source_orders, c.cyclic_values)
+        if e
+    )
 
 
 def cocycle_pair_add(c, a: tuple[Vec, Vec], b: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
@@ -844,3 +862,53 @@ def cocycle_pair_add(c, a: tuple[Vec, Vec], b: tuple[Vec, Vec]) -> tuple[Vec, Ve
     twist = c.evaluate(a[0], b[0])
     d = _reduce_mod([x + y + t for x, y, t in zip(a[1], b[1], twist)], c.target_orders)
     return g, d
+
+
+# -- the chain pieces by general lattice recipes ----------------------------------
+#
+# The library reads these off diagonal presentations it already holds; each
+# reference keeps the recipe it used before.
+
+
+def smith_saturation(s: Subgroup) -> Subgroup:
+    """The isolator of ``s``, spanned by the rows of Smith's V⁻¹ at the
+    nonzero diagonal entries of its lift lattice."""
+    if not s.lift_basis:
+        return Subgroup(s.parent, ())
+    dec = smith(IntMatrix(s.lift_basis, cols=s.parent.rank))
+    diag = dec.diagonal
+    return Subgroup(s.parent, [dec.vinv.row(i) for i in range(len(diag)) if diag[i]])
+
+
+def rows_and_relations_quotient(a: FdzRing, ideal: Subgroup) -> DiagonalPresentation:
+    """The presentation of A/ideal from Smith on the ideal's Hermite rows
+    followed by the ring's relation rows, which the lift rows already span."""
+    return diagonal_presentation(ideal.lift_basis + a.additive.relation_basis, a.rank)
+
+
+def _subgroup_presentation(s: Subgroup) -> tuple[Vec, IntMatrix]:
+    """Orders and ambient lifts of a subgroup's diagonal presentation."""
+    abstract, basis = s.as_group()
+    diagonal = abstract.diagonal
+    return diagonal.orders, diagonal.lift.mul(basis)
+
+
+def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatrix]:
+    """The deformation carrier's ``free_section``, ``n_orders`` and
+    ``n_lift_ambient``: the torsion of A/k as the image of l, and a free
+    complement of it split off by ``split_complement``."""
+    ak = chain.ak
+    group = ak.ring.additive
+    torsion = group.subgroup(
+        [row_times_matrix(row, ak.project) for row in chain.l_ideal.lift_basis]
+    )
+    splitting = split_complement(group, torsion)
+    assert splitting is not None
+    free_orders, free_lift = _subgroup_presentation(splitting.complement)
+    assert not any(free_orders)
+    n_orders, n_lift = _subgroup_presentation(torsion)
+    n_lift_ambient = IntMatrix(
+        [hermite_reduce(chain.k_ideal.lift_basis, row) for row in n_lift.mul(ak.lift).data],
+        cols=chain.ring.rank,
+    )
+    return free_lift.mul(ak.lift), n_orders, n_lift_ambient

@@ -7,6 +7,7 @@ from fdzring.groups import (
     split_complement,
 )
 from fdzring.intlinalg import IntMatrix, row_times_matrix
+from fdzring.rings import FdzRing, subring_presentation
 from oracles import brute_force_complement_exists
 
 import pytest
@@ -248,11 +249,12 @@ def test_membership_via_express():
 
 
 def test_presentation_roundtrip():
-    g = FgAbelianGroup.from_orders([0, 0, 2])
-    s = g.subgroup([(2, 0, 0), (0, 1, 0)])
-    pres = s.presentation()
-    for i in range(len(pres.orders)):
+    ring = FdzRing((0, 0, 2), [[[0] * 3 for _ in range(3)] for _ in range(3)])
+    s = ring.subgroup([(2, 0, 0), (0, 1, 0)])
+    pres = subring_presentation(ring, s)
+    orders = pres.ring.orders
+    for i in range(len(orders)):
         row = pres.lift.row(i)
-        coords = pres.to_coords(row)
-        expected = tuple(1 if j == i else 0 for j in range(len(pres.orders)))
+        coords = pres.express(row)
+        expected = tuple(1 if j == i else 0 for j in range(len(orders)))
         assert coords == expected
