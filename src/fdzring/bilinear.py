@@ -21,7 +21,6 @@ not as a second pair system.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -32,6 +31,7 @@ from .intlinalg import (
     diagonal_presentation,
     hermite_coordinates,
     hermite_rows,
+    record,
     row_times_matrix,
     solve_congruences,
 )
@@ -56,7 +56,7 @@ class ScalarRingError(AssertionError):
     """Scalar ring axioms violated; signals a degenerate or non-full input."""
 
 
-@dataclass(frozen=True)
+@record
 class BilinearMap:
     """A bilinear map between diagonally presented groups, via its values
     on generator pairs (in codomain coordinates)."""
@@ -128,7 +128,7 @@ class BilinearMap:
         return self.codomain_group.subgroup(gens).is_full()
 
 
-@dataclass(frozen=True)
+@record
 class InducedBilinearMap:
     """The multiplication map of a ring, with coordinate transport.
 
@@ -173,7 +173,7 @@ def induced_bilinear_map(a: FdzRing) -> InducedBilinearMap:
 # -- width and complete systems ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WidthResult:
     exact: int | None
     upper_bound: int
@@ -219,7 +219,7 @@ def width(f: BilinearMap) -> WidthResult:
     return WidthResult(exact=steps, upper_bound=upper)
 
 
-@dataclass(frozen=True)
+@record
 class CompleteSystem:
     witness: tuple[Vec, ...]
     size_bound: int
@@ -244,7 +244,7 @@ def complete_system(f: BilinearMap) -> CompleteSystem:
 # -- the largest scalar ring --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ScalarRingAction:
     """A scalar ring with its compatible actions on both sides of a map.
 
@@ -463,4 +463,5 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
         ],
         cols=parent.ring.rank,
     )
-    return replace(action, in_parent=in_parent)
+    kept = {name: getattr(action, name) for name in action.__match_args__}
+    return ScalarRingAction(**(kept | {"in_parent": in_parent}))

@@ -22,17 +22,16 @@ the puncture removes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
-from .intlinalg import IntMatrix, Vec, hermite_rows, row_times_matrix
+from .intlinalg import IntMatrix, Vec, hermite_rows, record, row_times_matrix
 from .rings import (
     FdzRing,
     SubringPresentation,
+    _ideal_quotient,
     characteristic_ideals,
     predicates,
-    quotient_ring,
     subring_presentation,
 )
 
@@ -179,7 +178,7 @@ def idempotents(p: FdzRing) -> list[Vec]:
     if len(finite) == p.rank:
         return sorted(e for e in p.elements() if p.mul(e, e) == e)
     torsion_elements = list(itertools.product(*(range(d) if d else (0,) for d in p.orders)))
-    free = quotient_ring(p, p.subgroup([p.generator(i) for i in finite]))
+    free = _ideal_quotient(p, p.subgroup([p.generator(i) for i in finite]))
     free_idems = _free_idempotents(free.ring)
     found = set()
     for ebar in free_idems:
@@ -191,7 +190,7 @@ def idempotents(p: FdzRing) -> list[Vec]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumAnalysis:
     idempotents: tuple[Vec, ...]
     primitive_idempotents: tuple[Vec, ...]
@@ -249,7 +248,7 @@ def indecomposable_factors(p: FdzRing) -> SpectrumAnalysis:
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     infinite: bool
     tame: bool

@@ -24,14 +24,13 @@ representatives, which lands in delta and is annihilator-transparent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
 from .eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
 from .groups import FgAbelianGroup
 from .intlinalg import (
-    IntMatrix, Vec, affine_preimage, hermite_reduce, row_times_matrix, smith_diagonal,
+    IntMatrix, Vec, affine_preimage, hermite_reduce, record, row_times_matrix, smith_diagonal,
 )
 from .rings import FdzRing, IdealChain, characteristic_ideals
 
@@ -112,7 +111,7 @@ def cyclic_cocycle(e: int, d: Sequence[int], target_orders: Sequence[int]) -> Sy
     return SymmetricCocycle((e,), target_orders, cyclic_values=[list(d)])
 
 
-@dataclass(frozen=True)
+@record
 class CocycleAnalysis:
     is_coboundary: bool
     ext_classes: tuple[Vec, ...]
@@ -139,7 +138,7 @@ def cocycle_analyze(c: SymmetricCocycle) -> CocycleAnalysis:
 # -- group extensions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GroupExtension:
     """The extension group presented on source and target generators.
 
@@ -211,7 +210,7 @@ def build_group_extension(c: SymmetricCocycle) -> GroupExtension:
 # -- deformations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DeformationSpec:
     """Input data for the deformation constructor at the integer instance.
 
@@ -343,7 +342,7 @@ class DeformationContext:
         return SymmetricCocycle(self.n_orders, self.d_orders, cyclic_values=values)
 
 
-@dataclass(frozen=True)
+@record
 class DeformationResult:
     ring: FdzRing
     context: DeformationContext
@@ -463,7 +462,7 @@ def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
 # -- the six-term verification -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SixTermReport:
     status: str  # "commutes" | "no" | "unknown"
     detail: str

@@ -14,19 +14,18 @@ full tensor comparison before being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
 from .intlinalg import (
-    IntMatrix, Vec, hermite_rows, preimage_lattice, row_times_matrix, smith_diagonal
+    IntMatrix, Vec, hermite_rows, preimage_lattice, record, row_times_matrix, smith_diagonal
 )
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 
-@dataclass(frozen=True)
+@record
 class InvariantProfile:
     """Isomorphism-invariant fingerprint of a ring.
 
@@ -46,9 +45,9 @@ class InvariantProfile:
     fingerprints: tuple[tuple[int, int, Vec, Vec], ...]
 
     def first_mismatch(self, other: "InvariantProfile") -> str | None:
-        for field in fields(self)[:-1]:
-            if getattr(self, field.name) != getattr(other, field.name):
-                return field.name
+        for name in self.__match_args__[:-1]:
+            if getattr(self, name) != getattr(other, name):
+                return name
         for mine, theirs in zip(self.fingerprints, other.fingerprints):
             if mine != theirs:
                 return f"mod_{mine[0]}"
@@ -106,13 +105,13 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
 # -- isomorphism search --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IsoWitness:
     matrix: IntMatrix
     verified: bool
 
 
-@dataclass(frozen=True)
+@record
 class IsoResult:
     kind: str  # "yes" | "no" | "unknown"
     witness: IsoWitness | None = None
@@ -463,7 +462,7 @@ def _search(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int)
 # -- embedding verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingReport:
     passed: bool
     checks: tuple[tuple[str, bool, str], ...]
@@ -551,7 +550,7 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
 # -- equivalence verdict --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceResult:
     kind: str  # "equivalent" | "not_equivalent" | "unknown"
     witness: IsoWitness | None = None

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from .intlinalg import record
 from .rings import FdzRing
 
 CARRIER_GUARD = 4096
@@ -59,28 +59,28 @@ class FormulaParseError(FormulaError):
 # -- syntax -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Zero:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Add:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Mul:
     left: "Term"
     right: "Term"
@@ -89,42 +89,42 @@ class Mul:
 Term = Var | Zero | Add | Neg | Mul
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     arg: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     var: str
     body: "Formula"

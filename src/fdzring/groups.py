@@ -10,7 +10,6 @@ direct-summand complements all reduce to exact lattice computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +25,7 @@ from .intlinalg import (
     hermite_rows,
     left_kernel,
     preimage_lattice,
+    record,
     row_times_matrix,
     smith_diagonal,
     vec_add,
@@ -271,7 +271,7 @@ def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:
     return big.as_group_with(small)[2].quotient()
 
 
-@dataclass(frozen=True)
+@record
 class Splitting:
     complement: Subgroup
     projection: IntMatrix  # ambient endomorphism projecting onto the subgroup

@@ -10,14 +10,26 @@ saturation, a kernel of a kernel.  The Smith form with transforms has one
 library caller, ``diagonal_presentation`` (invariant factors plus the
 coordinate change onto them, read from ``v`` and ``vinv``);
 ``smith_diagonal`` gives the diagonal alone, over Z or over Z/n with every
-entry reduced into [0, n), for invariants that need no coordinates.  Hermite reduction works on sparse rows: the auxiliary
-systems of rank-12 rings are thousands of columns wide and nearly all zero.
+entry reduced into [0, n), for invariants that need no coordinates.  Hermite
+reduction works on sparse rows: the auxiliary systems of rank-12 rings are
+thousands of columns wide and nearly all zero.
+
+``record`` is the class decorator of every frozen value type in the
+library.  It reads the annotated fields in order and gives the class
+positional or keyword construction with trailing defaults, then
+``__post_init__`` when one is defined; equality only with instances of the
+same class; the hash of the field tuple; the repr ``Name(field=value, ...)``;
+``__match_args__`` for ``match``; and an ``AttributeError`` on assignment
+or deletion.  Instances keep their ``__dict__``, which ``cached_property``
+fills.  It stands in for the standard library's frozen data classes, whose
+module loads ``inspect`` and ``ast`` and which compile the methods of each
+class: together about a fifth of a cold CLI run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -26,6 +38,61 @@ SparseRow = dict[int, int]
 
 def _as_vec(values: Iterable[int]) -> Vec:
     return tuple(map(int, values))
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields (module docstring)."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    # attrgetter of a single name returns the bare value, not a 1-tuple
+    if len(names) == 1:
+        values = lambda self, get=attrgetter(*names): (get(self),)
+    else:
+        values = attrgetter(*names) if names else lambda self: ()
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, {len(args)} given")
+        if kwargs or len(args) < len(names):
+            rest = []
+            for name in names[len(args):]:
+                if name in kwargs:
+                    rest.append(kwargs.pop(name))
+                elif name in defaults:
+                    rest.append(defaults[name])
+                else:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+            args += tuple(rest)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
 
 
 class IntMatrix:
@@ -119,7 +186,7 @@ def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
@@ -322,7 +389,7 @@ def smith_diagonal(
     return tuple(diag)
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalPresentation:
     """Z^rank modulo a relation lattice, rewritten as a product of cyclic groups.
 

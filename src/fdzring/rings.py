@@ -26,13 +26,12 @@ foundations, and the quotient, subring and product constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
-from .intlinalg import IntMatrix, Vec, row_times_matrix, solve_congruences
+from .intlinalg import IntMatrix, Vec, record, row_times_matrix, solve_congruences
 
 ELEMENT_LIMIT = 4096
 
@@ -252,7 +251,7 @@ def direct_product(a: FdzRing, b: FdzRing) -> FdzRing:
 # -- characteristic ideals -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IdealChain:
     """The characteristic ideals of ``ring`` and the presentations built on them.
 
@@ -274,12 +273,12 @@ class IdealChain:
     @cached_property
     def hat(self) -> QuotientPresentation:
         """The annihilator quotient A/ann."""
-        return quotient_ring(self.ring, self.ann)
+        return _ideal_quotient(self.ring, self.ann)
 
     @cached_property
     def ak(self) -> QuotientPresentation:
         """The quotient A/k."""
-        return quotient_ring(self.ring, self.k_ideal)
+        return _ideal_quotient(self.ring, self.k_ideal)
 
     @cached_property
     def square_pres(self) -> SubringPresentation:
@@ -400,7 +399,7 @@ def characteristic_ideals(a: FdzRing) -> IdealChain:
     )
 
 
-@dataclass(frozen=True)
+@record
 class RingPredicates:
     tame: bool
     regular: bool
@@ -417,7 +416,7 @@ def predicates(a: FdzRing) -> RingPredicates:
 # -- presentations derived from a ring --------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuotientPresentation:
     """A quotient ring together with coordinate transport.
 
@@ -438,6 +437,12 @@ def quotient_ring(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
             g = a.generator(i)
             if not ideal.contains(a.mul(row, g)) or not ideal.contains(a.mul(g, row)):
                 raise GroupError("subgroup is not a two-sided ideal")
+    return _ideal_quotient(a, ideal)
+
+
+def _ideal_quotient(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
+    """``quotient_ring`` without its checks, for a two-sided ideal of ``a``
+    by construction: ann, k, nA, a subgroup of ann, the torsion."""
     pres = ideal.quotient().diagonal
     lift = pres.lift.data
     tensor = [
@@ -454,10 +459,10 @@ def reduce_mod_n(a: FdzRing, n: int) -> FdzRing:
     scaled = a.additive.subgroup(
         [[n if j == i else 0 for j in range(a.rank)] for i in range(a.rank)]
     )
-    return quotient_ring(a, scaled).ring
+    return _ideal_quotient(a, scaled).ring
 
 
-@dataclass(frozen=True)
+@record
 class SubringPresentation:
     """A multiplicatively closed subgroup presented as a ring of its own.
 
@@ -513,7 +518,7 @@ def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:
 # -- additions and foundations ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AdditionFoundation:
     """The chain's addition A0 (ann = A0 ⊕ o), plus the matching foundation.
 
@@ -536,4 +541,4 @@ def addition_and_foundation(a: FdzRing) -> AdditionFoundation:
         # products land in sq ⊆ delta ⊆ foundation, so it is a subring
         assert foundation.contains_subgroup(chain.delta)
         return AdditionFoundation(addition, foundation, None)
-    return AdditionFoundation(addition, None, quotient_ring(a, addition))
+    return AdditionFoundation(addition, None, _ideal_quotient(a, addition))

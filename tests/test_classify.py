@@ -125,7 +125,8 @@ LOADED_PROBE = (
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('fdzring.') and m != 'fdzring.cli')\n"
-    "print(json.dumps([code, loaded, 'sympy' in sys.modules]))\n"
+    "heavy = [m for m in ('sympy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+    "print(json.dumps([code, loaded, heavy]))\n"
 )
 
 
@@ -138,10 +139,10 @@ def fresh_interpreter(*args):
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     for argv, extra in SUBCOMMAND_MODULES:
         out = fresh_interpreter("-c", LOADED_PROBE, *argv)
-        code, loaded, sympy = json.loads(out.stdout)
+        code, loaded, heavy = json.loads(out.stdout)
         assert code == 0, argv
         assert loaded == sorted(f"fdzring.{m}" for m in CHAIN_MODULES | extra), argv
-        assert not sympy, argv
+        assert heavy == [], argv
     # a failing run maps its error to an exit code without the modules of
     # the other error classes loaded beforehand
     invalid = tmp_path / "invalid.ring"

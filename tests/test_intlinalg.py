@@ -4,7 +4,10 @@ from math import gcd
 
 import pytest
 
-from fdzring.bilinear import _pair_conditions, induced_bilinear_map
+from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
+from fdzring.corpus import w_ring
+from fdzring.eqcheck import EquivalenceResult, IsoResult
+from fdzring.fomc import Add, Mul, Var, Zero
 from fdzring.intlinalg import (
     IntMatrix,
     _echelon,
@@ -17,6 +20,7 @@ from fdzring.intlinalg import (
     lattice_contains,
     left_kernel,
     preimage_lattice,
+    record,
     row_times_matrix,
     smith,
     smith_diagonal,
@@ -24,6 +28,7 @@ from fdzring.intlinalg import (
     vec_add,
 )
 from fdzring.ringfile import load_ring
+from fdzring.rings import characteristic_ideals
 from oracles import (
     reference_affine_preimage,
     reference_hermite_rows,
@@ -31,6 +36,50 @@ from oracles import (
     reference_solve_congruences,
     smith_left_kernel,
 )
+
+
+def test_record_contract():
+    x = Var("x")
+    add, mul = Add(x, Zero()), Mul(x, Zero())
+    # equality and hashing only within one class, on the field tuple
+    assert add == Add(Var("x"), Zero()) and add != mul and len({add, mul}) == 2
+    assert IsoResult("no") != EquivalenceResult("no")
+    assert hash(add) == hash((x, Zero())) and hash(x) == hash(("x",)) and hash(Zero()) == hash(())
+    assert repr(add) == "Add(left=Var(name='x'), right=Zero())"
+    with pytest.raises(AttributeError):
+        add.left = Zero()
+    with pytest.raises(AttributeError):
+        del add.left
+    for bad in ((x,), (x, Zero(), Zero())):
+        with pytest.raises(TypeError):
+            Add(*bad)
+    with pytest.raises(TypeError):
+        Add(x, Zero(), middle=x)
+    with pytest.raises(TypeError):
+        Add(x, left=x)
+    # keyword construction with trailing defaults
+    result = IsoResult(kind="no", reason="orders differ")
+    assert (result.kind, result.witness, result.reason) == ("no", None, "orders differ")
+    assert result == IsoResult("no", None, "orders differ")
+    match Mul(add, x):
+        case Mul(Add(left, Zero()), Var(name)):
+            assert left is x and name == "x"
+        case _:
+            pytest.fail("positional pattern did not destructure")
+    # cached_property keeps its value in the instance dict
+    chain = characteristic_ideals(w_ring())
+    assert chain.hat is chain.hat
+    # __post_init__ runs on construction
+    with pytest.raises(BilinearMapError):
+        BilinearMap((2, 2), (2,), (((1,), (0,)),))
+
+    @record
+    class Pair:
+        first: int
+        second: int = 0
+
+    assert Pair(1) == Pair(first=1, second=0) and Pair.__match_args__ == ("first", "second")
+    assert vars(Pair(second=2, first=1)) == {"first": 1, "second": 2}
 
 
 def check_smith(a):
