@@ -27,6 +27,7 @@ from math import prod
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from .intlinalg import IntMatrix, Vec, hermite_rows, record, row_times_matrix
 from .rings import (
+    ELEMENT_LIMIT,
     FdzRing,
     SubringPresentation,
     _ideal_quotient,
@@ -173,7 +174,7 @@ def idempotents(p: FdzRing) -> list[Vec]:
     _require_scalar(p)
     # p is diagonal, so its torsion is spanned by the generators of finite order
     finite = [i for i, d in enumerate(p.orders) if d]
-    if prod(p.orders[i] for i in finite) > 4096:
+    if prod(p.orders[i] for i in finite) > ELEMENT_LIMIT:
         raise FactorizationIncomplete("torsion part too large to enumerate")
     if len(finite) == p.rank:
         return sorted(e for e in p.elements() if p.mul(e, e) == e)

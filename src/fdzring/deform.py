@@ -13,26 +13,31 @@ per cyclic factor of the source, which covers every class: the tests check
 the cocycle identity, the coboundary test and the class sums on explicit
 value tables, with brute-force oracles kept outside the library.
 
+An extension is presented by a relation e_i·g_i = beta_i per finite source
+factor; a staircase wraps once in e steps, so beta_i is the factor's value
+(zero when e_i = 1).
+
 The deformation constructor rebuilds a ring from its characteristic-ideal
-skeleton at the integer instantiation: the carrier is (free part ⊕ torsion
-part of A/k) x (delta ⊕ addition), addition is twisted by the base
-extension cocycle transported from the ring plus the user-supplied
-deformation cocycles (valued in the would-be annihilator), and the product
-of two carrier elements is the base-ring product of their canonical
-representatives, which lands in delta and is annihilator-transparent.
+skeleton at the integer instantiation (Myasnikov–Oger–Sohrabi, APAL 169,
+2018): the carrier is (free part ⊕ torsion part of A/k) x (delta ⊕
+addition).  The transversal defects of l over k telescope over a cycle, so
+a torsion factor with lift t_i and cocycle value d_i (in the would-be
+annihilator) has beta_i = k(e_i·t_i) + d_i.  Products of representatives
+land in delta and are annihilator-transparent, so the ring is the quotient
+of the free ring on the representatives by the relations.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
 from .groups import FgAbelianGroup
 from .intlinalg import (
     IntMatrix, Vec, affine_preimage, hermite_reduce, record, row_times_matrix, smith_diagonal,
 )
-from .rings import FdzRing, IdealChain, characteristic_ideals
+from .rings import FdzRing, IdealChain, _ideal_quotient, characteristic_ideals
 
 
 # the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
@@ -154,54 +159,40 @@ class GroupExtension:
 
 
 def _extension_group(
-    source_orders: Vec,
-    target_orders: Vec,
-    twist: Callable[[Sequence[int], Sequence[int]], Vec],
-) -> tuple[FgAbelianGroup, list[Vec]]:
-    """The extension of the source by the target under the addition twist.
+    source_orders: Vec, target_orders: Vec, betas: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The relation rows of the extension of the source by the target.
 
-    Adding the i-th source generator e_i times to zero closes its source
-    coordinates and leaves a target value beta_i, so e_i·g_i = beta_i is a
-    relation.  Returns the group on (source, target) generators and the
-    beta_i of the finite source factors, in order.
+    The i-th source generator g_i of finite order e_i meets e_i·g_i = beta_i,
+    where beta_i is the twist that adding g_i to itself e_i times leaves in
+    the target; ``betas`` holds them for the finite source factors, in
+    order, and infinite factors take no relation.  The target orders close
+    the list.
     """
     rg, rd = len(source_orders), len(target_orders)
-    rows: list[list[int]] = []
-    closing: list[Vec] = []
-    for i, e in enumerate(source_orders):
-        if e == 0:
-            continue
-        gen = _reduce_mod_orders([1 if j == i else 0 for j in range(rg)], source_orders)
-        point, beta = tuple([0] * rg), tuple([0] * rd)
-        for _ in range(e):
-            shift = twist(point, gen)
-            point = _reduce_mod_orders([x + y for x, y in zip(point, gen)], source_orders)
-            beta = _reduce_mod_orders([x + t for x, t in zip(beta, shift)], target_orders)
-        assert not any(point), "source relation must close"
-        closing.append(beta)
-        rows.append([e if j == i else 0 for j in range(rg)] + [-v for v in beta])
+    finite = [i for i, e in enumerate(source_orders) if e]
+    rows = [
+        [source_orders[i] if j == i else 0 for j in range(rg)] + [-v for v in beta]
+        for i, beta in zip(finite, betas)
+    ]
     for k, d in enumerate(target_orders):
         if d:
             rows.append([0] * rg + [d if j == k else 0 for j in range(rd)])
-    return FgAbelianGroup(rg + rd, rows), closing
+    return rows
 
 
 def build_group_extension(c: SymmetricCocycle) -> GroupExtension:
-    """The abelian extension of the cocycle's source by its target."""
+    """The abelian extension of the cocycle's source by its target.
+
+    beta_i is the factor's value, except on a factor of order 1, whose
+    generator reduces to zero: there the e-step sum is empty and beta_i = 0.
+    """
     rg = len(c.source_orders)
     rd = len(c.target_orders)
-    group, _ = _extension_group(c.source_orders, c.target_orders, c.evaluate)
-    embed = IntMatrix(
-        [[0] * rg + [1 if j == k else 0 for j in range(rd)] for k in range(rd)],
-        cols=rg + rd,
-    )
-    project = IntMatrix(
-        [
-            [1 if j == i else 0 for j in range(rg)] if i < rg else [0] * rg
-            for i in range(rg + rd)
-        ],
-        cols=rg,
-    )
+    betas = [v if e != 1 else (0,) * rd for e, v in zip(c.source_orders, c.cyclic_values) if e]
+    group = FgAbelianGroup(rg + rd, _extension_group(c.source_orders, c.target_orders, betas))
+    embed = IntMatrix([(0,) * rg + row for row in IntMatrix.identity(rd).data], cols=rg + rd)
+    project = IntMatrix(IntMatrix.identity(rg).data + ((0,) * rg,) * rd, cols=rg)
     return GroupExtension(
         group=group, embed_target=embed, project_source=project, cocycle=c
     )
@@ -216,14 +207,15 @@ class DeformationSpec:
 
     ``g`` lives on the finite torsion quotient l/k and is valued in the
     would-be annihilator (free addition coordinates followed by the
-    coordinates of ann ∩ delta); None means the zero cocycle.  The paper's
+    coordinates of ann ∩ delta); None means the zero cocycle.  Its value
+    d_i on the i-th factor enters the extension relation of that factor as
+    d_i itself, since a staircase wraps once in e_i steps.  The paper's
     cocycles on the free part of A/k and on the free addition have a free
     source; extensions of a free group split, so ``SymmetricCocycle`` admits
     only the zero cocycle there, and they take no input.
     """
 
     base: FdzRing
-    addition_rank: int | None = None
     g: SymmetricCocycle | None = None
 
 
@@ -235,6 +227,10 @@ class DeformationContext:
       * k-space: delta presentation ++ addition free part
       * carrier source: the free factors of A/k (rank m) ++ its finite
         factors, which present the torsion part n_quot = l/k
+
+    The i-th finite factor, of order e_i, lifts to the i-th row t_i of
+    ``n_lift_ambient``, reduced modulo k.  Its transversal defects telescope
+    over a full cycle of Z/e_i, so its base relation is e_i·g_i = k(e_i·t_i).
     """
 
     def __init__(self, base: FdzRing):
@@ -242,14 +238,14 @@ class DeformationContext:
         self.chain = chain = characteristic_ideals(base)
         add_pres = chain.addition_pres
         assert not any(add_pres.ring.orders), "an addition must be free"
-        self.addition_rank = add_pres.ring.rank
         self.addition_basis = add_pres.lift
+        n = add_pres.ring.rank
         self.delta = chain.delta_pres
         self.o_pres = chain.o_pres
         # k = delta ⊕ A0: the rows are the k-space basis in ambient coordinates
         self.k_basis = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=base.rank)
-        self.d_orders: Vec = tuple([0] * self.addition_rank) + self.o_pres.ring.orders
-        self.k_orders: Vec = self.delta.ring.orders + tuple([0] * self.addition_rank)
+        self.d_orders: Vec = tuple([0] * n) + self.o_pres.ring.orders
+        self.k_orders: Vec = self.delta.ring.orders + tuple([0] * n)
         self._init_carrier()
 
     # -- annihilator (d) coordinates --
@@ -267,7 +263,7 @@ class DeformationContext:
         return _reduce_mod_orders(coords, self.d_orders)
 
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
-        n = self.addition_rank
+        n = self.addition_basis.rows
         o_part = dvec[n:]
         delta_part = row_times_matrix(o_part, self.chain.o_in_delta)
         return _reduce_mod_orders(
@@ -298,35 +294,23 @@ class DeformationContext:
         self.free_section = IntMatrix([row for d, row in lifts if not d], cols=self.base.rank)
         self.free_rank = self.free_section.rows
         self.n_orders: Vec = tuple(d for d, _ in lifts if d)
-        self.n_lift_ambient = IntMatrix(
-            [self._canonical_l_representative(row) for d, row in lifts if d],
-            cols=self.base.rank,
-        )
+        torsion = [row for d, row in lifts if d]
+        if not all(map(self.chain.l_ideal.contains, torsion)):
+            raise DeformationError("torsion representative must lie in the l-ideal")
+        # canonical coset representatives modulo the k-ideal lattice
+        reps = [hermite_reduce(self.chain.k_ideal.lift_basis, row) for row in torsion]
+        self.n_lift_ambient = IntMatrix(reps, cols=self.base.rank)
         self.source_orders: Vec = tuple([0] * self.free_rank) + self.n_orders
 
-    def _canonical_l_representative(self, vec: Sequence[int]) -> Vec:
-        # canonical coset representative modulo the k-ideal lattice
-        if not self.chain.l_ideal.contains(vec):
-            raise DeformationError("torsion representative must lie in the l-ideal")
-        return hermite_reduce(self.chain.k_ideal.lift_basis, vec)
-
-    def torsion_transversal(self, ncoords: Sequence[int]) -> Vec:
-        """The canonical representative in the ring of a torsion-quotient
-        element."""
-        coords = _reduce_mod_orders(ncoords, self.n_orders)
-        acc = row_times_matrix(coords, self.n_lift_ambient)
-        return self._canonical_l_representative(self.base.reduce(acc))
-
-    def base_extension_cocycle(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        """The transversal-defect cocycle of l over k, in k-coordinates."""
-        xr = _reduce_mod_orders(x, self.n_orders)
-        yr = _reduce_mod_orders(y, self.n_orders)
-        s = [a + b for a, b in zip(xr, yr)]
-        defect = self.base.sub(
-            self.base.add(self.torsion_transversal(xr), self.torsion_transversal(yr)),
-            self.torsion_transversal(s),
-        )
-        return self.ambient_to_k(defect)
+    def extension_betas(self, g: SymmetricCocycle) -> list[Vec]:
+        """beta_i = k(e_i·t_i) + d_to_k(d_i) for each torsion factor under ``g``."""
+        return [
+            _reduce_mod_orders(
+                [a + b for a, b in zip(self.ambient_to_k(self.base.scale(e, t)), self.d_to_k(d))],
+                self.k_orders,
+            )
+            for e, t, d in zip(self.n_orders, self.n_lift_ambient.data, g.cyclic_values)
+        ]
 
     def ambient_annihilator_cocycle(
         self, n_index: int, value_ambient: Sequence[int]
@@ -350,75 +334,41 @@ class DeformationResult:
 
 
 def build_deformation(spec: DeformationSpec) -> DeformationResult:
+    """The deformation of the base ring by the torsion cocycle ``g``: the
+    free ring on the representatives (free section, torsion lifts, k basis)
+    modulo the extension relations."""
     ctx = DeformationContext(spec.base)
-    n = ctx.addition_rank
-    if spec.addition_rank is not None and spec.addition_rank != n:
-        raise DeformationError(
-            f"addition rank mismatch: the base has rank {n}"
-        )
-    m = ctx.free_rank
-
+    base = ctx.base
     g = spec.g or zero_cocycle(ctx.n_orders, ctx.d_orders)
     if g.source_orders != ctx.n_orders or g.target_orders != ctx.d_orders:
         raise DeformationError("the torsion cocycle has mismatched shape")
 
-    def carrier_twist(x: Sequence[int], y: Sequence[int]) -> Vec:
-        # the free part of the source carries no twist
-        xn, yn = x[m:], y[m:]
-        shift = ctx.d_to_k(g.evaluate(xn, yn))
-        acc = [a + b for a, b in zip(ctx.base_extension_cocycle(xn, yn), shift)]
-        return _reduce_mod_orders(acc, ctx.k_orders)
-
-    group, closing = _extension_group(ctx.source_orders, ctx.k_orders, carrier_twist)
-    rs = len(ctx.source_orders)
-    rk = len(ctx.k_orders)
-    rank_e = rs + rk
-
+    closing = ctx.extension_betas(g)
     _check_independence(ctx, closing)
 
-    # ambient representative of each extension generator
-    reps = list(ctx.free_section.data)
-    for unit in IntMatrix.identity(len(ctx.n_orders)).data:
-        reps.append(ctx.torsion_transversal(unit))
-    for row in ctx.k_basis.data:
-        reps.append(ctx.base.reduce(row))
-
-    def product_coords(u: int, v: int) -> Vec:
-        prod = ctx.base.mul(reps[u], reps[v])
-        delta_coords = ctx.delta.express(prod)
-        kvec = tuple(delta_coords) + tuple([0] * n)
-        return tuple([0] * rs) + kvec
-
-    tensor = [[product_coords(u, v) for v in range(rank_e)] for u in range(rank_e)]
-
-    pres = group.diagonal
-
-    def transport(u_coords: Sequence[int], v_coords: Sequence[int]) -> Vec:
-        acc = [0] * rank_e
-        for i, ci in enumerate(u_coords):
-            if not ci:
-                continue
-            for j, cj in enumerate(v_coords):
-                if not cj:
-                    continue
-                contrib = tensor[i][j]
-                for t in range(rank_e):
-                    acc[t] += ci * cj * contrib[t]
-        return row_times_matrix(acc, pres.project)
-
-    new_tensor = [[transport(x, y) for y in pres.lift.data] for x in pres.lift.data]
-    ring = FdzRing(pres.orders, new_tensor)
-    d_embed_rows = []
-    for i in range(len(ctx.d_orders)):
-        dvec = tuple(1 if j == i else 0 for j in range(len(ctx.d_orders)))
-        evec = tuple([0] * rs) + ctx.d_to_k(dvec)
-        d_embed_rows.append(row_times_matrix(evec, pres.project))
-    result = DeformationResult(
-        ring=ring,
-        context=ctx,
-        annihilator_embedding=IntMatrix(d_embed_rows, cols=len(pres.orders)),
+    rs = len(ctx.source_orders)
+    relations = _extension_group(ctx.source_orders, ctx.k_orders, closing)
+    reps = (
+        ctx.free_section.data
+        + ctx.n_lift_ambient.data
+        + tuple(base.reduce(row) for row in ctx.k_basis.data)
     )
-    chain = characteristic_ideals(ring)
+    pad = (0,) * ctx.addition_basis.rows
+    free = FdzRing(
+        (0,) * len(reps),
+        [[(0,) * rs + ctx.delta.express(base.mul(x, y)) + pad for y in reps] for x in reps],
+    )
+    quotient = _ideal_quotient(free, free.additive.subgroup(relations))
+    embed_rows = [
+        row_times_matrix((0,) * rs + ctx.d_to_k(unit), quotient.project)
+        for unit in IntMatrix.identity(len(ctx.d_orders)).data
+    ]
+    result = DeformationResult(
+        ring=quotient.ring,
+        context=ctx,
+        annihilator_embedding=IntMatrix(embed_rows, cols=quotient.ring.rank),
+    )
+    chain = characteristic_ideals(quotient.ring)
     for row in result.annihilator_embedding.data:
         if not chain.ann.contains(row):
             raise DeformationError(
@@ -439,7 +389,7 @@ def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
     transversal defects, so the check can refuse a ring's own zero-cocycle
     deformation: a refusal means the construction does not apply.
     """
-    n = ctx.addition_rank
+    n = ctx.addition_basis.rows
     beta_rows = [list(kvec[len(kvec) - n :]) for kvec in closing]
     if not beta_rows:
         return

@@ -41,9 +41,11 @@ from functools import reduce
 from typing import Sequence
 
 from .intlinalg import record
-from .rings import FdzRing
+from .rings import ELEMENT_LIMIT, FdzRing
 
-CARRIER_GUARD = 4096
+# ``FdzRing.elements``'s cap, checked first so that an oversized carrier
+# is a FormulaError
+CARRIER_GUARD = ELEMENT_LIMIT
 ENUMERATION_GUARD = 200_000
 NESTING_GUARD = 200
 

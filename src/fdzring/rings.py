@@ -354,25 +354,13 @@ def annihilator(a: FdzRing) -> Subgroup:
     return pairing_kernel(a.tensor, a.orders, a.additive, range(a.rank))
 
 
-def ideal_closure(a: FdzRing, s: Subgroup) -> Subgroup:
-    """Smallest two-sided ideal containing s (ascending chain terminates)."""
-    current = s
-    while True:
-        extra = []
-        for row in current.lift_basis:
-            for i in range(a.rank):
-                g = a.generator(i)
-                extra.append(a.mul(row, g))
-                extra.append(a.mul(g, row))
-        bigger = current.sum(a.additive.subgroup(extra))
-        if bigger == current:
-            return current
-        current = bigger
-
-
 def square_ideal(a: FdzRing) -> Subgroup:
-    gens = [a.tensor[i][j] for i in range(a.rank) for j in range(a.rank)]
-    return ideal_closure(a, a.additive.subgroup(gens))
+    """A², the subgroup spanned by the products e_i·e_j.
+
+    It is a two-sided ideal in every ring, associative or not: for s in A²
+    and any z, s·z and z·s are themselves products of two elements.
+    """
+    return a.additive.subgroup(v for row in a.tensor for v in row)
 
 
 @lru_cache(maxsize=256)
@@ -442,7 +430,10 @@ def quotient_ring(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
 
 def _ideal_quotient(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
     """``quotient_ring`` without its checks, for a two-sided ideal of ``a``
-    by construction: ann, k, nA, a subgroup of ann, the torsion."""
+    by construction: ann, k, nA, a subgroup of ann, the torsion, and the
+    extension relations of a deformation in the free ring on its
+    representatives.  Those are an ideal because e·t_i and its k-coordinates
+    multiply alike in the base ring, and the cocycle twist lies in ann."""
     pres = ideal.quotient().diagonal
     lift = pres.lift.data
     tensor = [

@@ -912,3 +912,38 @@ def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatr
         cols=chain.ring.rank,
     )
     return free_lift.mul(ak.lift), n_orders, n_lift_ambient
+
+
+# -- deformation relations by the e-step loop -------------------------------------
+
+
+def reference_deformation_closing(ctx, g) -> list[Vec]:
+    """The k-coordinates beta_i of e_i·g_i for each torsion factor of a
+    deformation, found by adding the i-th generator to itself e_i times.
+
+    Each step adds the defect T(x) + T(u) - T(x + u) of the torsion
+    transversal T of l over k, in k-coordinates, plus g(x, u) carried into
+    k.  ``ctx`` is a ``DeformationContext`` and ``g`` a cocycle on its
+    torsion quotient.
+    """
+    base = ctx.base
+
+    def transversal(ncoords) -> Vec:
+        coords = _reduce_mod(ncoords, ctx.n_orders)
+        acc = base.reduce(row_times_matrix(coords, ctx.n_lift_ambient))
+        return hermite_reduce(ctx.chain.k_ideal.lift_basis, acc)
+
+    closing = []
+    for i, e in enumerate(ctx.n_orders):
+        gen = _reduce_mod([int(j == i) for j in range(len(ctx.n_orders))], ctx.n_orders)
+        point, beta = (0,) * len(gen), (0,) * len(ctx.k_orders)
+        for _ in range(e):
+            after = _reduce_mod([x + y for x, y in zip(point, gen)], ctx.n_orders)
+            defect = base.sub(base.add(transversal(point), transversal(gen)), transversal(after))
+            twist = ctx.d_to_k(g.evaluate(point, gen))
+            step = [a + b for a, b in zip(ctx.ambient_to_k(defect), twist)]
+            beta = _reduce_mod([x + y for x, y in zip(beta, step)], ctx.k_orders)
+            point = after
+        assert not any(point), "the source relation must close"
+        closing.append(beta)
+    return closing

@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
@@ -22,9 +24,12 @@ from fdzring.groups import FgAbelianGroup
 from fdzring.rings import FdzRing, characteristic_ideals
 from fdzring.intlinalg import row_times_matrix
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 from oracles import (
     TableCocycle,
     cocycle_pair_add,
+    reference_deformation_closing,
     table_cocycle_defect,
     table_ext_classes,
     table_is_coboundary,
@@ -142,6 +147,30 @@ def test_extension_order_and_kernel():
                     kernel_rows.append(vec)
             embedded = ext.group.subgroup(list(ext.embed_target.data))
             assert ext.group.subgroup(kernel_rows) == embedded
+
+
+def test_group_extension_relations_are_the_e_fold_sums():
+    # e_i·g_i = beta_i, where beta_i is what adding (g_i, 0) to itself e_i
+    # times leaves in the target; order-1 factors leave nothing
+    rng = random.Random(60)
+    for e in range(1, 9):
+        for target in ((0,), (5,), (0, 4), (2, 6), (3, 0, 9)):
+            rt = len(target)
+            for _ in range(3):
+                source = (e,) + tuple(rng.choice((0, 1, 2, 3, 5)) for _ in range(rng.randint(0, 2)))
+                rs = len(source)
+                values = [[rng.randint(-7, 7) if d else 0 for _ in target] for d in source]
+                c = SymmetricCocycle(source, target, cyclic_values=values)
+                rows = [[0] * rs + [d * int(j == k) for j in range(rt)] for k, d in enumerate(target)]
+                for i, d in enumerate(source):
+                    gen = tuple(int(j == i) for j in range(rs))
+                    acc = ((0,) * rs, (0,) * rt)
+                    for _ in range(d):
+                        acc = cocycle_pair_add(c, acc, (gen, (0,) * rt))
+                    assert not any(acc[0])
+                    rows.append([d * x for x in gen] + [-v for v in acc[1]])
+                expected = FgAbelianGroup(rs + rt, rows)
+                assert build_group_extension(c).group == expected, c.cyclic_values
 
 
 def test_ext_classification_against_brute_force():
@@ -305,8 +334,6 @@ def test_w_deformation_value_must_be_annihilator():
 def test_deformation_spec_validation():
     w = w_ring()
     ctx = DeformationContext(w)
-    with pytest.raises(DeformationError):
-        build_deformation(DeformationSpec(base=w, addition_rank=5))
     bad_g = zero_cocycle((3,), ctx.d_orders)
     with pytest.raises(DeformationError):
         build_deformation(DeformationSpec(base=w, g=bad_g))
@@ -358,3 +385,55 @@ def test_sixterm_reports_inner_budget_exhaustion():
     assert report.status == "unknown"
     assert report.detail == "search budget exhausted"
     assert verify_sixterm(ring, ring).status == "commutes"
+
+
+def _random_annihilator_cocycle(rng, ctx):
+    """A cocycle on the torsion quotient whose values are random elements of
+    the annihilator."""
+    values = []
+    for _ in ctx.n_orders:
+        vec = [0] * ctx.base.rank
+        for row in ctx.chain.ann.lift_basis:
+            c = rng.randint(-2, 2)
+            vec = [a + c * b for a, b in zip(vec, row)]
+        values.append(ctx.ambient_to_d(vec))
+    return SymmetricCocycle(ctx.n_orders, ctx.d_orders, cyclic_values=values)
+
+
+def _deformation_outcome(spec):
+    try:
+        result = build_deformation(spec)
+    except DeformationError as exc:
+        return str(exc)
+    return result.ring, result.annihilator_embedding
+
+
+def test_deformation_relations_match_the_transversal_loop(monkeypatch):
+    # the closed form beta_i = k(e_i·t_i) + d_i against the e-step sum of
+    # transversal defects and cocycle values, on the corpus, the search
+    # workload's deformation catalog and seeded rings with random g
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rings = [builder() for builder in NAMED_RINGS.values()]
+    catalog = workloads.catalog(workloads.DEFORM_CATALOG_SEED, workloads.DEFORM_RANKS)
+    rings += [FdzRing(*data) for data in catalog]
+    rng = random.Random(61)
+    rings += [FdzRing(*random_ring_data(rng, rng.randint(2, 6))) for _ in range(220)]
+    specs = []
+    for ring in rings:
+        ctx = DeformationContext(ring)
+        for g in (zero_cocycle(ctx.n_orders, ctx.d_orders), _random_annihilator_cocycle(rng, ctx)):
+            assert ctx.extension_betas(g) == reference_deformation_closing(ctx, g), ring
+            specs.append(DeformationSpec(base=ring, g=g))
+    closed = [_deformation_outcome(spec) for spec in specs]
+    monkeypatch.setattr(DeformationContext, "extension_betas", reference_deformation_closing)
+    looped = [_deformation_outcome(spec) for spec in specs]
+    assert closed == looped
+    twisted = sum(1 for spec in specs if spec.g is not None and any(map(any, spec.g.cyclic_values)))
+    refused = sum(1 for outcome in closed if isinstance(outcome, str))
+    # of the 460 specs, 36 carry a nonzero twist and 27 are refused
+    assert twisted >= 30 and refused >= 20
