@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 from .groups import FgAbelianGroup, Subgroup
 from .intlinalg import (
     IntMatrix,
+    SparseRow,
     Vec,
     diagonal_presentation,
     hermite_coordinates,
@@ -251,8 +252,9 @@ class ScalarRingAction:
     ``action_on_domain[g]`` and ``action_on_codomain[g]`` are the matrices of
     the g-th ring generator; ``unity`` holds the coordinates of (id, id).
     ``pair_basis`` rows span the full solution lattice of endomorphism pairs
-    (domain matrix flattened, then codomain matrix), and ``in_parent`` is set
-    when this ring was carved out of a larger one.
+    (domain matrix flattened, then codomain matrix).  When this ring was
+    carved out of a larger one, ``parent`` is that ring's action and the
+    rows of ``in_parent`` are this ring's generators in its coordinates.
     """
 
     ring: FdzRing
@@ -263,6 +265,7 @@ class ScalarRingAction:
     pair_basis: IntMatrix
     express_pair: Callable[[IntMatrix, IntMatrix], Vec]
     in_parent: IntMatrix | None = None
+    parent: ScalarRingAction | None = None
 
     def pair_of(self, coords: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
         pairs = zip(self.action_on_domain, self.action_on_codomain)
@@ -278,52 +281,36 @@ def _unpack_pair(z: Sequence[int], f: BilinearMap) -> tuple[IntMatrix, IntMatrix
     return phi, psi
 
 
-def _pair_conditions(f: BilinearMap) -> tuple[list[list[int]], list[int]]:
+def _pair_conditions(f: BilinearMap) -> tuple[list[SparseRow], list[int]]:
+    """Congruences in the flattened pair (phi, psi) as sparse rows: the order
+    rows d_i·phi_ik and d_i·psi_ik, then for each generator pair (i, j) and
+    codomain coordinate k the rows of f(phi·e_i, e_j) = psi(f(e_i, e_j)) and
+    f(e_i, phi·e_j) = psi(f(e_i, e_j))."""
     m, n = f.domain_rank, f.codomain_rank
-    nunk = m * m + n * n
-
-    def phi_idx(i, j):
-        return i * m + j
-
-    def psi_idx(i, j):
-        return m * m + i * n + j
-
-    eqs: list[list[int]] = []
+    dom, cod, values = f.domain_orders, f.codomain_orders, f.values
+    eqs: list[SparseRow] = []
     moduli: list[int] = []
     for i in range(m):
-        if f.domain_orders[i] == 0:
-            continue
-        for k in range(m):
-            row = [0] * nunk
-            row[phi_idx(i, k)] = f.domain_orders[i]
-            eqs.append(row)
-            moduli.append(f.domain_orders[k])
+        if dom[i]:
+            eqs += ({i * m + k: dom[i]} for k in range(m))
+            moduli += dom
     for i in range(n):
-        if f.codomain_orders[i] == 0:
-            continue
-        for k in range(n):
-            row = [0] * nunk
-            row[psi_idx(i, k)] = f.codomain_orders[i]
-            eqs.append(row)
-            moduli.append(f.codomain_orders[k])
+        if cod[i]:
+            eqs += ({m * m + i * n + k: cod[i]} for k in range(n))
+            moduli += cod
+    # the nonzero f(e_t, e_j)_k by (j, k) and f(e_i, e_t)_k by (i, k), over t
+    down = [[[(t, values[t][j][k]) for t in range(m) if values[t][j][k]] for k in range(n)]
+            for j in range(m)]
+    across = [[[(t, values[i][t][k]) for t in range(m) if values[i][t][k]] for k in range(n)]
+              for i in range(m)]
     for i in range(m):
         for j in range(m):
-            base = f.values[i][j]
+            base = [(s, x) for s, x in enumerate(values[i][j]) if x]
             for k in range(n):
-                left = [0] * nunk
-                for t in range(m):
-                    left[phi_idx(i, t)] += f.values[t][j][k]
-                for s in range(n):
-                    left[psi_idx(s, k)] -= base[s]
-                eqs.append(left)
-                moduli.append(f.codomain_orders[k])
-                right = [0] * nunk
-                for t in range(m):
-                    right[phi_idx(j, t)] += f.values[i][t][k]
-                for s in range(n):
-                    right[psi_idx(s, k)] -= base[s]
-                eqs.append(right)
-                moduli.append(f.codomain_orders[k])
+                psi = {m * m + s * n + k: -x for s, x in base}
+                eqs.append({i * m + t: x for t, x in down[j][k]} | psi)
+                eqs.append({j * m + t: x for t, x in across[i][k]} | psi)
+                moduli += (cod[k], cod[k])
     return eqs, moduli
 
 
@@ -433,27 +420,24 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
     basis = _pair_lattice(f)
     parent = _build_action(f, basis)
     m, n = f.domain_rank, f.codomain_rank
-    nunk = m * m + n * n
     pi = [
         row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
         for k in range(n)
     ]
-    eqs: list[list[int]] = []
+    eqs: list[SparseRow] = []
     moduli: list[int] = []
     for k in range(n):
         for c in range(m):
-            row = [0] * nunk
-            for s in range(n):
-                row[m * m + k * n + s] += pi[s][c]
-            for t in range(m):
-                row[t * m + c] -= pi[k][t]
-            support = [(j, x) for j, x in enumerate(row) if x]
-            eqs.append([sum(x * z[j] for j, x in support) for z in basis])
+            row = {m * m + k * n + s: pi[s][c] for s in range(n) if pi[s][c]}
+            row |= {t * m + c: -pi[k][t] for t in range(m) if pi[k][t]}
+            eqs.append(
+                {b: v for b, z in enumerate(basis) if (v := sum(x * z[j] for j, x in row.items()))}
+            )
             moduli.append(f.domain_orders[c])
     res = solve_congruences(eqs, moduli, unknowns=len(basis))
     assert res is not None
     sub_basis = hermite_rows(
-        (row_times_matrix(coords, parent.pair_basis) for coords in res[1]), nunk
+        (row_times_matrix(coords, parent.pair_basis) for coords in res[1]), m * m + n * n
     )
     action = _build_action(f, sub_basis)
     in_parent = IntMatrix(
@@ -464,4 +448,4 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
         cols=parent.ring.rank,
     )
     kept = {name: getattr(action, name) for name in action.__match_args__}
-    return ScalarRingAction(**(kept | {"in_parent": in_parent}))
+    return ScalarRingAction(**(kept | {"in_parent": in_parent, "parent": parent}))

@@ -125,14 +125,14 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_pf(args) -> dict:
-    from .bilinear import induced_bilinear_map, pa_ring, pf_ring
+    from .bilinear import pa_ring
 
     ring = load_ring(args.ring)
-    induced = induced_bilinear_map(ring)
+    pa = pa_ring(ring)
     return {
         "input": _input_summary(args.ring, ring),
-        "pf": _action_json(pf_ring(induced.map)),
-        "pa": _action_json(pa_ring(ring)),
+        "pf": _action_json(pa.parent),
+        "pa": _action_json(pa),
     }
 
 

@@ -12,7 +12,9 @@ coordinate change onto them, read from ``v`` and ``vinv``);
 ``smith_diagonal`` gives the diagonal alone, over Z or over Z/n with every
 entry reduced into [0, n), for invariants that need no coordinates.  Hermite
 reduction works on sparse rows: the auxiliary systems of rank-12 rings are
-thousands of columns wide and nearly all zero.
+thousands of columns wide and nearly all zero.  ``solve_congruences`` takes
+its equations in that form too, as ``{column: coefficient}`` maps
+(``SparseRow``), and requires the number of unknowns, which it never infers.
 
 ``record`` is the class decorator of every frozen value type in the
 library.  It reads the annotated fields in order and gives the class
@@ -34,10 +36,6 @@ from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 SparseRow = dict[int, int]
-
-
-def _as_vec(values: Iterable[int]) -> Vec:
-    return tuple(map(int, values))
 
 
 def record(cls):
@@ -101,7 +99,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[int]], cols: int | None = None):
-        rows = tuple(_as_vec(r) for r in data)
+        rows = tuple(tuple(map(int, r)) for r in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -556,47 +554,53 @@ def left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
 
 
 def solve_congruences(
-    equations: Sequence[Sequence[int]],
+    equations: Sequence[SparseRow],
     moduli: Sequence[int],
     rhs: Sequence[int] | None = None,
-    unknowns: int | None = None,
+    *,
+    unknowns: int,
 ) -> tuple[Vec, tuple[Vec, ...]] | None:
-    """Solve a system of simultaneous congruences in z.
+    """Solve a system of simultaneous congruences in z, an integer vector
+    of length ``unknowns`` (required: sparse rows do not give it).
 
-    Each equation row ``e`` with modulus ``m`` imposes  e·z = rhs_e (mod m),
-    where modulus 0 means exact equality.  Returns a particular solution and
-    the Hermite basis of the homogeneous solution lattice, or ``None``.
-    With ``rhs=None`` the zero solution is returned as the particular part,
+    Each equation is a sparse row ``{column: coefficient}`` with columns in
+    [0, unknowns); with modulus m it imposes  e·z = rhs_e (mod m), where
+    modulus 0 means exact equality.  Returns a particular solution and the
+    Hermite basis of the homogeneous solution lattice, or ``None``.  With
+    ``rhs=None`` the zero solution is returned as the particular part,
     which turns this into a kernel computation; otherwise the particular
     solution is the canonical one of ``affine_preimage``, so neither changes
     as equations are first taken mod |m|, repeats and ones all z satisfy dropped.
     """
-    eqs = [_as_vec(e) for e in equations]
-    if len(eqs) != len(moduli):
+    if len(equations) != len(moduli):
         raise ValueError("one modulus per equation required")
-    if rhs is not None and len(rhs) != len(eqs):
+    if rhs is not None and len(rhs) != len(equations):
         raise ValueError("right-hand side length mismatch")
-    if eqs:
-        nunk = len(eqs[0])
-    elif unknowns is not None:
-        nunk = unknowns
-    else:
-        raise ValueError("unknown count required for an empty system")
-    if any(len(e) != nunk for e in eqs):
-        raise ValueError("ragged equation rows")
-    system: dict[tuple[Vec, int, int], None] = {}
-    for e, m, b in zip(eqs, map(abs, map(int, moduli)), map(int, rhs or [0] * len(eqs))):
-        e, b = (tuple(x % m for x in e), b % m) if m else (e, b)
-        if b or any(e):
-            system[e, m, b] = None
     # z solves the system iff the combination of equation columns it takes
     # lies in rhs plus the span of the modulus vectors m_r·e_r
-    columns = [{r: e[i] for r, (e, _, _) in enumerate(system) if e[i]} for i in range(nunk)]
-    modulus_rows = [{r: m} for r, (_, m, _) in enumerate(system) if m]
+    columns: list[SparseRow] = [{} for _ in range(unknowns)]
+    modulus_rows: list[SparseRow] = []
+    tag: SparseRow = {}
+    seen: set[tuple[frozenset, int, int]] = set()
+    for e, m, b in zip(equations, moduli, rhs or [0] * len(equations)):
+        if e and (min(e) < 0 or max(e) >= unknowns):
+            raise ValueError("equation column outside the unknowns")
+        m = abs(m)
+        e = {j: y for j, x in e.items() if (y := x % m if m else x)}
+        b = b % m if m else b
+        if not (b or e) or (key := (frozenset(e.items()), m, b)) in seen:
+            continue
+        r = len(seen)
+        seen.add(key)
+        for j, x in e.items():
+            columns[j][r] = x
+        if m:
+            modulus_rows.append({r: m})
+        if b:
+            tag[r] = -b
     if rhs is None:
-        return tuple([0] * nunk), _preimage(columns, len(system), modulus_rows)
-    tag = {r: -b for r, (_, _, b) in enumerate(system) if b}
-    return _solution(_preimage([tag, *columns], len(system), modulus_rows))
+        return tuple([0] * unknowns), _preimage(columns, len(seen), modulus_rows)
+    return _solution(_preimage([tag, *columns], len(seen), modulus_rows))
 
 
 def preimage_lattice(

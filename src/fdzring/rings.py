@@ -31,7 +31,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
-from .intlinalg import IntMatrix, Vec, record, row_times_matrix, solve_congruences
+from .intlinalg import IntMatrix, SparseRow, Vec, record, row_times_matrix, solve_congruences
 
 ELEMENT_LIMIT = 4096
 
@@ -322,18 +322,17 @@ class IdealChain:
 
 def _pairing_equations(
     values: Tensor, codomain_orders: Sequence[int], rank: int, indices: Iterable[int]
-) -> tuple[list[list[int]], list[int]]:
-    """Congruences in x for coordinate k of x·e_j, then of e_j·x, for each j
-    in ``indices`` and each k, where ``values[i][j]`` is e_i·e_j in a
-    codomain with the given orders."""
+) -> tuple[list[SparseRow], list[int]]:
+    """Congruences in x, as sparse rows, for coordinate k of x·e_j, then of
+    e_j·x, for each j in ``indices`` and each k, where ``values[i][j]`` is
+    e_i·e_j in a codomain with the given orders."""
     eqs = []
     moduli = []
     for j in indices:
         for k, dk in enumerate(codomain_orders):
-            eqs.append([values[i][j][k] for i in range(rank)])
-            moduli.append(dk)
-            eqs.append([values[j][i][k] for i in range(rank)])
-            moduli.append(dk)
+            eqs.append({i: x for i in range(rank) if (x := values[i][j][k])})
+            eqs.append({i: x for i in range(rank) if (x := values[j][i][k])})
+            moduli += (dk, dk)
     return eqs, moduli
 
 

@@ -14,7 +14,7 @@ import itertools
 import random
 from math import gcd
 
-from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
+from fdzring.bilinear import BilinearMap, BilinearMapError, induced_bilinear_map
 from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
 from fdzring.groups import FgAbelianGroup, Subgroup, quotient_of_subgroups, split_complement
 from fdzring.intlinalg import (
@@ -336,6 +336,80 @@ def reference_affine_preimage(w: IntMatrix, target_basis, rhs):
     return basis[0][1:], tuple(row[1:] for row in basis[1:])
 
 
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """Dense rows as the {column: coefficient} maps ``solve_congruences`` takes."""
+    return [{j: int(x) for j, x in enumerate(r) if x} for r in rows]
+
+
+def reference_pair_conditions(f: BilinearMap) -> tuple[list[list[int]], list[int]]:
+    """The pair conditions of f as dense rows over the flattened pair (phi
+    on the domain, then psi on the codomain), in the library's order: the
+    order rows d_i·phi_ik and d_i·psi_ik, then per generator pair (i, j) and
+    codomain coordinate k the rows of f(phi·e_i, e_j) = psi(f(e_i, e_j)) and
+    f(e_i, phi·e_j) = psi(f(e_i, e_j)).  The library built them this way
+    before it wrote them sparse."""
+    m, n = f.domain_rank, f.codomain_rank
+    nunk = m * m + n * n
+
+    def phi_idx(i, j):
+        return i * m + j
+
+    def psi_idx(i, j):
+        return m * m + i * n + j
+
+    eqs: list[list[int]] = []
+    moduli: list[int] = []
+    for i in range(m):
+        if f.domain_orders[i] == 0:
+            continue
+        for k in range(m):
+            row = [0] * nunk
+            row[phi_idx(i, k)] = f.domain_orders[i]
+            eqs.append(row)
+            moduli.append(f.domain_orders[k])
+    for i in range(n):
+        if f.codomain_orders[i] == 0:
+            continue
+        for k in range(n):
+            row = [0] * nunk
+            row[psi_idx(i, k)] = f.codomain_orders[i]
+            eqs.append(row)
+            moduli.append(f.codomain_orders[k])
+    for i in range(m):
+        for j in range(m):
+            base = f.values[i][j]
+            for k in range(n):
+                left = [0] * nunk
+                for t in range(m):
+                    left[phi_idx(i, t)] += f.values[t][j][k]
+                for s in range(n):
+                    left[psi_idx(s, k)] -= base[s]
+                eqs.append(left)
+                moduli.append(f.codomain_orders[k])
+                right = [0] * nunk
+                for t in range(m):
+                    right[phi_idx(j, t)] += f.values[i][t][k]
+                for s in range(n):
+                    right[psi_idx(s, k)] -= base[s]
+                eqs.append(right)
+                moduli.append(f.codomain_orders[k])
+    return eqs, moduli
+
+
+def reference_pairing_equations(values, codomain_orders, rank, indices):
+    """Dense rows of the congruences in x for coordinate k of x·e_j, then of
+    e_j·x, for j in ``indices``: the library's pairing equations as it built
+    them before it wrote them sparse."""
+    eqs, moduli = [], []
+    for j in indices:
+        for k, dk in enumerate(codomain_orders):
+            eqs.append([values[i][j][k] for i in range(rank)])
+            moduli.append(dk)
+            eqs.append([values[j][i][k] for i in range(rank)])
+            moduli.append(dk)
+    return eqs, moduli
+
+
 def reference_solve_congruences(equations, moduli, rhs=None, unknowns=None):
     """``solve_congruences`` on the system exactly as written: no equation
     reduced or dropped, one modulus row per nonzero modulus, the dense
@@ -522,7 +596,7 @@ def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
         row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
         for k in range(n)
     ]
-    eqs, moduli = _pair_conditions(f)
+    eqs, moduli = reference_pair_conditions(f)
     for k in range(n):
         for c in range(m):
             row = [0] * nunk
@@ -532,7 +606,7 @@ def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
                 row[t * m + c] -= pi[k][t]
             eqs.append(row)
             moduli.append(f.domain_orders[c])
-    res = solve_congruences(eqs, moduli, unknowns=nunk)
+    res = solve_congruences(sparse_rows(eqs), moduli, unknowns=nunk)
     assert res is not None
     return res[1]
 
@@ -817,7 +891,7 @@ def table_is_coboundary(c) -> bool:
                 eqs.append(row)
                 moduli.append(c.target_orders[k])
                 rhs.append(value[k])
-    return solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk) is not None
+    return solve_congruences(sparse_rows(eqs), moduli, rhs=rhs, unknowns=nunk) is not None
 
 
 def table_ext_classes(c) -> tuple[Vec, ...]:

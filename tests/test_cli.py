@@ -209,6 +209,23 @@ def test_pf_cli(capsys):
     assert payload["pa"]["inside_pf"] is not None
 
 
+def test_pf_builds_the_pf_action_once(capsys, monkeypatch):
+    # the pf action is pa's parent: one induced map and one pair lattice,
+    # then the pf and the pa action, each built once
+    import fdzring.bilinear as bilinear
+
+    calls = dict.fromkeys(("induced_bilinear_map", "_pair_lattice", "_build_action"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(bilinear, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bilinear, name, counted)
+    code, _, _ = run(capsys, "pf", corpus_path("zx2.ring"))
+    assert code == 0
+    assert calls == {"induced_bilinear_map": 1, "_pair_lattice": 1, "_build_action": 2}
+
+
 def test_corpus_command(capsys):
     code, out, _ = run(capsys, "corpus", CORPUS)
     assert code == 0

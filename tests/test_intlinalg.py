@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -28,13 +29,16 @@ from fdzring.intlinalg import (
     vec_add,
 )
 from fdzring.ringfile import load_ring
-from fdzring.rings import characteristic_ideals
+from fdzring.rings import FdzRing, _pairing_equations, characteristic_ideals
 from oracles import (
     reference_affine_preimage,
     reference_hermite_rows,
+    reference_pair_conditions,
+    reference_pairing_equations,
     reference_preimage_lattice,
     reference_solve_congruences,
     smith_left_kernel,
+    sparse_rows,
 )
 
 
@@ -236,7 +240,7 @@ def test_left_kernel():
 
 def test_solve_congruences():
     # x = 1 mod 2 and x = 2 mod 3 -> x = 5 mod 6
-    res = solve_congruences([[1], [1]], [2, 3], rhs=[1, 2])
+    res = solve_congruences(sparse_rows([[1], [1]]), [2, 3], rhs=[1, 2], unknowns=1)
     assert res is not None
     x, kernel = res
     assert x[0] % 2 == 1 and x[0] % 3 == 2
@@ -252,7 +256,23 @@ def test_solve_congruences_rejects_a_mismatched_rhs():
         ([], [], [0]),
     ):
         with pytest.raises(ValueError, match="right-hand side length mismatch"):
-            solve_congruences(eqs, moduli, rhs=rhs, unknowns=2)
+            solve_congruences(sparse_rows(eqs), moduli, rhs=rhs, unknowns=2)
+
+
+def test_solve_congruences_rejects_a_column_outside_the_unknowns():
+    for eqs in ([{2: 1}], [{0: 1}, {-1: 3}], [{}, {0: 1, 5: 2}]):
+        with pytest.raises(ValueError, match="equation column outside the unknowns"):
+            solve_congruences(eqs, [0] * len(eqs), unknowns=2)
+    # a column past the unknowns is refused even where its coefficient
+    # vanishes modulo m
+    with pytest.raises(ValueError, match="equation column outside the unknowns"):
+        solve_congruences([{0: 1, 2: 4}], [4], unknowns=2)
+
+
+def test_solve_congruences_rejects_a_moduli_length_mismatch():
+    for eqs, moduli in (([{0: 1}], []), ([{0: 1}], [2, 3]), ([], [0])):
+        with pytest.raises(ValueError, match="one modulus per equation required"):
+            solve_congruences(eqs, moduli, unknowns=1)
 
 
 def test_preimage_lattice():
@@ -304,7 +324,7 @@ def test_congruence_kernel_matches_smith_oracle():
         neq = 0 if trial % 10 == 0 else rng.randint(1, 6)
         eqs = _random_rows(rng, neq, nunk)
         moduli = [rng.choice((0, 0, 2, 3, 4, 6, 12)) for _ in range(neq)]
-        part, kernel = solve_congruences(eqs, moduli, unknowns=nunk)
+        part, kernel = solve_congruences(sparse_rows(eqs), moduli, unknowns=nunk)
         assert part == (0,) * nunk
         # the right kernel of [E | -m_r·e_r], truncated to the unknowns
         slack = [r for r, m in enumerate(moduli) if m]
@@ -332,13 +352,15 @@ def test_hermite_coordinates_random_bases():
         assert coords == coeffs  # Hermite rows are independent
         assert row_times_matrix(coords, as_matrix) == vec
         eqs = [[b[j] for b in basis] for j in range(n)]
-        res = solve_congruences(eqs, [0] * n, rhs=list(vec), unknowns=len(basis))
+        res = solve_congruences(sparse_rows(eqs), [0] * n, rhs=list(vec), unknowns=len(basis))
         assert res is not None and res[0] == coords
         off = tuple(rng.randint(-3, 3) for _ in range(n))
         if not lattice_contains(basis, off):
             outside = vec_add(vec, off)
             assert hermite_coordinates(basis, outside) is None
-            assert solve_congruences(eqs, [0] * n, rhs=list(outside), unknowns=len(basis)) is None
+            assert solve_congruences(
+                sparse_rows(eqs), [0] * n, rhs=list(outside), unknowns=len(basis)
+            ) is None
             checked_outside += 1
     assert checked_outside > 100
     with pytest.raises(ValueError):
@@ -476,7 +498,7 @@ def _corpus_pair_systems():
     folder = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
     for name in sorted(os.listdir(folder)):
         f = induced_bilinear_map(load_ring(os.path.join(folder, name))).map
-        eqs, moduli = _pair_conditions(f)
+        eqs, moduli = reference_pair_conditions(f)
         yield eqs, moduli, f.domain_rank ** 2 + f.codomain_rank ** 2
 
 
@@ -485,10 +507,11 @@ def test_sparse_kernel_matches_the_dense_reference():
     same bytes as the dense echelon on the system as written."""
 
     def same_solve(eqs, moduli, rhs, nunk):
-        assert solve_congruences(eqs, moduli, unknowns=nunk) == reference_solve_congruences(
+        sparse = sparse_rows(eqs)
+        assert solve_congruences(sparse, moduli, unknowns=nunk) == reference_solve_congruences(
             eqs, moduli, unknowns=nunk
         )
-        got = solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk)
+        got = solve_congruences(sparse, moduli, rhs=rhs, unknowns=nunk)
         assert got == reference_solve_congruences(eqs, moduli, rhs=rhs, unknowns=nunk)
         return got
 
@@ -523,6 +546,57 @@ def test_sparse_kernel_matches_the_dense_reference():
     assert counts["none"] > 80 and counts["solved"] > 150
     for eqs, moduli, nunk in _corpus_pair_systems():
         same_solve(eqs, moduli, [0] * len(eqs), nunk)
+
+
+def _differential_rings() -> list[FdzRing]:
+    """The corpus, 200 generator rings of ranks 2-8 and the first rank-12
+    ring of ``Random(1)``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    folder = os.path.join(root, "corpus")
+    rings = [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
+    rng = random.Random(19)
+    rings += [FdzRing(*random_ring_data(rng, 2 + i % 7)) for i in range(200)]
+    return rings + [FdzRing(*random_ring_data(random.Random(1), 12))]
+
+
+def test_sparse_systems_match_the_dense_reference():
+    """The library's sparse pairing equations and pair conditions are the
+    reference's dense rows, row for row in the same order, and solve to the
+    reference solution of the dense rows: the annihilator's equations, the
+    same with unity's right-hand side, and the pair conditions.  The dense
+    echelon is quadratic in the rows, so the pair systems of more than 300
+    rows (ranks 6-8 and 12) are checked row for row only."""
+    solved_pairs = 0
+    for ring in _differential_rings():
+        r = ring.rank
+        eqs, moduli = _pairing_equations(ring.tensor, ring.orders, r, range(r))
+        dense, dense_moduli = reference_pairing_equations(ring.tensor, ring.orders, r, range(r))
+        assert eqs == sparse_rows(dense) and moduli == dense_moduli
+        assert solve_congruences(eqs, moduli, unknowns=r) == reference_solve_congruences(
+            dense, moduli, unknowns=r
+        )
+        rhs = [1 if j == k else 0 for j in range(r) for k in range(r) for _ in range(2)]
+        assert solve_congruences(eqs, moduli, rhs=rhs, unknowns=r) == reference_solve_congruences(
+            dense, moduli, rhs=rhs, unknowns=r
+        )
+        f = induced_bilinear_map(ring).map
+        if f.domain_group.is_trivial or f.codomain_group.is_trivial:
+            continue
+        eqs, moduli = _pair_conditions(f)
+        dense, dense_moduli = reference_pair_conditions(f)
+        assert eqs == sparse_rows(dense) and moduli == dense_moduli
+        if len(eqs) <= 300:
+            nunk = f.domain_rank ** 2 + f.codomain_rank ** 2
+            assert solve_congruences(eqs, moduli, unknowns=nunk) == reference_solve_congruences(
+                dense, moduli, unknowns=nunk
+            )
+            solved_pairs += 1
+    assert solved_pairs > 100
 
 
 def test_echelon_keeps_modulus_columns_reduced():
