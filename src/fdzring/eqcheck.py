@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -152,16 +152,15 @@ def verify_iso_witness(a: FdzRing, b: FdzRing, h: IntMatrix) -> bool:
     return hermite_rows(kernel, a.rank) == a.additive.relation_basis
 
 
-def _element_additive_order(b: FdzRing, vec: Sequence[int]) -> int:
+def _additive_order(orders: Sequence[int], vec: Sequence[int]) -> int:
     """Additive order within a diagonal presentation; 0 encodes infinite."""
     order = 1
-    for x, d in zip(vec, b.orders):
+    for x, d in zip(vec, orders):
         if d == 0:
             if x:
                 return 0
         elif x % d:
-            dd = d // gcd(d, x % d)
-            order = order * dd // gcd(order, dd)
+            order = lcm(order, d // gcd(d, x % d))
     return order
 
 
@@ -178,18 +177,6 @@ def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[list[int]]:
             else:
                 per_coord.append(list(range(d)))
     return per_coord
-
-
-def _candidate_images(b: FdzRing, order: int, bound: int) -> Iterator[Vec]:
-    """Images for a generator of the given additive order (0 = infinite).
-
-    An isomorphism preserves element orders exactly, so torsion generators
-    only range over elements of equal order; free generators range over
-    bounded coefficient vectors of infinite order.
-    """
-    for cand in itertools.product(*_coordinate_ranges(b, order, bound)):
-        if _element_additive_order(b, cand) == order:
-            yield tuple(cand)
 
 
 # A seeded search shuffles its whole candidate pool, so it holds every
@@ -223,30 +210,6 @@ def _extends_to_basis(rows: Sequence[Sequence[int]], width: int) -> bool:
     k = len(rows)
     columns = [[row[t] for row in rows] for t in range(width)]
     return hermite_rows(columns, k) == _identity_rows(k)
-
-
-class _LazyPool:
-    """Re-iterable view of an iterator that stores only what was consumed.
-
-    The search charges one node per candidate it takes, so a pool never
-    holds more than the node budget, however large the full candidate set.
-    """
-
-    def __init__(self, source: Iterator[Vec]):
-        self._source = source
-        self._seen: list[Vec] = []
-
-    def __iter__(self) -> Iterator[Vec]:
-        seen = self._seen
-        i = 0
-        while True:
-            if i == len(seen):
-                item = next(self._source, None)
-                if item is None:
-                    return
-                seen.append(item)
-            yield seen[i]
-            i += 1
 
 
 class _FoldedLevel:
@@ -304,11 +267,7 @@ class _FoldedLevel:
         self.linear = tuple(linear)
         self.square = tuple(square)
 
-    def accepts(self, cand: Vec) -> bool:
-        for column, v, d in self.linear:
-            x = v + sum(map(mul, cand, column))
-            if x % d if d else x:
-                return False
+    def square_ok(self, cand: Vec) -> bool:
         if self.square:
             sq = self.b.mul(cand, cand)
             for k, column, v, d in self.square:
@@ -318,42 +277,154 @@ class _FoldedLevel:
         return True
 
 
+def _linear_ok(linear, cand: Vec) -> bool:
+    """Whether cand passes every column (n, v, d) of a level's affine test."""
+    for column, v, d in linear:
+        x = v + sum(map(mul, cand, column))
+        if x % d if d else x:
+            return False
+    return True
+
+
+# The most tail tuples a level keys in one table (see ``_ProductPool``).
+_BLOCK_CAP = 64
+
+
+class _ProductPool:
+    """The candidate images of one order, in product order, scanned by block.
+
+    An isomorphism preserves element orders exactly, so a torsion generator
+    ranges over the elements of equal order and a free one over bounded
+    coefficient vectors of infinite order (``_coordinate_ranges``, kept by
+    their additive order).  B's coordinates split into a head and a tail, the longest run of
+    trailing coordinates whose value ranges multiply to at most
+    ``_BLOCK_CAP``; a block is the candidates sharing one head prefix.  A
+    scan keys each tail tuple by its share of every column of the level's
+    affine test and, per head prefix, looks up the tails that complete it.
+    Whether head + tail has exactly the pool's order depends on the tail
+    only through its own order, so for each head order the valid tails get
+    a count and a rank: the rank gives an accepted candidate its position
+    in the pool, and the count closes the block.
+
+    ``scan(linear)`` is the interface the search reads every pool through:
+    it yields (n, x) for each candidate x that passes the columns, x the
+    n-th candidate of the pool, and (n, None) at the end of a block, the
+    first n candidates behind it; no table it builds exceeds the cap.
+    """
+
+    __slots__ = ("order", "split", "head", "head_orders", "tails", "tail_values", "tail_orders", "_valid")
+
+    def __init__(self, b: FdzRing, order: int, bound: int):
+        ranges = _coordinate_ranges(b, order, bound)
+        split, size = len(ranges), 1
+        while split and size * len(ranges[split - 1]) <= _BLOCK_CAP:
+            split -= 1
+            size *= len(ranges[split])
+        self.order, self.split = order, split
+        self.head, self.head_orders = ranges[:split], b.orders[:split]
+        self.tails = list(itertools.product(*ranges[split:]))
+        self.tail_values = list(zip(*self.tails))
+        self.tail_orders = [_additive_order(b.orders[split:], t) for t in self.tails]
+        self._valid: dict[int, tuple[int, list[int]]] = {}
+
+    def valid_tails(self, head_order: int) -> tuple[int, list[int]]:
+        """How many tails complete a head of this order, and each tail's
+        rank among them (-1 for a tail that gives another order)."""
+        got = self._valid.get(head_order)
+        if got is None:
+            ranks, count = [], 0
+            for t in self.tail_orders:
+                ok = lcm(head_order, t) == self.order
+                ranks.append(count if ok else -1)
+                count += ok
+            got = self._valid[head_order] = count, ranks
+        return got
+
+    def scan(self, linear) -> Iterator[tuple[int, Vec | None]]:
+        split, tails = self.split, self.tails
+        columns = [(n[:split], n[split:], -v, d) for n, v, d in linear]
+        shares = []
+        for _, right, _, d in columns:
+            share = [0] * len(tails)
+            for r, values in zip(right, self.tail_values):
+                if r:
+                    share = [s + r * x for s, x in zip(share, values)]
+            shares.append([s % d for s in share] if d else share)
+        table: dict[Vec, list[int]] = {}
+        for j, key in enumerate(zip(*shares) if shares else [()] * len(tails)):
+            table.setdefault(key, []).append(j)
+        seen = 0
+        for head in itertools.product(*self.head):
+            count, ranks = self.valid_tails(_additive_order(self.head_orders, head))
+            if count:
+                target = tuple([
+                    (u - sum(map(mul, head, left))) % d if d else u - sum(map(mul, head, left))
+                    for left, _, u, d in columns
+                ])
+                for j in table.get(target, ()):
+                    if ranks[j] >= 0:
+                        yield seen + ranks[j] + 1, head + tails[j]
+                seen += count
+                yield seen, None
+
+
+class _ShuffledPool(list):
+    """A seeded pool, held whole and tested one candidate at a time; its
+    blocks are runs of ``_BLOCK_CAP`` candidates."""
+
+    def scan(self, linear) -> Iterator[tuple[int, Vec | None]]:
+        return self._scan(linear) if linear else enumerate(self, 1)
+
+    def _scan(self, linear) -> Iterator[tuple[int, Vec | None]]:
+        for n, cand in enumerate(self, 1):
+            if _linear_ok(linear, cand):
+                yield n, cand
+            elif not n % _BLOCK_CAP:
+                yield n, None
+        yield len(self), None
+
+
 def _iso_witnesses(
     a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int = 0
 ) -> Iterator[IntMatrix | None]:
     """Yields verified witnesses; a final ``None`` means the budget ran out.
 
     A depth-first search over generator images, torsion generators first,
-    charging one node per candidate taken.  On entering a level, on its
-    first candidate, the product checks that fire there are folded over the
-    fixed earlier images into one ``_FoldedLevel``; it accepts exactly the
-    candidates the checks accept, so the nodes charged, the witnesses and
-    their order are those of checking each product pair per candidate.
-    With ``seed`` the candidate pools are shuffled, which holds each pool
-    whole; a pool above ``SEEDED_POOL_LIMIT`` raises ``SearchPoolError``.
+    charging one node per candidate in pool order.  On entering a level the
+    product checks that fire there are folded over the fixed earlier images
+    into one ``_FoldedLevel``; it accepts exactly the candidates the checks
+    accept.  The level scans its pool one block at a time: a product pool
+    looks up the candidates that pass the affine test, and the skipped
+    candidates before each one, or before a block's end, are charged in one
+    subtraction, so the budget runs out at the same node and the witnesses
+    and their order are those of checking each product pair per candidate.
+    Only x·x and the basis prune run per accepted candidate.  Seed 0 builds
+    no pool whole: a scan holds one tail table and walks the head lazily.
+    With ``seed`` the pools are shuffled, which holds each whole, and each
+    candidate is tested on its own; a pool above ``SEEDED_POOL_LIMIT``
+    raises ``SearchPoolError``.
     """
     order_of = list(a.orders)
     gen_order = sorted(
         range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i])
     )
     position = {idx: pos for pos, idx in enumerate(gen_order)}
-    candidates: dict[int, list[Vec] | _LazyPool]
+    pools: dict[int, _ProductPool | _ShuffledPool]
     if seed:
         import random
 
         for d in set(order_of):
             _check_seeded_pool(b, d, coeff_bound)
         # alternative deterministic orderings; 0 keeps smallest-first
-        candidates = {
-            d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
+        pools = {
+            d: _ShuffledPool(x for _, x in _ProductPool(b, d, coeff_bound).scan(()) if x is not None)
+            for d in set(order_of)
         }
         rng = random.Random(seed)
-        for pool in candidates.values():
+        for pool in pools.values():
             rng.shuffle(pool)
     else:
-        candidates = {
-            d: _LazyPool(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
-        }
+        pools = {d: _ProductPool(b, d, coeff_bound) for d in set(order_of)}
 
     # a product constraint becomes checkable once its factors and the
     # support of its value are all assigned; fire each at that moment
@@ -390,17 +461,19 @@ def _iso_witnesses(
                 yield h
             return
         idx = gen_order[pos]
-        level = None
-        for cand in candidates[order_of[idx]]:
-            budget[0] -= 1
+        level = _FoldedLevel(b, idx, checks_at[pos], images)
+        charged = 0
+        for n, cand in pools[order_of[idx]].scan(level.linear):
+            # every candidate up to the n-th costs a node, taken or skipped
+            budget[0] -= n - charged
+            charged = n
             if budget[0] <= 0:
                 return
-            if level is None:
-                level = _FoldedLevel(b, idx, checks_at[pos], images)
-            images[idx] = cand
-            if level.accepts(cand) and basis_ok(idx):
-                yield from dfs(pos + 1)
-            del images[idx]
+            if cand is not None:
+                images[idx] = cand
+                if level.square_ok(cand) and basis_ok(idx):
+                    yield from dfs(pos + 1)
+                del images[idx]
 
     yield from dfs(0)
     if budget[0] <= 0:
@@ -425,11 +498,14 @@ def iso_search(
     cuts no witness: an isomorphism induces A/T(A) = B/T(B), so the free
     block of every witness is unimodular, and so is every prefix of it.
     The product checks of each level are folded, once per prefix, into one
-    affine test of the candidate (``_FoldedLevel``); it accepts exactly
-    the candidates the checks accept, so nodes, witnesses and verdicts are
-    those of checking each product per candidate.  A nonzero ``seed``
-    shuffles the candidate pools, and raises ``SearchPoolError`` when one
-    would exceed ``SEEDED_POOL_LIMIT`` candidates.
+    affine test of the candidate (``_FoldedLevel``), and the level scans
+    its pool one block at a time, looking up the candidates that pass it.
+    Nodes are still charged one per candidate in pool order, skipped ones
+    included, so budgets, witnesses and verdicts are those of checking each
+    product per candidate; seed 0 takes candidates lazily.  A nonzero
+    ``seed`` shuffles the candidate pools and tests their candidates one at
+    a time, and raises ``SearchPoolError`` when one would exceed
+    ``SEEDED_POOL_LIMIT`` candidates.
     For finite rings the search is exhaustive, so running out of
     candidates is a definitive ``no``; with free generators it is only
     ``unknown``.

@@ -673,6 +673,60 @@ def pair_checks_ok(b: FdzRing, checks, images) -> bool:
     return True
 
 
+def candidate_images(b: FdzRing, order: int, bound: int):
+    """The images the search tries for a generator of the given additive
+    order (0 = infinite), in its pool order, one product tuple at a time.
+
+    Free coordinates run over 0, 1, -1, ..., bound, -bound (only 0 for a
+    torsion order), a Z/d coordinate over the x in [0, d) with order·x = 0
+    (all of them for order 0); a tuple is kept when its additive order,
+    the lcm of its coordinates' orders (0 once a free one is nonzero), is
+    exactly ``order``.
+    """
+    coefficients = [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]
+    ranges = [
+        ([0] if order else coefficients) if d == 0
+        else [x for x in range(d) if order * x % d == 0] if order else range(d)
+        for d in b.orders
+    ]
+    for cand in itertools.product(*ranges):
+        got = 1
+        for x, d in zip(cand, b.orders):
+            if d == 0 and x:
+                got = 0
+                break
+            if d:
+                e = d // gcd(d, x)
+                got = got * e // gcd(got, e)
+        if got == order:
+            yield cand
+
+
+class LazyPool:
+    """Re-iterable view of an iterator that stores only what was consumed.
+
+    The reference search charges one node per candidate it takes, so a pool
+    never holds more than the node budget, however large the full candidate
+    set.
+    """
+
+    def __init__(self, source):
+        self._source = source
+        self._seen: list = []
+
+    def __iter__(self):
+        seen = self._seen
+        i = 0
+        while True:
+            if i == len(seen):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                seen.append(item)
+            yield seen[i]
+            i += 1
+
+
 def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int = 0):
     """The isomorphism search checking each product pair per candidate.
 
@@ -681,18 +735,18 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
     the same basis-extension prune and the same witness verification.
     Seeded pools are built whole, with no size guard.
     """
-    from fdzring.eqcheck import _candidate_images, _extends_to_basis, _LazyPool, verify_iso_witness
+    from fdzring.eqcheck import _extends_to_basis, verify_iso_witness
 
     order_of = list(a.orders)
     gen_order = sorted(range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i]))
     if seed:
-        candidates = {d: list(_candidate_images(b, d, coeff_bound)) for d in set(order_of)}
+        candidates = {d: list(candidate_images(b, d, coeff_bound)) for d in set(order_of)}
         rng = random.Random(seed)
         for pool in candidates.values():
             rng.shuffle(pool)
     else:
         candidates = {
-            d: _LazyPool(_candidate_images(b, d, coeff_bound)) for d in set(order_of)
+            d: LazyPool(candidate_images(b, d, coeff_bound)) for d in set(order_of)
         }
     checks_at = pair_checks_at(a, gen_order)
     images: dict[int, Vec] = {}

@@ -3,7 +3,7 @@ import os
 import random
 import sys
 from collections import Counter
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -13,11 +13,12 @@ from fdzring.deform import DeformationSpec, build_deformation
 from fdzring.eqcheck import (
     SEEDED_POOL_LIMIT,
     SearchPoolError,
-    _candidate_images,
+    _BLOCK_CAP,
     _extends_to_basis,
     _FoldedLevel,
     _iso_witnesses,
-    _LazyPool,
+    _linear_ok,
+    _ProductPool,
     _search,
     equivalence_verdict,
     invariant_profile,
@@ -31,6 +32,7 @@ from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transp
 
 from oracles import (
     brute_force_isomorphic,
+    candidate_images,
     maximal_minors_gcd,
     pair_checks_at,
     pair_checks_ok,
@@ -410,19 +412,59 @@ def _sixterm_search_pairs() -> list[tuple[FdzRing, FdzRing]]:
 
 def test_folded_search_matches_the_reference_search():
     # the folded level test accepts exactly what the per-pair checks accept,
-    # so under every budget and seed the witnesses, their order and the
-    # closing None are those of the per-pair search
+    # and the block scan charges one node per candidate in pool order, so
+    # under every budget and seed the witnesses, their order and the closing
+    # None are those of the per-pair search
     padded = [(direct_product(z0_ring(), r), direct_product(z0_ring(), r)) for r in _corpus_rings()]
     pairs = padded + _transported_gen_pairs(20) + _sixterm_search_pairs()
+    cases = [(a, b, 2, range(4)) for a, b in pairs]
+    f1009 = direct_product(FdzRing((1009,), (((1,),),)), z_ring())
+    padded_z = direct_product(z0_ring(), z_ring())
+    cases += [
+        # a rank-0 target, whose pools have no coordinates to split
+        (FdzRing((5,), (((0,),),)), FdzRing((), ()), 2, range(4)),
+        # a torsion coordinate above the block cap
+        (f1009, f1009, 2, range(4)),
+        # 2,001 values per free coordinate: seed 0 only, the seeded pool
+        # would be refused
+        (padded_z, padded_z, 1000, (0,)),
+    ]
     witnesses = exhausted = 0
-    for a, b in pairs:
-        for seed in range(4):
+    for a, b, bound, seeds in cases:
+        for seed in seeds:
             for budget in (1, 7, 50, 3_000):
-                folded = list(_iso_witnesses(a, b, 2, budget, seed))
-                assert folded == list(reference_iso_witnesses(a, b, 2, budget, seed)), (a, seed, budget)
+                folded = list(_iso_witnesses(a, b, bound, budget, seed))
+                assert folded == list(reference_iso_witnesses(a, b, bound, budget, seed)), (a, seed, budget)
                 witnesses += len(folded) - (None in folded)
                 exhausted += None in folded
     assert witnesses >= 200 and exhausted >= 100, (witnesses, exhausted)
+
+
+def test_search_runs_out_at_the_reference_node_under_every_budget():
+    # every budget from 1 to two past the nodes the reference search
+    # charges (at most 60) gives the same witnesses and the same closing
+    # None, so the scan charges skipped candidates exactly one node each
+    f4 = FdzRing((2, 2), (((1, 0), (0, 1)), ((0, 1), (1, 1))))
+    f2xf2 = FdzRing((2, 2), (((1, 0), (0, 0)), ((0, 0), (0, 1))))
+    padded_z = direct_product(z0_ring(), z_ring())
+    gen = _transported_gen_pairs(5)
+    pairs = [
+        (f4, f4), (f4, f2xf2), (zx2_ring(), zx2_ring()), (padded_z, padded_z),
+        gen[0], gen[1], gen[4], (w_ring(), _twisted_w()), gen[2],
+    ]
+    swept = out_of_budget = witnesses = 0
+    for a, b in pairs:
+        for seed in (0, 1):
+            budget, spare = 0, 2
+            while spare and budget < 60:
+                budget += 1
+                expected = list(reference_iso_witnesses(a, b, 2, budget, seed))
+                assert list(_iso_witnesses(a, b, 2, budget, seed)) == expected, (a, seed, budget)
+                spare -= None not in expected
+                witnesses += len(expected) - (None in expected)
+                swept += 1
+            out_of_budget += spare == 2
+    assert out_of_budget >= 4 and witnesses >= 500 and swept >= 500, (out_of_budget, witnesses, swept)
 
 
 def _drop_square(level: _FoldedLevel) -> _FoldedLevel:
@@ -479,7 +521,8 @@ def _fold_disagreements(build) -> tuple[int, Counter]:
                     cand = wild(h.row(idx))
                     expected = pair_checks_ok(b, checks, {**images, idx: cand})
                     seen[expected] += 1
-                    wrong += level.accepts(cand) != expected
+                    accepted = _linear_ok(level.linear, cand) and level.square_ok(cand)
+                    wrong += accepted != expected
     return wrong, seen
 
 
@@ -515,17 +558,36 @@ def test_seeded_ordering_still_finds_witnesses():
         assert verify_iso_witness(w_ring(), w_ring(), res.witness.matrix)
 
 
-def test_lazy_candidate_pool_keeps_order_and_stores_only_what_is_taken():
-    b = direct_product(w_ring(), z0_ring())
-    pool = _LazyPool(_candidate_images(b, 0, 2))
-    full = list(_candidate_images(b, 0, 2))
-    # nested passes over one pool, as two free generators share it in the DFS
-    pairs = [(x, y) for x in itertools.islice(pool, 3) for y in pool]
-    assert pairs == [(x, y) for x in full[:3] for y in full]
-    counting = _LazyPool(itertools.count())
-    assert list(itertools.islice(counting, 4)) == [0, 1, 2, 3]
-    assert list(itertools.islice(counting, 2)) == [0, 1]
-    assert len(counting._seen) == 4
+def test_product_scan_takes_the_candidate_images_in_pool_order():
+    # with no linear columns every candidate passes the lookup, so a scan
+    # yields each candidate image at its pool position and closes its last
+    # block on the pool size; no tail table exceeds the cap
+    targets = [
+        direct_product(z0_ring(), w_ring()),
+        FdzRing((), ()),
+        FdzRing((12,), (((1,),),)),
+        z_ring(),
+        direct_product(FdzRing((1009,), (((0,),),)), z_ring()),
+        direct_product(z_ring(), FdzRing((1009,), (((0,),),))),
+    ]
+    scanned = 0
+    for b in targets:
+        exponent = lcm(*(d for d in b.orders if d))
+        for order in [0] + [d for d in range(1, exponent + 1) if exponent % d == 0]:
+            pool = _ProductPool(b, order, 2)
+            assert len(pool.tails) <= _BLOCK_CAP
+            steps = list(pool.scan(()))
+            images = list(candidate_images(b, order, 2))
+            assert [(n - 1, x) for n, x in steps if x is not None] == list(enumerate(images))
+            assert (steps[-1][0] if steps else 0) == len(images), (b, order)
+            scanned += len(images)
+    assert scanned > 3_000
+    # a 2,001-value coordinate lies above the cap: blocks of one candidate
+    padded_z = direct_product(z0_ring(), z_ring())
+    wide = _ProductPool(padded_z, 0, 1000)
+    assert wide.tails == [()]
+    first = list(itertools.islice(wide.scan(()), 4))
+    assert first == [(1, (0, 1)), (1, None), (2, (0, -1)), (2, None)]
 
 
 def test_finite_oracle_agreement():
