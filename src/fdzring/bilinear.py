@@ -283,17 +283,17 @@ def _unpack_pair(z: Sequence[int], f: BilinearMap) -> tuple[IntMatrix, IntMatrix
 
 def _pair_conditions(f: BilinearMap) -> tuple[list[SparseRow], list[int]]:
     """Congruences in the flattened pair (phi, psi) as sparse rows: the order
-    rows d_i·phi_ik and d_i·psi_ik, then for each generator pair (i, j) and
-    codomain coordinate k the rows of f(phi·e_i, e_j) = psi(f(e_i, e_j)) and
-    f(e_i, phi·e_j) = psi(f(e_i, e_j))."""
+    rows d_i·psi_ik, then for each generator pair (i, j) and codomain
+    coordinate k the rows of f(phi·e_i, e_j) = psi(f(e_i, e_j)) and
+    f(e_i, phi·e_j) = psi(f(e_i, e_j)).
+
+    The order rows d_i·phi_ik follow: by these rows f(d_i·phi(e_i), y) =
+    psi(d_i·f(e_i, y)) = 0, and likewise on the right, so d_i·phi(e_i) lies
+    in the radical of f, which ``_pair_lattice`` has checked is zero."""
     m, n = f.domain_rank, f.codomain_rank
-    dom, cod, values = f.domain_orders, f.codomain_orders, f.values
+    cod, values = f.codomain_orders, f.values
     eqs: list[SparseRow] = []
     moduli: list[int] = []
-    for i in range(m):
-        if dom[i]:
-            eqs += ({i * m + k: dom[i]} for k in range(m))
-            moduli += dom
     for i in range(n):
         if cod[i]:
             eqs += ({m * m + i * n + k: cod[i]} for k in range(n))

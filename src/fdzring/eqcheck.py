@@ -1,7 +1,7 @@
 """Elementary-equivalence and isomorphism testing between rings.
 
-Equal invariant profiles (ideal-chain invariant factors and closed-form
-fingerprints of each A/nA) are necessary for elementary equivalence; the
+Equal invariant profiles (independent ideal-chain invariants and the image
+of the square in each A/nA) are necessary for elementary equivalence; the
 sufficient direction is a bounded isomorphism search on the rings padded
 with a null line, after "A = B elementarily iff Z0 x A = Z0 x B".  For
 finite rings that search is exhaustive, so running out of candidates
@@ -30,31 +30,29 @@ class InvariantProfile:
     """Isomorphism-invariant fingerprint of a ring.
 
     Every field is preserved by ring isomorphism and definable without
-    parameters, so a mismatch refutes elementary equivalence.
+    parameters, so a mismatch refutes elementary equivalence.  Entries that
+    earlier fields determine are left out; ``invariant_profile`` says which.
     """
 
     additive: Vec
     ann: Vec
     square: Vec
-    delta: Vec
     k_ideal: Vec
-    l_ideal: Vec
-    m_quot: Vec
     n_quot: Vec
     mod_square: Vec
-    fingerprints: tuple[tuple[int, int, Vec, Vec], ...]
+    fingerprints: tuple[tuple[int, Vec], ...]
 
     def first_mismatch(self, other: "InvariantProfile") -> str | None:
         for name in self.__match_args__[:-1]:
             if getattr(self, name) != getattr(other, name):
                 return name
-        for mine, theirs in zip(self.fingerprints, other.fingerprints):
+        for (n, mine), (_, theirs) in zip(self.fingerprints, other.fingerprints):
             if mine != theirs:
-                return f"mod_{mine[0]}"
+                return f"mod_{n}"
         return None
 
 
-FINGERPRINT_RANGE = range(2, 17)
+FINGERPRINT_MODULI = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 @lru_cache(maxsize=512)
@@ -64,38 +62,39 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     No field needs the coordinate change of a Smith form, so each comes
     from ``smith_diagonal``, which builds no transform: the ideal and
     quotient fields through ``FgAbelianGroup.invariant_factors`` of the
-    chain's groups, the fingerprints directly.  A = Z^r / diag(d_i)
-    with d_i = ``a.orders``, so nA lifts to the lattice L = diag(g_j),
-    g_j = gcd(n, d_j) with gcd(n, 0) = n, and |A/nA| = prod g_j.  A/nA is
-    the sum of the Z/gcd(n, e) over the invariant factors e of A; gcd(n, .)
-    keeps e_i | e_j and each value divides n = gcd(n, 0), so without the 1s
-    they are the invariant factors of A/nA (Cohen, GTM 138, §2.4).  For the
-    image (sq + nA)/nA, x -> (n/g_j)·x embeds Z/g_j into Z/n, so the image
-    is the row module in (Z/n)^r of S' with S'_ij = S_ij·(n/g_j), S the
-    rows of the square's lift basis.  Row and column operations keep that
-    module up to isomorphism, so with e_1 | e_2 | ... the diagonal of S'
-    over Z/n (entries dividing n) it is the sum of the Z/(n/e_i): one
-    elimination per modulus, with no preimage lattice.
+    chain's groups, the fingerprints directly.  A fingerprint is the image
+    (sq + nA)/nA for each prime power n <= 16.  A = Z^r / diag(d_i) with
+    d_i = ``a.orders``, so nA lifts to the lattice diag(g_j), g_j =
+    gcd(n, d_j) with gcd(n, 0) = n, and x -> (n/g_j)·x embeds Z/g_j into
+    Z/n.  The image is then the row module in (Z/n)^r of S' with
+    S'_ij = S_ij·(n/g_j), S the rows of the square's lift basis.  Row and
+    column operations keep that module up to isomorphism, so with
+    e_1 | e_2 | ... the diagonal of S' over Z/n (entries dividing n) it is
+    the sum of the Z/(n/e_i): one elimination per modulus (Cohen, GTM 138,
+    §2.4).
+
+    Each entry the profile leaves out is a function of fields compared
+    before its place in the full list, so ``first_mismatch`` names the same
+    field as a profile that holds them all:
+    - delta and l, the saturations of sq and k, are T(A) + Z^rank(sq) and
+      T(A) + Z^rank(k); A/l is Z^(rank A - rank k).
+    - |A/nA| and A/nA are the gcd(n, e) over the invariant factors e of A.
+    - For coprime a and b, A/abA = A/aA + A/bA, so the image of the square
+      mod ab is the sum of its images mod a and mod b; each composite
+      n <= 16 that is no prime power splits into two earlier moduli.
     """
     chain = characteristic_ideals(a)
-    additive = a.additive.invariant_factors
     square = chain.sq.lift_basis
     fingerprints = []
-    for n in FINGERPRINT_RANGE:
-        scaled = [gcd(n, d) for d in a.orders]
-        steps = [n // g for g in scaled]
+    for n in FINGERPRINT_MODULI:
+        steps = [n // gcd(n, d) for d in a.orders]
         diag = smith_diagonal([[x * s for x, s in zip(row, steps)] for row in square], a.rank, n)
-        image = tuple(n // e for e in reversed(diag) if e != n)
-        quotient = tuple(g for g in (gcd(n, e) for e in additive) if g != 1)
-        fingerprints.append((n, prod(scaled), quotient, image))
+        fingerprints.append((n, tuple(n // e for e in reversed(diag) if e != n)))
     return InvariantProfile(
-        additive=additive,
+        additive=a.additive.invariant_factors,
         ann=chain.ann.as_group()[0].invariant_factors,
         square=chain.sq.as_group()[0].invariant_factors,
-        delta=chain.delta.as_group()[0].invariant_factors,
         k_ideal=chain.k_ideal.as_group()[0].invariant_factors,
-        l_ideal=chain.l_ideal.as_group()[0].invariant_factors,
-        m_quot=chain.m_quot.invariant_factors,
         n_quot=chain.n_quot.invariant_factors,
         mod_square=chain.sq.quotient().invariant_factors,
         fingerprints=tuple(fingerprints),
@@ -644,9 +643,9 @@ def equivalence_verdict(
 
     A = B iff Z0 x A = Z0 x B.  A profile mismatch of A and B refutes it;
     otherwise the padded rings go straight to the search.  Z0 adds a free
-    summand to the additive group, ann, k, l and A/sq, keeps sq, delta, m,
-    n and each image of the square, and adds Z/n to each A/nA, so by
-    cancellation the padded profiles agree iff those of A and B do.  The
+    summand to the additive group, ann, k and A/sq, and keeps sq, n and
+    each image of the square, so by cancellation the padded profiles agree
+    iff those of A and B do.  The
     padded search finds a verified witness or ends ``unknown``, never ``no``.
 
     For finite A and B an exhausted padded search (one that ran out of

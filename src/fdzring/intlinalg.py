@@ -440,11 +440,13 @@ def _echelon(rows: list[SparseRow], width: int) -> list[tuple[int, SparseRow]]:
     """Row echelon basis of the lattice spanned by sparse ``rows``, which it
     reuses: (pivot column, row) pairs, pivots positive, strictly increasing.
 
-    Rows are bucketed by leading column; Euclid on a bucket sends each row
-    whose leading entry vanishes on to its next bucket.  Rows m·e_c merge
-    into one g·e_c (g the gcd of the m), which lies in the lattice and is
-    untouched until column c is eliminated; till then every other column-c
-    entry stays reduced mod g (Domich–Kannan–Trotter, Math. Oper. Res. 1987).
+    Rows are bucketed by leading column; Euclid on a bucket reduces by the
+    sparsest row of least leading entry, so a round adds the fewest entries,
+    and sends each row whose leading entry vanishes on to its next bucket.
+    Rows m·e_c merge into one g·e_c (g the gcd of the m), which lies in the
+    lattice and is untouched until column c is eliminated; till then every
+    other column-c entry stays reduced mod g (Domich–Kannan–Trotter, Math.
+    Oper. Res. 1987).
     """
     moduli: dict[int, int] = {}
     for (c, x), in (row.items() for row in rows if len(row) == 1):
@@ -461,13 +463,15 @@ def _echelon(rows: list[SparseRow], width: int) -> list[tuple[int, SparseRow]]:
             continue
         moduli.pop(col, None)
         while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base, p = live[0], live[0][col]
-            for r in live[1:]:
+            base = min(live, key=lambda r: (abs(r[col]), len(r)))
+            p = base[col]
+            for r in live:
+                if r is base:
+                    continue
                 q = r[col] // p
                 for j, y in base.items():
                     x = r.get(j, 0) - q * y
-                    if j in moduli:
+                    if moduli and j in moduli:
                         x %= moduli[j]
                     if x:
                         r[j] = x

@@ -11,6 +11,7 @@ cocycles; the library holds neither.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from math import gcd
 
@@ -28,7 +29,28 @@ from fdzring.intlinalg import (
     smith,
     solve_congruences,
 )
-from fdzring.rings import FdzRing, IdealChain, characteristic_ideals
+from fdzring.ringfile import load_ring
+from fdzring.rings import FdzRing, IdealChain, characteristic_ideals, reduce_mod_n
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "corpus")
+
+# the corpus rings the tests name, in the order they iterate over them
+NAMED_RINGS = ("z", "twoz", "z0", "zxz0", "w", "zx2")
+
+
+def corpus_ring(stem: str) -> FdzRing:
+    """The ring of ``corpus/<stem>.ring``."""
+    return load_ring(os.path.join(CORPUS, f"{stem}.ring"))
+
+
+def corpus_rings() -> list[FdzRing]:
+    """Every ring under ``corpus/``, in file-name order."""
+    return [corpus_ring(name.removesuffix(".ring")) for name in sorted(os.listdir(CORPUS))]
+
+
+def z_mod(n: int) -> FdzRing:
+    """Z/n with the usual product."""
+    return reduce_mod_n(corpus_ring("z"), n)
 
 
 def subgroup_closure(ring: FdzRing, seed) -> frozenset:
@@ -526,11 +548,12 @@ def brute_force_pairs(f: BilinearMap) -> set[tuple[Vec, ...]]:
 
 
 def profile_fingerprints_oracle(a: FdzRing) -> tuple:
-    """The mod-n fingerprints of the invariant profile, by subgroup algebra.
+    """The mod-n fingerprints of the full invariant profile, by subgroup
+    algebra: (n, |A/nA|, A/nA, (sq + nA)/nA) for n = 2..16.
 
-    For n = 2..16 it builds nA as a subgroup of A, then takes A/nA and the
-    image of the square (sq + nA)/nA as quotient groups, the way the library
-    did before it computed them in closed form.
+    For each n it builds nA as a subgroup of A, then takes A/nA and the
+    image of the square as quotient groups, the way the library did before
+    it computed them in closed form.
     """
     sq = characteristic_ideals(a).sq
     out = []
@@ -542,6 +565,33 @@ def profile_fingerprints_oracle(a: FdzRing) -> tuple:
         image = quotient_of_subgroups(sq.sum(scaled), scaled)
         out.append((n, quot.order, quot.invariant_factors, image.invariant_factors))
     return tuple(out)
+
+
+def full_profile_oracle(a: FdzRing) -> tuple[tuple[str, object], ...]:
+    """The invariant profile with every entry the library once compared, in
+    its comparison order, as (name, value) pairs: the ideal-chain groups
+    read off diagonal presentations (Smith with transforms), then the
+    fingerprints of ``profile_fingerprints_oracle``, named mod_n."""
+    chain = characteristic_ideals(a)
+    groups = [
+        ("additive", a.additive),
+        ("ann", chain.ann.as_group()[0]),
+        ("square", chain.sq.as_group()[0]),
+        ("delta", chain.delta.as_group()[0]),
+        ("k_ideal", chain.k_ideal.as_group()[0]),
+        ("l_ideal", chain.l_ideal.as_group()[0]),
+        ("m_quot", chain.m_quot),
+        ("n_quot", chain.n_quot),
+        ("mod_square", chain.sq.quotient()),
+    ]
+    fields = [(name, group.diagonal.orders) for name, group in groups]
+    fields += [(f"mod_{n}", entry) for n, *entry in profile_fingerprints_oracle(a)]
+    return tuple(fields)
+
+
+def full_profile_first_mismatch(mine, theirs) -> str | None:
+    """The first entry where two ``full_profile_oracle`` profiles differ."""
+    return next((name for (name, x), (_, y) in zip(mine, theirs) if x != y), None)
 
 
 def brute_force_isomorphic(a: FdzRing, b: FdzRing) -> bool:

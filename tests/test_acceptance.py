@@ -13,7 +13,6 @@ from fdzring.bilinear import (
     pf_ring,
 )
 from fdzring.classify import classify_ring
-from fdzring.corpus import NAMED_RINGS, w_ring, z_mod, z_ring
 from fdzring.deform import (
     DeformationContext,
     DeformationSpec,
@@ -35,14 +34,17 @@ from fdzring.intlinalg import IntMatrix, lattice_contains, row_times_matrix, smi
 from fdzring.rings import characteristic_ideals, reduce_mod_n
 
 from oracles import (
+    NAMED_RINGS,
     TableCocycle,
     brute_force_chain,
     brute_force_isomorphic,
     brute_force_pairs,
     cocycle_pair_add,
+    corpus_ring,
     random_finite_ring,
     subgroup_elements,
     table_cocycle_defect,
+    z_mod,
 )
 
 
@@ -114,7 +116,7 @@ def test_criterion_2_ideal_chain_oracle():
 
 @announce(3, "classification table reproduced with matching citations")
 def test_criterion_3_classification_table():
-    reports = {name: classify_ring(builder()) for name, builder in NAMED_RINGS.items()}
+    reports = {name: classify_ring(corpus_ring(name)) for name in NAMED_RINGS}
 
     r = reports["z"]
     assert r.tame and r.qfa == "yes" and r.bi_interpretable == "yes"
@@ -158,13 +160,12 @@ def test_criterion_3_classification_table():
 @announce(4, "largest scalar rings: axioms, actions, and brute-force equality")
 def test_criterion_4_pf_correctness():
     cases = {
-        "z": z_ring,
-        "zx2": NAMED_RINGS["zx2"],
-        "w": w_ring,
-        "z4": lambda: z_mod(4),
+        "z": corpus_ring("z"),
+        "zx2": corpus_ring("zx2"),
+        "w": corpus_ring("w"),
+        "z4": z_mod(4),
     }
-    for name, builder in cases.items():
-        ring = builder()
+    for name, ring in cases.items():
         induced = induced_bilinear_map(ring)
         action = pf_ring(induced.map)
         scalar = action.ring
@@ -221,8 +222,8 @@ def test_criterion_4_pf_correctness():
 @announce(5, "the square is first-order definable across corpus quotients")
 def test_criterion_5_definability_at_finite_scale():
     started = time.perf_counter()
-    for name, builder in NAMED_RINGS.items():
-        ring = builder()
+    for name in NAMED_RINGS:
+        ring = corpus_ring(name)
         for n in (2, 3, 4):
             quotient = reduce_mod_n(ring, n)
             if quotient.rank == 0:
@@ -282,13 +283,13 @@ def test_criterion_6_cocycles_and_extensions():
 
 @announce(7, "deformations: trivial ones collapse, the twisted one stays equivalent")
 def test_criterion_7_deformation_suite():
-    for name, builder in NAMED_RINGS.items():
-        base = builder()
+    for name in NAMED_RINGS:
+        base = corpus_ring(name)
         result = build_deformation(DeformationSpec(base=base))
         found = iso_search(base, result.ring, coeff_bound=5)
         assert found.kind == "yes", name
 
-    w = w_ring()
+    w = corpus_ring("w")
     ctx = DeformationContext(w)
     g = ctx.ambient_annihilator_cocycle(0, (0, 1, 0))
     deformed = build_deformation(DeformationSpec(base=w, g=g)).ring
@@ -299,14 +300,14 @@ def test_criterion_7_deformation_suite():
 
 @announce(8, "the index-three self-embedding passes; the doubling map fails")
 def test_criterion_8_embedding_witnesses():
-    w = w_ring()
+    w = corpus_ring("w")
     report = verify_embedding(
         w, w, IntMatrix([[1, 0, 0], [0, 3, 0], [0, 0, 1]])
     )
     assert report.passed
     assert report.index == 3 and report.torsion_quotient_order == 2
 
-    report = verify_embedding(z_ring(), z_ring(), IntMatrix([[2]]))
+    report = verify_embedding(corpus_ring("z"), corpus_ring("z"), IntMatrix([[2]]))
     assert not report.passed
 
 

@@ -14,22 +14,21 @@ from fdzring.bilinear import (
     pf_ring,
     width,
 )
-from fdzring.corpus import twoz_ring, w_ring, z_mod, z_ring, zx2_ring
 from fdzring.intlinalg import lattice_contains, row_times_matrix
 from fdzring.rings import FdzRing, z0_ring
 
-from oracles import brute_force_pairs, joint_pa_basis, random_finite_ring
+from oracles import brute_force_pairs, corpus_ring, joint_pa_basis, random_finite_ring, z_mod
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_induced_map_shapes():
-    ind = induced_bilinear_map(z_ring())
+    ind = induced_bilinear_map(corpus_ring("z"))
     assert ind.map.domain_orders == (0,)
     assert ind.map.codomain_orders == (0,)
     assert ind.map.values[0][0] == (1,)
 
-    ind = induced_bilinear_map(w_ring())
+    ind = induced_bilinear_map(corpus_ring("w"))
     assert ind.map.domain_orders == (2,)
     assert ind.map.codomain_orders == (2,)
     assert ind.map.values[0][0] == (1,)
@@ -40,8 +39,8 @@ def test_induced_map_shapes():
 
 
 def test_induced_map_nondegenerate_and_full():
-    for builder in (z_ring, twoz_ring, w_ring, zx2_ring):
-        f = induced_bilinear_map(builder()).map
+    for name in ("z", "twoz", "w", "zx2"):
+        f = induced_bilinear_map(corpus_ring(name)).map
         assert f.is_full()
         assert f.is_nondegenerate()
 
@@ -50,11 +49,11 @@ def test_width():
     zero_map = BilinearMap((1,), (1,), (((0,),),))
     assert width(zero_map).exact == 0
 
-    wmap = induced_bilinear_map(w_ring()).map
+    wmap = induced_bilinear_map(corpus_ring("w")).map
     res = width(wmap)
     assert res.exact == 1 and res.upper_bound == 1
 
-    zmap = induced_bilinear_map(z_ring()).map
+    zmap = induced_bilinear_map(corpus_ring("z")).map
     res = width(zmap)
     assert res.upper_bound == 1 and res.exact == 1
 
@@ -79,11 +78,11 @@ def test_width():
 
 
 def test_complete_system():
-    f = induced_bilinear_map(z_ring()).map
+    f = induced_bilinear_map(corpus_ring("z")).map
     cs = complete_system(f)
     assert cs.size_bound == 1 and cs.witness == ((1,),)
 
-    f = induced_bilinear_map(w_ring()).map
+    f = induced_bilinear_map(corpus_ring("w")).map
     cs = complete_system(f)
     assert cs.size_bound == 1
 
@@ -97,14 +96,14 @@ def test_complete_system():
 
 
 def test_pf_ring_examples():
-    pf = pf_ring(induced_bilinear_map(z_ring()).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("z")).map)
     assert pf.ring.orders == (0,) and pf.ring.tensor[0][0] == (1,)
 
-    pf = pf_ring(induced_bilinear_map(zx2_ring()).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("zx2")).map)
     assert pf.ring.orders == (0, 0)
-    assert pf.ring == zx2_ring()
+    assert pf.ring == corpus_ring("zx2")
 
-    pf = pf_ring(induced_bilinear_map(w_ring()).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("w")).map)
     assert pf.ring.orders == (2,)
 
     pf = pf_ring(induced_bilinear_map(z_mod(4)).map)
@@ -117,8 +116,8 @@ def test_pf_ring_refuses_trivial_sides():
 
 
 def test_scalar_action_axioms():
-    for builder in (z_ring, zx2_ring, w_ring, lambda: z_mod(4)):
-        action = pf_ring(induced_bilinear_map(builder()).map)
+    for ring in (corpus_ring("z"), corpus_ring("zx2"), corpus_ring("w"), z_mod(4)):
+        action = pf_ring(induced_bilinear_map(ring).map)
         ring = action.ring
         assert ring.is_commutative() and ring.is_associative()
         assert ring.unity() == action.unity
@@ -136,8 +135,7 @@ def test_scalar_action_axioms():
 
 
 def test_identity_pair_and_base_action_membership():
-    for builder in (z_ring, zx2_ring, w_ring, lambda: z_mod(4)):
-        ring = builder()
+    for ring in (corpus_ring("z"), corpus_ring("zx2"), corpus_ring("w"), z_mod(4)):
         ind = induced_bilinear_map(ring)
         action = pf_ring(ind.map)
         m, n = ind.map.domain_rank, ind.map.codomain_rank
@@ -166,8 +164,8 @@ def test_identity_pair_and_base_action_membership():
 
 def test_pf_maximality_sampling():
     rng = random.Random(6)
-    for builder in (w_ring, lambda: z_mod(4), zx2_ring):
-        action = pf_ring(induced_bilinear_map(builder()).map)
+    for ring in (corpus_ring("w"), z_mod(4), corpus_ring("zx2")):
+        action = pf_ring(induced_bilinear_map(ring).map)
         basis = action.pair_basis
         for _ in range(10):
             combo = [rng.randint(-3, 3) for _ in range(basis.rows)]
@@ -179,8 +177,8 @@ def test_pf_maximality_sampling():
 
 
 def test_pf_brute_force_finite():
-    for builder in (w_ring, lambda: z_mod(4)):
-        ind = induced_bilinear_map(builder())
+    for ring in (corpus_ring("w"), z_mod(4)):
+        ind = induced_bilinear_map(ring)
         action = pf_ring(ind.map)
         brute = brute_force_pairs(ind.map)
         m, n = ind.map.domain_rank, ind.map.codomain_rank
@@ -230,17 +228,17 @@ def test_pf_brute_force_random_finite():
 
 
 def test_pa_ring():
-    pa = pa_ring(z_ring())
+    pa = pa_ring(corpus_ring("z"))
     assert pa.ring.orders == (0,)
     assert pa.in_parent is not None and pa.in_parent.data == ((1,),)
 
-    pa = pa_ring(w_ring())
-    pf = pf_ring(induced_bilinear_map(w_ring()).map)
+    pa = pa_ring(corpus_ring("w"))
+    pf = pf_ring(induced_bilinear_map(corpus_ring("w")).map)
     assert pa.ring == pf.ring
     assert pa.in_parent is not None
 
-    pa = pa_ring(zx2_ring())
-    assert pa.ring == zx2_ring()
+    pa = pa_ring(corpus_ring("zx2"))
+    assert pa.ring == corpus_ring("zx2")
 
 
 def test_pa_constraint_random_finite():
@@ -299,8 +297,8 @@ def _seeded_gen_rings(count: int) -> list[FdzRing]:
 
 
 def test_pa_inside_pf():
-    builders = [z_ring, w_ring, zx2_ring, lambda: z_mod(4)]
-    for ring in [b() for b in builders] + _seeded_gen_rings(30):
+    named = [corpus_ring("z"), corpus_ring("w"), corpus_ring("zx2"), z_mod(4)]
+    for ring in named + _seeded_gen_rings(30):
         pa = pa_ring(ring)
         pf = pf_ring(induced_bilinear_map(ring).map)
         # maximality: pa keeps every pf pair that meets the linearity rows

@@ -22,10 +22,11 @@ from fdzring.classify import (
     indecomposable_factors,
     spec0_connected_rule,
 )
-from fdzring.corpus import NAMED_RINGS, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.eqcheck import verify_iso_witness
 from fdzring.intlinalg import IntMatrix, row_times_matrix
 from fdzring.rings import FdzRing, direct_product, transport, z0_ring
+
+from oracles import CORPUS, NAMED_RINGS, corpus_ring, z_mod
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,13 +48,13 @@ def zx_mod(tail):
 
 
 def test_idempotents_examples():
-    assert idempotents(z_ring()) == [(0,), (1,)]
-    zz = direct_product(z_ring(), z_ring())
+    assert idempotents(corpus_ring("z")) == [(0,), (1,)]
+    zz = direct_product(corpus_ring("z"), corpus_ring("z"))
     assert idempotents(zz) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert idempotents(zx2_ring()) == [(0, 0), (1, 0)]
+    assert idempotents(corpus_ring("zx2")) == [(0, 0), (1, 0)]
     assert idempotents(z_mod(6)) == [(0,), (1,), (3,), (4,)]
     # no basis vector and not the unity generates Q^3: the search goes on
-    z3 = direct_product(zz, z_ring())
+    z3 = direct_product(zz, corpus_ring("z"))
     assert idempotents(z3) == sorted(
         tuple((mask >> i) & 1 for i in range(3)) for mask in range(8)
     )
@@ -100,8 +101,10 @@ def test_import_leaves_sympy_out():
     # a local torsion-free part (semisimple part Q) has only 0 and 1: no factoring
     probe = (
         "import sys; from fdzring.classify import idempotents; "
-        "from fdzring.corpus import z_ring, zx2_ring; "
-        "print(idempotents(z_ring()), idempotents(zx2_ring()), 'sympy' in sys.modules)"
+        "from fdzring.ringfile import load_ring; "
+        f"z, zx2 = (load_ring({os.path.join(CORPUS, 'z.ring')!r}), "
+        f"load_ring({os.path.join(CORPUS, 'zx2.ring')!r})); "
+        "print(idempotents(z), idempotents(zx2), 'sympy' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[(0,), (1,)] [(0, 0), (1, 0)] False"
@@ -168,14 +171,14 @@ def test_package_namespace_is_lazy():
 
 
 def test_idempotents_mixed_torsion():
-    mixed = direct_product(z_ring(), z_mod(2))
+    mixed = direct_product(corpus_ring("z"), z_mod(2))
     assert idempotents(mixed) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     big = direct_product(z_mod(4), z_mod(9))
     found = idempotents(big)
     brute = sorted(e for e in big.elements() if big.mul(e, e) == e)
     assert found == brute
     # free-times-torsion with a nilpotent part
-    nil_mixed = direct_product(zx2_ring(), z_mod(3))
+    nil_mixed = direct_product(corpus_ring("zx2"), z_mod(3))
     assert idempotents(nil_mixed) == [
         (0, 0, 0),
         (0, 0, 1),
@@ -191,10 +194,10 @@ def test_idempotents_requires_scalar():
 
 def test_idempotent_set_closure_properties():
     for ring in (
-        direct_product(z_ring(), z_ring()),
-        direct_product(z_ring(), z_mod(2)),
+        direct_product(corpus_ring("z"), corpus_ring("z")),
+        direct_product(corpus_ring("z"), z_mod(2)),
         z_mod(12),
-        zx2_ring(),
+        corpus_ring("zx2"),
     ):
         idems = set(idempotents(ring))
         unity = ring.unity()
@@ -205,15 +208,15 @@ def test_idempotent_set_closure_properties():
 
 
 def test_indecomposable_factors():
-    sa = indecomposable_factors(z_ring())
+    sa = indecomposable_factors(corpus_ring("z"))
     assert len(sa.factors) == 1 and sa.spec0_connected == YES
 
-    sa = indecomposable_factors(direct_product(z_ring(), z_ring()))
+    sa = indecomposable_factors(direct_product(corpus_ring("z"), corpus_ring("z")))
     assert len(sa.factors) == 2
     assert sa.infinite_factor_count == 2
     assert sa.spec0_connected == NO
 
-    sa = indecomposable_factors(direct_product(z_ring(), z_mod(2)))
+    sa = indecomposable_factors(direct_product(corpus_ring("z"), z_mod(2)))
     assert sa.infinite_factor_count == 1
     assert sa.spec0_connected == YES
     orders = sorted(f.order for f in sa.factors if f.order is not None)
@@ -222,9 +225,9 @@ def test_indecomposable_factors():
 
 def test_factor_product_reassembly():
     for ring in (
-        direct_product(z_ring(), z_mod(3)),
+        direct_product(corpus_ring("z"), z_mod(3)),
         direct_product(z_mod(4), z_mod(9)),
-        zx2_ring(),
+        corpus_ring("zx2"),
     ):
         sa = indecomposable_factors(ring)
         product = sa.factors[0]
@@ -248,8 +251,8 @@ def test_classification_table():
         "w": dict(tame=False, qfa=NO, regular=False),
         "zx2": dict(tame=True, qfa=YES),
     }
-    for name, builder in NAMED_RINGS.items():
-        report = classify_ring(builder())
+    for name in NAMED_RINGS:
+        report = classify_ring(corpus_ring(name))
         for field, expected in expectations[name].items():
             assert getattr(report, field) == expected, (name, field)
         for line in report.justifications:
@@ -258,12 +261,12 @@ def test_classification_table():
 
 
 def test_justification_citations():
-    report = classify_ring(zxz0_ring())
+    report = classify_ring(corpus_ring("zxz0"))
     assert any(
         line.startswith("bi_interpretable=no") and line.endswith("thm:main2")
         for line in report.justifications
     )
-    report = classify_ring(z_ring())
+    report = classify_ring(corpus_ring("z"))
     assert any(
         line.startswith("qfa=yes") and line.endswith("thm:Main1")
         for line in report.justifications
@@ -275,8 +278,8 @@ def test_justification_citations():
 
 
 def test_verdict_consistency_corpus():
-    for builder in NAMED_RINGS.values():
-        report = classify_ring(builder())
+    for name in NAMED_RINGS:
+        report = classify_ring(corpus_ring(name))
         if report.super_tame == YES:
             assert report.bi_interpretable == YES
         if report.bi_interpretable == YES:
@@ -293,14 +296,14 @@ def test_finite_rings_not_applicable():
 
 
 def test_classify_with_pa():
-    report = classify_ring(z_ring(), use_pa_ring=True)
+    report = classify_ring(corpus_ring("z"), use_pa_ring=True)
     assert report.super_tame == YES and report.bi_interpretable == YES
 
 
 def test_unknown_verdict_on_disconnected_spectrum():
     # Z x Z: tame and QFA, but the scalar ring splits into two infinite
     # factors, so neither sufficient nor necessary criterion fires
-    zz = direct_product(z_ring(), z_ring())
+    zz = direct_product(corpus_ring("z"), corpus_ring("z"))
     report = classify_ring(zz)
     assert report.tame and report.qfa == YES
     assert report.super_tame == NO

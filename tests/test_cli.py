@@ -4,12 +4,11 @@ import os
 import pytest
 
 from fdzring.cli import main
-from fdzring.corpus import NAMED_RINGS, z_mod
 from fdzring.fomc import NESTING_GUARD, parse_formula
 from fdzring.ringfile import RANK_LIMIT, RingFileError, parse_ring_text, serialize_ring
 from fdzring.rings import FdzRing
 
-from oracles import tarski_defined_set
+from oracles import NAMED_RINGS, corpus_ring, tarski_defined_set, z_mod
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -29,8 +28,8 @@ def without_timing(payload: dict) -> dict:
 
 
 def test_ring_file_roundtrip_named():
-    for builder in NAMED_RINGS.values():
-        ring = builder()
+    for name in NAMED_RINGS:
+        ring = corpus_ring(name)
         text = serialize_ring(ring)
         assert parse_ring_text(text) == ring
         # serialization is canonical: a second pass is byte identical

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from fdzring.corpus import NAMED_RINGS, w_ring, z_ring
 from fdzring.deform import (
     CocycleError,
     DeformationContext,
@@ -27,8 +26,10 @@ from fdzring.intlinalg import row_times_matrix
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from oracles import (
+    NAMED_RINGS,
     TableCocycle,
     cocycle_pair_add,
+    corpus_ring,
     reference_deformation_closing,
     table_cocycle_defect,
     table_ext_classes,
@@ -208,8 +209,8 @@ def test_ext_classification_against_brute_force():
 
 
 def test_trivial_deformations_isomorphic():
-    for name, builder in NAMED_RINGS.items():
-        base = builder()
+    for name in NAMED_RINGS:
+        base = corpus_ring(name)
         result = build_deformation(DeformationSpec(base=base))
         res = iso_search(base, result.ring, coeff_bound=5)
         assert res.kind == "yes", name
@@ -244,15 +245,15 @@ def test_trivial_deformations_random_mixed_profiles():
 
 
 def test_deformation_annihilator_contains_designated():
-    for builder in (z_ring, w_ring):
-        result = build_deformation(DeformationSpec(base=builder()))
+    for name in ("z", "w"):
+        result = build_deformation(DeformationSpec(base=corpus_ring(name)))
         chain = characteristic_ideals(result.ring)
         for row in result.annihilator_embedding.data:
             assert chain.ann.contains(row)
 
 
 def test_w_deformation_suite():
-    w = w_ring()
+    w = corpus_ring("w")
     ctx = DeformationContext(w)
     assert ctx.n_orders == (2,)
     g = ctx.ambient_annihilator_cocycle(0, (0, 1, 0))
@@ -272,7 +273,7 @@ def test_coordinate_round_trips():
     from oracles import random_mixed_ring
 
     rng = random.Random(57)
-    rings = [(name, builder()) for name, builder in NAMED_RINGS.items()]
+    rings = [(name, corpus_ring(name)) for name in NAMED_RINGS]
     rings += [(f"mixed {i}", random_mixed_ring(rng)) for i in range(12)]
     checked = 0
     for name, ring in rings:
@@ -320,19 +321,19 @@ def test_independence_hypothesis_can_refuse_the_zero_cocycle():
 
 @pytest.mark.parametrize("bound", [0, -3])
 def test_sixterm_rejects_a_bound_below_one(bound):
-    w = w_ring()
+    w = corpus_ring("w")
     with pytest.raises(ValueError, match="coeff_bound"):
         verify_sixterm(w, w, coeff_bound=bound)
 
 
 def test_w_deformation_value_must_be_annihilator():
-    ctx = DeformationContext(w_ring())
+    ctx = DeformationContext(corpus_ring("w"))
     with pytest.raises(DeformationError):
         ctx.ambient_annihilator_cocycle(0, (1, 0, 0))
 
 
 def test_deformation_spec_validation():
-    w = w_ring()
+    w = corpus_ring("w")
     ctx = DeformationContext(w)
     bad_g = zero_cocycle((3,), ctx.d_orders)
     with pytest.raises(DeformationError):
@@ -340,23 +341,23 @@ def test_deformation_spec_validation():
 
 
 def test_sixterm_reflexive_and_deformed():
-    for builder in (z_ring, w_ring):
-        ring = builder()
+    for name in ("z", "w"):
+        ring = corpus_ring(name)
         assert verify_sixterm(ring, ring).status == "commutes"
-    w = w_ring()
+    w = corpus_ring("w")
     trivial = build_deformation(DeformationSpec(base=w)).ring
     assert verify_sixterm(w, trivial).status == "commutes"
 
 
 def test_sixterm_commutes_for_corpus_deformations():
-    for name, builder in NAMED_RINGS.items():
-        base = builder()
+    for name in NAMED_RINGS:
+        base = corpus_ring(name)
         deformed = build_deformation(DeformationSpec(base=base)).ring
         assert verify_sixterm(base, deformed).status == "commutes", name
 
 
 def test_sixterm_negative_control():
-    w = w_ring()
+    w = corpus_ring("w")
     # corrupt the tensor: make the square land outside the torsion
     corrupted = FdzRing(
         (0, 0, 2),
@@ -418,7 +419,7 @@ def test_deformation_relations_match_the_transversal_loop(monkeypatch):
         from gen import random_ring_data
     finally:
         sys.path.pop(0)
-    rings = [builder() for builder in NAMED_RINGS.values()]
+    rings = [corpus_ring(name) for name in NAMED_RINGS]
     catalog = workloads.catalog(workloads.DEFORM_CATALOG_SEED, workloads.DEFORM_RANKS)
     rings += [FdzRing(*data) for data in catalog]
     rng = random.Random(61)

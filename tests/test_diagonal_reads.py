@@ -7,11 +7,11 @@ import random
 import sys
 from functools import lru_cache
 
-from fdzring.corpus import twoz_ring, w_ring, z_ring, zx2_ring, zxz0_ring
 from fdzring.deform import DeformationContext, SymmetricCocycle, cocycle_analyze
 from fdzring.groups import quotient_of_subgroups
 from fdzring.rings import FdzRing, IdealChain, characteristic_ideals, quotient_ring, z0_ring
 from oracles import (
+    corpus_ring,
     hermite_cocycle_classes,
     rows_and_relations_quotient,
     smith_saturation,
@@ -43,7 +43,7 @@ def _chains() -> tuple[IdealChain, ...]:
         from gen import random_ring_data
     finally:
         sys.path.pop(0)
-    rings = [twoz_ring(), w_ring(), z_ring(), zx2_ring(), zxz0_ring(), z0_ring()]
+    rings = [corpus_ring(name) for name in ("twoz", "w", "z", "zx2", "zxz0")] + [z0_ring()]
     rings.append(_mixed_carrier_ring())
     catalog = workloads.catalog(workloads.DEFORM_CATALOG_SEED, workloads.DEFORM_RANKS)
     rings += [FdzRing(*data) for data in catalog]

@@ -3,14 +3,14 @@ import os
 import random
 import sys
 from collections import Counter
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
 import fdzring.eqcheck as eqcheck
-from fdzring.corpus import NAMED_RINGS, twoz_ring, w_ring, z_ring, zx2_ring
 from fdzring.deform import DeformationSpec, build_deformation
 from fdzring.eqcheck import (
+    FINGERPRINT_MODULI,
     SEEDED_POOL_LIMIT,
     SearchPoolError,
     _BLOCK_CAP,
@@ -27,12 +27,16 @@ from fdzring.eqcheck import (
     verify_iso_witness,
 )
 from fdzring.intlinalg import IntMatrix, hermite_rows
-from fdzring.ringfile import load_ring
 from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transport, z0_ring
 
 from oracles import (
+    NAMED_RINGS,
     brute_force_isomorphic,
     candidate_images,
+    corpus_ring,
+    corpus_rings,
+    full_profile_first_mismatch,
+    full_profile_oracle,
     maximal_minors_gcd,
     pair_checks_at,
     pair_checks_ok,
@@ -45,12 +49,6 @@ from oracles import (
 )
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-
-
-def _corpus_rings() -> list[FdzRing]:
-    """Every ring under ``corpus/``, in file-name order."""
-    folder = os.path.join(ROOT, "corpus")
-    return [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
 
 
 def _twisted_w() -> FdzRing:
@@ -66,22 +64,30 @@ def _twisted_w() -> FdzRing:
 
 
 def test_profile_reflexive():
-    for builder in NAMED_RINGS.values():
-        p = invariant_profile(builder())
+    for name in NAMED_RINGS:
+        p = invariant_profile(corpus_ring(name))
         assert p.first_mismatch(p) is None
 
 
 def test_profile_separations():
-    pz = invariant_profile(z_ring())
-    assert pz.first_mismatch(invariant_profile(twoz_ring())) == "mod_square"
+    pz = invariant_profile(corpus_ring("z"))
+    assert pz.first_mismatch(invariant_profile(corpus_ring("twoz"))) == "mod_square"
     assert pz.first_mismatch(invariant_profile(z0_ring())) == "ann"
-    p2 = invariant_profile(twoz_ring())
+    p2 = invariant_profile(corpus_ring("twoz"))
     p3 = invariant_profile(FdzRing((0,), (((3,),),)))
     assert p2.first_mismatch(p3) is not None
 
 
+def _coprime_sum(x: tuple, y: tuple) -> tuple:
+    """Invariant factors of G + H from those of G and H of coprime orders:
+    align the chains at their largest factor and multiply."""
+    width = max(len(x), len(y))
+    x, y = (1,) * (width - len(x)) + x, (1,) * (width - len(y)) + y
+    return tuple(p * q for p, q in zip(x, y))
+
+
 def test_closed_form_fingerprints_match_the_subgroup_oracle():
-    corpus = _corpus_rings()
+    corpus = corpus_rings()
     rng = random.Random(23)
     generated = [random_ring_of_rank(rng, 2 + n % 6) for n in range(210)]
     # the square's lift basis holds the relations, so it is empty only for
@@ -93,15 +99,28 @@ def test_closed_form_fingerprints_match_the_subgroup_oracle():
     rings += [zero_square, torsion_zero_square, rank_zero]
     assert not characteristic_ideals(zero_square).sq.lift_basis
     assert any(r.rank == 7 and 0 < r.orders.count(0) < 7 for r in generated)
+    composite = 0
     for ring in rings:
-        assert invariant_profile(ring).fingerprints == profile_fingerprints_oracle(ring), ring
+        profile = invariant_profile(ring)
+        oracle = {n: entry for n, *entry in profile_fingerprints_oracle(ring)}
+        assert profile.fingerprints == tuple((n, oracle[n][2]) for n in FINGERPRINT_MODULI), ring
+        # the entries the profile leaves out follow from the ones it keeps
+        for n, (order, quotient, image) in oracle.items():
+            assert quotient == tuple(g for g in (gcd(n, e) for e in profile.additive) if g != 1)
+            assert order == prod(quotient) == prod(gcd(n, d) for d in ring.orders)
+            if n not in FINGERPRINT_MODULI:
+                a = next(a for a in FINGERPRINT_MODULI if n % a == 0 and gcd(a, n // a) == 1)
+                assert n // a in FINGERPRINT_MODULI
+                assert image == _coprime_sum(oracle[a][2], oracle[n // a][2]), (ring, n)
+                composite += len(image) > 1
+    assert composite > 100
 
 
 def test_profile_invariants_match_the_presented_groups():
     # every field is read off a transform-free Smith diagonal; the diagonal
     # presentations of the same groups, built on Smith with transforms,
     # must agree
-    corpus = _corpus_rings()
+    corpus = corpus_rings()
     rng = random.Random(43)
     generated = [random_ring_of_rank(rng, 1 + n % 7) for n in range(100)]
     rings = corpus + [direct_product(z0_ring(), r) for r in corpus] + generated
@@ -109,16 +128,19 @@ def test_profile_invariants_match_the_presented_groups():
     for ring in rings:
         chain = characteristic_ideals(ring)
         profile = invariant_profile(ring)
-        for name, field in (
-            ("ann", "ann"), ("sq", "square"), ("delta", "delta"), ("k_ideal", "k_ideal"),
-            ("l_ideal", "l_ideal"),
-        ):
+        for name, field in (("ann", "ann"), ("sq", "square"), ("k_ideal", "k_ideal")):
             group = getattr(chain, name).as_group()[0]
             assert getattr(profile, field) == group.diagonal.orders, (ring, name)
         assert profile.additive == ring.additive.diagonal.orders
-        assert profile.m_quot == chain.m_quot.diagonal.orders
         assert profile.n_quot == chain.n_quot.diagonal.orders
         assert profile.mod_square == chain.sq.quotient().diagonal.orders
+        # delta and l are saturated, so each is T(A) plus a free part of the
+        # rank of sq and of k, and A/l is free of the rest of the rank
+        torsion = tuple(d for d in profile.additive if d)
+        sq_rank, k_rank = profile.square.count(0), profile.k_ideal.count(0)
+        assert chain.delta.as_group()[0].diagonal.orders == torsion + (0,) * sq_rank, ring
+        assert chain.l_ideal.as_group()[0].diagonal.orders == torsion + (0,) * k_rank, ring
+        assert chain.m_quot.diagonal.orders == (0,) * (profile.additive.count(0) - k_rank)
 
 
 def _profile_pairs() -> list[tuple[FdzRing, FdzRing]]:
@@ -132,8 +154,49 @@ def _profile_pairs() -> list[tuple[FdzRing, FdzRing]]:
         pairs.append((a, random_ring_over(rng, a.orders)))
         t, tinv = random_lattice_preserving_unimodular(rng, a.orders)
         pairs.append((a, transport(a, t, tinv)))
-    corpus = _corpus_rings()
+    corpus = corpus_rings()
     return pairs + [(a, b) for a in corpus for b in corpus]
+
+
+def _same_rank_gen_pairs() -> list[tuple[FdzRing, FdzRing]]:
+    """Every pair of equal rank among 175 seeded benchmark-generator rings
+    of ranks 1-7."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(3)
+    rings = [FdzRing(*random_ring_data(rng, 1 + n % 7)) for n in range(175)]
+    return [(a, b) for i, a in enumerate(rings) for b in rings[i + 1:] if a.rank == b.rank]
+
+
+def test_first_mismatch_matches_the_full_profile():
+    # the profile leaves out the entries its earlier fields determine, so
+    # it names the field the full profile names, on every pair
+    z0 = z0_ring()
+    padded = [direct_product(z0, r) for r in corpus_rings()]
+    full = {}
+
+    def expected(a: FdzRing, b: FdzRing) -> str | None:
+        for ring in (a, b):
+            if ring not in full:
+                full[ring] = full_profile_oracle(ring)
+        return full_profile_first_mismatch(full[a], full[b])
+
+    def mismatches(pairs) -> Counter:
+        seen = Counter()
+        for a, b in pairs:
+            name = invariant_profile(a).first_mismatch(invariant_profile(b))
+            assert name == expected(a, b), (a, b)
+            seen[name] += 1
+        return seen
+
+    mismatches(_profile_pairs() + [(a, b) for a in padded for b in padded])
+    # the generator pairs reach a first mismatch at every kept chain field
+    kept = {"additive", "ann", "square", "k_ideal", "n_quot", "mod_square", None}
+    generated = mismatches(_same_rank_gen_pairs())
+    assert kept <= set(generated), generated
 
 
 def test_padding_keeps_profile_equality():
@@ -153,7 +216,7 @@ def test_padding_keeps_profile_equality():
 def test_equivalence_verdict_matches_the_padded_iso_search():
     kinds = {"yes": "equivalent", "no": "not_equivalent", "unknown": "unknown"}
     outcomes = set()
-    corpus = _corpus_rings()
+    corpus = corpus_rings()
     assert len(corpus) == 8
     for a in corpus:
         for b in corpus:
@@ -172,7 +235,7 @@ def test_equivalence_verdict_matches_the_padded_iso_search():
 
 
 def test_equivalence_verdict_builds_two_profiles_and_no_padded_chain():
-    w, twisted = w_ring(), _twisted_w()
+    w, twisted = corpus_ring("w"), _twisted_w()
     assert w != twisted
     invariant_profile.cache_clear()
     characteristic_ideals.cache_clear()
@@ -228,8 +291,8 @@ def test_finite_verdicts_agree_with_brute_force_isomorphism():
 
 
 def test_iso_search_identity_and_null():
-    for builder in NAMED_RINGS.values():
-        ring = builder()
+    for name in NAMED_RINGS:
+        ring = corpus_ring(name)
         res = iso_search(ring, ring)
         assert res.kind == "yes"
         assert res.witness is not None and res.witness.verified
@@ -242,7 +305,7 @@ def test_iso_search_identity_and_null():
 @pytest.mark.parametrize("bound", [0, -3])
 def test_searches_reject_a_bound_below_one(bound):
     # with no free image in range, zx2 against itself would end ``unknown``
-    zx2 = zx2_ring()
+    zx2 = corpus_ring("zx2")
     with pytest.raises(ValueError, match="coeff_bound"):
         iso_search(zx2, zx2, coeff_bound=bound)
     with pytest.raises(ValueError, match="coeff_bound"):
@@ -250,25 +313,25 @@ def test_searches_reject_a_bound_below_one(bound):
 
 
 def test_iso_search_profile_refutation():
-    res = iso_search(twoz_ring(), FdzRing((0,), (((3,),),)))
+    res = iso_search(corpus_ring("twoz"), FdzRing((0,), (((3,),),)))
     assert res.kind == "no" and "mismatch" in res.reason
 
 
 def test_iso_search_twisted_presentation():
     # W presented in permuted, sheared coordinates is still found isomorphic
-    res = iso_search(w_ring(), _twisted_w())
+    res = iso_search(corpus_ring("w"), _twisted_w())
     assert res.kind == "yes"
 
 
 def test_embedding_identity_all_corpus():
-    for builder in NAMED_RINGS.values():
-        ring = builder()
+    for name in NAMED_RINGS:
+        ring = corpus_ring(name)
         report = verify_embedding(ring, ring, IntMatrix.identity(ring.rank))
         assert report.passed and report.index == 1
 
 
 def test_embedding_w_index_three():
-    w = w_ring()
+    w = corpus_ring("w")
     h = IntMatrix([[1, 0, 0], [0, 3, 0], [0, 0, 1]])
     report = verify_embedding(w, w, h)
     assert report.passed
@@ -277,7 +340,7 @@ def test_embedding_w_index_three():
 
 
 def test_embedding_doubling_fails():
-    report = verify_embedding(z_ring(), z_ring(), IntMatrix([[2]]))
+    report = verify_embedding(corpus_ring("z"), corpus_ring("z"), IntMatrix([[2]]))
     assert not report.passed
     names = {name: ok for name, ok, _ in report.checks}
     assert not names["saturated_square_isomorphism"]
@@ -286,7 +349,7 @@ def test_embedding_doubling_fails():
 
 
 def test_embedding_even_index_fails_coprimality():
-    w = w_ring()
+    w = corpus_ring("w")
     h = IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     report = verify_embedding(w, w, h)
     assert report.index == 2
@@ -297,22 +360,21 @@ def test_embedding_even_index_fails_coprimality():
 
 def test_embedding_shape_check():
     with pytest.raises(ValueError):
-        verify_embedding(z_ring(), z_ring(), IntMatrix([[1, 0]]))
+        verify_embedding(corpus_ring("z"), corpus_ring("z"), IntMatrix([[1, 0]]))
 
 
 def test_equivalence_examples():
-    assert equivalence_verdict(z_ring(), z_ring()).kind == "equivalent"
-    res = equivalence_verdict(z_ring(), twoz_ring())
+    assert equivalence_verdict(corpus_ring("z"), corpus_ring("z")).kind == "equivalent"
+    res = equivalence_verdict(corpus_ring("z"), corpus_ring("twoz"))
     assert res.kind == "not_equivalent"
-    res = equivalence_verdict(z0_ring(), z_ring())
+    res = equivalence_verdict(z0_ring(), corpus_ring("z"))
     assert res.kind == "not_equivalent" and "ann" in res.reason
 
 
 def test_equivalence_symmetric_kind_on_corpus():
-    builders = list(NAMED_RINGS.values())
-    for i, first in enumerate(builders):
-        for second in builders[i:]:
-            a, b = first(), second()
+    rings = [corpus_ring(name) for name in NAMED_RINGS]
+    for i, a in enumerate(rings):
+        for b in rings[i:]:
             assert (
                 equivalence_verdict(a, b, max_nodes=300_000).kind
                 == equivalence_verdict(b, a, max_nodes=300_000).kind
@@ -321,14 +383,14 @@ def test_equivalence_symmetric_kind_on_corpus():
 
 def test_unknown_on_budget_exhaustion():
     # identical profiles, but a one-node budget cannot find the identity
-    res = iso_search(zx2_ring(), zx2_ring(), max_nodes=1)
+    res = iso_search(corpus_ring("zx2"), corpus_ring("zx2"), max_nodes=1)
     assert res.kind == "unknown"
-    verdict = equivalence_verdict(zx2_ring(), zx2_ring(), max_nodes=1)
+    verdict = equivalence_verdict(corpus_ring("zx2"), corpus_ring("zx2"), max_nodes=1)
     assert verdict.kind == "unknown"
 
 
 def test_self_equivalence_every_seed():
-    w = w_ring()
+    w = corpus_ring("w")
     for seed in range(8):
         assert equivalence_verdict(w, w, seed=seed).kind == "equivalent", seed
 
@@ -380,7 +442,7 @@ def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
     def independent_only(rows, width):
         return len(hermite_rows(rows, width)) == len(rows)
 
-    padded = [direct_product(z0_ring(), b()) for b in NAMED_RINGS.values()]
+    padded = [direct_product(z0_ring(), corpus_ring(name)) for name in NAMED_RINGS]
     pairs = [(r, r) for r in padded] + _transported_gen_pairs(20)
     compared = 0
     for a, b in pairs:
@@ -402,7 +464,7 @@ def _sixterm_search_pairs() -> list[tuple[FdzRing, FdzRing]]:
     """The A/ann and delta pairs ``verify_sixterm`` searches for each corpus
     ring against its zero-cocycle deformation."""
     pairs = []
-    for ring in _corpus_rings():
+    for ring in corpus_rings():
         deformed = build_deformation(DeformationSpec(base=ring)).ring
         chain_a, chain_b = characteristic_ideals(ring), characteristic_ideals(deformed)
         pairs.append((chain_a.hat.ring, chain_b.hat.ring))
@@ -415,11 +477,11 @@ def test_folded_search_matches_the_reference_search():
     # and the block scan charges one node per candidate in pool order, so
     # under every budget and seed the witnesses, their order and the closing
     # None are those of the per-pair search
-    padded = [(direct_product(z0_ring(), r), direct_product(z0_ring(), r)) for r in _corpus_rings()]
+    padded = [(direct_product(z0_ring(), r), direct_product(z0_ring(), r)) for r in corpus_rings()]
     pairs = padded + _transported_gen_pairs(20) + _sixterm_search_pairs()
     cases = [(a, b, 2, range(4)) for a, b in pairs]
-    f1009 = direct_product(FdzRing((1009,), (((1,),),)), z_ring())
-    padded_z = direct_product(z0_ring(), z_ring())
+    f1009 = direct_product(FdzRing((1009,), (((1,),),)), corpus_ring("z"))
+    padded_z = direct_product(z0_ring(), corpus_ring("z"))
     cases += [
         # a rank-0 target, whose pools have no coordinates to split
         (FdzRing((5,), (((0,),),)), FdzRing((), ()), 2, range(4)),
@@ -446,11 +508,11 @@ def test_search_runs_out_at_the_reference_node_under_every_budget():
     # None, so the scan charges skipped candidates exactly one node each
     f4 = FdzRing((2, 2), (((1, 0), (0, 1)), ((0, 1), (1, 1))))
     f2xf2 = FdzRing((2, 2), (((1, 0), (0, 0)), ((0, 0), (0, 1))))
-    padded_z = direct_product(z0_ring(), z_ring())
+    padded_z = direct_product(z0_ring(), corpus_ring("z"))
     gen = _transported_gen_pairs(5)
     pairs = [
-        (f4, f4), (f4, f2xf2), (zx2_ring(), zx2_ring()), (padded_z, padded_z),
-        gen[0], gen[1], gen[4], (w_ring(), _twisted_w()), gen[2],
+        (f4, f4), (f4, f2xf2), (corpus_ring("zx2"), corpus_ring("zx2")), (padded_z, padded_z),
+        gen[0], gen[1], gen[4], (corpus_ring("w"), _twisted_w()), gen[2],
     ]
     swept = out_of_budget = witnesses = 0
     for a, b in pairs:
@@ -537,7 +599,7 @@ def test_folded_level_accepts_exactly_what_the_pair_checks_accept():
 
 
 def test_seeded_pool_guard():
-    z = z_ring()
+    z = corpus_ring("z")
     # padded Z has two free coordinates: (2·bound + 1)^2 candidates
     limit_bound = (isqrt(SEEDED_POOL_LIMIT) - 1) // 2
     assert equivalence_verdict(z, z, coeff_bound=limit_bound, seed=1).kind == "equivalent"
@@ -553,9 +615,9 @@ def test_seeded_pool_guard():
 
 def test_seeded_ordering_still_finds_witnesses():
     for seed in (0, 1, 7):
-        res = iso_search(w_ring(), w_ring(), seed=seed)
+        res = iso_search(corpus_ring("w"), corpus_ring("w"), seed=seed)
         assert res.kind == "yes"
-        assert verify_iso_witness(w_ring(), w_ring(), res.witness.matrix)
+        assert verify_iso_witness(corpus_ring("w"), corpus_ring("w"), res.witness.matrix)
 
 
 def test_product_scan_takes_the_candidate_images_in_pool_order():
@@ -563,12 +625,12 @@ def test_product_scan_takes_the_candidate_images_in_pool_order():
     # yields each candidate image at its pool position and closes its last
     # block on the pool size; no tail table exceeds the cap
     targets = [
-        direct_product(z0_ring(), w_ring()),
+        direct_product(z0_ring(), corpus_ring("w")),
         FdzRing((), ()),
         FdzRing((12,), (((1,),),)),
-        z_ring(),
-        direct_product(FdzRing((1009,), (((0,),),)), z_ring()),
-        direct_product(z_ring(), FdzRing((1009,), (((0,),),))),
+        corpus_ring("z"),
+        direct_product(FdzRing((1009,), (((0,),),)), corpus_ring("z")),
+        direct_product(corpus_ring("z"), FdzRing((1009,), (((0,),),))),
     ]
     scanned = 0
     for b in targets:
@@ -583,7 +645,7 @@ def test_product_scan_takes_the_candidate_images_in_pool_order():
             scanned += len(images)
     assert scanned > 3_000
     # a 2,001-value coordinate lies above the cap: blocks of one candidate
-    padded_z = direct_product(z0_ring(), z_ring())
+    padded_z = direct_product(z0_ring(), corpus_ring("z"))
     wide = _ProductPool(padded_z, 0, 1000)
     assert wide.tails == [()]
     first = list(itertools.islice(wide.scan(()), 4))

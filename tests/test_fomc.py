@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from fdzring.corpus import NAMED_RINGS, w_ring, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.fomc import (
     CARRIER_GUARD,
     Add,
@@ -36,13 +35,16 @@ from fdzring.fomc import (
 from fdzring.rings import FdzRing, characteristic_ideals, reduce_mod_n, z0_ring
 
 from oracles import (
+    NAMED_RINGS,
     brute_force_chain,
     complete_singletons,
+    corpus_ring,
     random_finite_ring,
     subgroup_elements,
     sums_of_products,
     tarski_defined_set,
     tarski_evaluate,
+    z_mod,
 )
 
 
@@ -90,13 +92,13 @@ def test_defined_set_examples():
     assert defined_set(z4, theta(1)) == [(0,), (1,), (2,), (3,)]
     null2 = reduce_mod_n(z0_ring(), 2)
     assert defined_set(null2, theta(1)) == [(0,)]
-    wm2 = reduce_mod_n(w_ring(), 2)
+    wm2 = reduce_mod_n(corpus_ring("w"), 2)
     assert defined_set(wm2, theta(3)) == [(0, 0, 0), (0, 0, 1)]
 
 
 def test_evaluate_guards():
     with pytest.raises(FormulaError):
-        evaluate(z_ring(), phi(1))
+        evaluate(corpus_ring("z"), phi(1))
     with pytest.raises(FormulaError):
         evaluate(z_mod(4), theta(1))  # unassigned free variable
     with pytest.raises(FormulaError):
@@ -104,8 +106,8 @@ def test_evaluate_guards():
 
 
 def test_square_definability_on_corpus_quotients():
-    for name, builder in NAMED_RINGS.items():
-        ring = builder()
+    for name in NAMED_RINGS:
+        ring = corpus_ring(name)
         for n in (2, 3, 4):
             quotient = reduce_mod_n(ring, n)
             if quotient.rank == 0:
@@ -139,9 +141,7 @@ def test_psi_matches_complete_system_kernel():
     from fdzring.bilinear import induced_bilinear_map
     from fdzring.rings import pairing_kernel
 
-    for builder in (lambda: z_mod(4), lambda: reduce_mod_n(w_ring(), 2),
-                    lambda: reduce_mod_n(zx2_ring(), 2)):
-        ring = builder()
+    for ring in (z_mod(4), reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 2)):
         induced = induced_bilinear_map(ring)
         f = induced.map
         m = f.domain_rank
@@ -167,8 +167,7 @@ def test_annihilator_definability():
             Eq(Mul(Var("z"), Var("x")), Zero()),
         ),
     )
-    for builder in (lambda: z_mod(4), lambda: reduce_mod_n(w_ring(), 2)):
-        ring = builder()
+    for ring in (z_mod(4), reduce_mod_n(corpus_ring("w"), 2)):
         chain = characteristic_ideals(ring)
         defined = set(map(tuple, defined_set(ring, annihilates)))
         assert defined == subgroup_elements(ring, chain.ann)
@@ -176,8 +175,7 @@ def test_annihilator_definability():
 
 def test_psi_matches_pairing_kernel():
     rng = random.Random(3)
-    for builder in (lambda: z_mod(4), lambda: reduce_mod_n(w_ring(), 2)):
-        ring = builder()
+    for ring in (z_mod(4), reduce_mod_n(corpus_ring("w"), 2)):
         elements = list(ring.elements())
         ann = brute_force_chain(ring)["ann"]
         for _ in range(12):
@@ -198,7 +196,7 @@ def test_psi_matches_pairing_kernel():
 
 def test_logical_equivalences_randomized():
     rng = random.Random(123)
-    rings = [z_mod(2), z_mod(3), reduce_mod_n(zx2_ring(), 2)]
+    rings = [z_mod(2), z_mod(3), reduce_mod_n(corpus_ring("zx2"), 2)]
 
     def rand_term(depth, names):
         if depth == 0 or rng.random() < 0.4:
@@ -227,7 +225,7 @@ def test_logical_equivalences_randomized():
 
 def test_optimizer_matches_naive():
     rng = random.Random(9)
-    rings = [z_mod(2), z_mod(3), z_mod(4), reduce_mod_n(w_ring(), 2)]
+    rings = [z_mod(2), z_mod(3), z_mod(4), reduce_mod_n(corpus_ring("w"), 2)]
 
     def rand_term(depth, names):
         if depth == 0 or rng.random() < 0.35:
@@ -261,7 +259,7 @@ def test_optimizer_matches_naive_wider_carriers():
     # same agreement property over carriers up to order 16, where the block
     # paths actually fire on multi-variable equations
     rng = random.Random(41)
-    rings = [z_mod(16), reduce_mod_n(w_ring(), 2), reduce_mod_n(zx2_ring(), 3)]
+    rings = [z_mod(16), reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 3)]
 
     def rand_term(depth, names):
         if depth == 0 or rng.random() < 0.4:
@@ -290,14 +288,14 @@ def test_value_set_path_speed():
     # the eight-universal-variable sentence on an order-32 quotient is only
     # tractable through the value-set path; this run doubles as a regression
     # guard for it
-    wm4 = reduce_mod_n(w_ring(), 4)
+    wm4 = reduce_mod_n(corpus_ring("w"), 4)
     assert wm4.order == 32
     assert evaluate(wm4, phi(3))
 
 
 def test_compiled_tables_match_ring_arithmetic():
     rng = random.Random(29)
-    rings = [reduce_mod_n(builder(), n) for builder in NAMED_RINGS.values() for n in range(2, 7)]
+    rings = [reduce_mod_n(corpus_ring(name), n) for name in NAMED_RINGS for n in range(2, 7)]
     rings += [random_finite_ring(rng, max_order=24) for _ in range(10)]
     rings.append(FdzRing([], []))
     assert any(ring.rank == 0 for ring in rings)
@@ -318,7 +316,7 @@ def test_compiled_rows_are_built_on_demand():
     # a quantifier-free formula on the largest carrier the guard admits
     # touches one multiplication row, the rank-many addition rows it is
     # built from, and one addition row: never the N x N tables
-    ring = reduce_mod_n(zx2_ring(), 64)
+    ring = reduce_mod_n(corpus_ring("zx2"), 64)
     assert ring.order == CARRIER_GUARD
     model = _Model(ring)
     x, y = (3, 5), (7, 11)
@@ -342,14 +340,14 @@ def test_memo_reuse_matches_plain():
         ),
         Or(Forall("y", Eq(Mul(Var("x"), yy), Zero())), Exists("y", Eq(yy, Neg(Var("x"))))),
     ]
-    rings = [reduce_mod_n(w_ring(), 4), reduce_mod_n(zx2_ring(), 4), z_mod(6)]
+    rings = [reduce_mod_n(corpus_ring("w"), 4), reduce_mod_n(corpus_ring("zx2"), 4), z_mod(6)]
     for ring in rings:
         for formula in formulas:
             assert defined_set(ring, formula) == tarski_defined_set(ring, formula), (
                 ring.orders,
                 format_formula(formula),
             )
-    for ring in (reduce_mod_n(w_ring(), 2), reduce_mod_n(zx2_ring(), 3)):
+    for ring in (reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 3)):
         for closure in (Exists("x2", psi(2)), Forall("x2", psi(2))):
             for v in ring.elements():
                 assert evaluate(ring, closure, {"x1": v}) == tarski_evaluate(
@@ -359,9 +357,9 @@ def test_memo_reuse_matches_plain():
 
 def test_definability_formulas_against_sumsets():
     for ring in (
-        reduce_mod_n(w_ring(), 4),
-        reduce_mod_n(zx2_ring(), 8),
-        reduce_mod_n(zxz0_ring(), 6),
+        reduce_mod_n(corpus_ring("w"), 4),
+        reduce_mod_n(corpus_ring("zx2"), 8),
+        reduce_mod_n(corpus_ring("zxz0"), 6),
     ):
         once, twice = sums_of_products(ring, 1), sums_of_products(ring, 2)
         assert defined_set(ring, theta(1)) == sorted(once)

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
-from fdzring.corpus import w_ring
 from fdzring.eqcheck import EquivalenceResult, IsoResult
 from fdzring.fomc import Add, Mul, Var, Zero
 from fdzring.intlinalg import (
@@ -28,9 +27,10 @@ from fdzring.intlinalg import (
     solve_congruences,
     vec_add,
 )
-from fdzring.ringfile import load_ring
 from fdzring.rings import FdzRing, _pairing_equations, characteristic_ideals
 from oracles import (
+    corpus_ring,
+    corpus_rings,
     reference_affine_preimage,
     reference_hermite_rows,
     reference_pair_conditions,
@@ -71,7 +71,7 @@ def test_record_contract():
         case _:
             pytest.fail("positional pattern did not destructure")
     # cached_property keeps its value in the instance dict
-    chain = characteristic_ideals(w_ring())
+    chain = characteristic_ideals(corpus_ring("w"))
     assert chain.hat is chain.hat
     # __post_init__ runs on construction
     with pytest.raises(BilinearMapError):
@@ -495,9 +495,8 @@ def _single_entry_rows(rng, width):
 
 
 def _corpus_pair_systems():
-    folder = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
-    for name in sorted(os.listdir(folder)):
-        f = induced_bilinear_map(load_ring(os.path.join(folder, name))).map
+    for ring in corpus_rings():
+        f = induced_bilinear_map(ring).map
         eqs, moduli = reference_pair_conditions(f)
         yield eqs, moduli, f.domain_rank ** 2 + f.codomain_rank ** 2
 
@@ -557,8 +556,7 @@ def _differential_rings() -> list[FdzRing]:
         from gen import random_ring_data
     finally:
         sys.path.pop(0)
-    folder = os.path.join(root, "corpus")
-    rings = [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
+    rings = corpus_rings()
     rng = random.Random(19)
     rings += [FdzRing(*random_ring_data(rng, 2 + i % 7)) for i in range(200)]
     return rings + [FdzRing(*random_ring_data(random.Random(1), 12))]
@@ -566,8 +564,9 @@ def _differential_rings() -> list[FdzRing]:
 
 def test_sparse_systems_match_the_dense_reference():
     """The library's sparse pairing equations and pair conditions are the
-    reference's dense rows, row for row in the same order, and solve to the
-    reference solution of the dense rows: the annihilator's equations, the
+    reference's dense rows, row for row in the same order (the pair
+    conditions without the reference's order rows of phi), and solve to the
+    reference solution of all the dense rows: the annihilator's equations, the
     same with unity's right-hand side, and the pair conditions.  The dense
     echelon is quadratic in the rows, so the pair systems of more than 300
     rows (ranks 6-8 and 12) are checked row for row only."""
@@ -589,11 +588,14 @@ def test_sparse_systems_match_the_dense_reference():
             continue
         eqs, moduli = _pair_conditions(f)
         dense, dense_moduli = reference_pair_conditions(f)
-        assert eqs == sparse_rows(dense) and moduli == dense_moduli
-        if len(eqs) <= 300:
+        # the library leaves out the reference's leading order rows of phi,
+        # which the psi order rows imply for a nondegenerate f
+        phi_rows = f.domain_rank * sum(1 for d in f.domain_orders if d)
+        assert eqs == sparse_rows(dense[phi_rows:]) and moduli == dense_moduli[phi_rows:]
+        if len(dense) <= 300:
             nunk = f.domain_rank ** 2 + f.codomain_rank ** 2
             assert solve_congruences(eqs, moduli, unknowns=nunk) == reference_solve_congruences(
-                dense, moduli, unknowns=nunk
+                dense, dense_moduli, unknowns=nunk
             )
             solved_pairs += 1
     assert solved_pairs > 100

@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from fdzring.corpus import twoz_ring, w_ring, z_mod, z_ring, zx2_ring, zxz0_ring
 from fdzring.rings import (
     FdzRing,
     RingValidationError,
@@ -21,15 +20,17 @@ from fdzring.rings import (
 )
 
 from fdzring.intlinalg import row_times_matrix
-from fdzring.ringfile import load_ring
 
 from oracles import (
     brute_force_chain,
+    corpus_ring,
+    corpus_rings,
     dense_mul,
     random_finite_ring,
-    random_mixed_ring,
     random_lattice_preserving_unimodular,
+    random_mixed_ring,
     subgroup_elements,
+    z_mod,
 )
 
 
@@ -81,7 +82,7 @@ def test_chain_z0():
 
 
 def test_chain_z_usual():
-    chain = characteristic_ideals(z_ring())
+    chain = characteristic_ideals(corpus_ring("z"))
     assert chain.ann.is_zero()
     assert chain.sq.is_full() and chain.delta.is_full()
     assert chain.k_ideal.is_full() and chain.l_ideal.is_full()
@@ -89,7 +90,7 @@ def test_chain_z_usual():
 
 
 def test_chain_w():
-    w = w_ring()
+    w = corpus_ring("w")
     chain = characteristic_ideals(w)
     assert chain.ann == w.subgroup([(2, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert chain.sq == w.subgroup([(0, 0, 1)])
@@ -102,10 +103,11 @@ def test_chain_w():
 
 
 def test_predicates_corpus():
-    assert predicates(z_ring()) == predicates(z_ring()).__class__(tame=True, regular=True)
+    pz = predicates(corpus_ring("z"))
+    assert pz == pz.__class__(tame=True, regular=True)
     p0 = predicates(z0_ring())
     assert not p0.tame and p0.regular
-    pw = predicates(w_ring())
+    pw = predicates(corpus_ring("w"))
     assert not pw.tame and not pw.regular
 
 
@@ -178,8 +180,8 @@ def test_chain_inclusions_random_mixed():
 
 def test_chain_transport_invariance():
     rng = random.Random(8)
-    for builder in (w_ring, zx2_ring, zxz0_ring):
-        base = builder()
+    for stem in ("w", "zx2", "zxz0"):
+        base = corpus_ring(stem)
         for _ in range(6):
             t, tinv = random_lattice_preserving_unimodular(rng, base.orders)
             moved = transport(base, t, tinv)
@@ -187,23 +189,23 @@ def test_chain_transport_invariance():
             for name in ("ann", "sq", "delta", "k_ideal", "l_ideal", "o_ideal"):
                 ga = getattr(ca, name).as_group()[0].invariant_factors
                 gb = getattr(cb, name).as_group()[0].invariant_factors
-                assert ga == gb, (builder.__name__, name)
+                assert ga == gb, (stem, name)
             assert ca.m_quot.invariant_factors == cb.m_quot.invariant_factors
             assert ca.n_quot.invariant_factors == cb.n_quot.invariant_factors
 
 
 def test_addition_and_foundation_examples():
-    af = addition_and_foundation(z_ring())
+    af = addition_and_foundation(corpus_ring("z"))
     assert af.addition is not None and af.addition.is_zero()
     assert af.foundation_subring is not None and af.foundation_subring.is_full()
 
-    af = addition_and_foundation(zxz0_ring())
-    ring = zxz0_ring()
+    af = addition_and_foundation(corpus_ring("zxz0"))
+    ring = corpus_ring("zxz0")
     assert af.addition == ring.subgroup([(0, 1)])
     assert af.foundation_subring == ring.subgroup([(1, 0)])
 
-    af = addition_and_foundation(w_ring())
-    w = w_ring()
+    af = addition_and_foundation(corpus_ring("w"))
+    w = corpus_ring("w")
     assert af.addition == w.subgroup([(2, 0, 0), (0, 1, 0)])
     assert af.foundation_subring is None
     assert af.foundation_quotient is not None
@@ -216,8 +218,8 @@ def test_addition_and_foundation_examples():
 
 
 def test_foundation_subring_properties():
-    for builder in (z_ring, twoz_ring, zxz0_ring, zx2_ring):
-        ring = builder()
+    for name in ("z", "twoz", "zxz0", "zx2"):
+        ring = corpus_ring(name)
         chain = characteristic_ideals(ring)
         af = addition_and_foundation(ring)
         assert af.addition is not None
@@ -232,11 +234,13 @@ def test_foundation_subring_properties():
 
 
 def test_reduce_mod_n():
-    assert reduce_mod_n(z_ring(), 4) == z_mod(4)
+    assert z_mod(4) == corpus_ring("z4")
     assert z_mod(4).orders == (4,) and z_mod(4).tensor[0][0] == (1,)
-    assert reduce_mod_n(w_ring(), 1).rank == 0
-    wm2 = reduce_mod_n(w_ring(), 2)
-    assert wm2.order == 8
+    assert reduce_mod_n(corpus_ring("w"), 1).rank == 0
+    wm2 = reduce_mod_n(corpus_ring("w"), 2)
+    assert wm2 == corpus_ring("w_mod2") and wm2.order == 8
+    assert corpus_ring("z0") == z0_ring()
+    assert corpus_ring("zxz0") == direct_product(corpus_ring("z"), z0_ring())
     # e1*e1 = t survives in the quotient
     chain = characteristic_ideals(wm2)
     assert subgroup_elements(wm2, chain.sq) == frozenset({wm2.zero(), (0, 0, 1)})
@@ -246,9 +250,9 @@ def test_direct_product():
     p = direct_product(z0_ring(), z0_ring())
     assert p.orders == (0, 0)
     assert all(not any(v) for row in p.tensor for v in row)
-    assert direct_product(w_ring(), z_ring()).rank == 4
-    chain = characteristic_ideals(zxz0_ring())
-    assert chain.ann == zxz0_ring().subgroup([(0, 1)])
+    assert direct_product(corpus_ring("w"), corpus_ring("z")).rank == 4
+    chain = characteristic_ideals(corpus_ring("zxz0"))
+    assert chain.ann == corpus_ring("zxz0").subgroup([(0, 1)])
 
 
 def test_z0_ring():
@@ -260,14 +264,14 @@ def test_z0_ring():
 
 
 def test_quotient_ring_rejects_non_ideal():
-    ring = zx2_ring()
+    ring = corpus_ring("zx2")
     # the line through the unity is not an ideal
     with pytest.raises(Exception):
         quotient_ring(ring, ring.subgroup([(1, 0)]))
 
 
 def test_subring_presentation_transport():
-    w = w_ring()
+    w = corpus_ring("w")
     chain = characteristic_ideals(w)
     pres = subring_presentation(w, chain.delta)
     assert pres.ring.orders == (2,)
@@ -275,8 +279,7 @@ def test_subring_presentation_transport():
 
 
 def _chain_test_rings():
-    folder = os.path.join(ROOT, "corpus")
-    rings = [load_ring(os.path.join(folder, name)) for name in sorted(os.listdir(folder))]
+    rings = corpus_rings()
     rng = random.Random(71)
     return rings + [random_mixed_ring(rng) for _ in range(20)]
 
