@@ -74,7 +74,7 @@ _EXPORTS = {
             "AdditionFoundation", "FdzRing", "IdealChain", "RingValidationError",
             "addition_and_foundation", "characteristic_ideals", "direct_product",
             "predicates", "quotient_ring", "reduce_mod_n",
-            "subring_presentation", "validate_ring", "z0_ring",
+            "subring_presentation", "z0_ring",
         ),
         "rings",
     ),

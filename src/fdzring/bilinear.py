@@ -16,16 +16,23 @@ The pair lattice is solved once.  The subring pa making sq -> A/ann linear
 has as its pairs those pf pairs that also satisfy the linearity
 conditions; these are solved over the coordinates of the pf pair basis,
 not as a second pair system.
+
+``induced_bilinear_map`` returns the map alone.  Its coordinate transports
+live on the ring's ideal chain: ``hat`` (A <-> A/ann) and ``square_pres``
+(sq <-> A) of ``characteristic_ideals``, which ``pa_ring`` reads.  A scalar
+ring's action holds its pair lattice and presentation as data, and
+``ScalarRingAction.express_pair`` reads coordinates off them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import FgAbelianGroup, Subgroup
 from .intlinalg import (
+    DiagonalPresentation,
     IntMatrix,
     SparseRow,
     Vec,
@@ -129,24 +136,14 @@ class BilinearMap:
         return self.codomain_group.subgroup(gens).is_full()
 
 
-@record
-class InducedBilinearMap:
-    """The multiplication map of a ring, with coordinate transport.
+def induced_bilinear_map(a: FdzRing) -> BilinearMap:
+    """The multiplication of A as a map A/ann x A/ann -> sq.
 
-    ``domain_project``/``domain_lift`` move between ring coordinates and the
-    annihilator quotient; ``codomain_embed`` rows are ambient coordinates of
-    the square's generators and ``codomain_express`` inverts it on the
-    square.
+    Its coordinate transports live on the ring's ideal chain:
+    ``characteristic_ideals(a).hat`` projects A onto the domain and lifts
+    back, and ``characteristic_ideals(a).square_pres`` embeds the codomain
+    in A and expresses its elements.
     """
-
-    map: BilinearMap
-    domain_project: IntMatrix
-    domain_lift: IntMatrix
-    codomain_embed: IntMatrix
-    codomain_express: Callable[[Sequence[int]], Vec]
-
-
-def induced_bilinear_map(a: FdzRing) -> InducedBilinearMap:
     chain = characteristic_ideals(a)
     hat, square = chain.hat, chain.square_pres
     m = hat.ring.rank
@@ -157,17 +154,10 @@ def induced_bilinear_map(a: FdzRing) -> InducedBilinearMap:
         )
         for i in range(m)
     )
-    bmap = BilinearMap(
+    return BilinearMap(
         domain_orders=hat.ring.orders,
         codomain_orders=square.ring.orders,
         values=values,
-    )
-    return InducedBilinearMap(
-        map=bmap,
-        domain_project=hat.project,
-        domain_lift=hat.lift,
-        codomain_embed=square.lift,
-        codomain_express=square.express,
     )
 
 
@@ -251,10 +241,12 @@ class ScalarRingAction:
 
     ``action_on_domain[g]`` and ``action_on_codomain[g]`` are the matrices of
     the g-th ring generator; ``unity`` holds the coordinates of (id, id).
-    ``pair_basis`` rows span the full solution lattice of endomorphism pairs
-    (domain matrix flattened, then codomain matrix).  When this ring was
-    carved out of a larger one, ``parent`` is that ring's action and the
-    rows of ``in_parent`` are this ring's generators in its coordinates.
+    ``pair_basis`` rows are the Hermite basis of the solution lattice of
+    endomorphism pairs (domain matrix flattened, then codomain matrix), and
+    ``pair_diagonal`` presents the ring on coefficients over them.  When
+    this ring was carved out of a larger one, ``parent`` is that ring's
+    action and the rows of ``in_parent`` are this ring's generators in its
+    coordinates.
     """
 
     ring: FdzRing
@@ -263,7 +255,7 @@ class ScalarRingAction:
     unity: Vec
     bilinear: BilinearMap
     pair_basis: IntMatrix
-    express_pair: Callable[[IntMatrix, IntMatrix], Vec]
+    pair_diagonal: DiagonalPresentation
     in_parent: IntMatrix | None = None
     parent: ScalarRingAction | None = None
 
@@ -271,6 +263,20 @@ class ScalarRingAction:
         pairs = zip(self.action_on_domain, self.action_on_codomain)
         gens = IntMatrix([p.entries + q.entries for p, q in pairs], cols=self.pair_basis.cols)
         return _unpack_pair(row_times_matrix(coords, gens), self.bilinear)
+
+    def express_pair(self, phi: IntMatrix, psi: IntMatrix) -> Vec:
+        """The ring coordinates of the pair (phi, psi) of the lattice."""
+        return _pair_coordinates(self.pair_diagonal, self.pair_basis.data, phi, psi)
+
+
+def _pair_coordinates(
+    pres: DiagonalPresentation, basis: Sequence[Vec], phi: IntMatrix, psi: IntMatrix
+) -> Vec:
+    """``ScalarRingAction.express_pair`` on the ring's presentation data."""
+    coords = pres.express_over(basis, phi.entries + psi.entries)
+    if coords is None:
+        raise ScalarRingError("scalar ring axioms violated: composite pair escapes the lattice")
+    return coords
 
 
 def _unpack_pair(z: Sequence[int], f: BilinearMap) -> tuple[IntMatrix, IntMatrix]:
@@ -368,26 +374,13 @@ def _build_action(f: BilinearMap, sol_basis: Sequence[Vec]) -> ScalarRingAction:
             )
         relations.append(coords)
     pres = diagonal_presentation(relations, len(sol_basis))
-
-    def express_z(z: Sequence[int]) -> Vec:
-        coords = hermite_coordinates(sol_basis, z)
-        if coords is None:
-            raise ScalarRingError(
-                "scalar ring axioms violated: composite pair escapes the lattice"
-            )
-        return coords
-
     basis_pairs = [_unpack_pair(row_times_matrix(row, smat), f) for row in pres.lift.data]
-
-    def express_pair(phi: IntMatrix, psi: IntMatrix) -> Vec:
-        return pres.coordinates(express_z(phi.entries + psi.entries))
-
     tensor = [
-        [express_pair(pa.mul(pb), sa.mul(sb)) for pb, sb in basis_pairs]
+        [_pair_coordinates(pres, sol_basis, pa.mul(pb), sa.mul(sb)) for pb, sb in basis_pairs]
         for pa, sa in basis_pairs
     ]
     ring = FdzRing(pres.orders, tensor)
-    unity = express_pair(IntMatrix.identity(m), IntMatrix.identity(n))
+    unity = _pair_coordinates(pres, sol_basis, IntMatrix.identity(m), IntMatrix.identity(n))
     if not ring.is_commutative() or not ring.is_associative():
         raise ScalarRingError("scalar ring axioms violated: composition is not scalar")
     if ring.unity() != unity:
@@ -399,7 +392,7 @@ def _build_action(f: BilinearMap, sol_basis: Sequence[Vec]) -> ScalarRingAction:
         unity=unity,
         bilinear=f,
         pair_basis=smat,
-        express_pair=express_pair,
+        pair_diagonal=pres,
     )
 
 
@@ -415,15 +408,13 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
     satisfy the linearity rows r·z ≡ 0, so the rows are solved over the
     coordinates c as r·B·c ≡ 0.
     """
-    induced = induced_bilinear_map(a)
-    f = induced.map
+    f = induced_bilinear_map(a)
     basis = _pair_lattice(f)
     parent = _build_action(f, basis)
     m, n = f.domain_rank, f.codomain_rank
-    pi = [
-        row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
-        for k in range(n)
-    ]
+    chain = characteristic_ideals(a)
+    # row k: the k-th generator of sq, projected to A/ann
+    pi = chain.square_pres.lift.mul(chain.hat.project).data
     eqs: list[SparseRow] = []
     moduli: list[int] = []
     for k in range(n):

@@ -280,7 +280,7 @@ def classify_ring(a: FdzRing, use_pa_ring: bool = False) -> ClassificationReport
     rigid = YES if preds.regular else UNKNOWN
     justify.append(f"first_order_rigid_hint={rigid}: {TAG_RIGID}")
 
-    ann_is_finite = chain.ann.as_group()[0].order is not None
+    ann_is_finite = 0 not in chain.ann.invariant_factors
     delta_is_all = chain.delta.is_full()
 
     spec0 = None
@@ -289,7 +289,7 @@ def classify_ring(a: FdzRing, use_pa_ring: bool = False) -> ClassificationReport
         if use_pa_ring:
             scalar = pa_ring(a)
         else:
-            scalar = pf_ring(induced_bilinear_map(a).map)
+            scalar = pf_ring(induced_bilinear_map(a))
         try:
             spectrum = indecomposable_factors(scalar.ring)
             spec0 = spectrum.spec0_connected

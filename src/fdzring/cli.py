@@ -38,7 +38,7 @@ class CliParseError(ValueError):
 
 def _subgroup_json(s: Subgroup) -> dict:
     return {
-        "invariant_factors": list(s.as_group()[0].invariant_factors),
+        "invariant_factors": list(s.invariant_factors),
         "generators": [list(row) for row in s.lift_basis],
     }
 

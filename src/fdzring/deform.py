@@ -329,7 +329,6 @@ class DeformationContext:
 @record
 class DeformationResult:
     ring: FdzRing
-    context: DeformationContext
     annihilator_embedding: IntMatrix  # d-coordinates -> deformed ring coordinates
 
 
@@ -365,7 +364,6 @@ def build_deformation(spec: DeformationSpec) -> DeformationResult:
     ]
     result = DeformationResult(
         ring=quotient.ring,
-        context=ctx,
         annihilator_embedding=IntMatrix(embed_rows, cols=quotient.ring.rank),
     )
     chain = characteristic_ideals(quotient.ring)

@@ -61,9 +61,9 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
 
     No field needs the coordinate change of a Smith form, so each comes
     from ``smith_diagonal``, which builds no transform: the ideal and
-    quotient fields through ``FgAbelianGroup.invariant_factors`` of the
-    chain's groups, the fingerprints directly.  A fingerprint is the image
-    (sq + nA)/nA for each prime power n <= 16.  A = Z^r / diag(d_i) with
+    quotient fields through the ``invariant_factors`` of the chain's
+    subgroups and groups, the fingerprints directly.  A fingerprint is the
+    image (sq + nA)/nA for each prime power n <= 16.  A = Z^r / diag(d_i) with
     d_i = ``a.orders``, so nA lifts to the lattice diag(g_j), g_j =
     gcd(n, d_j) with gcd(n, 0) = n, and x -> (n/g_j)·x embeds Z/g_j into
     Z/n.  The image is then the row module in (Z/n)^r of S' with
@@ -92,9 +92,9 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
         fingerprints.append((n, tuple(n // e for e in reversed(diag) if e != n)))
     return InvariantProfile(
         additive=a.additive.invariant_factors,
-        ann=chain.ann.as_group()[0].invariant_factors,
-        square=chain.sq.as_group()[0].invariant_factors,
-        k_ideal=chain.k_ideal.as_group()[0].invariant_factors,
+        ann=chain.ann.invariant_factors,
+        square=chain.sq.invariant_factors,
+        k_ideal=chain.k_ideal.invariant_factors,
         n_quot=chain.n_quot.invariant_factors,
         mod_square=chain.sq.quotient().invariant_factors,
         fingerprints=tuple(fingerprints),
@@ -129,26 +129,27 @@ def _identity_rows(n: int) -> tuple[Vec, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _homomorphism_checks(a: FdzRing, b: FdzRing, h: IntMatrix) -> Iterator[bool]:
+    """For h: A -> B of shape rank(A) x rank(B), in order: the orders of A
+    map to zero, h respects the structure tensor on generators, and its
+    kernel is A's relation lattice.  Each is computed only when asked for,
+    so ``all`` stops at the first that fails."""
+    yield all(not any(b.reduce([d * x for x in h.row(i)])) for i, d in enumerate(a.orders) if d)
+    yield all(
+        b.reduce(row_times_matrix(a.tensor[i][j], h)) == b.mul(h.row(i), h.row(j))
+        for i in range(a.rank)
+        for j in range(a.rank)
+    )
+    kernel = preimage_lattice(h, b.additive.relation_basis)
+    yield hermite_rows(kernel, a.rank) == a.additive.relation_basis
+
+
 def verify_iso_witness(a: FdzRing, b: FdzRing, h: IntMatrix) -> bool:
     """Full independent check that h defines a ring isomorphism A -> B."""
-    if h.rows != a.rank or h.cols != b.rank:
+    if h.rows != a.rank or h.cols != b.rank or not all(_homomorphism_checks(a, b, h)):
         return False
-    for i in range(a.rank):
-        d = a.orders[i]
-        if d and any(v for v in b.reduce([d * x for x in h.row(i)])):
-            return False
-    for i in range(a.rank):
-        for j in range(a.rank):
-            image = row_times_matrix(a.tensor[i][j], h)
-            if b.reduce(image) != b.mul(h.row(i), h.row(j)):
-                return False
-    full = hermite_rows(
-        list(h.data) + [list(r) for r in b.additive.relation_basis], b.rank
-    )
-    if full != _identity_rows(b.rank):
-        return False
-    kernel = preimage_lattice(h, b.additive.relation_basis)
-    return hermite_rows(kernel, a.rank) == a.additive.relation_basis
+    full = hermite_rows(list(h.data) + list(b.additive.relation_basis), b.rank)
+    return full == _identity_rows(b.rank)
 
 
 def _additive_order(orders: Sequence[int], vec: Sequence[int]) -> int:
@@ -556,27 +557,15 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
     """
     if h.rows != a.rank or h.cols != b.rank:
         raise ValueError("embedding matrix shape must be rank(A) x rank(B)")
-    checks: list[tuple[str, bool, str]] = []
     chain_a = characteristic_ideals(a)
     chain_b = characteristic_ideals(b)
 
-    well = all(
-        not any(b.reduce([a.orders[i] * x for x in h.row(i)]))
-        for i in range(a.rank)
-        if a.orders[i]
-    )
-    checks.append(("well_defined", well, "orders map to zero"))
-
-    hom = all(
-        b.reduce(row_times_matrix(a.tensor[i][j], h)) == b.mul(h.row(i), h.row(j))
-        for i in range(a.rank)
-        for j in range(a.rank)
-    )
-    checks.append(("ring_homomorphism", hom, "tensor compatibility on generators"))
-
-    kernel = hermite_rows(preimage_lattice(h, b.additive.relation_basis), a.rank)
-    injective = kernel == a.additive.relation_basis
-    checks.append(("injective", injective, "kernel lattice is trivial"))
+    well, hom, injective = _homomorphism_checks(a, b, h)
+    checks: list[tuple[str, bool, str]] = [
+        ("well_defined", well, "orders map to zero"),
+        ("ring_homomorphism", hom, "tensor compatibility on generators"),
+        ("injective", injective, "kernel lattice is trivial"),
+    ]
 
     image = b.additive.subgroup(h.data)
     index = image.index()

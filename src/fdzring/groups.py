@@ -29,7 +29,6 @@ from .intlinalg import (
     row_times_matrix,
     smith_diagonal,
     vec_add,
-    vec_scale,
 )
 
 # the largest group ``FgAbelianGroup.elements`` enumerates
@@ -103,10 +102,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d == 0)
-
     def exponent(self) -> int | None:
         """Least n >= 1 with n·x = 0 for all x, or None when unbounded."""
         if not self.is_finite:
@@ -149,12 +144,6 @@ class FgAbelianGroup:
     def add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         return self.reduce(vec_add(tuple(a), tuple(b)))
 
-    def neg(self, a: Sequence[int]) -> Vec:
-        return self.reduce(tuple(-x for x in a))
-
-    def scale(self, n: int, a: Sequence[int]) -> Vec:
-        return self.reduce(vec_scale(n, tuple(a)))
-
     def subgroup(self, generators: Iterable[Sequence[int]]) -> "Subgroup":
         return Subgroup(self, generators)
 
@@ -184,7 +173,12 @@ class Subgroup:
         return hash((self.parent, self.lift_basis))
 
     def __repr__(self) -> str:
-        return f"Subgroup(invariants={list(self.as_group()[0].invariant_factors)})"
+        return f"Subgroup(invariants={list(self.invariant_factors)})"
+
+    @cached_property
+    def invariant_factors(self) -> Vec:
+        """The invariant factors of this subgroup as an abstract group."""
+        return self.as_group()[0].invariant_factors
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(

@@ -147,9 +147,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -170,9 +167,6 @@ class IntMatrix:
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-def vec_scale(c: int, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
     if len(v) != m.rows:
@@ -405,6 +399,16 @@ class DiagonalPresentation:
         """``vec·project`` reduced modulo the orders."""
         raw = row_times_matrix(vec, self.project)
         return tuple(x % d if d else x for x, d in zip(raw, self.orders))
+
+    def express_over(self, basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec | None:
+        """Cyclic coordinates of ``vec`` in the lattice with Hermite ``basis``,
+        presented by this on its coefficients, or ``None`` outside the lattice.
+
+        ``hermite_coordinates`` gives the coefficients over the basis rows,
+        and ``coordinates`` carries them onto the cyclic factors.
+        """
+        coeffs = hermite_coordinates(basis, vec)
+        return None if coeffs is None else self.coordinates(coeffs)
 
 
 def diagonal_presentation(

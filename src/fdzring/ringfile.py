@@ -14,7 +14,7 @@ canonicalized files.
 
 from __future__ import annotations
 
-from .rings import FdzRing, validate_ring
+from .rings import FdzRing
 
 # above every corpus, test and benchmark rank; the tensor has rank^3 cells
 RANK_LIMIT = 64
@@ -65,16 +65,11 @@ def parse_ring_text(text: str) -> FdzRing:
         if len(vec) != rank:
             raise RingFileError(f"product vector for ({i}, {j}) has wrong length")
         tensor[i - 1][j - 1] = vec
-    return validate_ring(orders, tensor)
+    return FdzRing(orders, tensor)
 
 
-def serialize_ring(ring: FdzRing, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"rank: {ring.rank}")
-    lines.append("orders: " + " ".join(str(d) for d in ring.orders))
+def serialize_ring(ring: FdzRing) -> str:
+    lines = [f"rank: {ring.rank}", "orders: " + " ".join(str(d) for d in ring.orders)]
     for i in range(ring.rank):
         for j in range(ring.rank):
             vec = ring.tensor[i][j]

@@ -19,8 +19,12 @@ is cached, and it carries the presentations that the induced map, the
 deformations and the six-term check read: the quotient rings A/ann and A/k,
 the subrings sq, delta and o, o in delta coordinates, and an addition A0
 with ann = A0 ⊕ o, which always exists, as a null subring.  Each is built
-once, on first use.  The module also holds the tame/regular predicates,
-foundations, and the quotient, subring and product constructions.
+once, on first use.  They also hold the coordinate transports of the
+induced map A/ann x A/ann -> sq: ``hat.project`` and ``hat.lift`` move
+between A and A/ann, ``square_pres.lift`` and ``square_pres.express``
+between sq and A.  Every presentation is plain data, compared and hashed by
+value.  The module also holds the tame/regular predicates, foundations,
+and the quotient, subring and product constructions.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
-from .intlinalg import IntMatrix, SparseRow, Vec, record, row_times_matrix, solve_congruences
+from .intlinalg import (
+    DiagonalPresentation, IntMatrix, SparseRow, Vec, record, row_times_matrix, solve_congruences,
+)
 
 ELEMENT_LIMIT = 4096
 
@@ -176,10 +182,6 @@ class FdzRing:
     def order(self) -> int | None:
         return None if 0 in self.orders else prod(self.orders) if self.orders else 1
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
     def elements(self) -> Iterator[Vec]:
         if self.order is None:
             raise GroupError("cannot enumerate an infinite ring")
@@ -220,11 +222,6 @@ class FdzRing:
         if res is None:
             return None
         return self.reduce(res[0])
-
-
-def validate_ring(orders: Sequence[int], tensor) -> FdzRing:
-    """Build a ring, raising RingValidationError on the first bad congruence."""
-    return FdzRing(orders, tensor)
 
 
 def z0_ring() -> FdzRing:
@@ -457,34 +454,38 @@ class SubringPresentation:
     """A multiplicatively closed subgroup presented as a ring of its own.
 
     ``lift`` rows are ambient coordinates of the presentation's generators;
-    ``express`` sends an ambient element of the subgroup to its coordinates.
+    ``basis`` is the subgroup's Hermite lift basis, and ``diagonal`` presents
+    the coefficients over it as the ring's cyclic factors.
     """
 
     ring: FdzRing
     lift: IntMatrix
-    express: Callable[[Sequence[int]], Vec]
+    basis: tuple[Vec, ...]
+    diagonal: DiagonalPresentation
+
+    def express(self, vec: Sequence[int]) -> Vec:
+        """The coordinates of an ambient element of the subgroup."""
+        coords = self.diagonal.express_over(self.basis, vec)
+        if coords is None:
+            raise GroupError("element lies outside the subgroup")
+        return coords
 
 
 def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
     if s.parent != a.additive:
         raise GroupError("subgroup does not live in the ring")
-    for x in s.lift_basis:
-        for y in s.lift_basis:
-            if not s.contains(a.mul(x, y)):
-                raise GroupError("subgroup is not closed under multiplication")
-    abstract, basis = s.as_group()
-    diagonal = abstract.diagonal
-    lift = diagonal.lift.mul(basis)
-
-    def express(vec: Sequence[int]) -> Vec:
-        coeffs = s.express(vec)
-        if coeffs is None:
-            raise GroupError("element lies outside the subgroup")
-        return diagonal.coordinates(coeffs)
-
-    tensor = [[express(a.mul(x, y)) for y in lift.data] for x in lift.data]
-    ring = FdzRing(diagonal.orders, tensor)
-    return SubringPresentation(ring=ring, lift=lift, express=express)
+    diagonal = s.as_group()[0].diagonal
+    lift = diagonal.lift.mul(IntMatrix(s.lift_basis, cols=a.rank))
+    # the lift rows and the relations of A generate s, so s is closed under
+    # multiplication iff every product of two lift rows lies in it
+    tensor = [
+        [diagonal.express_over(s.lift_basis, a.mul(x, y)) for y in lift.data] for x in lift.data
+    ]
+    if any(None in row for row in tensor):
+        raise GroupError("subgroup is not closed under multiplication")
+    return SubringPresentation(
+        ring=FdzRing(diagonal.orders, tensor), lift=lift, basis=s.lift_basis, diagonal=diagonal
+    )
 
 
 def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:

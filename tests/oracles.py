@@ -638,12 +638,12 @@ def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
     satisfy pi(ψ(s_k)) = φ(pi(s_k)) for every square generator s_k, where
     pi is the projection sq -> A/ann.
     """
-    induced = induced_bilinear_map(ring)
-    f = induced.map
+    f = induced_bilinear_map(ring)
+    chain = characteristic_ideals(ring)
     m, n = f.domain_rank, f.codomain_rank
     nunk = m * m + n * n
     pi = [
-        row_times_matrix(induced.codomain_embed.row(k), induced.domain_project)
+        row_times_matrix(chain.square_pres.lift.row(k), chain.hat.project)
         for k in range(n)
     ]
     eqs, moduli = reference_pair_conditions(f)

@@ -166,8 +166,8 @@ def test_criterion_4_pf_correctness():
         "z4": z_mod(4),
     }
     for name, ring in cases.items():
-        induced = induced_bilinear_map(ring)
-        action = pf_ring(induced.map)
+        chain = characteristic_ideals(ring)
+        action = pf_ring(induced_bilinear_map(ring))
         scalar = action.ring
         assert scalar.is_commutative(), name
         assert scalar.is_associative(), name
@@ -188,12 +188,12 @@ def test_criterion_4_pf_correctness():
             gen = ring.generator(g)
             phi_rows = [
                 row_times_matrix(
-                    ring.mul(gen, induced.domain_lift.row(i)), induced.domain_project
+                    ring.mul(gen, chain.hat.lift.row(i)), chain.hat.project
                 )
                 for i in range(m)
             ]
             psi_rows = [
-                induced.codomain_express(ring.mul(gen, induced.codomain_embed.row(k)))
+                chain.square_pres.express(ring.mul(gen, chain.square_pres.lift.row(k)))
                 for k in range(n)
             ]
             pair = tuple(v for row in phi_rows for v in row) + tuple(

@@ -15,7 +15,7 @@ from fdzring.bilinear import (
     width,
 )
 from fdzring.intlinalg import lattice_contains, row_times_matrix
-from fdzring.rings import FdzRing, z0_ring
+from fdzring.rings import FdzRing, characteristic_ideals, z0_ring
 
 from oracles import brute_force_pairs, corpus_ring, joint_pa_basis, random_finite_ring, z_mod
 
@@ -23,24 +23,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_induced_map_shapes():
-    ind = induced_bilinear_map(corpus_ring("z"))
-    assert ind.map.domain_orders == (0,)
-    assert ind.map.codomain_orders == (0,)
-    assert ind.map.values[0][0] == (1,)
+    f = induced_bilinear_map(corpus_ring("z"))
+    assert f.domain_orders == (0,)
+    assert f.codomain_orders == (0,)
+    assert f.values[0][0] == (1,)
 
-    ind = induced_bilinear_map(corpus_ring("w"))
-    assert ind.map.domain_orders == (2,)
-    assert ind.map.codomain_orders == (2,)
-    assert ind.map.values[0][0] == (1,)
+    f = induced_bilinear_map(corpus_ring("w"))
+    assert f.domain_orders == (2,)
+    assert f.codomain_orders == (2,)
+    assert f.values[0][0] == (1,)
 
     # the null line collapses to a trivial quotient
-    ind0 = induced_bilinear_map(z0_ring())
-    assert ind0.map.domain_group.is_trivial
+    f0 = induced_bilinear_map(z0_ring())
+    assert f0.domain_group.is_trivial
 
 
 def test_induced_map_nondegenerate_and_full():
     for name in ("z", "twoz", "w", "zx2"):
-        f = induced_bilinear_map(corpus_ring(name)).map
+        f = induced_bilinear_map(corpus_ring(name))
         assert f.is_full()
         assert f.is_nondegenerate()
 
@@ -49,11 +49,11 @@ def test_width():
     zero_map = BilinearMap((1,), (1,), (((0,),),))
     assert width(zero_map).exact == 0
 
-    wmap = induced_bilinear_map(corpus_ring("w")).map
+    wmap = induced_bilinear_map(corpus_ring("w"))
     res = width(wmap)
     assert res.exact == 1 and res.upper_bound == 1
 
-    zmap = induced_bilinear_map(corpus_ring("z")).map
+    zmap = induced_bilinear_map(corpus_ring("z"))
     res = width(zmap)
     assert res.upper_bound == 1 and res.exact == 1
 
@@ -78,15 +78,15 @@ def test_width():
 
 
 def test_complete_system():
-    f = induced_bilinear_map(corpus_ring("z")).map
+    f = induced_bilinear_map(corpus_ring("z"))
     cs = complete_system(f)
     assert cs.size_bound == 1 and cs.witness == ((1,),)
 
-    f = induced_bilinear_map(corpus_ring("w")).map
+    f = induced_bilinear_map(corpus_ring("w"))
     cs = complete_system(f)
     assert cs.size_bound == 1
 
-    trivial_domain = induced_bilinear_map(z0_ring()).map
+    trivial_domain = induced_bilinear_map(z0_ring())
     cs = complete_system(trivial_domain)
     assert cs.size_bound == 0 and cs.witness == ()
 
@@ -96,28 +96,28 @@ def test_complete_system():
 
 
 def test_pf_ring_examples():
-    pf = pf_ring(induced_bilinear_map(corpus_ring("z")).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("z")))
     assert pf.ring.orders == (0,) and pf.ring.tensor[0][0] == (1,)
 
-    pf = pf_ring(induced_bilinear_map(corpus_ring("zx2")).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("zx2")))
     assert pf.ring.orders == (0, 0)
     assert pf.ring == corpus_ring("zx2")
 
-    pf = pf_ring(induced_bilinear_map(corpus_ring("w")).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("w")))
     assert pf.ring.orders == (2,)
 
-    pf = pf_ring(induced_bilinear_map(z_mod(4)).map)
+    pf = pf_ring(induced_bilinear_map(z_mod(4)))
     assert pf.ring.orders == (4,)
 
 
 def test_pf_ring_refuses_trivial_sides():
     with pytest.raises(BilinearMapError):
-        pf_ring(induced_bilinear_map(z0_ring()).map)
+        pf_ring(induced_bilinear_map(z0_ring()))
 
 
 def test_scalar_action_axioms():
     for ring in (corpus_ring("z"), corpus_ring("zx2"), corpus_ring("w"), z_mod(4)):
-        action = pf_ring(induced_bilinear_map(ring).map)
+        action = pf_ring(induced_bilinear_map(ring))
         ring = action.ring
         assert ring.is_commutative() and ring.is_associative()
         assert ring.unity() == action.unity
@@ -136,9 +136,9 @@ def test_scalar_action_axioms():
 
 def test_identity_pair_and_base_action_membership():
     for ring in (corpus_ring("z"), corpus_ring("zx2"), corpus_ring("w"), z_mod(4)):
-        ind = induced_bilinear_map(ring)
-        action = pf_ring(ind.map)
-        m, n = ind.map.domain_rank, ind.map.codomain_rank
+        chain = characteristic_ideals(ring)
+        action = pf_ring(induced_bilinear_map(ring))
+        m, n = action.bilinear.domain_rank, action.bilinear.codomain_rank
         identity = tuple(
             1 if i == j else 0 for i in range(m) for j in range(m)
         ) + tuple(1 if i == j else 0 for i in range(n) for j in range(n))
@@ -148,14 +148,14 @@ def test_identity_pair_and_base_action_membership():
             gen = ring.generator(g)
             phi_rows = []
             for i in range(m):
-                lifted = ind.domain_lift.row(i)
+                lifted = chain.hat.lift.row(i)
                 phi_rows.append(
-                    row_times_matrix(ring.mul(gen, lifted), ind.domain_project)
+                    row_times_matrix(ring.mul(gen, lifted), chain.hat.project)
                 )
             psi_rows = []
             for k in range(n):
-                lifted = ind.codomain_embed.row(k)
-                psi_rows.append(ind.codomain_express(ring.mul(gen, lifted)))
+                lifted = chain.square_pres.lift.row(k)
+                psi_rows.append(chain.square_pres.express(ring.mul(gen, lifted)))
             pair = tuple(v for row in phi_rows for v in row) + tuple(
                 v for row in psi_rows for v in row
             )
@@ -165,7 +165,7 @@ def test_identity_pair_and_base_action_membership():
 def test_pf_maximality_sampling():
     rng = random.Random(6)
     for ring in (corpus_ring("w"), z_mod(4), corpus_ring("zx2")):
-        action = pf_ring(induced_bilinear_map(ring).map)
+        action = pf_ring(induced_bilinear_map(ring))
         basis = action.pair_basis
         for _ in range(10):
             combo = [rng.randint(-3, 3) for _ in range(basis.rows)]
@@ -178,20 +178,20 @@ def test_pf_maximality_sampling():
 
 def test_pf_brute_force_finite():
     for ring in (corpus_ring("w"), z_mod(4)):
-        ind = induced_bilinear_map(ring)
-        action = pf_ring(ind.map)
-        brute = brute_force_pairs(ind.map)
-        m, n = ind.map.domain_rank, ind.map.codomain_rank
+        f = induced_bilinear_map(ring)
+        action = pf_ring(f)
+        brute = brute_force_pairs(f)
+        m, n = f.domain_rank, f.codomain_rank
         lattice_pairs = set()
         for coords in action.ring.elements():
             phi, psi = action.pair_of(coords)
             cphi = tuple(
-                phi[(i, k)] % ind.map.domain_orders[k]
+                phi[(i, k)] % f.domain_orders[k]
                 for i in range(m)
                 for k in range(m)
             )
             cpsi = tuple(
-                psi[(i, k)] % ind.map.codomain_orders[k]
+                psi[(i, k)] % f.codomain_orders[k]
                 for i in range(n)
                 for k in range(n)
             )
@@ -204,8 +204,7 @@ def test_pf_brute_force_random_finite():
     done = 0
     while done < 8:
         ring = random_finite_ring(rng, max_order=8)
-        ind = induced_bilinear_map(ring)
-        f = ind.map
+        f = induced_bilinear_map(ring)
         if f.domain_group.is_trivial or f.codomain_group.is_trivial:
             continue
         if not f.is_nondegenerate():
@@ -233,7 +232,7 @@ def test_pa_ring():
     assert pa.in_parent is not None and pa.in_parent.data == ((1,),)
 
     pa = pa_ring(corpus_ring("w"))
-    pf = pf_ring(induced_bilinear_map(corpus_ring("w")).map)
+    pf = pf_ring(induced_bilinear_map(corpus_ring("w")))
     assert pa.ring == pf.ring
     assert pa.in_parent is not None
 
@@ -248,8 +247,7 @@ def test_pa_constraint_random_finite():
     done = 0
     while done < 8:
         ring = random_finite_ring(rng, max_order=12)
-        ind = induced_bilinear_map(ring)
-        f = ind.map
+        f = induced_bilinear_map(ring)
         if f.domain_group.is_trivial or f.codomain_group.is_trivial:
             continue
         if not f.is_nondegenerate():
@@ -257,8 +255,9 @@ def test_pa_constraint_random_finite():
         sub = pa_ring(ring)
         parent = pf_ring(f)
         m, n = f.domain_rank, f.codomain_rank
+        chain = characteristic_ideals(ring)
         pi = [
-            row_times_matrix(ind.codomain_embed.row(k), ind.domain_project)
+            row_times_matrix(chain.square_pres.lift.row(k), chain.hat.project)
             for k in range(n)
         ]
         dom = f.domain_group
@@ -290,7 +289,7 @@ def _seeded_gen_rings(count: int) -> list[FdzRing]:
     out = []
     while len(out) < count:
         ring = FdzRing(*random_ring_data(rng, 2 + len(out) % 5))
-        f = induced_bilinear_map(ring).map
+        f = induced_bilinear_map(ring)
         if not (f.domain_group.is_trivial or f.codomain_group.is_trivial):
             out.append(ring)
     return out
@@ -300,7 +299,7 @@ def test_pa_inside_pf():
     named = [corpus_ring("z"), corpus_ring("w"), corpus_ring("zx2"), z_mod(4)]
     for ring in named + _seeded_gen_rings(30):
         pa = pa_ring(ring)
-        pf = pf_ring(induced_bilinear_map(ring).map)
+        pf = pf_ring(induced_bilinear_map(ring))
         # maximality: pa keeps every pf pair that meets the linearity rows
         assert pa.pair_basis.data == joint_pa_basis(ring)
         # each generator of pa, written in pf coordinates, is a pf element

@@ -70,7 +70,7 @@ def test_ring_file_rank_limit(capsys, tmp_path, monkeypatch):
     def no_ring(*_args, **_kwargs):
         raise AssertionError("a tensor was built")
 
-    monkeypatch.setattr(ringfile_module, "validate_ring", no_ring)
+    monkeypatch.setattr(ringfile_module, "FdzRing", no_ring)
     huge = "rank: 100000\norders: " + " ".join(["0"] * 100_000) + "\n"
     with pytest.raises(RingFileError, match=r"^line 1: rank 100000 exceeds the limit of 64$"):
         parse_ring_text(huge)

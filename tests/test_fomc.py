@@ -142,12 +142,12 @@ def test_psi_matches_complete_system_kernel():
     from fdzring.rings import pairing_kernel
 
     for ring in (z_mod(4), reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 2)):
-        induced = induced_bilinear_map(ring)
-        f = induced.map
+        f = induced_bilinear_map(ring)
+        hat = characteristic_ideals(ring).hat
         m = f.domain_rank
         for size in range(1, m + 1):
             for combo in itertools.combinations(range(m), size):
-                lifted = [induced.domain_lift.row(i) for i in combo]
+                lifted = [hat.lift.row(i) for i in combo]
                 assignment = {f"x{t+1}": v for t, v in enumerate(lifted)}
                 truth = evaluate(ring, psi(size), assignment)
                 kernel = pairing_kernel(f.values, f.codomain_orders, f.domain_group, combo)

@@ -496,7 +496,7 @@ def _single_entry_rows(rng, width):
 
 def _corpus_pair_systems():
     for ring in corpus_rings():
-        f = induced_bilinear_map(ring).map
+        f = induced_bilinear_map(ring)
         eqs, moduli = reference_pair_conditions(f)
         yield eqs, moduli, f.domain_rank ** 2 + f.codomain_rank ** 2
 
@@ -583,7 +583,7 @@ def test_sparse_systems_match_the_dense_reference():
         assert solve_congruences(eqs, moduli, rhs=rhs, unknowns=r) == reference_solve_congruences(
             dense, moduli, rhs=rhs, unknowns=r
         )
-        f = induced_bilinear_map(ring).map
+        f = induced_bilinear_map(ring)
         if f.domain_group.is_trivial or f.codomain_group.is_trivial:
             continue
         eqs, moduli = _pair_conditions(f)

@@ -1,9 +1,14 @@
+import importlib
 import os
 import random
 import sys
 
 import pytest
 
+import fdzring
+from fdzring.bilinear import BilinearMapError, pa_ring
+from fdzring.classify import FactorizationIncomplete, indecomposable_factors
+from fdzring.deform import DeformationError, DeformationSpec, build_deformation
 from fdzring.rings import (
     FdzRing,
     RingValidationError,
@@ -15,7 +20,6 @@ from fdzring.rings import (
     reduce_mod_n,
     subring_presentation,
     transport,
-    validate_ring,
     z0_ring,
 )
 
@@ -64,11 +68,11 @@ def test_mul_matches_dense_products():
 
 
 def test_validate_accepts_and_rejects():
-    assert validate_ring((0,), (((1,),),)).order is None
+    assert FdzRing((0,), (((1,),),)).order is None
     zero2 = ((0, 0), (0, 0))
-    assert validate_ring((2, 3), (zero2, zero2)).order == 6
+    assert FdzRing((2, 3), (zero2, zero2)).order == 6
     with pytest.raises(RingValidationError) as err:
-        validate_ring((2, 0), (((0, 1), (0, 0)), ((0, 0), (0, 0))))
+        FdzRing((2, 0), (((0, 1), (0, 0)), ((0, 0), (0, 0))))
     assert err.value.violation == (0, 0, 1)
 
 
@@ -284,23 +288,17 @@ def _chain_test_rings():
     return rings + [random_mixed_ring(rng) for _ in range(20)]
 
 
-def _same_subring(built, direct):
-    return built.ring == direct.ring and built.lift == direct.lift and all(
-        built.express(row) == direct.express(row) for row in direct.lift.data
-    )
-
-
 def test_chain_presentations_match_direct_construction():
     for ring in _chain_test_rings():
         chain = characteristic_ideals(ring)
         assert chain.ring == ring
         assert chain.hat == quotient_ring(ring, chain.ann), ring
         assert chain.ak == quotient_ring(ring, chain.k_ideal), ring
-        assert _same_subring(chain.square_pres, subring_presentation(ring, chain.sq)), ring
+        assert chain.square_pres == subring_presentation(ring, chain.sq), ring
         delta = subring_presentation(ring, chain.delta)
         o_pres = subring_presentation(ring, chain.o_ideal)
-        assert _same_subring(chain.delta_pres, delta), ring
-        assert _same_subring(chain.o_pres, o_pres), ring
+        assert chain.delta_pres == delta, ring
+        assert chain.o_pres == o_pres, ring
         # each row of o_in_delta lifts to the matching generator of o
         assert chain.o_in_delta.rows == o_pres.ring.rank
         for row, o_row in zip(chain.o_in_delta.data, o_pres.lift.data):
@@ -324,8 +322,66 @@ def test_chain_presentations_are_built_once_per_chain():
         characteristic_ideals.cache_clear()
         fresh = characteristic_ideals(ring)
         assert fresh is not chain
-        for name in ("hat", "ak", "square_pres", "delta_pres", "o_pres", "o_in_delta"):
+        for name in members:
             rebuilt = getattr(fresh, name)
             assert rebuilt is not first[name], name
-            assert getattr(rebuilt, "ring", rebuilt) == getattr(first[name], "ring", first[name])
-        assert fresh.addition == first["addition"]
+            assert rebuilt == first[name], name
+
+
+def _record_classes():
+    for home in sorted(fdzring._SUBMODULES):
+        module = importlib.import_module(f"fdzring.{home}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                if "__match_args__" in vars(value):
+                    yield value
+
+
+def _assert_equal_builds(build):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second), first
+
+
+def test_records_compare_by_value():
+    # records hold data, never functions or live contexts, so two builds of
+    # one object compare and hash equal
+    records = list(_record_classes())
+    assert len(records) > 20
+    for cls in records:
+        for field, annotation in vars(cls).get("__annotations__", {}).items():
+            assert "Callable" not in str(annotation), (cls, field)
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(83)
+    rings = corpus_rings() + [FdzRing(*random_ring_data(rng, 2 + n % 5)) for n in range(24)]
+    built = dict.fromkeys(("pa", "factors", "deformation"), 0)
+    for ring in rings:
+        chain = characteristic_ideals(ring)
+        assert subring_presentation(ring, chain.sq) == chain.square_pres, ring
+        assert subring_presentation(ring, chain.delta) == chain.delta_pres, ring
+        assert subring_presentation(ring, chain.o_ideal) == chain.o_pres, ring
+        try:
+            pf = pa_ring(ring).parent.ring
+        except BilinearMapError:
+            pass
+        else:
+            _assert_equal_builds(lambda: pa_ring(ring))
+            built["pa"] += 1
+            try:
+                indecomposable_factors(pf)
+            except FactorizationIncomplete:
+                pass
+            else:
+                _assert_equal_builds(lambda: indecomposable_factors(pf))
+                built["factors"] += 1
+        try:
+            build_deformation(DeformationSpec(ring))
+        except DeformationError:
+            continue
+        _assert_equal_builds(lambda: build_deformation(DeformationSpec(ring)))
+        built["deformation"] += 1
+    assert min(built.values()) >= 20, built
