@@ -186,9 +186,9 @@ def cmd_deform(args) -> dict:
     from .eqcheck import invariant_profile
 
     ring = load_ring(args.ring)
-    context = DeformationContext(ring)
     g = None
     if args.g:
+        context = DeformationContext(ring)
         order, value, factor = _parse_deform_cocycle(args.g)
         index = factor - 1
         if not (0 <= index < len(context.n_orders)):

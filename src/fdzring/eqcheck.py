@@ -20,7 +20,8 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .intlinalg import (
-    IntMatrix, Vec, hermite_rows, preimage_lattice, record, row_times_matrix, smith_diagonal
+    IntMatrix, Vec, hermite_rows, left_kernel, preimage_lattice, record, row_times_matrix,
+    smith_diagonal,
 )
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
@@ -200,16 +201,46 @@ def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
         )
 
 
-def _extends_to_basis(rows: Sequence[Sequence[int]], width: int) -> bool:
-    """Whether the k rows of width f extend to a basis of Z^f.
+def _prefix_kernel(rows: Sequence[Sequence[int]], width: int) -> tuple[Vec, ...]:
+    """A basis W of {x in Z^width : r·x = 0 for every row r}: the left
+    kernel of the transposed rows (with no rows, the identity)."""
+    return left_kernel(IntMatrix([[r[t] for r in rows] for t in range(width)], cols=len(rows)))
 
-    That holds iff the gcd of the k x k minors is 1, i.e. iff the f columns
-    span Z^k: the Hermite basis of the transposed rows is the k x k
-    identity (Cohen, GTM 138, 2.4).  It implies the rows are independent.
+
+def _completes_basis(kernel: Sequence[Vec], row: Sequence[int]) -> bool:
+    """Whether a prefix that extends to a basis of Z^f still does with
+    ``row`` appended, given W = ``_prefix_kernel`` of the prefix.
+
+    Rows extend to a basis exactly when the gcd of their maximal minors is
+    1 (Cohen, GTM 138, §2.4).  The prefix R extends to one, so some
+    unimodular V has R·V = [U | 0] with U unimodular, and the tail columns
+    of V are a basis of the kernel of R.  Every maximal minor of
+    [R; row]·V that is not 0 holds U's columns, so the gcd of the minors is
+    gcd(row·V_tail), up to the unit det U; any other kernel basis is
+    V_tail times a unimodular matrix, which leaves that gcd alone.  So the
+    test is gcd(row·w for w in W) = 1.  With W empty (no room left in Z^f)
+    the gcd is 0 and the row is refused.
     """
-    k = len(rows)
-    columns = [[row[t] for row in rows] for t in range(width)]
-    return hermite_rows(columns, k) == _identity_rows(k)
+    return gcd(*[sum(map(mul, row, w)) for w in kernel]) == 1
+
+
+def _square_forms(b: FdzRing) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per coordinate k of B, the terms (i, j, c), i <= j, of the quadratic
+    form (x·x)_k = sum c·x_i·x_j: c = T[i][j][k] + T[j][i][k] for i < j and
+    T[i][i][k] for i = j, reduced modulo the k-th order, zeros dropped."""
+    r, t = b.rank, b.tensor
+    forms = []
+    for k, d in enumerate(b.orders):
+        form = []
+        for i in range(r):
+            for j in range(i, r):
+                c = t[i][j][k] + t[j][i][k] if i < j else t[i][i][k]
+                if d:
+                    c %= d
+                if c:
+                    form.append((i, j, c))
+        forms.append(tuple(form))
+    return tuple(forms)
 
 
 class _FoldedLevel:
@@ -223,16 +254,20 @@ class _FoldedLevel:
     column (n, v, d) demanding x·n + v = 0 modulo d, the order of the k-th
     generator of B (0: exactly), so ``linear`` is the single affine test
     x·N + v = 0 of the level, its trivial columns dropped and the rest
-    deduplicated.  Only the check x·x keeps a multiplication per candidate;
-    ``square`` holds its columns as (k, n, v, d), tested against (x·x)_k.
-    Every coordinate is compared modulo its order, as ``reduce`` does, so a
+    deduplicated.  The check x·x adds, on coordinate k, the quadratic form
+    (x·x)_k of ``_square_forms``; where that form is 0 the column is affine
+    too and joins ``linear``, and ``square`` holds the others as
+    (n, form, v, d), tested against the form's value with no product taken.
+    ``forms`` are B's square forms, which a search builds once.  Every
+    coordinate is compared modulo its order, as ``reduce`` does, so a
     candidate passes exactly when it passes each product check.
     """
 
-    __slots__ = ("b", "linear", "square")
+    __slots__ = ("linear", "square")
 
-    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec]):
-        self.b = b
+    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec], forms=None):
+        if forms is None:
+            forms = _square_forms(b)
         rank = b.rank
         units = _identity_rows(rank)
         linear: dict[tuple[Vec, int, int], None] = {}
@@ -259,21 +294,18 @@ class _FoldedLevel:
                 if d:
                     column = [x % d for x in column]
                     v %= d
-                if p == q == idx:
-                    if d != 1:
-                        square.append((k, tuple(column), v, d))
+                if p == q == idx and forms[k]:
+                    square.append((tuple(column), forms[k], v, d))
                 elif v or any(column):
                     linear[tuple(column), v, d] = None
         self.linear = tuple(linear)
         self.square = tuple(square)
 
     def square_ok(self, cand: Vec) -> bool:
-        if self.square:
-            sq = self.b.mul(cand, cand)
-            for k, column, v, d in self.square:
-                x = v + sum(map(mul, cand, column)) - sq[k]
-                if x % d if d else x:
-                    return False
+        for column, form, v, d in self.square:
+            x = v + sum(map(mul, cand, column)) - sum([c * cand[i] * cand[j] for i, j, c in form])
+            if x % d if d else x:
+                return False
         return True
 
 
@@ -398,7 +430,11 @@ def _iso_witnesses(
     candidates before each one, or before a block's end, are charged in one
     subtraction, so the budget runs out at the same node and the witnesses
     and their order are those of checking each product pair per candidate.
-    Only x·x and the basis prune run per accepted candidate.  Seed 0 builds
+    Only x·x and the basis prune run per accepted candidate, and neither
+    grows with the images already fixed: x·x evaluates B's square forms,
+    built once per search, on the checked coordinates, and a free level
+    builds the kernel W of its fixed free prefix once, so the prune is
+    gcd(r·w for w in W) = 1 (``_completes_basis``).  Seed 0 builds
     no pool whole: a scan holds one tail table and walks the head lazily.
     With ``seed`` the pools are shuffled, which holds each whole, and each
     candidate is tested on its own; a pool above ``SEEDED_POOL_LIMIT``
@@ -437,20 +473,9 @@ def _iso_witnesses(
 
     images: dict[int, Vec] = {}
     budget = [max_nodes]
+    forms = _square_forms(b)
     free_gens = [i for i in gen_order if order_of[i] == 0]
     free_coords = [t for t in range(b.rank) if b.orders[t] == 0]
-
-    def basis_ok(idx: int) -> bool:
-        if order_of[idx] == 0:
-            # the free images taken so far, modulo torsion, must extend to a
-            # basis of B/T(B): an isomorphism induces A/T(A) = B/T(B)
-            rows = [
-                [images[i][t] for t in free_coords]
-                for i in free_gens
-                if i in images
-            ]
-            return _extends_to_basis(rows, len(free_coords))
-        return True
 
     def dfs(pos: int) -> Iterator[IntMatrix]:
         if budget[0] <= 0:
@@ -461,7 +486,11 @@ def _iso_witnesses(
                 yield h
             return
         idx = gen_order[pos]
-        level = _FoldedLevel(b, idx, checks_at[pos], images)
+        level = _FoldedLevel(b, idx, checks_at[pos], images, forms)
+        # the free images taken so far, modulo torsion, must extend to a
+        # basis of B/T(B), since an isomorphism induces A/T(A) = B/T(B); the
+        # kernel of the fixed prefix is built at the level's first test
+        free, kernel = order_of[idx] == 0, None
         charged = 0
         for n, cand in pools[order_of[idx]].scan(level.linear):
             # every candidate up to the n-th costs a node, taken or skipped
@@ -469,11 +498,17 @@ def _iso_witnesses(
             charged = n
             if budget[0] <= 0:
                 return
-            if cand is not None:
-                images[idx] = cand
-                if level.square_ok(cand) and basis_ok(idx):
-                    yield from dfs(pos + 1)
-                del images[idx]
+            if cand is None or not level.square_ok(cand):
+                continue
+            if free:
+                if kernel is None:
+                    prefix = [[images[i][t] for t in free_coords] for i in free_gens if i in images]
+                    kernel = _prefix_kernel(prefix, len(free_coords))
+                if not _completes_basis(kernel, [cand[t] for t in free_coords]):
+                    continue
+            images[idx] = cand
+            yield from dfs(pos + 1)
+            del images[idx]
 
     yield from dfs(0)
     if budget[0] <= 0:
@@ -497,9 +532,12 @@ def iso_search(
     longer extend to a basis of B/T(B) (gcd of the maximal minors 1).  This
     cuts no witness: an isomorphism induces A/T(A) = B/T(B), so the free
     block of every witness is unimodular, and so is every prefix of it.
-    The product checks of each level are folded, once per prefix, into one
-    affine test of the candidate (``_FoldedLevel``), and the level scans
-    its pool one block at a time, looking up the candidates that pass it.
+    Each free level tests that on its candidate r alone: with W a kernel
+    basis of the fixed free prefix, built once per level, the test is
+    gcd(r·W) = 1.  The product checks of each level are folded, once per
+    prefix, into one affine test of the candidate and the quadratic forms
+    of x·x (``_FoldedLevel``), and the level scans its pool one block at a
+    time, looking up the candidates that pass the affine test.
     Nodes are still charged one per candidate in pool order, skipped ones
     included, so budgets, witnesses and verdicts are those of checking each
     product per candidate; seed 0 takes candidates lazily.  A nonzero

@@ -688,6 +688,19 @@ def maximal_minors_gcd(rows, width: int) -> int:
     return out
 
 
+def extends_to_basis(rows, width: int) -> bool:
+    """Whether the k rows of width f extend to a basis of Z^f.
+
+    That holds iff the gcd of the k x k minors is 1, i.e. iff the f columns
+    span Z^k: the Hermite basis of the transposed rows is the k x k
+    identity (Cohen, GTM 138, 2.4).  It implies the rows are independent.
+    """
+    k = len(rows)
+    columns = [[row[t] for row in rows] for t in range(width)]
+    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return hermite_rows(columns, k) == identity
+
+
 def dense_mul(ring: FdzRing, a, b) -> Vec:
     """a·b summed over every (i, j, k) of the structure tensor, reduced."""
     r = ring.rank
@@ -782,10 +795,11 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
 
     The search the library ran before it folded each level's checks into
     one affine test: same candidate order, one node per candidate taken,
-    the same basis-extension prune and the same witness verification.
+    the same basis-extension prune, tested on the Hermite basis of the whole
+    free prefix, and the same witness verification.
     Seeded pools are built whole, with no size guard.
     """
-    from fdzring.eqcheck import _extends_to_basis, verify_iso_witness
+    from fdzring.eqcheck import verify_iso_witness
 
     order_of = list(a.orders)
     gen_order = sorted(range(a.rank), key=lambda i: (order_of[i] == 0, order_of[i]))
@@ -809,7 +823,7 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
             return False
         if order_of[idx] == 0:
             rows = [[images[i][t] for t in free_coords] for i in free_gens if i in images]
-            return _extends_to_basis(rows, len(free_coords))
+            return extends_to_basis(rows, len(free_coords))
         return True
 
     def dfs(pos: int):

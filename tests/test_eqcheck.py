@@ -14,19 +14,21 @@ from fdzring.eqcheck import (
     SEEDED_POOL_LIMIT,
     SearchPoolError,
     _BLOCK_CAP,
-    _extends_to_basis,
+    _completes_basis,
     _FoldedLevel,
     _iso_witnesses,
     _linear_ok,
+    _prefix_kernel,
     _ProductPool,
     _search,
+    _square_forms,
     equivalence_verdict,
     invariant_profile,
     iso_search,
     verify_embedding,
     verify_iso_witness,
 )
-from fdzring.intlinalg import IntMatrix, hermite_rows
+from fdzring.intlinalg import IntMatrix
 from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transport, z0_ring
 
 from oracles import (
@@ -35,6 +37,7 @@ from oracles import (
     candidate_images,
     corpus_ring,
     corpus_rings,
+    extends_to_basis,
     full_profile_first_mismatch,
     full_profile_oracle,
     maximal_minors_gcd,
@@ -395,6 +398,22 @@ def test_self_equivalence_every_seed():
         assert equivalence_verdict(w, w, seed=seed).kind == "equivalent", seed
 
 
+def _basis_prefix(rng: random.Random, f: int, k: int) -> list[list[int]]:
+    """k rows of a random unimodular f x f matrix: a prefix that extends to
+    a basis of Z^f, its entries mixed by random row and column operations."""
+    m = [[int(i == j) for j in range(f)] for i in range(f)]
+    for _ in range(3 * f):
+        i, j = rng.sample(range(f), 2)
+        c = rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[i] += c * row[j]
+    rng.shuffle(m)
+    return m[:k]
+
+
 def test_extends_to_basis_against_minors_gcd():
     rng = random.Random(11)
     outcomes = []
@@ -408,14 +427,48 @@ def test_extends_to_basis_against_minors_gcd():
             first, second = rng.sample(range(k), 2)
             rows[second] = [rng.choice((1, -1)) * x for x in rows[first]]
         expected = maximal_minors_gcd(rows, f) == 1
-        assert _extends_to_basis(rows, f) == expected, rows
+        assert extends_to_basis(rows, f) == expected, rows
         outcomes.append(expected)
     assert 30 <= sum(outcomes) <= 270
     # unimodular but not triangular, index 2, and more rows than columns
-    assert _extends_to_basis([[2, 3], [1, 2]], 2)
-    assert not _extends_to_basis([[1, 1], [1, -1]], 2)
-    assert not _extends_to_basis([[1], [0]], 1)
-    assert not _extends_to_basis([[]], 0)
+    assert extends_to_basis([[2, 3], [1, 2]], 2)
+    assert not extends_to_basis([[1, 1], [1, -1]], 2)
+    assert not extends_to_basis([[1], [0]], 1)
+    assert not extends_to_basis([[]], 0)
+    # the search's per-level kernel test: for a prefix that extends to a
+    # basis of Z^f, a candidate row passes exactly when prefix + row has
+    # maximal minors of gcd 1
+    rng = random.Random(29)
+    kernel_outcomes = Counter()
+    for n in range(600):
+        f = rng.randint(0, 5)
+        k = rng.randint(0, f)
+        prefix = _basis_prefix(rng, f, k) if f >= 2 else [[1] * f][:k]
+        kernel = _prefix_kernel(prefix, f)
+        assert len(kernel) == f - k
+        for w in kernel:
+            assert all(sum(x * y for x, y in zip(r, w)) == 0 for r in prefix)
+        if n % 4 == 1 and prefix:
+            # a prefix row again, up to sign
+            row = [rng.choice((1, -1)) * x for x in rng.choice(prefix)]
+        else:
+            row = [rng.randint(-3, 3) for _ in range(f)]
+            if n % 4 == 2:
+                # shifted by a combination of the prefix rows
+                for r in prefix:
+                    c = rng.randint(-2, 2)
+                    row = [x + c * y for x, y in zip(row, r)]
+        expected = maximal_minors_gcd(prefix + [row], f) == 1
+        assert _completes_basis(kernel, row) == expected, (prefix, row)
+        kernel_outcomes[k == 0, expected] += 1
+    # the first free level, where the kernel is the identity, and f = 0
+    assert _prefix_kernel([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _completes_basis(_prefix_kernel([], 3), [2, -3, 4])
+    assert not _completes_basis(_prefix_kernel([], 3), [2, 0, 4])
+    assert _prefix_kernel([], 0) == ()
+    assert not _completes_basis(_prefix_kernel([], 0), [])
+    assert not _completes_basis(_prefix_kernel([[1, 0], [0, 1]], 2), [1, 1])
+    assert len(kernel_outcomes) == 4 and min(kernel_outcomes.values()) >= 40, kernel_outcomes
 
 
 def _transported_gen_pairs(count: int) -> list[tuple[FdzRing, FdzRing]]:
@@ -439,8 +492,14 @@ def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
     # the pruning only cuts subtrees without a witness, so under one budget
     # the pruned search meets every witness the independence-only search
     # meets, in the same order, and meets them after fewer nodes
-    def independent_only(rows, width):
-        return len(hermite_rows(rows, width)) == len(rows)
+    loosened = Counter()
+
+    def independent_only(kernel, row):
+        # row lies outside the rational span of the prefix iff it does not
+        # vanish on the prefix's kernel
+        independent = any(sum(x * y for x, y in zip(row, w)) for w in kernel)
+        loosened[independent and not _completes_basis(kernel, row)] += 1
+        return independent
 
     padded = [direct_product(z0_ring(), corpus_ring(name)) for name in NAMED_RINGS]
     pairs = [(r, r) for r in padded] + _transported_gen_pairs(20)
@@ -450,7 +509,7 @@ def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
             # coefficient bound 2 keeps the independence-only leaves cheap
             pruned = list(itertools.islice(_iso_witnesses(a, b, 2, 3_000, seed), 3))
             with monkeypatch.context() as patch:
-                patch.setattr(eqcheck, "_extends_to_basis", independent_only)
+                patch.setattr(eqcheck, "_completes_basis", independent_only)
                 plain = list(itertools.islice(_iso_witnesses(a, b, 2, 3_000, seed), 3))
             found = plain[: plain.index(None)] if None in plain else plain
             assert pruned[: len(found)] == found, (a, seed)
@@ -458,6 +517,8 @@ def test_basis_pruning_keeps_the_witness_sequence(monkeypatch):
                 assert pruned == plain, (a, seed)
             compared += len(found)
     assert compared >= 100
+    # the independence-only searches took candidates the kernel test refuses
+    assert loosened[True] >= 100, loosened
 
 
 def _sixterm_search_pairs() -> list[tuple[FdzRing, FdzRing]]:
@@ -588,6 +649,19 @@ def _fold_disagreements(build) -> tuple[int, Counter]:
     return wrong, seen
 
 
+def _drop_cross_half(b: FdzRing) -> tuple:
+    """B's square forms with the T[j][i] half left out of the first cross
+    term (i < j) where T[j][i][k] is not 0."""
+    forms = [dict(((i, j), c) for i, j, c in form) for form in _square_forms(b)]
+    for k, form in enumerate(forms):
+        cross = [(i, j) for i in range(b.rank) for j in range(i + 1, b.rank) if b.tensor[j][i][k]]
+        if cross:
+            i, j = cross[0]
+            form[i, j] = b.tensor[i][j][k]
+            break
+    return tuple(tuple((i, j, c) for (i, j), c in sorted(form.items()) if c) for form in forms)
+
+
 def test_folded_level_accepts_exactly_what_the_pair_checks_accept():
     wrong, seen = _fold_disagreements(_FoldedLevel)
     assert wrong == 0
@@ -596,6 +670,14 @@ def test_folded_level_accepts_exactly_what_the_pair_checks_accept():
     # the comparison sees a build that forgets the quadratic check
     dropped, _ = _fold_disagreements(lambda *args: _drop_square(_FoldedLevel(*args)))
     assert dropped > 0
+
+
+def test_folded_level_sees_a_cross_term_half_dropped():
+    # the quadratic form sums T[i][j] and T[j][i] on each cross term; on the
+    # non-commutative rings the comparison draws, a form that keeps only
+    # T[i][j] on one of them accepts what the pair checks refuse, or the reverse
+    halved, _ = _fold_disagreements(lambda b, *args: _FoldedLevel(b, *args, _drop_cross_half(b)))
+    assert halved > 0
 
 
 def test_seeded_pool_guard():
