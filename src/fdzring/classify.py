@@ -170,19 +170,24 @@ def _lift_subset_sums(primitives, dim) -> list[Vec]:
 
 
 def idempotents(p: FdzRing) -> list[Vec]:
-    """The complete finite set of idempotents of a scalar ring."""
+    """The complete finite set of idempotents of a scalar ring, sorted: the
+    lifts of those of P/T(P) (``_free_idempotents``) plus each torsion
+    element.  A finite P has a quotient of rank 0 whose one idempotent lifts
+    to 0, so every element is tried."""
     _require_scalar(p)
+    return _idempotents(p)
+
+
+def _idempotents(p: FdzRing) -> list[Vec]:
+    """``idempotents`` on a ring already checked to be scalar."""
     # p is diagonal, so its torsion is spanned by the generators of finite order
     finite = [i for i, d in enumerate(p.orders) if d]
     if prod(p.orders[i] for i in finite) > ELEMENT_LIMIT:
         raise FactorizationIncomplete("torsion part too large to enumerate")
-    if len(finite) == p.rank:
-        return sorted(e for e in p.elements() if p.mul(e, e) == e)
     torsion_elements = list(itertools.product(*(range(d) if d else (0,) for d in p.orders)))
     free = _ideal_quotient(p, p.subgroup([p.generator(i) for i in finite]))
-    free_idems = _free_idempotents(free.ring)
     found = set()
-    for ebar in free_idems:
+    for ebar in _free_idempotents(free.ring):
         base = p.reduce(row_times_matrix(ebar, free.lift))
         for t in torsion_elements:
             cand = p.add(base, t)
@@ -209,7 +214,7 @@ def spec0_connected_rule(infinite_factor_count: int) -> str:
 
 def indecomposable_factors(p: FdzRing) -> SpectrumAnalysis:
     unity = _require_scalar(p)
-    idems = idempotents(p)
+    idems = _idempotents(p)
     nonzero = [e for e in idems if any(e)]
     primitives = []
     for e in nonzero:

@@ -182,13 +182,13 @@ def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
 
 
 def cmd_deform(args) -> dict:
-    from .deform import DeformationContext, DeformationSpec, build_deformation, verify_sixterm
+    from .deform import DeformationContext, verify_sixterm
     from .eqcheck import invariant_profile
 
     ring = load_ring(args.ring)
+    context = DeformationContext(ring)
     g = None
     if args.g:
-        context = DeformationContext(ring)
         order, value, factor = _parse_deform_cocycle(args.g)
         index = factor - 1
         if not (0 <= index < len(context.n_orders)):
@@ -203,8 +203,7 @@ def cmd_deform(args) -> dict:
         if len(value) != ring.rank:
             raise CliParseError("the cocycle value must be an ambient vector")
         g = context.ambient_annihilator_cocycle(index, value)
-    result = build_deformation(DeformationSpec(base=ring, g=g))
-    deformed = result.ring
+    deformed = context.build(g).ring
     profile_match = (
         invariant_profile(ring).first_mismatch(invariant_profile(deformed)) is None
     )

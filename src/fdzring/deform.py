@@ -37,7 +37,7 @@ from .groups import FgAbelianGroup
 from .intlinalg import (
     IntMatrix, Vec, affine_preimage, hermite_reduce, record, row_times_matrix, smith_diagonal,
 )
-from .rings import FdzRing, IdealChain, _ideal_quotient, characteristic_ideals
+from .rings import FdzRing, _ideal_quotient, characteristic_ideals
 
 
 # the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
@@ -56,6 +56,7 @@ def _reduce_mod_orders(vec: Sequence[int], orders: Sequence[int]) -> Vec:
     return tuple(int(x) % d if d else int(x) for x, d in zip(vec, orders))
 
 
+@record
 class SymmetricCocycle:
     """A symmetric normalized 2-cocycle between diagonally presented groups,
     in cyclic normal form.
@@ -65,26 +66,27 @@ class SymmetricCocycle:
     infinite factors, where every extension splits.  Its value at (x, y) is
     the sum of the values of the factors on which x + y wraps past the
     order.  Sums of staircases are cocycles, so no identity check is needed.
+    The fields are stored normalised (ints, values reduced modulo the target
+    orders), so two cocycles with one normal form compare and hash equal.
     """
 
-    def __init__(
-        self,
-        source_orders: Sequence[int],
-        target_orders: Sequence[int],
-        cyclic_values: Sequence[Sequence[int]],
-    ):
-        self.source_orders = tuple(int(d) for d in source_orders)
-        self.target_orders = tuple(int(d) for d in target_orders)
-        vals = tuple(_reduce_mod_orders(v, self.target_orders) for v in cyclic_values)
-        if len(vals) != len(self.source_orders):
+    source_orders: Vec
+    target_orders: Vec
+    cyclic_values: tuple[Vec, ...]
+
+    def __post_init__(self):
+        source = tuple(int(d) for d in self.source_orders)
+        target = tuple(int(d) for d in self.target_orders)
+        vals = tuple(_reduce_mod_orders(v, target) for v in self.cyclic_values)
+        if len(vals) != len(source):
             raise CocycleError("one value per source factor required")
-        for e, v in zip(self.source_orders, vals):
-            if e == 0 and any(v):
-                raise CocycleError(
-                    "extensions of an infinite cyclic factor split; the "
-                    "normal-form value must be zero"
-                )
-        self.cyclic_values = vals
+        if any(any(v) for e, v in zip(source, vals) if e == 0):
+            raise CocycleError(
+                "extensions of an infinite cyclic factor split; the "
+                "normal-form value must be zero"
+            )
+        # record fields refuse assignment, so the normal form goes to the dict
+        self.__dict__.update(source_orders=source, target_orders=target, cyclic_values=vals)
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         xr = _reduce_mod_orders(x, self.source_orders)
@@ -155,7 +157,6 @@ class GroupExtension:
     group: FgAbelianGroup
     embed_target: IntMatrix
     project_source: IntMatrix
-    cocycle: SymmetricCocycle
 
 
 def _extension_group(
@@ -193,9 +194,7 @@ def build_group_extension(c: SymmetricCocycle) -> GroupExtension:
     group = FgAbelianGroup(rg + rd, _extension_group(c.source_orders, c.target_orders, betas))
     embed = IntMatrix([(0,) * rg + row for row in IntMatrix.identity(rd).data], cols=rg + rd)
     project = IntMatrix(IntMatrix.identity(rg).data + ((0,) * rg,) * rd, cols=rg)
-    return GroupExtension(
-        group=group, embed_target=embed, project_source=project, cocycle=c
-    )
+    return GroupExtension(group=group, embed_target=embed, project_source=project)
 
 
 # -- deformations --------------------------------------------------------------
@@ -231,6 +230,7 @@ class DeformationContext:
     The i-th finite factor, of order e_i, lifts to the i-th row t_i of
     ``n_lift_ambient``, reduced modulo k.  Its transversal defects telescope
     over a full cycle of Z/e_i, so its base relation is e_i·g_i = k(e_i·t_i).
+    ``build`` deforms the base by a cocycle given in these coordinates.
     """
 
     def __init__(self, base: FdzRing):
@@ -240,12 +240,12 @@ class DeformationContext:
         assert not any(add_pres.ring.orders), "an addition must be free"
         self.addition_basis = add_pres.lift
         n = add_pres.ring.rank
-        self.delta = chain.delta_pres
+        delta = chain.delta_pres
         self.o_pres = chain.o_pres
         # k = delta ⊕ A0: the rows are the k-space basis in ambient coordinates
-        self.k_basis = IntMatrix(self.delta.lift.data + self.addition_basis.data, cols=base.rank)
+        self.k_basis = IntMatrix(delta.lift.data + self.addition_basis.data, cols=base.rank)
         self.d_orders: Vec = tuple([0] * n) + self.o_pres.ring.orders
-        self.k_orders: Vec = self.delta.ring.orders + tuple([0] * n)
+        self.k_orders: Vec = delta.ring.orders + tuple([0] * n)
         self._init_carrier()
 
     # -- annihilator (d) coordinates --
@@ -258,9 +258,9 @@ class DeformationContext:
         if not self.chain.ann.contains(vec):
             raise DeformationError("value must lie in the annihilator")
         rows = IntMatrix(self.addition_basis.data + self.o_pres.lift.data, cols=self.base.rank)
-        coords = _express_in_rows(vec, rows, self.base)
+        coords = affine_preimage(rows, self.base.additive.relation_basis, vec)
         assert coords is not None
-        return _reduce_mod_orders(coords, self.d_orders)
+        return _reduce_mod_orders(coords[0], self.d_orders)
 
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
         n = self.addition_basis.rows
@@ -275,13 +275,10 @@ class DeformationContext:
 
         k = delta ⊕ A0, so the reduced coordinates are unique.
         """
-        coords = _express_in_rows(vec, self.k_basis, self.base)
+        coords = affine_preimage(self.k_basis, self.base.additive.relation_basis, vec)
         if coords is None:
             raise DeformationError("value must lie in the k-ideal")
-        return _reduce_mod_orders(coords, self.k_orders)
-
-    def k_to_ambient(self, kvec: Sequence[int]) -> Vec:
-        return self.base.reduce(row_times_matrix(kvec, self.k_basis))
+        return _reduce_mod_orders(coords[0], self.k_orders)
 
     # -- carrier source: free factors ⊕ torsion quotient of A/k --
 
@@ -292,7 +289,6 @@ class DeformationContext:
         lifts = list(zip(ak.ring.orders, ak.lift.data))
         # homomorphic section of the free part into the base ring
         self.free_section = IntMatrix([row for d, row in lifts if not d], cols=self.base.rank)
-        self.free_rank = self.free_section.rows
         self.n_orders: Vec = tuple(d for d, _ in lifts if d)
         torsion = [row for d, row in lifts if d]
         if not all(map(self.chain.l_ideal.contains, torsion)):
@@ -300,7 +296,7 @@ class DeformationContext:
         # canonical coset representatives modulo the k-ideal lattice
         reps = [hermite_reduce(self.chain.k_ideal.lift_basis, row) for row in torsion]
         self.n_lift_ambient = IntMatrix(reps, cols=self.base.rank)
-        self.source_orders: Vec = tuple([0] * self.free_rank) + self.n_orders
+        self.source_orders: Vec = (0,) * self.free_section.rows + self.n_orders
 
     def extension_betas(self, g: SymmetricCocycle) -> list[Vec]:
         """beta_i = k(e_i·t_i) + d_to_k(d_i) for each torsion factor under ``g``."""
@@ -325,6 +321,41 @@ class DeformationContext:
         values[n_index] = list(self.ambient_to_d(value_ambient))
         return SymmetricCocycle(self.n_orders, self.d_orders, cyclic_values=values)
 
+    def build(self, g: SymmetricCocycle | None) -> DeformationResult:
+        """The deformation of the base ring by the torsion cocycle ``g``
+        (None: the zero cocycle): the free ring on the representatives (free
+        section, torsion lifts, k basis) modulo the extension relations."""
+        base = self.base
+        g = g or zero_cocycle(self.n_orders, self.d_orders)
+        if g.source_orders != self.n_orders or g.target_orders != self.d_orders:
+            raise DeformationError("the torsion cocycle has mismatched shape")
+
+        closing = self.extension_betas(g)
+        _check_independence(self, closing)
+
+        rs = len(self.source_orders)
+        relations = _extension_group(self.source_orders, self.k_orders, closing)
+        reps = (
+            self.free_section.data
+            + self.n_lift_ambient.data
+            + tuple(base.reduce(row) for row in self.k_basis.data)
+        )
+        express = self.chain.delta_pres.express
+        pad = (0,) * self.addition_basis.rows
+        free = FdzRing(
+            (0,) * len(reps), [[(0,) * rs + express(base.mul(x, y)) + pad for y in reps] for x in reps]
+        )
+        quotient = _ideal_quotient(free, free.additive.subgroup(relations))
+        embed_rows = [
+            row_times_matrix((0,) * rs + self.d_to_k(unit), quotient.project)
+            for unit in IntMatrix.identity(len(self.d_orders)).data
+        ]
+        if not all(map(characteristic_ideals(quotient.ring).ann.contains, embed_rows)):
+            raise DeformationError(
+                "construction failed: the designated annihilator does not annihilate"
+            )
+        return DeformationResult(quotient.ring, IntMatrix(embed_rows, cols=quotient.ring.rank))
+
 
 @record
 class DeformationResult:
@@ -333,46 +364,9 @@ class DeformationResult:
 
 
 def build_deformation(spec: DeformationSpec) -> DeformationResult:
-    """The deformation of the base ring by the torsion cocycle ``g``: the
-    free ring on the representatives (free section, torsion lifts, k basis)
-    modulo the extension relations."""
-    ctx = DeformationContext(spec.base)
-    base = ctx.base
-    g = spec.g or zero_cocycle(ctx.n_orders, ctx.d_orders)
-    if g.source_orders != ctx.n_orders or g.target_orders != ctx.d_orders:
-        raise DeformationError("the torsion cocycle has mismatched shape")
-
-    closing = ctx.extension_betas(g)
-    _check_independence(ctx, closing)
-
-    rs = len(ctx.source_orders)
-    relations = _extension_group(ctx.source_orders, ctx.k_orders, closing)
-    reps = (
-        ctx.free_section.data
-        + ctx.n_lift_ambient.data
-        + tuple(base.reduce(row) for row in ctx.k_basis.data)
-    )
-    pad = (0,) * ctx.addition_basis.rows
-    free = FdzRing(
-        (0,) * len(reps),
-        [[(0,) * rs + ctx.delta.express(base.mul(x, y)) + pad for y in reps] for x in reps],
-    )
-    quotient = _ideal_quotient(free, free.additive.subgroup(relations))
-    embed_rows = [
-        row_times_matrix((0,) * rs + ctx.d_to_k(unit), quotient.project)
-        for unit in IntMatrix.identity(len(ctx.d_orders)).data
-    ]
-    result = DeformationResult(
-        ring=quotient.ring,
-        annihilator_embedding=IntMatrix(embed_rows, cols=quotient.ring.rank),
-    )
-    chain = characteristic_ideals(quotient.ring)
-    for row in result.annihilator_embedding.data:
-        if not chain.ann.contains(row):
-            raise DeformationError(
-                "construction failed: the designated annihilator does not annihilate"
-            )
-    return result
+    """``DeformationContext.build`` on a new context of the base ring; a
+    caller that translates its cocycle on a context builds from that one."""
+    return DeformationContext(spec.base).build(spec.g)
 
 
 def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
@@ -414,7 +408,6 @@ def _check_independence(ctx: DeformationContext, closing: Sequence[Vec]):
 class SixTermReport:
     status: str  # "commutes" | "no" | "unknown"
     detail: str
-    annihilator_sequence_exact: bool | None = None
 
 
 def verify_sixterm(
@@ -426,6 +419,10 @@ def verify_sixterm(
     quotients, and A/k -> B/k, required to commute with the canonical
     inclusion, restriction, and projection maps.  Invariant mismatches give
     a definitive ``no``; exhausting the bounded search gives ``unknown``.
+    Each phi on the annihilator quotients that induces A/k -> B/k gets its
+    own psi search on delta, with a fresh budget of ``max_nodes``.  The
+    report holds only the status and a detail line: the maps behind a
+    ``commutes`` are re-checked as ring isomorphisms, not returned.
     """
     _check_bound(coeff_bound)
     chain_a = characteristic_ideals(a)
@@ -439,11 +436,7 @@ def verify_sixterm(
         inv_a = getattr(chain_a, field).ring.additive.invariant_factors
         inv_b = getattr(chain_b, field).ring.additive.invariant_factors
         if inv_a != inv_b:
-            return SixTermReport(
-                status="no",
-                detail=f"{name} invariants differ: {inv_a} vs {inv_b}",
-                annihilator_sequence_exact=False,
-            )
+            return SixTermReport("no", f"{name} invariants differ: {inv_a} vs {inv_b}")
 
     delta_to_hat_a, delta_to_hat_b = (
         c.delta_pres.lift.mul(c.hat.project) for c in (chain_a, chain_b)
@@ -457,8 +450,10 @@ def verify_sixterm(
     ak_to_hat_a = chain_a.ak.lift.mul(chain_a.hat.project)
     hat_to_ak_b = chain_b.hat.lift.mul(chain_b.ak.project)
 
+    delta_b, hat_b = chain_b.delta_pres, chain_b.hat.ring
+    o_image_b = delta_b.ring.additive.subgroup(chain_b.o_in_delta.data)
     budget_hit = False
-    for phi in _iso_witnesses(chain_a.hat.ring, chain_b.hat.ring, coeff_bound, max_nodes):
+    for phi in _iso_witnesses(chain_a.hat.ring, hat_b, coeff_bound, max_nodes):
         if phi is None:
             budget_hit = True
             break
@@ -469,70 +464,28 @@ def verify_sixterm(
         mu = ak_to_hat_a.mul(phi).mul(hat_to_ak_b)
         if not verify_iso_witness(chain_a.ak.ring, chain_b.ak.ring, mu):
             continue
-        found, exhausted = _find_delta_iso(
-            chain_a, chain_b, delta_to_hat_a.mul(phi), delta_to_hat_b, coeff_bound, max_nodes
-        )
-        budget_hit = budget_hit or exhausted
-        if found is None:
-            continue
-        return SixTermReport(
-            status="commutes",
-            detail="all three squares commute",
-            annihilator_sequence_exact=True,
-        )
+        # the images under phi of the generators of delta(A), in B/ann
+        restricted = [hat_b.reduce(row) for row in delta_to_hat_a.mul(phi).data]
+        for psi in _iso_witnesses(chain_a.delta_pres.ring, delta_b.ring, coeff_bound, max_nodes):
+            if psi is None:
+                budget_hit = True
+                break
+            # middle square: restriction to the annihilator quotient commutes
+            if [hat_b.reduce(row) for row in psi.mul(delta_to_hat_b).data] != restricted:
+                continue
+            # left square: psi must carry o(A) onto o(B), by an isomorphism eta
+            image_rows = [row_times_matrix(row, psi) for row in chain_a.o_in_delta.data]
+            if delta_b.ring.additive.subgroup(image_rows) != o_image_b:
+                continue
+            eta = IntMatrix(
+                [chain_b.o_pres.express(row_times_matrix(row, delta_b.lift)) for row in image_rows],
+                cols=chain_b.o_pres.ring.rank,
+            )
+            if image_rows and not verify_iso_witness(chain_a.o_pres.ring, chain_b.o_pres.ring, eta):
+                continue
+            return SixTermReport("commutes", "all three squares commute")
     if budget_hit:
-        return SixTermReport(status="unknown", detail="search budget exhausted")
+        return SixTermReport("unknown", "search budget exhausted")
     return SixTermReport(
-        status="unknown",
-        detail="no compatible isomorphism found within the coefficient bound",
+        "unknown", "no compatible isomorphism found within the coefficient bound"
     )
-
-
-def _find_delta_iso(
-    chain_a: IdealChain,
-    chain_b: IdealChain,
-    phi_on_delta: IntMatrix,
-    delta_to_hat_b: IntMatrix,
-    coeff_bound: int,
-    max_nodes: int,
-):
-    """A compatible pair (psi, eta) over phi, or None, and whether the psi
-    search ran out of budget (so a None is not a definitive answer).
-
-    ``phi_on_delta`` rows are the images under phi of the generators of
-    delta(A), in B/ann coordinates.
-    """
-    delta_b, hat_b = chain_b.delta_pres, chain_b.hat.ring
-    o_image_b = delta_b.ring.additive.subgroup(chain_b.o_in_delta.data)
-    restricted = [hat_b.reduce(row) for row in phi_on_delta.data]
-    for psi in _iso_witnesses(chain_a.delta_pres.ring, delta_b.ring, coeff_bound, max_nodes):
-        if psi is None:
-            return None, True
-        # middle square: restriction to the annihilator quotient commutes
-        if [hat_b.reduce(row) for row in psi.mul(delta_to_hat_b).data] != restricted:
-            continue
-        # left square: psi must carry o(A) onto o(B)
-        image_rows = [row_times_matrix(row, psi) for row in chain_a.o_in_delta.data]
-        if delta_b.ring.additive.subgroup(image_rows) != o_image_b:
-            continue
-        eta = IntMatrix(
-            [chain_b.o_pres.express(row_times_matrix(row, delta_b.lift)) for row in image_rows],
-            cols=chain_b.o_pres.ring.rank,
-        )
-        if image_rows and not verify_iso_witness(chain_a.o_pres.ring, chain_b.o_pres.ring, eta):
-            continue
-        return (psi, eta), False
-    return None, False
-
-
-def _express_in_rows(vec: Sequence[int], rows: IntMatrix, ambient_ring: FdzRing) -> Vec | None:
-    """Coefficients c with c·rows = vec in the ring's additive group, or None.
-
-    The coefficients are the canonical solution of ``affine_preimage``
-    against the ring's relation lattice: reduced modulo the combinations of
-    ``rows`` that vanish in the ring, so they depend only on ``vec``'s class
-    and on the row span.  Callers whose rows are a diagonal presentation
-    also reduce them modulo its orders.
-    """
-    res = affine_preimage(rows, ambient_ring.additive.relation_basis, vec)
-    return None if res is None else res[0]

@@ -108,7 +108,6 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
 @record
 class IsoWitness:
     matrix: IntMatrix
-    verified: bool
 
 
 @record
@@ -116,13 +115,6 @@ class IsoResult:
     kind: str  # "yes" | "no" | "unknown"
     witness: IsoWitness | None = None
     reason: str | None = None
-
-
-def _coefficient_order(bound: int) -> list[int]:
-    out = [0]
-    for v in range(1, bound + 1):
-        out.extend((v, -v))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -166,18 +158,15 @@ def _additive_order(orders: Sequence[int], vec: Sequence[int]) -> int:
 
 
 def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[list[int]]:
-    """The values each coordinate of a candidate image runs over."""
-    values = _coefficient_order(bound)
-    per_coord = []
-    for d in b.orders:
-        if d == 0:
-            per_coord.append([0] if order else values)
-        else:
-            if order:
-                per_coord.append([x for x in range(d) if (order * x) % d == 0])
-            else:
-                per_coord.append(list(range(d)))
-    return per_coord
+    """The values each coordinate of a candidate image runs over: a free one
+    0, 1, -1, ..., bound, -bound in an order-0 pool (built only there) and 0
+    otherwise, a Z/d one the x with order·x = 0 (all of [0, d) for order 0)."""
+    free = not order and 0 in b.orders
+    values = [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)] if free else [0]
+    return [
+        values if d == 0 else range(d) if not order else [x for x in range(d) if order * x % d == 0]
+        for d in b.orders
+    ]
 
 
 # A seeded search shuffles its whole candidate pool, so it holds every
@@ -192,7 +181,11 @@ class SearchPoolError(ValueError):
 
 
 def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
-    size = prod(len(values) for values in _coordinate_ranges(b, order, bound))
+    # the product of the ``_coordinate_ranges`` lengths, none of them built
+    size = prod(
+        (1 if order else 2 * bound + 1) if d == 0 else gcd(order, d) if order else d
+        for d in b.orders
+    )
     if size > SEEDED_POOL_LIMIT:
         raise SearchPoolError(
             f"a seeded search would shuffle {size} candidate images, above "
@@ -265,9 +258,7 @@ class _FoldedLevel:
 
     __slots__ = ("linear", "square")
 
-    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec], forms=None):
-        if forms is None:
-            forms = _square_forms(b)
+    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec], forms):
         rank = b.rank
         units = _identity_rows(rank)
         linear: dict[tuple[Vec, int, int], None] = {}
@@ -438,7 +429,18 @@ def _iso_witnesses(
     no pool whole: a scan holds one tail table and walks the head lazily.
     With ``seed`` the pools are shuffled, which holds each whole, and each
     candidate is tested on its own; a pool above ``SEEDED_POOL_LIMIT``
-    raises ``SearchPoolError``.
+    raises ``SearchPoolError``, judged from B's orders before any pool is
+    built.
+
+    Seed 0 clamps the bound to ``max_nodes``, which changes no witness,
+    node count or closing None.  Only order-0 pools depend on the bound, and
+    in one every candidate with a nonzero free coordinate is in the pool and
+    charged.  A free coordinate at position i of the order 0, 1, -1, 2, ...
+    follows the i - 1 candidates that differ from it only there, so the
+    pools at both bounds agree on their first 2·max_nodes candidates, hold
+    at least that many, and a scan past position max_nodes has spent the
+    budget either way.  Seeded pools are not clamped: the shuffle of a
+    smaller pool is another order.
     """
     order_of = list(a.orders)
     gen_order = sorted(
@@ -460,7 +462,8 @@ def _iso_witnesses(
         for pool in pools.values():
             rng.shuffle(pool)
     else:
-        pools = {d: _ProductPool(b, d, coeff_bound) for d in set(order_of)}
+        bound = min(coeff_bound, max_nodes)
+        pools = {d: _ProductPool(b, d, bound) for d in set(order_of)}
 
     # a product constraint becomes checkable once its factors and the
     # support of its value are all assigned; fire each at that moment
@@ -567,7 +570,7 @@ def _search(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int)
     for witness in _iso_witnesses(a, b, coeff_bound, max_nodes, seed):
         if witness is None:
             return IsoResult(kind="unknown", reason="search budget exhausted")
-        return IsoResult(kind="yes", witness=IsoWitness(matrix=witness, verified=True))
+        return IsoResult(kind="yes", witness=IsoWitness(matrix=witness))
     if all(d != 0 for d in a.orders):
         return IsoResult(kind="no", reason="exhaustive search found no isomorphism")
     return IsoResult(kind="unknown", reason="bounded search exhausted")

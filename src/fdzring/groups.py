@@ -115,17 +115,6 @@ class FgAbelianGroup:
             raise GroupError("vector length does not match ambient rank")
         return hermite_reduce(self.relation_basis, vec)
 
-    def element_order(self, vec: Sequence[int]) -> int | None:
-        """Additive order of the coset of ``vec`` (None = infinite)."""
-        # order = index of {n : n·vec in relations} in Z
-        rows = [list(vec)]
-        mat = IntMatrix(rows, cols=self.rank)
-        pre = preimage_lattice(mat, self.relation_basis)
-        if not pre:
-            return None
-        n = abs(pre[0][0])
-        return n if n else None
-
     def elements(self) -> Iterator[Vec]:
         """All canonical representatives; finite groups only."""
         if not self.is_finite:
@@ -258,11 +247,6 @@ class Subgroup:
 def _transpose(rows: Sequence[Sequence[int]], width: int) -> IntMatrix:
     """The width x len(rows) matrix whose columns are ``rows``."""
     return IntMatrix([[row[j] for row in rows] for j in range(width)], cols=len(rows))
-
-
-def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:
-    """big/small as an abstract group (small must lie inside big)."""
-    return big.as_group_with(small)[2].quotient()
 
 
 @record

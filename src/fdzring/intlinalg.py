@@ -118,10 +118,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     @property
     def entries(self) -> Vec:
         """Row-major flattening."""
@@ -539,10 +535,6 @@ def _divide_along_pivots(
 def hermite_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec:
     """Canonical representative of ``vec`` modulo the Hermite basis rows."""
     return tuple(_divide_along_pivots(basis, vec)[1])
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    return not any(_divide_along_pivots(basis, vec)[1])
 
 
 def hermite_coordinates(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec | None:

@@ -488,24 +488,6 @@ def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
     )
 
 
-def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:
-    """Rewrite A along the additive base change x -> x·t.
-
-    ``t`` must be unimodular with both t and tinv preserving the relation
-    lattice; the result is the identical ring presented in new coordinates.
-    """
-    if t.mul(tinv) != IntMatrix.identity(a.rank):
-        raise ValueError("base change must be unimodular with the given inverse")
-    tensor = []
-    for i in range(a.rank):
-        row = []
-        for j in range(a.rank):
-            prod_old = a.mul(tinv.row(i), tinv.row(j))
-            row.append(row_times_matrix(prod_old, t))
-        tensor.append(row)
-    return FdzRing(a.orders, tensor)
-
-
 # -- additions and foundations ----------------------------------------------
 
 

@@ -17,7 +17,7 @@ from math import gcd
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, induced_bilinear_map
 from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
-from fdzring.groups import FgAbelianGroup, Subgroup, quotient_of_subgroups, split_complement
+from fdzring.groups import FgAbelianGroup, Subgroup, split_complement
 from fdzring.intlinalg import (
     DiagonalPresentation,
     IntMatrix,
@@ -25,6 +25,7 @@ from fdzring.intlinalg import (
     diagonal_presentation,
     hermite_reduce,
     hermite_rows,
+    preimage_lattice,
     row_times_matrix,
     smith,
     solve_congruences,
@@ -51,6 +52,51 @@ def corpus_rings() -> list[FdzRing]:
 def z_mod(n: int) -> FdzRing:
     """Z/n with the usual product."""
     return reduce_mod_n(corpus_ring("z"), n)
+
+
+# -- small helpers only the tests use --------------------------------------------
+
+
+def lattice_contains(basis, vec) -> bool:
+    """Whether ``vec`` lies in the lattice spanned by Hermite basis rows."""
+    return not any(hermite_reduce(basis, vec))
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def quotient_of_subgroups(big: Subgroup, small: Subgroup) -> FgAbelianGroup:
+    """big/small as an abstract group (small must lie inside big)."""
+    return big.as_group_with(small)[2].quotient()
+
+
+def element_order(g: FgAbelianGroup, vec) -> int | None:
+    """Additive order of the coset of ``vec`` in g (None = infinite): the
+    index of {n : n·vec in the relations} in Z."""
+    pre = preimage_lattice(IntMatrix([list(vec)], cols=g.rank), g.relation_basis)
+    return (abs(pre[0][0]) if pre else 0) or None
+
+
+def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:
+    """Rewrite A along the additive base change x -> x·t.
+
+    ``t`` must be unimodular with both t and tinv preserving the relation
+    lattice; the result is the identical ring presented in new coordinates.
+    """
+    if t.mul(tinv) != IntMatrix.identity(a.rank):
+        raise ValueError("base change must be unimodular with the given inverse")
+    tensor = [
+        [row_times_matrix(a.mul(tinv.row(i), tinv.row(j)), t) for j in range(a.rank)]
+        for i in range(a.rank)
+    ]
+    return FdzRing(a.orders, tensor)
+
+
+def k_to_ambient(ctx, kvec) -> Vec:
+    """The element of a deformation context's base ring with k-space
+    coordinates ``kvec`` (delta, then the addition)."""
+    return ctx.base.reduce(row_times_matrix(kvec, ctx.k_basis))
 
 
 def subgroup_closure(ring: FdzRing, seed) -> frozenset:

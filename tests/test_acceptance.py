@@ -29,8 +29,8 @@ from fdzring.eqcheck import (
     verify_embedding,
 )
 from fdzring.fomc import defined_set, evaluate, phi, theta
-from fdzring.groups import FgAbelianGroup, quotient_of_subgroups
-from fdzring.intlinalg import IntMatrix, lattice_contains, row_times_matrix, smith
+from fdzring.groups import FgAbelianGroup
+from fdzring.intlinalg import IntMatrix, row_times_matrix, smith
 from fdzring.rings import characteristic_ideals, reduce_mod_n
 
 from oracles import (
@@ -41,6 +41,8 @@ from oracles import (
     brute_force_pairs,
     cocycle_pair_add,
     corpus_ring,
+    lattice_contains,
+    quotient_of_subgroups,
     random_finite_ring,
     subgroup_elements,
     table_cocycle_defect,

@@ -14,10 +14,12 @@ from fdzring.bilinear import (
     pf_ring,
     width,
 )
-from fdzring.intlinalg import lattice_contains, row_times_matrix
+from fdzring.intlinalg import row_times_matrix
 from fdzring.rings import FdzRing, characteristic_ideals, z0_ring
 
-from oracles import brute_force_pairs, corpus_ring, joint_pa_basis, random_finite_ring, z_mod
+from oracles import (
+    brute_force_pairs, corpus_ring, joint_pa_basis, lattice_contains, random_finite_ring, z_mod,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import fdzring
-from fdzring.bilinear import BilinearMapError, pa_ring
+from fdzring.bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from fdzring.classify import (
     CITATION_TAGS,
     FactorizationIncomplete,
@@ -24,9 +24,9 @@ from fdzring.classify import (
 )
 from fdzring.eqcheck import verify_iso_witness
 from fdzring.intlinalg import IntMatrix, row_times_matrix
-from fdzring.rings import FdzRing, direct_product, transport, z0_ring
+from fdzring.rings import FdzRing, direct_product, reduce_mod_n, z0_ring
 
-from oracles import CORPUS, NAMED_RINGS, corpus_ring, z_mod
+from oracles import CORPUS, NAMED_RINGS, corpus_ring, transport, z_mod
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -185,6 +185,32 @@ def test_idempotents_mixed_torsion():
         (1, 0, 0),
         (1, 0, 1),
     ]
+
+
+def test_idempotents_of_finite_scalar_rings_match_enumeration():
+    # a finite ring takes the general path, with a torsion-free quotient of
+    # rank 0; the element-by-element filter is the oracle
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(5)
+    checked = split = 0
+    for n in range(70):
+        a = FdzRing(*random_ring_data(rng, 2 + n % 4))
+        for ring in [a] + [reduce_mod_n(a, m) for m in (2, 3, 4, 6, 8)]:
+            try:
+                p = pf_ring(induced_bilinear_map(ring)).ring
+            except BilinearMapError:
+                continue
+            if p.order is None:
+                continue
+            expected = sorted(e for e in p.elements() if p.mul(e, e) == e)
+            assert idempotents(p) == expected, p
+            checked += 1
+            split += len(expected) > 2
+    assert checked >= 300 and split >= 50, (checked, split)
 
 
 def test_idempotents_requires_scalar():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +201,26 @@ def test_deform_cli(capsys):
     assert deformed.order is None
 
 
+def test_deform_builds_one_context(capsys, monkeypatch):
+    # the context that translates --g is the one the deformation is built on
+    import fdzring.deform as deform
+
+    built = []
+    init = deform.DeformationContext.__init__
+
+    def counted(self, base):
+        built.append(base)
+        init(self, base)
+
+    monkeypatch.setattr(deform.DeformationContext, "__init__", counted)
+    w = corpus_path("w.ring")
+    for extra in ((), ("--g", "e=2,d=0:1:0")):
+        built.clear()
+        code, out, _ = run(capsys, "deform", w, *extra, "--check-sixterm")
+        assert code == 0 and json.loads(out)["sixterm"]["status"] == "commutes"
+        assert len(built) == 1, extra
+
+
 def test_pf_cli(capsys):
     code, out, _ = run(capsys, "pf", corpus_path("zx2.ring"))
     assert code == 0
@@ -394,6 +416,32 @@ def test_seeded_eqcheck_refuses_a_pool_above_the_guard(capsys):
     assert code == 2 and not out and "SEEDED_POOL_LIMIT" in err
     code, out, _ = run(capsys, "eqcheck", z, z, "--bound", "1000")
     assert code == 0 and json.loads(out)["verdict"] == "equivalent"
+
+
+def test_eqcheck_bound_sizes_no_allocation():
+    # under a 1 GiB address-space cap, a bound of 10^9 neither builds its
+    # coefficient list (seed 0 clamps it to the node budget) nor sizes the
+    # seeded pool by building it (the guard refuses from the orders alone)
+    resource = pytest.importorskip("resource")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    z = corpus_path("z.ring")
+    argv = ["eqcheck", z, z, "--bound", "1000000000"]
+    for seed, code in ((), 0), (("--seed", "1"), 2):
+        done = subprocess.run(
+            [sys.executable, "-m", "fdzring.cli", *seed, *argv],
+            env=env, capture_output=True, text=True, preexec_fn=capped, timeout=120,
+        )
+        assert done.returncode == code, (seed, done.stderr)
+        if code == 0:
+            assert json.loads(done.stdout)["verdict"] == "unknown"
+        else:
+            assert "SEEDED_POOL_LIMIT" in done.stderr and not done.stdout
 
 
 def test_modelcheck_rejects_bad_mod(capsys):

@@ -30,6 +30,8 @@ from oracles import (
     TableCocycle,
     cocycle_pair_add,
     corpus_ring,
+    element_order,
+    k_to_ambient,
     reference_deformation_closing,
     table_cocycle_defect,
     table_ext_classes,
@@ -111,6 +113,25 @@ def test_table_requires_finite_source():
         TableCocycle((0,), (2,), {((0,), (0,)): (0,)})
 
 
+def test_cocycles_and_specs_compare_by_value():
+    w = corpus_ring("w")
+    ctx = DeformationContext(w)
+    g1 = ctx.ambient_annihilator_cocycle(0, (0, 1, 0))
+    g2 = ctx.ambient_annihilator_cocycle(0, (0, 1, 0))
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert g1 != zero_cocycle(ctx.n_orders, ctx.d_orders)
+    specs = {DeformationSpec(base=w, g=g1), DeformationSpec(base=corpus_ring("w"), g=g2)}
+    assert len(specs) == 1
+    assert DeformationSpec(base=w, g=g1) != DeformationSpec(base=w)
+    # equal normal forms are equal cocycles: values reduce modulo the target
+    # orders, and the fields become tuples of ints
+    c = SymmetricCocycle((2, 3), (0, 4), cyclic_values=[(1, 5), (-2, -1)])
+    assert c == SymmetricCocycle([2, 3], [0, 4], [[1, 1], [-2, 3]])
+    assert c.cyclic_values == ((1, 1), (-2, 3)) and c.source_orders == (2, 3)
+    assert c != SymmetricCocycle((2, 3), (0, 4), [(1, 1), (-2, 2)])
+    assert len({c, cyclic_cocycle(2, (1,), (2,)), cyclic_cocycle(2, (3,), (2,))}) == 2
+
+
 def test_infinite_factor_value_must_vanish():
     with pytest.raises(CocycleError):
         SymmetricCocycle((0,), (0,), cyclic_values=[(1,)])
@@ -124,7 +145,7 @@ def test_extension_examples():
 
     ext = build_group_extension(cyclic_cocycle(2, (1,), (2,)))
     assert ext.group.invariant_factors == (4,)
-    assert ext.group.element_order((1, 0)) == 4
+    assert element_order(ext.group, (1, 0)) == 4
 
     ext = build_group_extension(zero_cocycle((2,), (2,)))
     assert ext.group.invariant_factors == (2, 2)
@@ -291,7 +312,7 @@ def test_coordinate_round_trips():
             kvec = tuple(
                 v % d if d else v for v, d in zip(x + (0,) * (kr - len(x)), ctx.k_orders)
             )
-            ambient = ctx.k_to_ambient(kvec)
+            ambient = k_to_ambient(ctx, kvec)
             assert ctx.ambient_to_k(ambient) == kvec, name
             # the same element, written off its canonical representative
             assert ctx.ambient_to_k(shifted(ambient)) == kvec, name

@@ -29,7 +29,7 @@ from fdzring.eqcheck import (
     verify_iso_witness,
 )
 from fdzring.intlinalg import IntMatrix
-from fdzring.rings import FdzRing, characteristic_ideals, direct_product, transport, z0_ring
+from fdzring.rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 from oracles import (
     NAMED_RINGS,
@@ -49,6 +49,7 @@ from oracles import (
     random_ring_of_rank,
     random_ring_over,
     reference_iso_witnesses,
+    transport,
 )
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -298,7 +299,7 @@ def test_iso_search_identity_and_null():
         ring = corpus_ring(name)
         res = iso_search(ring, ring)
         assert res.kind == "yes"
-        assert res.witness is not None and res.witness.verified
+        assert res.witness is not None
         assert verify_iso_witness(ring, ring, res.witness.matrix)
     null2 = direct_product(z0_ring(), z0_ring())
     res = iso_search(null2, null2)
@@ -663,12 +664,15 @@ def _drop_cross_half(b: FdzRing) -> tuple:
 
 
 def test_folded_level_accepts_exactly_what_the_pair_checks_accept():
-    wrong, seen = _fold_disagreements(_FoldedLevel)
+    def folded(b, *args):
+        return _FoldedLevel(b, *args, _square_forms(b))
+
+    wrong, seen = _fold_disagreements(folded)
     assert wrong == 0
     assert min(seen["square"], seen["one-sided"], seen["support"]) >= 50, seen
     assert min(seen[True], seen[False]) >= 500, seen
     # the comparison sees a build that forgets the quadratic check
-    dropped, _ = _fold_disagreements(lambda *args: _drop_square(_FoldedLevel(*args)))
+    dropped, _ = _fold_disagreements(lambda *args: _drop_square(folded(*args)))
     assert dropped > 0
 
 
@@ -693,6 +697,30 @@ def test_seeded_pool_guard():
     assert issubclass(SearchPoolError, ValueError)
     # seed 0 takes candidates lazily and needs no guard
     assert equivalence_verdict(z, z, coeff_bound=1000).kind == "equivalent"
+
+
+def test_seed_zero_bound_past_the_budget_changes_nothing():
+    # seed 0 clamps the bound to max_nodes: a coefficient past position
+    # max_nodes of the order 0, 1, -1, ... is reached only after the budget
+    # is spent, so bound max_nodes and bound 10^9 give the same results, and
+    # those of the unclamped reference search at a bound above max_nodes
+    kinds = Counter()
+    for ring in corpus_rings():
+        padded = direct_product(z0_ring(), ring)
+        for max_nodes in (50, 500, 5_000):
+            for search, pair in ((iso_search, (padded, padded)), (equivalence_verdict, (ring, ring))):
+                at_budget, huge = (
+                    search(*pair, coeff_bound=bound, max_nodes=max_nodes)
+                    for bound in (max_nodes, 10**9)
+                )
+                assert (huge.kind, huge.reason, huge.witness) == (
+                    at_budget.kind, at_budget.reason, at_budget.witness
+                ), (ring, max_nodes)
+                kinds[huge.kind] += 1
+            if max_nodes < 5_000:
+                reference = reference_iso_witnesses(padded, padded, 2 * max_nodes + 1, max_nodes)
+                assert list(_iso_witnesses(padded, padded, 10**9, max_nodes)) == list(reference)
+    assert kinds["unknown"] >= 20 and kinds["yes"] + kinds["equivalent"] >= 6, kinds
 
 
 def test_seeded_ordering_still_finds_witnesses():

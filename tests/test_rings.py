@@ -19,7 +19,6 @@ from fdzring.rings import (
     quotient_ring,
     reduce_mod_n,
     subring_presentation,
-    transport,
     z0_ring,
 )
 
@@ -34,6 +33,7 @@ from oracles import (
     random_lattice_preserving_unimodular,
     random_mixed_ring,
     subgroup_elements,
+    transport,
     z_mod,
 )
 
