@@ -2,16 +2,13 @@
 
 The spectrum side works on a scalar ring P (commutative, associative,
 unital).  Idempotents are found exactly: the torsion part is finite and
-enumerable; on the torsion-free quotient, the rank of the trace form gives
-the dimension of the semisimple part, an element whose characteristic
-polynomial has a squarefree part of that degree is chosen, and the CRT
-idempotents of its factored characteristic polynomial, evaluated at it,
-are the primitive idempotents of the rational algebra.  Only sums of them
-with integral coordinates survive, and each is re-lifted against the
-torsion by finite enumeration.  When the semisimple part has dimension 1
-the algebra is local and its idempotents are 0 and 1, so sympy, which
-factors the polynomial, is imported only for a semisimple part of
-dimension 2 or more.
+enumerable; on the torsion-free quotient, two idempotents that agree mod 2
+are equal, so the idempotents are among the subset sums of the atoms of the
+idempotents mod 2, lifted 2-adically: those whose symmetric residues lie
+within a proven coordinate bound and are exactly idempotent
+(``_free_idempotents``).  Each is then re-lifted against the torsion by
+finite enumeration.  Nothing is factored, and no third-party module is
+imported.
 
 The punctured-spectrum connectivity rule is deliberately isolated in
 ``spec0_connected_rule``: connected iff at most one indecomposable factor
@@ -22,10 +19,10 @@ the puncture removes).
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import isqrt, prod
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
-from .intlinalg import IntMatrix, Vec, hermite_rows, record, row_times_matrix
+from .intlinalg import IntMatrix, Vec, left_kernel, record, row_times_matrix, solve_congruences
 from .rings import (
     ELEMENT_LIMIT,
     FdzRing,
@@ -73,7 +70,7 @@ CITATION_TAGS = frozenset(
 
 
 class FactorizationIncomplete(Exception):
-    """The exact spectrum machinery gave up (degree bound exceeded)."""
+    """The exact spectrum machinery gave up (a rank or size bound exceeded)."""
 
 
 class ScalarRingRequired(ValueError):
@@ -92,78 +89,81 @@ def _require_scalar(p: FdzRing) -> Vec:
 # -- the torsion-free part ----------------------------------------------------
 
 
-def _free_idempotents(ring: FdzRing) -> list[Vec]:
-    """All idempotents of a torsion-free scalar ring, via its Q-algebra A.
-
-    The radical N of the trace form is the nilradical of A.  An element a
-    generates A/N exactly when the squarefree part of its characteristic
-    polynomial chi has degree dim A/N; then the CRT idempotents of
-    Q[x]/(chi) = prod Q[x]/(f_i^m_i), evaluated at a, are the primitive
-    idempotents of A.  When dim A/N is 1, A/N is Q and A is local: its
-    only idempotents are 0 and 1, and nothing needs factoring.
-    """
+def _trace_form(ring: FdzRing) -> list[list[int]]:
+    """The Gram matrix Tr(e_i·e_j) of a torsion-free ring."""
     dim = ring.rank
-    if dim == 0:
-        return [()]
-    if dim > DEGREE_BOUND:
-        raise FactorizationIncomplete(
-            f"free rank {dim} exceeds the factorization degree bound {DEGREE_BOUND}"
-        )
-    unity = ring.unity()
-    assert unity is not None
-    # the trace form Tr(e_i·e_j), from the traces of multiplication by each e_k
     traces = [sum(ring.tensor[k][j][j] for j in range(dim)) for k in range(dim)]
-    gram = [
+    return [
         [sum(c * t for c, t in zip(ring.tensor[i][j], traces)) for j in range(dim)]
         for i in range(dim)
     ]
-    sdim = len(hermite_rows(gram, dim))
-    if sdim == 1:
-        return sorted([ring.zero(), unity])
-    from fractions import Fraction
-
-    from sympy import QQ, ZZ, Poly, Symbol
-    from sympy.polys.matrices import DomainMatrix
-
-    x = Symbol("x")
-    candidates = [ring.generator(i) for i in range(dim)]
-    candidates += [tuple(t**i for i in range(dim)) for t in range(1, 64)]
-    for a in candidates:
-        mult = IntMatrix([ring.mul(a, ring.generator(i)) for i in range(dim)])
-        chi = Poly(DomainMatrix.from_list(mult.data, ZZ).charpoly(), x, domain=QQ)
-        if chi.sqf_part().degree() == sdim:
-            break
-    else:
-        raise FactorizationIncomplete("no primitive element found for the semisimple part")
-
-    powers = [unity]
-    for _ in range(dim - 1):
-        powers.append(row_times_matrix(powers[-1], mult))
-    primitives = []
-    for f, m in chi.factor_list()[1]:
-        block = f**m
-        rest = chi.exquo(block)
-        s, _, _ = rest.gcdex(block)
-        coeffs = (s * rest).rem(chi).all_coeffs()[::-1]
-        primitives.append(
-            [
-                sum(Fraction(c.p, c.q) * power[j] for c, power in zip(coeffs, powers))
-                for j in range(dim)
-            ]
-        )
-    return _lift_subset_sums(primitives, dim)
 
 
-def _lift_subset_sums(primitives, dim) -> list[Vec]:
-    out = set()
-    for mask in range(1 << len(primitives)):
-        total = [0] * dim
-        for i, e in enumerate(primitives):
-            if mask >> i & 1:
-                total = [a + b for a, b in zip(total, e)]
-        if all(v.denominator == 1 for v in total):
-            out.add(tuple(int(v) for v in total))
-    return sorted(out)
+def _free_idempotents(ring: FdzRing) -> list[Vec]:
+    """All idempotents of a torsion-free scalar ring F, by 2-adic lifting
+    (Eisenbud, GTM 150, Cor. 7.5).
+
+    1. Idempotents e, f that agree mod 2 are equal: x = e − f has x³ = x and
+       lies in 2F, so x = x^(2k+1) lies in every 2^k F.  So Idem(F) embeds
+       in the Boolean ring Idem(F/2F), the kernel of the map x ↦ x² − x,
+       linear mod 2 with coordinates Σ x_i(e_i² − e_i).  Refining {1} by
+       each kernel vector b (atom a splits into ab and a − ab) gives its
+       atoms.  One atom leaves only 0 and 1.
+    2. F ∩ N, N the nilradical, is the left kernel of the trace form, and
+       R = F/(F ∩ N) is reduced.  As F ∩ N is nil, idempotents pass
+       uniquely between F and R, and between F/2F and R/2R.
+    3. So the Gram matrix G of R is invertible.  An idempotent c of R has
+       |Tr(c·e_k)| ≤ m·‖L_k‖ (m = rank R, L_k multiplication by e_k, ‖·‖
+       its largest row sum), as L_c projects onto an L_k-stable subspace.
+       With c = t·G⁻¹, |det G| ≥ 1 and the Hadamard bound
+       H = ∏(isqrt(‖G_j‖²) + 1) on the cofactors (Cohen, GTM 138, §2.4),
+       every coordinate of c is at most B = m²·H·max‖L_k‖.
+    4. Newton steps x ← 3x² − 2x³ fix idempotents and square the error
+       x² − x, so they lift each atom to an idempotent mod 2^M, 2^M > 2B.
+       The subset sums of the lifts are all the idempotents mod 2^M; an
+       integral one is a symmetric residue within B that squares to itself
+       exactly in R.  Exact Newton steps lift it to F: the error lies in
+       F ∩ N, of rank n, so ⌈log2(n + 1)⌉ steps make it 0.
+    """
+    dim = ring.rank
+    if dim > DEGREE_BOUND:
+        raise FactorizationIncomplete(f"free rank {dim} exceeds the bound {DEGREE_BOUND}")
+    unity = ring.unity()
+    equations = [{i: ring.tensor[i][i][k] - (i == k) for i in range(dim)} for k in range(dim)]
+    atoms = [tuple(u % 2 for u in unity)]
+    for b in solve_congruences(equations, [2] * dim, unknowns=dim)[1]:
+        refined = []
+        for a in atoms:
+            ab = tuple(x % 2 for x in ring.mul(a, b))
+            rest = tuple((x - y) % 2 for x, y in zip(a, ab))
+            refined += [part for part in (ab, rest) if any(part)]
+        atoms = refined
+    if len(atoms) == 1:
+        return sorted({ring.zero(), unity})
+    nil = left_kernel(IntMatrix(_trace_form(ring)))
+    reduced = _ideal_quotient(ring, ring.subgroup(nil))
+    r = reduced.ring
+    hadamard = prod(isqrt(sum(g * g for g in row)) + 1 for row in _trace_form(r))
+    bound = r.rank**2 * hadamard * max(sum(map(abs, vec)) for row in r.tensor for vec in row)
+    precision = (2 * bound).bit_length()
+    modulus = 1 << precision
+    sums = [r.zero()]
+    for a in atoms:
+        x = row_times_matrix(a, reduced.project)
+        for _ in range(precision.bit_length()):  # k steps take the error into 2^(2^k)R
+            sq = r.mul(x, x)
+            x = tuple((3 * s - 2 * c) % modulus for s, c in zip(sq, r.mul(sq, x)))
+        sums += [tuple(u + v for u, v in zip(s, x)) for s in sums]
+    found = []
+    for s in sums:
+        c = tuple((v + modulus // 2) % modulus - modulus // 2 for v in s)
+        if max(map(abs, c)) <= bound and r.mul(c, c) == c:
+            y = row_times_matrix(c, reduced.lift)
+            for _ in range(len(nil).bit_length()):
+                sq = ring.mul(y, y)
+                y = ring.sub(ring.scale(3, sq), ring.scale(2, ring.mul(sq, y)))
+            found.append(y)
+    return sorted(found)
 
 
 # -- idempotents and spectrum -------------------------------------------------
@@ -216,10 +216,7 @@ def indecomposable_factors(p: FdzRing) -> SpectrumAnalysis:
     unity = _require_scalar(p)
     idems = _idempotents(p)
     nonzero = [e for e in idems if any(e)]
-    primitives = []
-    for e in nonzero:
-        if not any(f != e and p.mul(f, e) == f for f in nonzero):
-            primitives.append(e)
+    primitives = [e for e in nonzero if not any(f != e and p.mul(f, e) == f for f in nonzero)]
     # primitive idempotents are orthogonal and sum to unity
     total = p.zero()
     for i, e in enumerate(primitives):

@@ -77,9 +77,10 @@ class SymmetricCocycle:
     def __post_init__(self):
         source = tuple(int(d) for d in self.source_orders)
         target = tuple(int(d) for d in self.target_orders)
+        lengths = {len(v) for v in self.cyclic_values}
+        if len(self.cyclic_values) != len(source) or lengths - {len(target)}:
+            raise CocycleError("one value of the target's length per source factor required")
         vals = tuple(_reduce_mod_orders(v, target) for v in self.cyclic_values)
-        if len(vals) != len(source):
-            raise CocycleError("one value per source factor required")
         if any(any(v) for e, v in zip(source, vals) if e == 0):
             raise CocycleError(
                 "extensions of an infinite cyclic factor split; the "

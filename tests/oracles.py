@@ -1185,3 +1185,73 @@ def reference_deformation_closing(ctx, g) -> list[Vec]:
         assert not any(point), "the source relation must close"
         closing.append(beta)
     return closing
+
+
+# -- idempotents by factoring over Q ------------------------------------------------
+
+
+def sympy_free_idempotents(ring: FdzRing) -> list[Vec]:
+    """All idempotents of a torsion-free scalar ring, via its Q-algebra A:
+    the recipe ``classify._free_idempotents`` followed before it lifted
+    idempotents 2-adically.
+
+    The radical N of the trace form is the nilradical of A.  An element a
+    generates A/N exactly when the squarefree part of its characteristic
+    polynomial chi has degree dim A/N; then the CRT idempotents of
+    Q[x]/(chi) = prod Q[x]/(f_i^m_i), evaluated at a, are the primitive
+    idempotents of A, and the integral ones among their subset sums are the
+    idempotents of the ring.  When dim A/N is 1, A/N is Q and A is local:
+    its only idempotents are 0 and 1, and nothing needs factoring.
+    """
+    from fractions import Fraction
+
+    from sympy import QQ, ZZ, Poly, Symbol
+    from sympy.polys.matrices import DomainMatrix
+
+    from fdzring.classify import DEGREE_BOUND, FactorizationIncomplete
+
+    dim = ring.rank
+    if dim == 0:
+        return [()]
+    if dim > DEGREE_BOUND:
+        raise FactorizationIncomplete(f"free rank {dim} exceeds {DEGREE_BOUND}")
+    unity = ring.unity()
+    traces = [sum(ring.tensor[k][j][j] for j in range(dim)) for k in range(dim)]
+    gram = [
+        [sum(c * t for c, t in zip(ring.tensor[i][j], traces)) for j in range(dim)]
+        for i in range(dim)
+    ]
+    sdim = len(hermite_rows(gram, dim))
+    if sdim == 1:
+        return sorted([ring.zero(), unity])
+    x = Symbol("x")
+    candidates = [ring.generator(i) for i in range(dim)]
+    candidates += [tuple(t**i for i in range(dim)) for t in range(1, 64)]
+    for a in candidates:
+        mult = IntMatrix([ring.mul(a, ring.generator(i)) for i in range(dim)])
+        chi = Poly(DomainMatrix.from_list(mult.data, ZZ).charpoly(), x, domain=QQ)
+        if chi.sqf_part().degree() == sdim:
+            break
+    else:
+        raise FactorizationIncomplete("no primitive element found for the semisimple part")
+    powers = [unity]
+    for _ in range(dim - 1):
+        powers.append(row_times_matrix(powers[-1], mult))
+    primitives = []
+    for f, m in chi.factor_list()[1]:
+        block = f**m
+        rest = chi.exquo(block)
+        s, _, _ = rest.gcdex(block)
+        coeffs = (s * rest).rem(chi).all_coeffs()[::-1]
+        primitives.append(
+            [
+                sum(Fraction(c.p, c.q) * power[j] for c, power in zip(coeffs, powers))
+                for j in range(dim)
+            ]
+        )
+    sums = [[Fraction(0)] * dim]
+    for e in primitives:
+        sums += [[a + b for a, b in zip(total, e)] for total in sums]
+    return sorted(
+        {tuple(int(v) for v in total) for total in sums if all(v.denominator == 1 for v in total)}
+    )

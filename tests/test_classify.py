@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fdzring
+import fdzring.classify as classify_module
 from fdzring.bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from fdzring.classify import (
     CITATION_TAGS,
@@ -23,10 +24,20 @@ from fdzring.classify import (
     spec0_connected_rule,
 )
 from fdzring.eqcheck import verify_iso_witness
+from fdzring.fomc import defined_set, parse_formula
 from fdzring.intlinalg import IntMatrix, row_times_matrix
+from fdzring.ringfile import serialize_ring
 from fdzring.rings import FdzRing, direct_product, reduce_mod_n, z0_ring
 
-from oracles import CORPUS, NAMED_RINGS, corpus_ring, transport, z_mod
+from oracles import (
+    CORPUS,
+    NAMED_RINGS,
+    corpus_ring,
+    corpus_rings,
+    sympy_free_idempotents,
+    transport,
+    z_mod,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,13 +58,19 @@ def zx_mod(tail):
     return FdzRing([0] * n, [[power(i + j) for j in range(n)] for i in range(n)])
 
 
+# monic f for zx_mod whose Q[x]/(f) has a semisimple part of dimension 2 or
+# 3: x^3 - x, x^2 - 1, (x^2 - 1)^2, x^3 - x^2, x^2 - x - 4 (a domain in which
+# 2 splits), (x - 3)(x + 2), x^3 - 2x and x^2 - x + 1 (2 inert)
+ZX_TAILS = ([0, -1, 0], [-1, 0], [1, 0, -2, 0], [0, 0, -1], [-4, -1], [-6, -1], [0, -2, 0], [1, -1])
+
+
 def test_idempotents_examples():
     assert idempotents(corpus_ring("z")) == [(0,), (1,)]
     zz = direct_product(corpus_ring("z"), corpus_ring("z"))
     assert idempotents(zz) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert idempotents(corpus_ring("zx2")) == [(0, 0), (1, 0)]
     assert idempotents(z_mod(6)) == [(0,), (1,), (3,), (4,)]
-    # no basis vector and not the unity generates Q^3: the search goes on
+    # Z^3: every 0/1 vector
     z3 = direct_product(zz, corpus_ring("z"))
     assert idempotents(z3) == sorted(
         tuple((mask >> i) & 1 for i in range(3)) for mask in range(8)
@@ -92,7 +109,52 @@ def test_idempotents_examples():
             assert idempotents(moved) == expected
 
 
-def test_import_leaves_sympy_out():
+def test_idempotents_match_the_sympy_route():
+    # the sympy route factors a characteristic polynomial over Q, where the
+    # library lifts idempotents mod 2 to the integers; the two are compared
+    # on each torsion-free part ``idempotents`` meets
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(20261019)
+    sources = corpus_rings()
+    sources += [FdzRing(*random_ring_data(rng, rng.randint(2, 8))) for _ in range(300)]
+    rings = []
+    for a in sources:
+        try:
+            pa = pa_ring(a)
+        except BilinearMapError:
+            continue
+        rings += [pa.parent.ring, pa.ring]  # the parent of the pa ring is the pf ring
+    # orders with a semisimple part of dimension 2-6, then Z^2 to Z^12
+    z = corpus_ring("z")
+    singles = [zx_mod(tail) for tail in ZX_TAILS]
+    rings += singles + [direct_product(z, s) for s in singles]
+    rings += [direct_product(s, t) for i, s in enumerate(singles) for t in singles[i:]]
+    power = z
+    for _ in range(11):
+        power = direct_product(power, z)
+        rings.append(power)
+    free_idempotents = classify_module._free_idempotents
+    compared = []
+
+    def against_sympy(free):
+        found = free_idempotents(free)
+        assert found == sympy_free_idempotents(free), free
+        compared.append(len(found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "_free_idempotents", against_sympy)
+        for p in set(rings):
+            idempotents(p)
+    split = sum(n > 2 for n in compared)
+    assert len(rings) >= 650 and split >= 50, (len(rings), split)
+
+
+def test_import_leaves_sympy_out(tmp_path):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, fdzring, fdzring.cli; print('sympy' in sys.modules)"
@@ -108,6 +170,19 @@ def test_import_leaves_sympy_out():
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[(0,), (1,)] [(0, 0), (1, 0)] False"
+    # Z[x]/(x^3 - x) has a semisimple part Q^3 and four integral idempotents;
+    # classifying it splits its scalar ring, still without sympy
+    ring = tmp_path / "zx3.ring"
+    ring.write_text(serialize_ring(zx_mod([0, -1, 0])))
+    probe = (
+        "import sys; from fdzring.classify import classify_ring, indecomposable_factors; "
+        "from fdzring.ringfile import load_ring; "
+        f"a = load_ring({str(ring)!r}); "
+        "print(len(indecomposable_factors(a).idempotents), classify_ring(a).super_tame, "
+        "'sympy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "4 no False"
 
 
 # The library modules each subcommand loads besides ``fdzring.cli``: every
@@ -189,7 +264,9 @@ def test_idempotents_mixed_torsion():
 
 def test_idempotents_of_finite_scalar_rings_match_enumeration():
     # a finite ring takes the general path, with a torsion-free quotient of
-    # rank 0; the element-by-element filter is the oracle
+    # rank 0; the element-by-element filter is the oracle, and the model
+    # checker, a second engine, defines the same set by x·x = x
+    idempotent = parse_formula("(eq (mul x x) x)")
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         from gen import random_ring_data
@@ -207,7 +284,7 @@ def test_idempotents_of_finite_scalar_rings_match_enumeration():
             if p.order is None:
                 continue
             expected = sorted(e for e in p.elements() if p.mul(e, e) == e)
-            assert idempotents(p) == expected, p
+            assert idempotents(p) == expected == defined_set(p, idempotent), p
             checked += 1
             split += len(expected) > 2
     assert checked >= 300 and split >= 50, (checked, split)
@@ -340,7 +417,8 @@ def test_unknown_verdict_on_disconnected_spectrum():
 
 
 def test_degree_bound_guard():
-    # a free scalar ring of rank 13 exceeds the factorization budget
+    # a free scalar ring of rank 13 exceeds DEGREE_BOUND, the rank up to
+    # which the 2-adic lifting is run
     n = 13
     tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):

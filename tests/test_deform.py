@@ -137,6 +137,19 @@ def test_infinite_factor_value_must_vanish():
         SymmetricCocycle((0,), (0,), cyclic_values=[(1,)])
 
 
+def test_cocycle_values_of_the_wrong_length_are_refused():
+    # each value has one coordinate per target factor: a longer one is not
+    # cut to fit, and a shorter one does not reach the Hermite layer
+    with pytest.raises(CocycleError):
+        SymmetricCocycle((2,), (0,), [(1, 7, 9)])
+    with pytest.raises(CocycleError):
+        SymmetricCocycle((2,), (0, 4), [(1,)])
+    ctx = DeformationContext(corpus_ring("w"))
+    assert (ctx.n_orders, ctx.d_orders) == ((2,), (0, 0, 2))
+    with pytest.raises(CocycleError):
+        ctx.build(SymmetricCocycle(ctx.n_orders, ctx.d_orders, [(1,)]))
+
+
 def test_extension_examples():
     ext = build_group_extension(cyclic_cocycle(2, (1,), (0,)))
     assert ext.group.invariant_factors == (0,)
