@@ -259,11 +259,6 @@ class ScalarRingAction:
     in_parent: IntMatrix | None = None
     parent: ScalarRingAction | None = None
 
-    def pair_of(self, coords: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
-        pairs = zip(self.action_on_domain, self.action_on_codomain)
-        gens = IntMatrix([p.entries + q.entries for p, q in pairs], cols=self.pair_basis.cols)
-        return _unpack_pair(row_times_matrix(coords, gens), self.bilinear)
-
     def express_pair(self, phi: IntMatrix, psi: IntMatrix) -> Vec:
         """The ring coordinates of the pair (phi, psi) of the lattice."""
         return _pair_coordinates(self.pair_diagonal, self.pair_basis.data, phi, psi)

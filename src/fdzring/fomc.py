@@ -10,17 +10,25 @@ the set of achievable values of each side is computed compositionally
 (subterms with disjoint variable sets combine exactly via sumsets and
 product sets) and the block reduces to a containment or intersection test.
 The strategy is sound, not approximate: whenever exactness cannot be
-guaranteed the evaluator falls back to plain enumeration.
+guaranteed the evaluator falls back to enumeration.
+
+Enumeration is set-at-a-time (Libkin, *Elements of Finite Model Theory*,
+ch. 6: bottom-up evaluation by relation tables).  A quantifier decides its
+body for ``BLOCK`` values at once, as vectors of term values compared by
+equations and combined by connectives as sets, and stops after the block
+with its first witness (exists) or counterexample (forall); ``defined_set``
+decides its formula over the whole carrier so.  Per element, with early
+exit, go a quantifier body that is a quantifier and a quantifier with the
+block's variable free, for the values that reach it.
 
 Every call runs on a ring compiled for it.  Elements are numbered 0..N-1
 in ``ring.elements()`` order (mixed radix, last coordinate fastest).
 Negation is one list; the addition row of a is built by Horner over the
 digits, and the multiplication row of a by bilinearity from the rank
 products a·e_j and the addition table, each the first time a is used as a
-left operand, so a formula that needs few lookups never pays N² (Libkin,
-*Elements of Finite Model Theory*, ch. 6: bottom-up evaluation by relation
-tables).  Two memos live on the compiled ring: value sets, keyed by (term,
-its quantified variables, the values of its other free variables), and the
+left operand, so a formula that needs few lookups never pays N².  Two
+memos live on the compiled ring: value sets, keyed by (term, its
+quantified variables, the values of its other free variables), and the
 truth of quantifier nodes, keyed by (node, the values of its free
 variables).  So a side of an equation that does not mention the defined
 variable is built once, not once per element.  The tests check this
@@ -47,6 +55,8 @@ from .rings import ELEMENT_LIMIT, FdzRing
 # is a FormulaError
 CARRIER_GUARD = ELEMENT_LIMIT
 ENUMERATION_GUARD = 200_000
+# values of a quantified variable decided together before an early exit
+BLOCK = 64
 NESTING_GUARD = 200
 
 
@@ -274,7 +284,8 @@ class _Model:
 
     ``carrier[i]`` is element i and ``index`` maps a reduced coordinate
     tuple back to i.  Rows are ``array('H')`` (the carrier guard is below
-    2**16) and ``rows_built`` counts them.
+    2**16) and ``rows_built`` counts them.  A term vector over a block reads
+    the same rows: one row per distinct left operand, indexed by the right.
     """
 
     def __init__(self, ring: FdzRing):
@@ -342,12 +353,6 @@ class _Model:
             self.rows_built += 1
         return row
 
-    def add(self, a: int, b: int) -> int:
-        return self.add_row(a)[b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_row(a)[b]
-
     def names(self, node: Term | Formula) -> tuple[str, ...]:
         """The sorted free variables of a node of the formula under evaluation
         (cached by identity: the formula outlives the model)."""
@@ -384,32 +389,13 @@ def defined_set(ring: FdzRing, formula: Formula) -> list[tuple[int, ...]]:
         )
     (name,) = free
     model = _Model(ring)
-    return sorted(
-        model.carrier[element]
-        for element in model.elements
-        if _eval(model, formula, {name: element})
-    )
-
-
-def _term_value(model: _Model, t: Term, env):
-    match t:
-        case Var(name):
-            return env[name]
-        case Zero():
-            return model.zero
-        case Add(l, r):
-            return model.add(_term_value(model, l, env), _term_value(model, r, env))
-        case Neg(x):
-            return model.neg(_term_value(model, x, env))
-        case Mul(l, r):
-            return model.mul(_term_value(model, l, env), _term_value(model, r, env))
-    raise FormulaError(f"not a term: {t!r}")
+    return sorted(model.carrier[e] for e in _satisfying(model, formula, name, {}, model.elements))
 
 
 def _eval(model: _Model, f: Formula, env) -> bool:
     match f:
         case Eq(l, r):
-            return _term_value(model, l, env) == _term_value(model, r, env)
+            return _term_vector(model, l, None, env, ()) == _term_vector(model, r, None, env, ())
         case Not(x):
             return not _eval(model, x, env)
         case And(l, r):
@@ -431,8 +417,82 @@ def _eval(model: _Model, f: Formula, env) -> bool:
 
 
 def _quantify(model: _Model, f: Exists | Forall, env) -> bool:
-    test = any if isinstance(f, Exists) else all
-    return test(_eval(model, f.body, {**env, f.var: e}) for e in model.elements)
+    """Decide f block by block over the carrier; a quantifier body goes per
+    element instead, since a whole block of it would give up the early exit
+    that keeps prenex chains tractable."""
+    exists = isinstance(f, Exists)
+    if isinstance(f.body, (Exists, Forall)):
+        test = any if exists else all
+        return test(_eval(model, f.body, {**env, f.var: e}) for e in model.elements)
+    for start in range(0, model.size, BLOCK):
+        block = model.elements[start : start + BLOCK]
+        held = _satisfying(model, f.body, f.var, env, block)
+        # a witness decides exists, a counterexample forall
+        if len(held) != (0 if exists else len(block)):
+            return exists
+    return not exists
+
+
+def _satisfying(model: _Model, f: Formula, var: str, env, dom: Sequence[int]) -> set[int]:
+    """The values of var in dom (distinct elements) at which f holds.
+
+    The right operand of a connective sees only the values the left one
+    leaves open.  A subformula without var free is decided once, and a
+    quantifier with var free once per value that reaches it.
+    """
+    if not dom:
+        return set()
+    if var not in model.names(f):
+        return set(dom) if _eval(model, f, env) else set()
+    match f:
+        case Eq(l, r):
+            lv = _term_vector(model, l, var, env, dom)
+            rv = _term_vector(model, r, var, env, dom)
+            if isinstance(lv, int):
+                lv, rv = rv, lv
+            if isinstance(rv, int):
+                rv = itertools.repeat(rv)
+            return {d for d, a, b in zip(dom, lv, rv) if a == b}
+        case Not(x):
+            return set(dom) - _satisfying(model, x, var, env, dom)
+        case And(l, r):
+            left = _satisfying(model, l, var, env, dom)
+            return _satisfying(model, r, var, env, [d for d in dom if d in left])
+        case Or(l, r) | Implies(l, r):
+            left = _satisfying(model, l, var, env, dom)
+            if isinstance(f, Implies):
+                left = set(dom) - left
+            return left | _satisfying(model, r, var, env, [d for d in dom if d not in left])
+        case Exists(_, _) | Forall(_, _):
+            return {d for d in dom if _eval(model, f, {**env, var: d})}
+    raise FormulaError(f"not a formula: {f!r}")
+
+
+def _term_vector(model: _Model, t: Term, var: str | None, env, dom: Sequence[int]):
+    """t's value for each value of var in dom, in dom's order, the other
+    variables read from env; one int when var is not in t, so that
+    ``var=None`` gives t's value under env."""
+    match t:
+        case Var(name):
+            return dom if name == var else env[name]
+        case Zero():
+            return model.zero
+        case Neg(x):
+            v = _term_vector(model, x, var, env, dom)
+            return model.neg(v) if isinstance(v, int) else list(map(model.neg, v))
+        case Add(l, r) | Mul(l, r):
+            row_of = model.mul_row if isinstance(t, Mul) else model.add_row
+            lv = _term_vector(model, l, var, env, dom)
+            rv = _term_vector(model, r, var, env, dom)
+            if isinstance(rv, int) and isinstance(t, Add):
+                lv, rv = rv, lv
+            if isinstance(lv, int):
+                row = row_of(lv)
+                return row[rv] if isinstance(rv, int) else list(map(row.__getitem__, rv))
+            if isinstance(rv, int):
+                rv = itertools.repeat(rv)
+            return [row_of(a)[b] for a, b in zip(lv, rv)]
+    raise FormulaError(f"not a term: {t!r}")
 
 
 def _collect_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -524,7 +584,7 @@ def _term_value_set(model: _Model, t: Term, qvars: set[str], env) -> set[int] | 
     names = model.names(t)
     tvars = tuple(v for v in names if v in qvars)
     if not tvars:
-        return {_term_value(model, t, env)}
+        return {_term_vector(model, t, None, env, ())}
     key = (id(t), tvars, tuple(env[v] for v in names if v not in qvars))
     if key not in model.value_sets:
         model.value_sets[key] = _compose_value_set(model, t, tvars, qvars, env)
@@ -571,7 +631,7 @@ def _enumerated_value_set(model: _Model, t: Term, tvars: tuple[str, ...], env):
     out = set()
     for combo in itertools.product(model.elements, repeat=len(tvars)):
         inner = {**env, **dict(zip(tvars, combo))}
-        out.add(_term_value(model, t, inner))
+        out.add(_term_vector(model, t, None, inner, ()))
     return out
 
 

@@ -15,7 +15,7 @@ import os
 import random
 from math import gcd
 
-from fdzring.bilinear import BilinearMap, BilinearMapError, induced_bilinear_map
+from fdzring.bilinear import BilinearMap, BilinearMapError, ScalarRingAction, induced_bilinear_map
 from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
 from fdzring.groups import FgAbelianGroup, Subgroup, split_complement
 from fdzring.intlinalg import (
@@ -533,6 +533,24 @@ def brute_force_complement_exists(g: FgAbelianGroup, s_gens, kill_gens=()) -> bo
     return any(
         len(s) * len(c) == len(elements) and s & c == {zero} and kill <= c
         for c in subgroups
+    )
+
+
+def pair_of(action: ScalarRingAction, coords) -> tuple[IntMatrix, IntMatrix]:
+    """The endomorphism pair (phi, psi) of the scalar ring element with these
+    coordinates: the same combination of the generators' pairs."""
+
+    def combine(mats, size: int) -> IntMatrix:
+        entries = [
+            [sum(c * mat[(i, j)] for c, mat in zip(coords, mats)) for j in range(size)]
+            for i in range(size)
+        ]
+        return IntMatrix(entries, cols=size)
+
+    f = action.bilinear
+    return (
+        combine(action.action_on_domain, f.domain_rank),
+        combine(action.action_on_codomain, f.codomain_rank),
     )
 
 

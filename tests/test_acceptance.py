@@ -42,6 +42,7 @@ from oracles import (
     cocycle_pair_add,
     corpus_ring,
     lattice_contains,
+    pair_of,
     quotient_of_subgroups,
     random_finite_ring,
     subgroup_elements,
@@ -206,7 +207,7 @@ def test_criterion_4_pf_correctness():
             brute = brute_force_pairs(f)
             lattice_pairs = set()
             for coords in scalar.elements():
-                phi_mat, psi_mat = action.pair_of(coords)
+                phi_mat, psi_mat = pair_of(action, coords)
                 cphi = tuple(
                     phi_mat[(i, k)] % f.domain_orders[k]
                     for i in range(m)

@@ -18,7 +18,8 @@ from fdzring.intlinalg import row_times_matrix
 from fdzring.rings import FdzRing, characteristic_ideals, z0_ring
 
 from oracles import (
-    brute_force_pairs, corpus_ring, joint_pa_basis, lattice_contains, random_finite_ring, z_mod,
+    brute_force_pairs, corpus_ring, joint_pa_basis, lattice_contains, pair_of, random_finite_ring,
+    z_mod,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -186,7 +187,7 @@ def test_pf_brute_force_finite():
         m, n = f.domain_rank, f.codomain_rank
         lattice_pairs = set()
         for coords in action.ring.elements():
-            phi, psi = action.pair_of(coords)
+            phi, psi = pair_of(action, coords)
             cphi = tuple(
                 phi[(i, k)] % f.domain_orders[k]
                 for i in range(m)
@@ -216,7 +217,7 @@ def test_pf_brute_force_random_finite():
         m, n = f.domain_rank, f.codomain_rank
         lattice_pairs = set()
         for coords in action.ring.elements():
-            phi, psi = action.pair_of(coords)
+            phi, psi = pair_of(action, coords)
             cphi = tuple(
                 phi[(i, k)] % f.domain_orders[k] for i in range(m) for k in range(m)
             )
@@ -309,7 +310,7 @@ def test_pa_inside_pf():
         assert pa.in_parent is not None
         for idx in range(pa.ring.rank):
             coords = pa.in_parent.row(idx)
-            phi, psi = pf.pair_of(coords)
+            phi, psi = pair_of(pf, coords)
             phi2, psi2 = pa.action_on_domain[idx], pa.action_on_codomain[idx]
             f = pf.bilinear
             for i in range(f.domain_rank):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fdzring import fomc
 from fdzring.fomc import (
     CARRIER_GUARD,
     Add,
@@ -23,6 +24,7 @@ from fdzring.fomc import (
     defined_set,
     evaluate,
     exists_closure,
+    forall_block,
     format_formula,
     free_variables,
     parse_formula,
@@ -282,6 +284,96 @@ def test_optimizer_matches_naive_wider_carriers():
         formula = exists_closure(formula)
         ring = rng.choice(rings)
         assert evaluate(ring, formula) == tarski_evaluate(ring, formula), format_formula(formula)
+
+
+def test_defined_set_matches_naive(monkeypatch):
+    # one free variable x under every connective, with quantifiers nested
+    # below connectives and binders that shadow x or an outer binder; each
+    # formula also runs with blocks of 3, so that an early exit after one
+    # block and a connective's narrowed domain cross block boundaries
+    rng = random.Random(2026)
+    rings = [
+        z_mod(6),
+        reduce_mod_n(corpus_ring("w"), 2),
+        reduce_mod_n(corpus_ring("zx2"), 3),
+        reduce_mod_n(corpus_ring("zxz0"), 4),
+        reduce_mod_n(corpus_ring("zx2"), 8),
+    ]
+    assert max(ring.order for ring in rings) == 64
+    names = ["x", "u", "v"]
+
+    def rand_term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return Var(rng.choice(names)) if rng.random() < 0.85 else Zero()
+        kind = rng.choice(["add", "mul", "mul", "neg"])
+        if kind == "neg":
+            return Neg(rand_term(depth - 1))
+        left, right = rand_term(depth - 1), rand_term(depth - 1)
+        return Add(left, right) if kind == "add" else Mul(left, right)
+
+    def rand_formula(depth, quantifiers):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return Eq(rand_term(2), rand_term(2))
+        if roll < 0.45:
+            return Not(rand_formula(depth - 1, quantifiers))
+        if roll < 0.65 and quantifiers:
+            ctor = Exists if rng.random() < 0.5 else Forall
+            return ctor(rng.choice(names), rand_formula(depth - 1, quantifiers - 1))
+        ctor = rng.choice([And, Or, Implies])
+        return ctor(rand_formula(depth - 1, quantifiers), rand_formula(depth - 1, quantifiers))
+
+    def nesting(f):
+        match f:
+            case Exists(_, body) | Forall(_, body):
+                return 1 + nesting(body)
+            case Not(x):
+                return nesting(x)
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                return max(nesting(l), nesting(r))
+        return 0
+
+    checked = 0
+    while checked < 300:
+        ring = rng.choice(rings)
+        formula = rand_formula(3, 2)
+        for name in sorted(free_variables(formula) - {"x"}):
+            formula = (Exists if rng.random() < 0.5 else Forall)(name, formula)
+        # the naive evaluator pays a factor N per nested quantifier
+        if free_variables(formula) != {"x"} or ring.order ** (nesting(formula) + 1) > 5000:
+            continue
+        expected = tarski_defined_set(ring, formula)
+        assert defined_set(ring, formula) == expected, (ring.orders, format_formula(formula))
+        with monkeypatch.context() as patch:
+            patch.setattr(fomc, "BLOCK", 3)
+            assert defined_set(ring, formula) == expected, (ring.orders, format_formula(formula))
+        checked += 1
+    for ring in (reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 3)):
+        free = sorted(free_variables(psi(2)))
+        for closure in (exists_closure(psi(2)), forall_block(free, psi(2))):
+            assert evaluate(ring, closure) == tarski_evaluate(ring, closure), ring.orders
+
+
+def test_block_evaluation_work_bound(monkeypatch):
+    # counted, not timed: every call of _eval, the recursive ones included.
+    # One recursion per element made 102,744 calls for psi(1) here (about
+    # 1.6 N^2) and 2,919 for the existential closure of psi(2)
+    ring = reduce_mod_n(corpus_ring("zx2"), 16)
+    assert ring.order == 256
+    calls = 0
+    plain = fomc._eval
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    monkeypatch.setattr(fomc, "_eval", counted)
+    assert defined_set(ring, psi(1)) == sorted(complete_singletons(ring))
+    assert calls <= 8 * ring.order
+    calls = 0
+    assert evaluate(ring, exists_closure(psi(2)))
+    assert calls <= 2919
 
 
 def test_value_set_path_speed():
