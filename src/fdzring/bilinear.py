@@ -82,9 +82,10 @@ class BilinearMap:
             raise BilinearMapError("value vectors must match the codomain rank")
         bad = ill_defined_product(self.domain_orders, self.codomain_orders, self.values)
         if bad is not None:
+            i, j, k = bad
             raise BilinearMapError(
-                f"value at ({bad[0]}, {bad[1]}) is not well defined modulo the "
-                "relation lattices"
+                f"value at generators ({i + 1}, {j + 1}), coordinate {k + 1}, is not "
+                "well defined modulo the relation lattices"
             )
 
     @cached_property

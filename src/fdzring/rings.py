@@ -18,11 +18,12 @@ l is the saturation of k, so n is the torsion of A/k.  The chain of a ring
 is cached, and it carries the presentations that the induced map, the
 deformations and the six-term check read: the quotient rings A/ann and A/k,
 the subrings sq, delta and o, o in delta coordinates, and an addition A0
-with ann = A0 ⊕ o, which always exists, as a null subring.  Each is built
-once, on first use.  They also hold the coordinate transports of the
-induced map A/ann x A/ann -> sq: ``hat.project`` and ``hat.lift`` move
-between A and A/ann, ``square_pres.lift`` and ``square_pres.express``
-between sq and A.  Every presentation is plain data, compared and hashed by
+with ann = A0 ⊕ o, which always exists, as a null subring.  Every member of
+the chain, each ideal and quotient as well as each presentation, is built
+once, on first access, so a caller pays only for what it reads.  The
+presentations also hold the coordinate transports of the induced map
+A/ann x A/ann -> sq: ``hat.project`` and ``hat.lift`` move between A and
+A/ann, ``square_pres.lift`` and ``square_pres.express`` between sq and A.  Every presentation is plain data, compared and hashed by
 value.  The module also holds the tame/regular predicates, foundations,
 and the quotient, subring and product constructions.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
@@ -57,20 +58,6 @@ class RingValidationError(ValueError):
 Tensor = tuple[tuple[Vec, ...], ...]
 
 
-def _freeze_tensor(tensor: Sequence[Sequence[Sequence[int]]], rank: int) -> Tensor:
-    if len(tensor) != rank or any(len(row) != rank for row in tensor):
-        raise RingValidationError(0, 0, 0, "tensor shape must be rank x rank x rank")
-    out = []
-    for row in tensor:
-        vecs = []
-        for v in row:
-            if len(v) != rank:
-                raise RingValidationError(0, 0, 0, "tensor shape must be rank x rank x rank")
-            vecs.append(tuple(int(x) for x in v))
-        out.append(tuple(vecs))
-    return tuple(out)
-
-
 def ill_defined_product(
     domain_orders: Sequence[int],
     codomain_orders: Sequence[int],
@@ -80,16 +67,19 @@ def ill_defined_product(
 
     ``values[i][j]`` is the product of the i-th and j-th domain generators
     in codomain coordinates; d_i·c[i][j][k] and d_j·c[i][j][k] must vanish
-    modulo the k-th codomain order (0 meaning exact equality).
+    modulo the k-th codomain order (0 meaning exact equality).  Both do
+    exactly when gcd(d_i, d_j)·c[i][j][k] does, since the gcd is
+    u·d_i + v·d_j and divides both; two free generators impose nothing.
     """
     for i, di in enumerate(domain_orders):
         for j, dj in enumerate(domain_orders):
+            g = gcd(di, dj)
+            if not g:
+                continue
             for k, dk in enumerate(codomain_orders):
-                c = values[i][j][k]
-                for d_side in (di, dj):
-                    v = d_side * c
-                    if (dk == 0 and v != 0) or (dk != 0 and v % dk):
-                        return i, j, k
+                v = g * values[i][j][k]
+                if v % dk if dk else v:
+                    return i, j, k
     return None
 
 
@@ -99,18 +89,28 @@ class FdzRing:
     __slots__ = ("orders", "tensor", "additive", "_hash", "_products")
 
     def __init__(self, orders: Sequence[int], tensor: Sequence[Sequence[Sequence[int]]]):
-        self.orders = tuple(int(d) for d in orders)
-        if any(d < 0 for d in self.orders):
+        self.orders = orders = tuple(map(int, orders))
+        if any(d < 0 for d in orders):
             raise RingValidationError(0, 0, 0, "orders must be nonnegative")
-        raw = _freeze_tensor(tensor, self.rank)
-        self.additive = FgAbelianGroup.from_orders(self.orders)
-        bad = ill_defined_product(self.orders, self.orders, raw)
+        rank = len(orders)
+        if len(tensor) != rank or any(len(row) != rank for row in tensor):
+            raise RingValidationError(0, 0, 0, "tensor shape must be rank x rank x rank")
+        # freeze and reduce in one pass; reducing c modulo d_k keeps
+        # gcd(d_i, d_j)·c ≡ 0 (mod d_k) as it was, so the check reads the result
+        frozen = []
+        for row in tensor:
+            vecs = []
+            for v in row:
+                if len(v) != rank:
+                    raise RingValidationError(0, 0, 0, "tensor shape must be rank x rank x rank")
+                vecs.append(tuple([x % d if d else x for x, d in zip(map(int, v), orders)]))
+            frozen.append(tuple(vecs))
+        self.tensor = tuple(frozen)
+        bad = ill_defined_product(orders, orders, self.tensor)
         if bad is not None:
             raise RingValidationError(*bad)
-        self.tensor = tuple(
-            tuple(self.reduce(v) for v in row) for row in raw
-        )
-        self._hash = hash((self.orders, self.tensor))
+        self.additive = FgAbelianGroup.from_orders(orders)
+        self._hash = hash((orders, self.tensor))
         self._products = None
 
     @property
@@ -252,20 +252,49 @@ def direct_product(a: FdzRing, b: FdzRing) -> FdzRing:
 class IdealChain:
     """The characteristic ideals of ``ring`` and the presentations built on them.
 
-    Each presentation is built on first access and then kept on the chain,
-    which ``characteristic_ideals`` caches per ring, so every caller shares
-    one copy.
+    Every member, the ideals and quotients included, is built on first
+    access and then kept on the chain, which ``characteristic_ideals``
+    caches per ring, so every caller shares one copy and builds only what
+    it reads.
     """
 
     ring: FdzRing
-    ann: Subgroup
-    sq: Subgroup
-    delta: Subgroup
-    k_ideal: Subgroup
-    l_ideal: Subgroup
-    o_ideal: Subgroup
-    m_quot: FgAbelianGroup
-    n_quot: FgAbelianGroup
+
+    @cached_property
+    def ann(self) -> Subgroup:
+        return annihilator(self.ring)
+
+    @cached_property
+    def sq(self) -> Subgroup:
+        return square_ideal(self.ring)
+
+    @cached_property
+    def delta(self) -> Subgroup:
+        return self.sq.saturate()
+
+    @cached_property
+    def k_ideal(self) -> Subgroup:
+        return self.ann.sum(self.delta)
+
+    @cached_property
+    def l_ideal(self) -> Subgroup:
+        """sat(ann + sq), which is sat(ann + delta) = sat(k)."""
+        return self.k_ideal.saturate()
+
+    @cached_property
+    def o_ideal(self) -> Subgroup:
+        return self.ann.intersect(self.delta)
+
+    @cached_property
+    def m_quot(self) -> FgAbelianGroup:
+        return self.l_ideal.quotient()
+
+    @cached_property
+    def n_quot(self) -> FgAbelianGroup:
+        """l/k, the torsion of A/k, presented on its cyclic factors."""
+        return FgAbelianGroup.from_orders(
+            [d for d in self.k_ideal.quotient().invariant_factors if d]
+        )
 
     @cached_property
     def hat(self) -> QuotientPresentation:
@@ -361,26 +390,9 @@ def square_ideal(a: FdzRing) -> Subgroup:
 
 @lru_cache(maxsize=256)
 def characteristic_ideals(a: FdzRing) -> IdealChain:
-    ann = annihilator(a)
-    sq = square_ideal(a)
-    delta = sq.saturate()
-    k_ideal = ann.sum(delta)
-    l_ideal = ann.sum(sq).saturate()
-    o_ideal = ann.intersect(delta)
-    m_quot = l_ideal.quotient()
-    # l = sat(k), so l/k is the torsion of A/k, presented on its cyclic factors
-    n_quot = FgAbelianGroup.from_orders([d for d in k_ideal.quotient().invariant_factors if d])
-    return IdealChain(
-        ring=a,
-        ann=ann,
-        sq=sq,
-        delta=delta,
-        k_ideal=k_ideal,
-        l_ideal=l_ideal,
-        o_ideal=o_ideal,
-        m_quot=m_quot,
-        n_quot=n_quot,
-    )
+    """The ideal chain of ``a``, one per ring; every member of it is built
+    on first access."""
+    return IdealChain(a)
 
 
 @record

@@ -31,7 +31,14 @@ from fdzring.intlinalg import (
     solve_congruences,
 )
 from fdzring.ringfile import load_ring
-from fdzring.rings import FdzRing, IdealChain, characteristic_ideals, reduce_mod_n
+from fdzring.rings import (
+    FdzRing,
+    IdealChain,
+    annihilator,
+    characteristic_ideals,
+    reduce_mod_n,
+    square_ideal,
+)
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "corpus")
 
@@ -146,6 +153,44 @@ def brute_force_chain(ring: FdzRing) -> dict[str, frozenset]:
     l = isolator(ann_plus_sq)
     o = ann & delta
     return {"ann": ann, "sq": sq, "delta": delta, "k": k, "l": l, "o": o}
+
+
+def eager_chain(a: FdzRing) -> dict[str, object]:
+    """Every ideal and quotient of the chain of ``a``, all built at once in
+    the order ``characteristic_ideals`` built them before its chain became
+    lazy, keyed by the chain's member names."""
+    ann = annihilator(a)
+    sq = square_ideal(a)
+    delta = sq.saturate()
+    k_ideal = ann.sum(delta)
+    l_ideal = ann.sum(sq).saturate()
+    return {
+        "ann": ann,
+        "sq": sq,
+        "delta": delta,
+        "k_ideal": k_ideal,
+        "l_ideal": l_ideal,
+        "o_ideal": ann.intersect(delta),
+        "m_quot": l_ideal.quotient(),
+        "n_quot": FgAbelianGroup.from_orders(
+            [d for d in k_ideal.quotient().invariant_factors if d]
+        ),
+    }
+
+
+def ill_defined_reference(domain_orders, codomain_orders, values):
+    """The first (i, j, k) at which d_i·c or d_j·c, for c = values[i][j][k],
+    fails to vanish modulo the k-th codomain order: both sides tested
+    separately, as ``ill_defined_product`` did before it tested their gcd."""
+    for i, di in enumerate(domain_orders):
+        for j, dj in enumerate(domain_orders):
+            for k, dk in enumerate(codomain_orders):
+                c = values[i][j][k]
+                for d_side in (di, dj):
+                    v = d_side * c
+                    if (dk == 0 and v != 0) or (dk != 0 and v % dk):
+                        return i, j, k
+    return None
 
 
 def sums_of_products(ring: FdzRing, n: int) -> frozenset:

@@ -15,7 +15,7 @@ from fdzring.bilinear import (
     width,
 )
 from fdzring.intlinalg import row_times_matrix
-from fdzring.rings import FdzRing, characteristic_ideals, z0_ring
+from fdzring.rings import FdzRing, RingValidationError, characteristic_ideals, z0_ring
 
 from oracles import (
     brute_force_pairs, corpus_ring, joint_pa_basis, lattice_contains, pair_of, random_finite_ring,
@@ -46,6 +46,22 @@ def test_induced_map_nondegenerate_and_full():
         f = induced_bilinear_map(corpus_ring(name))
         assert f.is_full()
         assert f.is_nondegenerate()
+
+
+def test_ill_defined_map_names_generators_and_coordinate():
+    # e_1·e_2 = e_2 over Z/2 x Z/4: 2·e_1 = 0, but 2·e_2 ≠ 0
+    values = (((0, 0), (0, 1)), ((0, 0), (0, 0)))
+    with pytest.raises(BilinearMapError) as err:
+        BilinearMap((2, 4), (2, 4), values)
+    assert str(err.value) == (
+        "value at generators (1, 2), coordinate 2, is not well defined modulo the "
+        "relation lattices"
+    )
+    # the same table as a ring names the same place
+    with pytest.raises(RingValidationError) as ring_err:
+        FdzRing((2, 4), values)
+    assert ring_err.value.violation == (0, 1, 1)
+    assert "generators (1, 2), coordinate 2" in str(ring_err.value)
 
 
 def test_width():

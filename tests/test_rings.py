@@ -6,15 +6,18 @@ import sys
 import pytest
 
 import fdzring
-from fdzring.bilinear import BilinearMapError, pa_ring
+from fdzring.bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
 from fdzring.classify import FactorizationIncomplete, indecomposable_factors
 from fdzring.deform import DeformationError, DeformationSpec, build_deformation
+from fdzring.eqcheck import invariant_profile
 from fdzring.rings import (
     FdzRing,
+    IdealChain,
     RingValidationError,
     addition_and_foundation,
     characteristic_ideals,
     direct_product,
+    ill_defined_product,
     predicates,
     quotient_ring,
     reduce_mod_n,
@@ -29,6 +32,8 @@ from oracles import (
     corpus_ring,
     corpus_rings,
     dense_mul,
+    eager_chain,
+    ill_defined_reference,
     random_finite_ring,
     random_lattice_preserving_unimodular,
     random_mixed_ring,
@@ -41,12 +46,18 @@ from oracles import (
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def test_mul_matches_dense_products():
+def _random_ring_data():
+    """``perfbench/gen.random_ring_data``, the benchmark's ring generator."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         from gen import random_ring_data
     finally:
         sys.path.pop(0)
+    return random_ring_data
+
+
+def test_mul_matches_dense_products():
+    random_ring_data = _random_ring_data()
     rng = random.Random(23)
     for n in range(50):
         if n % 5 == 4:
@@ -74,6 +85,45 @@ def test_validate_accepts_and_rejects():
     with pytest.raises(RingValidationError) as err:
         FdzRing((2, 0), (((0, 1), (0, 0)), ((0, 0), (0, 0))))
     assert err.value.violation == (0, 0, 1)
+
+
+def test_ill_defined_product_matches_the_two_sided_reference():
+    pool = (0, 1, 2, 3, 4, 6, 12)
+    rng = random.Random(61)
+    # coprime domain orders still bind c: 2·1 and 3·1 are not 0 mod 5
+    cases = [((2, 3), (5,), (((0,), (1,)), ((0,), (0,))))]
+    while len(cases) < 12000:
+        domain = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        # every other case is a ring table, domain and codomain alike
+        codomain = domain if len(cases) % 2 else tuple(
+            rng.choice(pool) for _ in range(rng.randint(1, 3))
+        )
+        values = tuple(
+            tuple(
+                tuple(
+                    rng.randint(-12, 12) if rng.random() < 0.15 else 0
+                    for _ in codomain
+                )
+                for _ in domain
+            )
+            for _ in domain
+        )
+        cases.append((domain, codomain, values))
+    found = 0
+    for domain, codomain, values in cases:
+        expected = ill_defined_reference(domain, codomain, values)
+        assert ill_defined_product(domain, codomain, values) == expected, (domain, codomain, values)
+        found += expected is not None
+        if domain != codomain:
+            continue
+        if expected is None:
+            FdzRing(domain, values)
+            continue
+        with pytest.raises(RingValidationError) as err:
+            FdzRing(domain, values)
+        assert err.value.violation == expected
+        assert str(err.value) == str(RingValidationError(*expected))
+    assert 2000 < found < 10000, found
 
 
 def test_chain_z0():
@@ -351,11 +401,7 @@ def test_records_compare_by_value():
     for cls in records:
         for field, annotation in vars(cls).get("__annotations__", {}).items():
             assert "Callable" not in str(annotation), (cls, field)
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        from gen import random_ring_data
-    finally:
-        sys.path.pop(0)
+    random_ring_data = _random_ring_data()
     rng = random.Random(83)
     rings = corpus_rings() + [FdzRing(*random_ring_data(rng, 2 + n % 5)) for n in range(24)]
     built = dict.fromkeys(("pa", "factors", "deformation"), 0)
@@ -385,3 +431,49 @@ def test_records_compare_by_value():
         _assert_equal_builds(lambda: build_deformation(DeformationSpec(ring)))
         built["deformation"] += 1
     assert min(built.values()) >= 20, built
+
+
+CHAIN_MEMBERS = ("ann", "sq", "delta", "k_ideal", "l_ideal", "o_ideal", "m_quot", "n_quot")
+
+
+def test_chain_members_wait_for_first_access():
+    random_ring_data = _random_ring_data()
+    rng = random.Random(29)
+    data = [(ring.orders, ring.tensor) for ring in (corpus_ring("w"), corpus_ring("zx2"))]
+    data += [random_ring_data(rng, rng.randint(2, 6)) for _ in range(20)]
+    defined = 0
+    for orders, tensor in data:
+        characteristic_ideals.cache_clear()
+        invariant_profile.cache_clear()
+        ring = FdzRing(orders, tensor)
+        assert vars(characteristic_ideals(ring)) == {"ring": ring}
+        invariant_profile(ring)
+        built = vars(characteristic_ideals(ring))
+        assert {"ann", "sq", "n_quot"} <= built.keys(), (orders, tensor)
+        assert not built.keys() & {"l_ideal", "o_ideal", "m_quot"}, (orders, tensor)
+        characteristic_ideals.cache_clear()
+        ring = FdzRing(orders, tensor)
+        try:
+            pf_ring(induced_bilinear_map(ring))
+        except BilinearMapError:
+            pass
+        else:
+            defined += 1
+        built = vars(characteristic_ideals(ring))
+        assert built.keys() <= {"ring", "ann", "sq", "hat", "square_pres"}, (orders, tensor)
+    assert defined >= 10, defined
+
+
+def test_lazy_chain_matches_the_eager_recipe():
+    random_ring_data = _random_ring_data()
+    rings = corpus_rings()
+    rings += [direct_product(ring, z0_ring()) for ring in rings]
+    rings.append(FdzRing((), ()))
+    rng = random.Random(37)
+    rings += [FdzRing(*random_ring_data(rng, rng.randint(2, 8))) for _ in range(150)]
+    for ring in rings:
+        eager = eager_chain(ring)
+        # a fresh chain, its members read in an order that differs per ring
+        chain = IdealChain(ring)
+        for name in rng.sample(CHAIN_MEMBERS, len(CHAIN_MEMBERS)):
+            assert getattr(chain, name) == eager[name], (ring, name)
