@@ -14,6 +14,9 @@ The punctured-spectrum connectivity rule is deliberately isolated in
 ``spec0_connected_rule``: connected iff at most one indecomposable factor
 is infinite (finite factors only contribute isolated closed points, which
 the puncture removes).
+
+``classify_ring`` writes one line ``field=value: tag`` per verdict from one
+table.  None cites Thm 1.4, whose branch no ring reaches (see there).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ TAG_MAIN1 = "thm:Main1"
 TAG_MAIN2 = "thm:main2"
 TAG_MAIN3 = "thm:Main3"
 TAG_RIGID = "cor:1.8"
-TAG_BIINT_QFA = "thm:1.4"
 TAG_SPEC0 = "spec0-rule"
 TAG_PF_UNDEFINED = "pf-undefined"
 TAG_FINITE = "nies-qfa-infinite"
@@ -60,7 +62,6 @@ CITATION_TAGS = frozenset(
         TAG_MAIN2,
         TAG_MAIN3,
         TAG_RIGID,
-        TAG_BIINT_QFA,
         TAG_SPEC0,
         TAG_PF_UNDEFINED,
         TAG_FINITE,
@@ -264,77 +265,50 @@ class ClassificationReport:
 
 
 def classify_ring(a: FdzRing, use_pa_ring: bool = False) -> ClassificationReport:
+    """The six verdicts on ``a``, each with one justification line
+    ``field=value: tag`` naming the definition or theorem it rests on.
+
+    Bi-interpretability is ``yes`` by Main3 when A is super-tame, ``no`` by
+    Main2 when neither ann is finite nor δ = A, and otherwise outside the
+    criteria.  Thm 1.4 (not QFA implies not bi-interpretable) never applies
+    on that last branch: there ann is finite or δ = A.  δ is saturated, so it
+    contains the torsion T(A); a finite ann lies in T(A), so ann ⊆ δ either
+    way.  So A is tame, and an infinite tame ring is QFA by Main1.
+    """
     chain = characteristic_ideals(a)
     preds = predicates(a)
     infinite = a.order is None
-    justify: list[str] = [
-        f"tame={'yes' if preds.tame else 'no'}: {TAG_TAME_DEFINITION}",
-        f"regular={'yes' if preds.regular else 'no'}: {TAG_REGULAR_DEFINITION}",
-    ]
-
-    if infinite:
-        qfa = YES if preds.tame else NO
-        justify.append(f"qfa={qfa}: {TAG_MAIN1}")
-    else:
-        qfa = NOT_APPLICABLE
-        justify.append(f"qfa={qfa}: {TAG_FINITE}")
-
+    side = 0 not in chain.ann.invariant_factors or chain.delta.is_full()
+    qfa = (YES if preds.tame else NO) if infinite else NOT_APPLICABLE
     rigid = YES if preds.regular else UNKNOWN
-    justify.append(f"first_order_rigid_hint={rigid}: {TAG_RIGID}")
-
-    ann_is_finite = 0 not in chain.ann.invariant_factors
-    delta_is_all = chain.delta.is_full()
-
-    spec0 = None
     spec0_tag = TAG_SPEC0
     try:
-        if use_pa_ring:
-            scalar = pa_ring(a)
-        else:
-            scalar = pf_ring(induced_bilinear_map(a))
+        scalar = pa_ring(a) if use_pa_ring else pf_ring(induced_bilinear_map(a))
         try:
-            spectrum = indecomposable_factors(scalar.ring)
-            spec0 = spectrum.spec0_connected
+            spec0 = indecomposable_factors(scalar.ring).spec0_connected
         except FactorizationIncomplete:
             spec0 = UNKNOWN
     except BilinearMapError:
-        spec0 = None
-        spec0_tag = TAG_PF_UNDEFINED
-
-    side = ann_is_finite or delta_is_all
-    if spec0 is None:
-        super_tame = NO
-    elif spec0 == UNKNOWN:
-        super_tame = UNKNOWN if side else NO
-    elif spec0 == YES and side:
-        super_tame = YES
-    else:
-        super_tame = NO
-    justify.append(f"super_tame={super_tame}: {spec0_tag}")
-
+        spec0, spec0_tag = None, TAG_PF_UNDEFINED
+    super_tame = spec0 if side and spec0 in (YES, UNKNOWN) else NO
     if not infinite:
-        bi = NOT_APPLICABLE
-        justify.append(f"bi_interpretable={bi}: {TAG_FINITE}")
+        bi, bi_tag = NOT_APPLICABLE, TAG_FINITE
     elif super_tame == YES:
-        bi = YES
-        justify.append(f"bi_interpretable={bi}: {TAG_MAIN3}")
-    elif not ann_is_finite and not delta_is_all:
-        bi = NO
-        justify.append(f"bi_interpretable={bi}: {TAG_MAIN2}")
-    elif qfa == NO:
-        bi = NO
-        justify.append(f"bi_interpretable={bi}: {TAG_BIINT_QFA}")
+        bi, bi_tag = YES, TAG_MAIN3
+    elif not side:
+        bi, bi_tag = NO, TAG_MAIN2
     else:
-        bi = UNKNOWN
-        justify.append(f"bi_interpretable={bi}: {TAG_OPEN}")
-
+        bi, bi_tag = UNKNOWN, TAG_OPEN
+    lines = (
+        ("tame", YES if preds.tame else NO, TAG_TAME_DEFINITION),
+        ("regular", YES if preds.regular else NO, TAG_REGULAR_DEFINITION),
+        ("qfa", qfa, TAG_MAIN1 if infinite else TAG_FINITE),
+        ("first_order_rigid_hint", rigid, TAG_RIGID),
+        ("super_tame", super_tame, spec0_tag),
+        ("bi_interpretable", bi, bi_tag),
+    )
     return ClassificationReport(
-        infinite=infinite,
-        tame=preds.tame,
-        regular=preds.regular,
-        qfa=qfa,
-        first_order_rigid_hint=rigid,
-        super_tame=super_tame,
-        bi_interpretable=bi,
-        justifications=tuple(justify),
+        infinite=infinite, tame=preds.tame, regular=preds.regular, qfa=qfa,
+        first_order_rigid_hint=rigid, super_tame=super_tame, bi_interpretable=bi,
+        justifications=tuple(f"{field}={value}: {tag}" for field, value, tag in lines),
     )

@@ -4,6 +4,9 @@ Subcommands: analyze, classify, pf, eqcheck, deform, modelcheck, corpus.
 Reports are deterministic JSON on stdout (the timing field excepted);
 diagnostics go to stderr.  Exit codes: 0 success (verdicts including
 unknown), 2 parse error, 3 invalid ring, 4 internal assertion failure.
+A report that restates a record (the classification, the predicates, the
+six-term check) is the record's fields by name (``_fields``); tuples go
+out as JSON lists, and ``sort_keys`` fixes the key order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .ringfile import RingFileError, load_ring, serialize_ring
 
 if TYPE_CHECKING:
     from .bilinear import ScalarRingAction
-    from .classify import ClassificationReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,18 +38,20 @@ class CliParseError(ValueError):
     pass
 
 
+def _fields(record) -> dict:
+    """A record's fields by name; ``json.dumps`` writes its tuples as lists."""
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
 def _subgroup_json(s: Subgroup) -> dict:
-    return {
-        "invariant_factors": list(s.invariant_factors),
-        "generators": [list(row) for row in s.lift_basis],
-    }
+    return {"invariant_factors": s.invariant_factors, "generators": s.lift_basis}
 
 
 def _input_summary(path: str, ring: FdzRing) -> dict:
     return {
         "file": os.path.basename(path),
         "rank": ring.rank,
-        "orders": list(ring.orders),
+        "orders": ring.orders,
         "order": ring.order,
     }
 
@@ -61,43 +65,21 @@ def _chain_json(ring: FdzRing) -> dict:
         "k": _subgroup_json(chain.k_ideal),
         "l": _subgroup_json(chain.l_ideal),
         "o": _subgroup_json(chain.o_ideal),
-        "m": {"invariant_factors": list(chain.m_quot.invariant_factors)},
-        "n": {"invariant_factors": list(chain.n_quot.invariant_factors)},
+        "m": {"invariant_factors": chain.m_quot.invariant_factors},
+        "n": {"invariant_factors": chain.n_quot.invariant_factors},
     }
-
-
-def _classification_json(report: ClassificationReport) -> dict:
-    return {
-        "infinite": report.infinite,
-        "tame": report.tame,
-        "regular": report.regular,
-        "qfa": report.qfa,
-        "first_order_rigid_hint": report.first_order_rigid_hint,
-        "super_tame": report.super_tame,
-        "bi_interpretable": report.bi_interpretable,
-        "justifications": list(report.justifications),
-    }
-
-
-def _matrix_json(m) -> list[list[int]]:
-    return [list(row) for row in m.data]
 
 
 def _action_json(action: ScalarRingAction) -> dict:
     out = {
         "ring_file": serialize_ring(action.ring),
-        "unity": list(action.unity),
-        "action_on_domain": [_matrix_json(m) for m in action.action_on_domain],
-        "action_on_codomain": [_matrix_json(m) for m in action.action_on_codomain],
+        "unity": action.unity,
+        "action_on_domain": [m.data for m in action.action_on_domain],
+        "action_on_codomain": [m.data for m in action.action_on_codomain],
     }
     if action.in_parent is not None:
-        out["inside_pf"] = _matrix_json(action.in_parent)
+        out["inside_pf"] = action.in_parent.data
     return out
-
-
-def _predicates_json(ring: FdzRing) -> dict:
-    preds = predicates(ring)
-    return {"tame": preds.tame, "regular": preds.regular}
 
 
 def cmd_analyze(args) -> dict:
@@ -105,7 +87,7 @@ def cmd_analyze(args) -> dict:
     return {
         "input": _input_summary(args.ring, ring),
         "ideal_chain": _chain_json(ring),
-        "predicates": _predicates_json(ring),
+        "predicates": _fields(predicates(ring)),
     }
 
 
@@ -119,8 +101,8 @@ def cmd_classify(args) -> dict:
         "ideal_chain_invariants": {
             name: part["invariant_factors"] for name, part in _chain_json(ring).items()
         },
-        "predicates": _predicates_json(ring),
-        "classification": _classification_json(report),
+        "predicates": _fields(predicates(ring)),
+        "classification": _fields(report),
     }
 
 
@@ -154,7 +136,7 @@ def cmd_eqcheck(args) -> dict:
         },
         "verdict": verdict.kind,
         "reason": verdict.reason,
-        "witness": _matrix_json(verdict.witness.matrix) if verdict.witness else None,
+        "witness": verdict.witness.matrix.data if verdict.witness else None,
     }
 
 
@@ -214,8 +196,7 @@ def cmd_deform(args) -> dict:
         "profile_match": profile_match,
     }
     if args.check_sixterm:
-        report = verify_sixterm(ring, deformed)
-        payload["sixterm"] = {"status": report.status, "detail": report.detail}
+        payload["sixterm"] = _fields(verify_sixterm(ring, deformed))
     return payload
 
 
@@ -261,7 +242,7 @@ def cmd_modelcheck(args) -> dict:
     }
     if len(free) == 1:
         payload["kind"] = "defined_set"
-        payload["elements"] = [list(e) for e in defined_set(ring, formula)]
+        payload["elements"] = defined_set(ring, formula)
     elif not free:
         payload["kind"] = "truth"
         payload["value"] = evaluate(ring, formula)
@@ -282,13 +263,8 @@ def cmd_corpus(args) -> dict:
         raise CliParseError(f"no .ring files in {args.directory!r}")
     for name in names:
         ring = load_ring(os.path.join(args.directory, name))
-        report = classify_ring(ring)
         entries.append(
-            {
-                "file": name,
-                "orders": list(ring.orders),
-                "classification": _classification_json(report),
-            }
+            {"file": name, "orders": ring.orders, "classification": _fields(classify_ring(ring))}
         )
     return {"corpus": entries}
 

@@ -424,6 +424,12 @@ def verify_sixterm(
     own psi search on delta, with a fresh budget of ``max_nodes``.  The
     report holds only the status and a detail line: the maps behind a
     ``commutes`` are re-checked as ring isomorphisms, not returned.
+
+    Three checks are re-checks that cannot fail once the earlier ones pass.
+    A surjection between isomorphic finitely generated abelian groups is an
+    isomorphism (they are Hopfian).  So the map on A/k that a phi carrying k
+    into k induces is one, and so is eta: with the middle square commuting,
+    psi carries o = ker(delta -> A/ann) onto o.
     """
     _check_bound(coeff_bound)
     chain_a = characteristic_ideals(a)

@@ -157,16 +157,33 @@ def _additive_order(orders: Sequence[int], vec: Sequence[int]) -> int:
     return order
 
 
-def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[list[int]]:
+def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[Sequence[int]]:
     """The values each coordinate of a candidate image runs over: a free one
     0, 1, -1, ..., bound, -bound in an order-0 pool (built only there) and 0
-    otherwise, a Z/d one the x with order·x = 0 (all of [0, d) for order 0)."""
+    otherwise, a Z/d one the x in [0, d) with order·x = 0, the multiples of
+    d/gcd(order, d) (all of [0, d) for order 0, as gcd(0, d) = d)."""
     free = not order and 0 in b.orders
     values = [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)] if free else [0]
-    return [
-        values if d == 0 else range(d) if not order else [x for x in range(d) if order * x % d == 0]
-        for d in b.orders
-    ]
+    return [values if d == 0 else range(0, d, d // gcd(order, d)) for d in b.orders]
+
+
+def _walk(ranges: Sequence[Sequence[int]], orders: Sequence[int], need_free: bool):
+    """The tuples of ``itertools.product(*ranges)`` in its order, built
+    lazily: the product would copy every range whole, and a Z/d coordinate
+    ranges over up to d values.  With ``need_free`` the tuples whose free
+    coordinates (order 0, their range starting at 0) are all 0 are left out,
+    and the walk never visits them."""
+    if not ranges:
+        return iter(() if need_free else ((),))
+    *rest, last = ranges
+    if need_free and orders[len(rest)] == 0:
+        frees = [i for i, d in enumerate(orders[: len(rest)]) if d == 0]
+        return (
+            h + (x,)
+            for h in _walk(rest, orders, False)
+            for x in (last if any(h[i] for i in frees) else itertools.islice(last, 1, None))
+        )
+    return (h + (x,) for h in _walk(rest, orders, need_free) for x in last)
 
 
 # A seeded search shuffles its whole candidate pool, so it holds every
@@ -182,10 +199,7 @@ class SearchPoolError(ValueError):
 
 def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
     # the product of the ``_coordinate_ranges`` lengths, none of them built
-    size = prod(
-        (1 if order else 2 * bound + 1) if d == 0 else gcd(order, d) if order else d
-        for d in b.orders
-    )
+    size = prod((1 if order else 2 * bound + 1) if d == 0 else gcd(order, d) for d in b.orders)
     if size > SEEDED_POOL_LIMIT:
         raise SearchPoolError(
             f"a seeded search would shuffle {size} candidate images, above "
@@ -377,7 +391,10 @@ class _ProductPool:
         for j, key in enumerate(zip(*shares) if shares else [()] * len(tails)):
             table.setdefault(key, []).append(j)
         seen = 0
-        for head in itertools.product(*self.head):
+        # in an order-0 pool whose tails are all of finite order, a head
+        # without a nonzero free coordinate completes to no candidate
+        need_free = not self.order and 0 not in self.tail_orders
+        for head in _walk(self.head, self.head_orders, need_free):
             count, ranks = self.valid_tails(_additive_order(self.head_orders, head))
             if count:
                 target = tuple([

@@ -36,7 +36,10 @@ evaluator against a plain Tarskian one on coordinate tuples, kept in
 ``tests/oracles.py`` so that it shares no code with this module.
 
 The concrete formula syntax is fully parenthesized prefix text, e.g.
-``(exists x1 (eq x (mul x1 x1)))``; ``sub`` is sugar for adding a negation.
+``(exists x1 (eq x (mul x1 x1)))``.  Each operator name is spelled once, in
+``_TERM_OPS`` and ``_FORMULA_OPS`` (name to record class, the arity its field
+count); parsing reads them and printing their reverse.  ``sub`` is parse-only
+sugar for adding a negation, printed back from ``Add(l, Neg(r))``.
 Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time,
 and ``builtin`` refuses an arity whose formula would nest that deep.
 """
@@ -44,6 +47,7 @@ and ``builtin`` refuses an arity whose formula would nest that deep.
 from __future__ import annotations
 
 import itertools
+import re
 from array import array
 from functools import reduce
 from typing import Sequence
@@ -638,23 +642,12 @@ def _enumerated_value_set(model: _Model, t: Term, tvars: tuple[str, ...], env):
 # -- concrete syntax -----------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+# term operators and ``eq`` take terms, a quantifier a name and a formula, the rest formulas
+_TERM_OPS = {"add": Add, "mul": Mul, "neg": Neg}
+_FORMULA_OPS = {
+    "eq": Eq, "not": Not, "and": And, "or": Or, "implies": Implies, "exists": Exists, "forall": Forall
+}
+_OP_NAMES = {op: name for name, op in (_TERM_OPS | _FORMULA_OPS).items()}
 
 
 def _parse_sexpr(tokens: list[str], pos: int, depth: int = 0):
@@ -678,12 +671,7 @@ def _parse_sexpr(tokens: list[str], pos: int, depth: int = 0):
 
 
 def _is_name(tok) -> bool:
-    return (
-        isinstance(tok, str)
-        and tok != "0"
-        and tok[0].isalpha()
-        and all(c.isalnum() or c == "_" for c in tok)
-    )
+    return isinstance(tok, str) and tok[0].isalpha() and all(c.isalnum() or c == "_" for c in tok)
 
 
 def _to_term(node) -> Term:
@@ -694,14 +682,11 @@ def _to_term(node) -> Term:
     if not isinstance(node, list) or not node:
         raise FormulaParseError(f"bad term: {node!r}")
     head, *args = node
-    if head == "add" and len(args) == 2:
-        return Add(_to_term(args[0]), _to_term(args[1]))
-    if head == "mul" and len(args) == 2:
-        return Mul(_to_term(args[0]), _to_term(args[1]))
-    if head == "neg" and len(args) == 1:
-        return Neg(_to_term(args[0]))
     if head == "sub" and len(args) == 2:
         return Add(_to_term(args[0]), Neg(_to_term(args[1])))
+    op = _TERM_OPS.get(head) if isinstance(head, str) else None
+    if op is not None and len(args) == len(op.__match_args__):
+        return op(*map(_to_term, args))
     raise FormulaParseError(f"bad term operator: {node!r}")
 
 
@@ -709,26 +694,21 @@ def _to_formula(node) -> Formula:
     if not isinstance(node, list) or not node:
         raise FormulaParseError(f"bad formula: {node!r}")
     head, *args = node
-    if head == "eq" and len(args) == 2:
-        return Eq(_to_term(args[0]), _to_term(args[1]))
-    if head == "not" and len(args) == 1:
-        return Not(_to_formula(args[0]))
-    if head in ("and", "or") and len(args) >= 2:
-        ctor = And if head == "and" else Or
-        out = _to_formula(args[0])
-        for rest in args[1:]:
-            out = ctor(out, _to_formula(rest))
-        return out
-    if head == "implies" and len(args) == 2:
-        return Implies(_to_formula(args[0]), _to_formula(args[1]))
-    if head in ("exists", "forall") and len(args) == 2 and _is_name(args[0]):
-        ctor = Exists if head == "exists" else Forall
-        return ctor(args[0], _to_formula(args[1]))
+    op = _FORMULA_OPS.get(head) if isinstance(head, str) else None
+    if op in (And, Or) and len(args) >= 2:
+        return reduce(op, map(_to_formula, args))
+    if op is not None and len(args) == len(op.__match_args__):
+        if op is Eq:
+            return Eq(*map(_to_term, args))
+        if op not in (Exists, Forall):
+            return op(*map(_to_formula, args))
+        if _is_name(args[0]):
+            return op(args[0], _to_formula(args[1]))
     raise FormulaParseError(f"bad formula operator: {node!r}")
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = _tokenize(text)
+    tokens = re.findall(r"[()]|[^\s()]+", text)
     node, pos = _parse_sexpr(tokens, 0)
     if pos != len(tokens):
         raise FormulaParseError("trailing input after the formula")
@@ -743,24 +723,11 @@ def format_formula(f: Formula | Term) -> str:
             return "0"
         case Add(l, Neg(r)):
             return f"(sub {format_formula(l)} {format_formula(r)})"
-        case Add(l, r):
-            return f"(add {format_formula(l)} {format_formula(r)})"
-        case Neg(x):
-            return f"(neg {format_formula(x)})"
-        case Mul(l, r):
-            return f"(mul {format_formula(l)} {format_formula(r)})"
-        case Eq(l, r):
-            return f"(eq {format_formula(l)} {format_formula(r)})"
-        case Not(x):
-            return f"(not {format_formula(x)})"
-        case And(l, r):
-            return f"(and {format_formula(l)} {format_formula(r)})"
-        case Or(l, r):
-            return f"(or {format_formula(l)} {format_formula(r)})"
-        case Implies(l, r):
-            return f"(implies {format_formula(l)} {format_formula(r)})"
-        case Exists(v, b):
-            return f"(exists {v} {format_formula(b)})"
-        case Forall(v, b):
-            return f"(forall {v} {format_formula(b)})"
-    raise FormulaError(f"cannot format {f!r}")
+    name = _OP_NAMES.get(type(f))
+    if name is None:
+        raise FormulaError(f"cannot format {f!r}")
+    shown = [name]
+    for field in f.__match_args__:
+        arg = getattr(f, field)  # a quantifier's variable is a name, the rest are records
+        shown.append(arg if isinstance(arg, str) else format_formula(arg))
+    return f"({' '.join(shown)})"

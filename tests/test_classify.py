@@ -428,3 +428,20 @@ def test_degree_bound_guard():
     ring = FdzRing([0] * n, tensor)
     with pytest.raises(FactorizationIncomplete):
         idempotents(ring)
+
+
+@pytest.mark.parametrize("use_pa", [False, True])
+def test_torsion_past_the_element_limit_leaves_super_tame_unknown(use_pa):
+    # the idempotents of a scalar ring with torsion above ELEMENT_LIMIT
+    # (4096) are not enumerated: spec0 is unknown, and so is super_tame
+    # wherever the side condition holds
+    cases = [
+        (FdzRing((4099,), [[[1]]]), UNKNOWN, NOT_APPLICABLE),
+        (FdzRing((0, 4099), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), UNKNOWN, UNKNOWN),
+        (FdzRing((4096,), [[[1]]]), YES, NOT_APPLICABLE),
+    ]
+    for ring, super_tame, bi in cases:
+        report = classify_ring(ring, use_pa_ring=use_pa)
+        assert (report.super_tame, report.bi_interpretable) == (super_tame, bi), ring.orders
+        assert f"super_tame={super_tame}: spec0-rule" in report.justifications
+    assert "bi_interpretable=unknown: outside-criteria" in classify_ring(cases[1][0]).justifications

@@ -177,6 +177,51 @@ def test_modelcheck_nesting_guard(capsys, tmp_path):
         assert code == 2 and not out and "nested deeper" in err
 
 
+W_COCYCLE = ["deform", corpus_path("w.ring"), "--g"]
+W_MOD2 = ["modelcheck", corpus_path("w.ring"), "--mod", "2"]
+INT_ERROR = "invalid literal for int() with base 10: "
+USAGE_ERRORS = {
+    "g_unknown_field": (W_COCYCLE + ["x=1"], "bad cocycle syntax: unknown cocycle field 'x'"),
+    "g_bad_int": (W_COCYCLE + ["e=two"], f"bad cocycle syntax: {INT_ERROR}'two'"),
+    "g_missing_value": (W_COCYCLE + ["e=2"], "the cocycle needs both e=ORDER and d=C1:...:CR"),
+    "g_factor_range": (
+        W_COCYCLE + ["e=2,d=0:1:0,factor=9"],
+        "factor 9 out of range; the torsion quotient has 1 cyclic factors",
+    ),
+    "g_factor_order": (W_COCYCLE + ["e=3,d=0:1:0"], "factor 1 has order 2, not 3"),
+    "g_value_length": (W_COCYCLE + ["e=2,d=0:1"], "the cocycle value must be an ambient vector"),
+    "builtin_no_k": (W_MOD2 + ["--builtin", "theta"], "expected --builtin NAME,k=N"),
+    "builtin_bad_k": (W_MOD2 + ["--builtin", "theta,k=x"], f"bad builtin arity: {INT_ERROR}'x'"),
+    "builtin_wrong_key": (W_MOD2 + ["--builtin", "theta,j=2"], "expected --builtin NAME,k=N"),
+    # a list in operator position is a parse error, not an internal one
+    "formula_list_term_head": (
+        W_MOD2 + ["--formula", "(eq ((add x x) y) 0)"],
+        "bad term operator: [['add', 'x', 'x'], 'y']",
+    ),
+    "formula_list_formula_head": (
+        W_MOD2 + ["--formula", "((eq x x))"],
+        "bad formula operator: [['eq', 'x', 'x']]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2(capsys, tmp_path, name):
+    argv, message = USAGE_ERRORS[name]
+    if argv[-2] == "--formula":
+        path = tmp_path / "f.formula"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_corpus_of_an_empty_directory_exits_2(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("no rings here")
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: no .ring files in {str(tmp_path)!r}\n")
+
+
 def test_modelcheck_requires_finite(capsys):
     code, _, err = run(capsys, "modelcheck", corpus_path("z.ring"), "--builtin", "phi,k=1")
     assert code == 2
@@ -418,10 +463,8 @@ def test_seeded_eqcheck_refuses_a_pool_above_the_guard(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "equivalent"
 
 
-def test_eqcheck_bound_sizes_no_allocation():
-    # under a 1 GiB address-space cap, a bound of 10^9 neither builds its
-    # coefficient list (seed 0 clamps it to the node budget) nor sizes the
-    # seeded pool by building it (the guard refuses from the orders alone)
+def run_capped(*argv):
+    """The CLI in a child process under a 1 GiB address-space cap."""
     resource = pytest.importorskip("resource")
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     src = os.path.join(root, "src")
@@ -430,18 +473,56 @@ def test_eqcheck_bound_sizes_no_allocation():
     def capped():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    return subprocess.run(
+        [sys.executable, "-m", "fdzring.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=capped, timeout=120,
+    )
+
+
+def test_eqcheck_bound_sizes_no_allocation():
+    # under a 1 GiB address-space cap, a bound of 10^9 neither builds its
+    # coefficient list (seed 0 clamps it to the node budget) nor sizes the
+    # seeded pool by building it (the guard refuses from the orders alone)
     z = corpus_path("z.ring")
     argv = ["eqcheck", z, z, "--bound", "1000000000"]
     for seed, code in ((), 0), (("--seed", "1"), 2):
-        done = subprocess.run(
-            [sys.executable, "-m", "fdzring.cli", *seed, *argv],
-            env=env, capture_output=True, text=True, preexec_fn=capped, timeout=120,
-        )
+        done = run_capped(*seed, *argv)
         assert done.returncode == code, (seed, done.stderr)
         if code == 0:
             assert json.loads(done.stdout)["verdict"] == "unknown"
         else:
             assert "SEEDED_POOL_LIMIT" in done.stderr and not done.stdout
+
+
+HUGE_P = 100_000_007
+HUGE_TORSION = {
+    # Z/p with e·e = e, Z + Z/p, and F_p x F_p
+    "zp": (f"rank: 1\norders: {HUGE_P}\nmult 1 1 : 1\n", "equivalent", "commutes"),
+    "zzp": (
+        f"rank: 2\norders: 0 {HUGE_P}\nmult 1 1 : 1 1\nmult 1 2 : 0 1\nmult 2 1 : 0 1\nmult 2 2 : 0 1\n",
+        "unknown",
+        "commutes",
+    ),
+    "fpfp": (f"rank: 2\norders: {HUGE_P} {HUGE_P}\nmult 1 1 : 1 0\nmult 2 2 : 0 1\n", "unknown", "unknown"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_TORSION))
+def test_huge_torsion_searches_build_no_range(tmp_path, name):
+    # a Z/p coordinate ranges over the multiples of p/gcd(order, p), walked
+    # lazily, and an order-0 pool skips the heads with no nonzero free
+    # coordinate, so under a 1 GiB cap neither search lists [0, p)
+    text, verdict, status = HUGE_TORSION[name]
+    path = tmp_path / f"{name}.ring"
+    path.write_text(text)
+    done = run_capped("eqcheck", str(path), str(path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == verdict
+    done = run_capped("deform", str(path), "--check-sixterm")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["sixterm"]["status"] == status
+    done = run_capped("--seed", "1", "eqcheck", str(path), str(path))
+    assert done.returncode == 2 and "SEEDED_POOL_LIMIT" in done.stderr and not done.stdout
 
 
 def test_modelcheck_rejects_bad_mod(capsys):

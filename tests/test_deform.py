@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -420,6 +421,81 @@ def test_sixterm_reports_inner_budget_exhaustion():
     assert report.status == "unknown"
     assert report.detail == "search budget exhausted"
     assert verify_sixterm(ring, ring).status == "commutes"
+
+
+def _sixterm_traced(a, b, max_nodes):
+    """``verify_sixterm(a, b)``'s report, and each line of its source that
+    ran, as the stripped text of the line before it."""
+    lines, first = inspect.getsourcelines(verify_sixterm)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is verify_sixterm.__code__:
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        report = verify_sixterm(a, b, max_nodes=max_nodes)
+    finally:
+        sys.settrace(previous)
+    return report, {lines[n - first - 1].strip() for n in ran}
+
+
+def _pair(orders, *products):
+    """A ring with the given orders and products ((i, j), value), 1-based."""
+    n = len(orders)
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), value in products:
+        tensor[i - 1][j - 1] = list(value)
+    return FdzRing(orders, tensor)
+
+
+COMMUTES = ("commutes", "all three squares commute")
+BUDGET = ("unknown", "search budget exhausted")
+SIXTERM_PATHS = [
+    # Z + Z/4 with e2·e1 = 2e2 against itself: the first phi moves the image
+    # of k, and a later one commutes
+    ("k_image", _pair((0, 4), ((2, 1), (0, 2))), None, 3000, "if not all(k_image_b.contains", COMMUTES),
+    # Z + Z/3 with e1·e1 = e2 = e2·e1, against e1·e1 = 2e2: a psi that
+    # fails the middle square comes before one that passes
+    (
+        "middle_square",
+        _pair((0, 3), ((1, 1), (0, 1)), ((2, 1), (0, 1))),
+        _pair((0, 3), ((1, 1), (0, 2)), ((2, 1), (0, 1))),
+        3000,
+        "if [hat_b.reduce(row) for row in psi.mul(delta_to_hat_b).data]",
+        COMMUTES,
+    ),
+    ("phi_budget", corpus_ring("zx2"), None, 5, "if phi is None:", BUDGET),
+    ("psi_budget", corpus_ring("w_mod2"), None, 2, "if psi is None:", BUDGET),
+    # x·x = -x against x·x = -2x, beside Z/3: equal chain invariants, not
+    # isomorphic, and every candidate is tried within the budget
+    (
+        "no_compatible",
+        _pair((0, 3), ((1, 1), (-1, 0))),
+        _pair((0, 3), ((1, 1), (-2, 0))),
+        3000,
+        None,
+        ("unknown", "no compatible isomorphism found within the coefficient bound"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, max_nodes, guard, expected",
+    [case[1:] for case in SIXTERM_PATHS],
+    ids=[case[0] for case in SIXTERM_PATHS],
+)
+def test_sixterm_rejection_paths(a, b, max_nodes, guard, expected):
+    # the final report's detail names its path; the others are told apart
+    # by the statement after their guard
+    report, ran_after = _sixterm_traced(a, a if b is None else b, max_nodes)
+    assert (report.status, report.detail) == expected
+    assert guard is None or any(text.startswith(guard) for text in ran_after)
 
 
 def _random_annihilator_cocycle(rng, ctx):

@@ -471,6 +471,39 @@ def test_parse_and_format():
     assert format_formula(sugar) == "(eq (sub u v) 0)"
 
 
+# one formula per operator of the syntax table, and the same operator with
+# one argument too many or too few
+OPERATOR_CASES = [
+    ("(eq (add x y) 0)", "(eq (add x) 0)"),
+    ("(eq (mul x y) 0)", "(eq (mul x y x) 0)"),
+    ("(eq (neg x) 0)", "(eq (neg x y) 0)"),
+    ("(eq (sub x y) 0)", "(eq (sub x) 0)"),
+    ("(eq x y)", "(eq x y 0)"),
+    ("(not (eq x 0))", "(not (eq x 0) (eq y 0))"),
+    ("(and (eq x 0) (eq y 0))", "(and (eq x 0))"),
+    ("(or (eq x 0) (eq y 0))", "(or (eq x 0))"),
+    ("(implies (eq x 0) (eq y 0))", "(implies (eq x 0))"),
+    ("(exists y (eq x y))", "(exists y)"),
+    ("(forall y (eq x y))", "(forall y z (eq x y))"),
+]
+
+
+@pytest.mark.parametrize("text, wrong_arity", OPERATOR_CASES)
+def test_each_operator_round_trips_and_checks_its_arity(text, wrong_arity):
+    parsed = parse_formula(text)
+    assert format_formula(parsed) == text
+    assert parse_formula(format_formula(parsed)) == parsed
+    with pytest.raises(FormulaParseError, match="bad (term|formula) operator"):
+        parse_formula(wrong_arity)
+
+
+def test_and_or_fold_left():
+    a, b, c = (Eq(Var(v), Zero()) for v in "abc")
+    assert parse_formula("(and (eq a 0) (eq b 0) (eq c 0))") == And(And(a, b), c)
+    assert parse_formula("(or (eq a 0) (eq b 0) (eq c 0))") == Or(Or(a, b), c)
+    assert format_formula(And(And(a, b), c)) == "(and (and (eq a 0) (eq b 0)) (eq c 0))"
+
+
 def paren_depth(text):
     depth = deepest = 0
     for ch in text:
