@@ -12,6 +12,7 @@ out as JSON lists, and ``sort_keys`` fixes the key order.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -156,6 +157,8 @@ def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
                 factor = int(raw)
             else:
                 raise CliParseError(f"unknown cocycle field {key!r}")
+    except CliParseError:
+        raise
     except ValueError as exc:
         raise CliParseError(f"bad cocycle syntax: {exc}") from exc
     if order is None or value is None:
@@ -360,6 +363,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # clock starts, so that timing_ms covers the computation alone
     for name in args.modules:
         importlib.import_module(f"{__package__}.{name}")
+    if argv is None:
+        # run as the program, which owns the collector: the start-up objects
+        # live until exit, so no later collection, at shutdown included, walks them
+        gc.freeze()
     started = time.perf_counter()
     try:
         payload = args.func(args)

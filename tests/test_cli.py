@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -181,7 +182,7 @@ W_COCYCLE = ["deform", corpus_path("w.ring"), "--g"]
 W_MOD2 = ["modelcheck", corpus_path("w.ring"), "--mod", "2"]
 INT_ERROR = "invalid literal for int() with base 10: "
 USAGE_ERRORS = {
-    "g_unknown_field": (W_COCYCLE + ["x=1"], "bad cocycle syntax: unknown cocycle field 'x'"),
+    "g_unknown_field": (W_COCYCLE + ["x=1"], "unknown cocycle field 'x'"),
     "g_bad_int": (W_COCYCLE + ["e=two"], f"bad cocycle syntax: {INT_ERROR}'two'"),
     "g_missing_value": (W_COCYCLE + ["e=2"], "the cocycle needs both e=ORDER and d=C1:...:CR"),
     "g_factor_range": (
@@ -463,19 +464,22 @@ def test_seeded_eqcheck_refuses_a_pool_above_the_guard(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "equivalent"
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's ``src``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_capped(*argv):
     """The CLI in a child process under a 1 GiB address-space cap."""
     resource = pytest.importorskip("resource")
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    src = os.path.join(root, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def capped():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
         [sys.executable, "-m", "fdzring.cli", *argv],
-        env=env, capture_output=True, text=True, preexec_fn=capped, timeout=120,
+        env=child_env(), capture_output=True, text=True, preexec_fn=capped, timeout=120,
     )
 
 
@@ -523,6 +527,43 @@ def test_huge_torsion_searches_build_no_range(tmp_path, name):
     assert json.loads(done.stdout)["sixterm"]["status"] == status
     done = run_capped("--seed", "1", "eqcheck", str(path), str(path))
     assert done.returncode == 2 and "SEEDED_POOL_LIMIT" in done.stderr and not done.stdout
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_with_an_argument_list_leaves_the_collector_alone(capsys, enabled):
+    # only the program owns the collector: a call from Python, ending in a
+    # report or in an error, changes neither whether it runs nor what it froze
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        report = ["deform", corpus_path("w.ring"), "--check-sixterm"]
+        for argv, exit_code in (report, 0), (W_COCYCLE + ["x=1"], 2):
+            assert run(capsys, *argv)[0] == exit_code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+FREEZE_PROBE = (
+    "import gc, json, sys\n"
+    "from fdzring.cli import main\n"
+    "sys.argv = ['fdzring', 'analyze', {path!r}]\n"
+    "frozen = gc.get_freeze_count()\n"
+    "code = main()\n"
+    "print(json.dumps([code, frozen, gc.get_freeze_count(), gc.isenabled()]), file=sys.stderr)\n"
+)
+
+
+def test_main_run_as_the_program_freezes_its_start_up_objects():
+    probe = FREEZE_PROBE.format(path=corpus_path("w.ring"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, timeout=120
+    )
+    code, before, after, enabled = json.loads(done.stderr)
+    assert (code, before, enabled) == (0, 0, True)
+    assert after > 0
+    assert json.loads(done.stdout)["input"]["rank"] == 3
 
 
 def test_modelcheck_rejects_bad_mod(capsys):

@@ -3,7 +3,10 @@
 Each golden is one of the benchmark's corpus CLI invocations with its exit
 code and stdout; ``timing_ms`` is masked, every other byte must match.  The
 goldens were recorded with Smith-form kernels, so they pin the Hermite
-kernels to the same output.  Re-record (only from a trusted commit) with
+kernels to the same output.  Every golden runs in-process through
+``main(argv)``; the first of each subcommand also runs as the program,
+``python -m fdzring.cli``, which takes the path that freezes the collector.
+Re-record (only from a trusted commit) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -13,6 +16,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -34,7 +38,22 @@ def run_masked(argv: list[str]) -> tuple[int, str]:
             code = main(argv)
     finally:
         os.chdir(cwd)
-    return code, TIMING.sub('"timing_ms": "masked"', out.getvalue())
+    return code, mask(out.getvalue())
+
+
+def run_child_masked(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``python -m fdzring.cli`` run from the repo root."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "fdzring.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, mask(done.stdout)
+
+
+def mask(stdout: str) -> str:
+    return TIMING.sub('"timing_ms": "masked"', stdout)
 
 
 def load_goldens() -> list[dict]:
@@ -58,6 +77,21 @@ def test_goldens_cover_the_benchmark_commands():
 @pytest.mark.parametrize("golden", load_goldens(), ids=lambda g: " ".join(g["argv"]))
 def test_cli_output_matches_golden(golden):
     code, stdout = run_masked(golden["argv"])
+    assert code == golden["exit"]
+    assert stdout == golden["stdout"]
+
+
+def first_of_each_subcommand() -> list[dict]:
+    """One golden per subcommand: the first whose argv starts with it."""
+    first = {}
+    for golden in load_goldens():
+        first.setdefault(golden["argv"][0], golden)
+    return [g for name, g in first.items() if not name.startswith("-")]
+
+
+@pytest.mark.parametrize("golden", first_of_each_subcommand(), ids=lambda g: " ".join(g["argv"]))
+def test_program_output_matches_golden(golden):
+    code, stdout = run_child_masked(golden["argv"])
     assert code == golden["exit"]
     assert stdout == golden["stdout"]
 
