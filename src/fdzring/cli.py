@@ -371,7 +371,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         payload = args.func(args)
         payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-        print(json.dumps(payload, indent=2, sort_keys=True))
     except Exception as exc:
         code = _exit_code(exc)
         if code == EXIT_INTERNAL:
@@ -380,6 +379,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left before the whole report: not a failure of the run;
+        # what is still buffered goes to the null device at the exit flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

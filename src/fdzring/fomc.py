@@ -562,11 +562,10 @@ def _eval_block(model: _Model, f: Formula, env) -> bool | None:
     kind_l = block_of(side_l)
     kind_r = block_of(side_r)
     # orient: put the universally-quantified side (if any) on the left
-    if kind_r == "forall" and kind_l != "forall":
+    # one at most: the sides lie in blocks of different kinds, or one is ground
+    if kind_r == "forall":
         left_set, right_set = right_set, left_set
         kind_l, kind_r = kind_r, kind_l
-    if kind_l == "forall" and kind_r == "forall":
-        return len(left_set) == 1 and left_set == right_set
     if kind_l == "forall":
         if kind_r is None or first_kind == "forall":
             # ground right side, or the universal block scopes over the

@@ -958,6 +958,86 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
         yield None
 
 
+
+def reference_sixterm(
+    a: FdzRing, b: FdzRing, coeff_bound: int = 5, max_nodes: int = 200_000
+):
+    """``deform.verify_sixterm`` as it was before it derived the maps on
+    A/k and on o: it re-checks mu on A/k and eta on o as ring isomorphisms
+    and compares psi's image of o(A) with o(B), three checks that cannot
+    fail once phi carries k into k and the middle square commutes.  It
+    reads the chain's ``ak``, ``o_pres`` and ``o_in_delta``.
+    """
+    from fdzring.deform import SixTermReport
+    from fdzring.eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
+
+    _check_bound(coeff_bound)
+    chain_a = characteristic_ideals(a)
+    chain_b = characteristic_ideals(b)
+    for name, field in (
+        ("o_ring", "o_pres"),
+        ("delta_ring", "delta_pres"),
+        ("hat_ring", "hat"),
+        ("ak_ring", "ak"),
+    ):
+        inv_a = getattr(chain_a, field).ring.additive.invariant_factors
+        inv_b = getattr(chain_b, field).ring.additive.invariant_factors
+        if inv_a != inv_b:
+            return SixTermReport("no", f"{name} invariants differ: {inv_a} vs {inv_b}")
+
+    delta_to_hat_a, delta_to_hat_b = (
+        c.delta_pres.lift.mul(c.hat.project) for c in (chain_a, chain_b)
+    )
+    k_in_hat_a, k_in_hat_b = (
+        [row_times_matrix(row, c.hat.project) for row in c.k_ideal.lift_basis]
+        for c in (chain_a, chain_b)
+    )
+    k_image_b = chain_b.hat.ring.additive.subgroup(k_in_hat_b)
+    # A/k -> A/ann and B/ann -> B/k on coordinates
+    ak_to_hat_a = chain_a.ak.lift.mul(chain_a.hat.project)
+    hat_to_ak_b = chain_b.hat.lift.mul(chain_b.ak.project)
+
+    delta_b, hat_b = chain_b.delta_pres, chain_b.hat.ring
+    o_image_b = delta_b.ring.additive.subgroup(chain_b.o_in_delta.data)
+    budget_hit = False
+    for phi in _iso_witnesses(chain_a.hat.ring, hat_b, coeff_bound, max_nodes):
+        if phi is None:
+            budget_hit = True
+            break
+        # phi must carry the image of k(A) into that of k(B) and induce an
+        # isomorphism A/k -> B/k
+        if not all(k_image_b.contains(row_times_matrix(row, phi)) for row in k_in_hat_a):
+            continue
+        mu = ak_to_hat_a.mul(phi).mul(hat_to_ak_b)
+        if not verify_iso_witness(chain_a.ak.ring, chain_b.ak.ring, mu):
+            continue
+        # the images under phi of the generators of delta(A), in B/ann
+        restricted = [hat_b.reduce(row) for row in delta_to_hat_a.mul(phi).data]
+        for psi in _iso_witnesses(chain_a.delta_pres.ring, delta_b.ring, coeff_bound, max_nodes):
+            if psi is None:
+                budget_hit = True
+                break
+            # middle square: restriction to the annihilator quotient commutes
+            if [hat_b.reduce(row) for row in psi.mul(delta_to_hat_b).data] != restricted:
+                continue
+            # left square: psi must carry o(A) onto o(B), by an isomorphism eta
+            image_rows = [row_times_matrix(row, psi) for row in chain_a.o_in_delta.data]
+            if delta_b.ring.additive.subgroup(image_rows) != o_image_b:
+                continue
+            eta = IntMatrix(
+                [chain_b.o_pres.express(row_times_matrix(row, delta_b.lift)) for row in image_rows],
+                cols=chain_b.o_pres.ring.rank,
+            )
+            if image_rows and not verify_iso_witness(chain_a.o_pres.ring, chain_b.o_pres.ring, eta):
+                continue
+            return SixTermReport("commutes", "all three squares commute")
+    if budget_hit:
+        return SixTermReport("unknown", "search budget exhausted")
+    return SixTermReport(
+        "unknown", "no compatible isomorphism found within the coefficient bound"
+    )
+
+
 # -- first-order semantics ------------------------------------------------------
 
 

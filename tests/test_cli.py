@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -564,6 +565,23 @@ def test_main_run_as_the_program_freezes_its_start_up_objects():
     assert (code, before, enabled) == (0, 0, True)
     assert after > 0
     assert json.loads(done.stdout)["input"]["rank"] == 3
+
+
+def test_a_reader_leaving_early_is_not_an_error(tmp_path):
+    # 16 copies of the corpus make a report larger than a pipe's buffer, so
+    # the child is still writing when the reader closes its end
+    for copy in range(16):
+        for name in os.listdir(CORPUS):
+            shutil.copy(os.path.join(CORPUS, name), tmp_path / f"{copy}_{name}")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fdzring.cli", "corpus", str(tmp_path)],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10) == b'{\n  "corpu'
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (0, b"")
 
 
 def test_modelcheck_rejects_bad_mod(capsys):

@@ -31,12 +31,20 @@ from oracles import (
     TableCocycle,
     cocycle_pair_add,
     corpus_ring,
+    corpus_rings,
     element_order,
     k_to_ambient,
+    random_finite_ring,
+    random_lattice_preserving_unimodular,
+    random_mixed_ring,
+    random_ring_of_rank,
+    random_ring_over,
     reference_deformation_closing,
+    reference_sixterm,
     table_cocycle_defect,
     table_ext_classes,
     table_is_coboundary,
+    transport,
 )
 
 
@@ -252,10 +260,6 @@ def test_trivial_deformations_isomorphic():
 
 
 def test_trivial_deformations_random_finite():
-    import random
-
-    from oracles import random_finite_ring
-
     rng = random.Random(55)
     for _ in range(15):
         base = random_finite_ring(rng, max_order=12)
@@ -265,10 +269,6 @@ def test_trivial_deformations_random_finite():
 
 
 def test_trivial_deformations_random_mixed_profiles():
-    import random
-
-    from oracles import random_mixed_ring
-
     rng = random.Random(56)
     for _ in range(15):
         base = random_mixed_ring(rng)
@@ -496,6 +496,48 @@ def test_sixterm_rejection_paths(a, b, max_nodes, guard, expected):
     report, ran_after = _sixterm_traced(a, a if b is None else b, max_nodes)
     assert (report.status, report.detail) == expected
     assert guard is None or any(text.startswith(guard) for text in ran_after)
+
+
+def _sixterm_pairs(rng):
+    """Each base against itself, its zero-cocycle deformation (where the
+    construction applies), a transport of itself and a random ring on the
+    same orders; the bases are the corpus and seeded random rings."""
+    bases = corpus_rings()
+    bases += [random_mixed_ring(rng) for _ in range(16)]
+    bases += [random_finite_ring(rng, max_order=12) for _ in range(8)]
+    bases += [random_ring_of_rank(rng, rng.randint(2, 4)) for _ in range(8)]
+    pairs = []
+    for a in bases:
+        pairs.append((a, a))
+        try:
+            pairs.append((a, build_deformation(DeformationSpec(base=a)).ring))
+        except DeformationError:
+            pass
+        pairs.append((a, transport(a, *random_lattice_preserving_unimodular(rng, a.orders))))
+        pairs.append((a, random_ring_over(rng, a.orders)))
+    return pairs
+
+
+def test_sixterm_matches_the_reference_with_its_rechecks():
+    # the maps on A/k and on o are induced by phi and psi; the reference
+    # still builds and re-checks them, and every report must agree
+    pairs = _sixterm_pairs(random.Random(30))
+    mine = [verify_sixterm(a, b, max_nodes=2000) for a, b in pairs]
+    theirs = [reference_sixterm(a, b, max_nodes=2000) for a, b in pairs]
+    assert len(pairs) >= 130
+    assert [(r.status, r.detail) for r in mine] == [(r.status, r.detail) for r in theirs]
+    assert {r.status for r in mine} == {"commutes", "no", "unknown"}
+
+
+def test_sixterm_builds_no_presentation_of_o_or_a_mod_k():
+    for base in corpus_rings():
+        deformed = build_deformation(DeformationSpec(base=base)).ring
+        for b in (base, deformed):
+            # the deformation context reads the base's presentations
+            characteristic_ideals.cache_clear()
+            assert verify_sixterm(base, b).status == "commutes"
+            for chain in (characteristic_ideals(base), characteristic_ideals(b)):
+                assert not {"ak", "o_pres", "o_in_delta"} & set(vars(chain)), base
 
 
 def _random_annihilator_cocycle(rng, ctx):

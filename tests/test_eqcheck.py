@@ -203,6 +203,36 @@ def test_first_mismatch_matches_the_full_profile():
     assert kept <= set(generated), generated
 
 
+def _ring_with(orders, products):
+    """A ring on ``orders`` whose only nonzero products are e_i·e_j = value
+    for ((i, j), value) in ``products``, 1-based."""
+    n = len(orders)
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), value in products:
+        tensor[i - 1][j - 1] = list(value)
+    return FdzRing(orders, tensor)
+
+
+def test_a_fingerprint_alone_separates_two_rings(monkeypatch):
+    # in Z/8 + Z/4 + Z/2 the squares <2e1, e3> and <e2, 4e1> are both
+    # Z/2 + Z/4 with quotient Z/2 + Z/4, but their images mod 4 differ
+    orders = (8, 4, 2, 0, 0)
+    a = _ring_with(orders, [((4, 4), (2, 0, 0, 0, 0)), ((4, 5), (0, 0, 1, 0, 0))])
+    b = _ring_with(orders, [((4, 4), (0, 1, 0, 0, 0)), ((4, 5), (4, 0, 0, 0, 0))])
+    pa, pb = invariant_profile(a), invariant_profile(b)
+    assert pa.first_mismatch(pb) == "mod_4"
+    assert full_profile_first_mismatch(full_profile_oracle(a), full_profile_oracle(b)) == "mod_4"
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a profile mismatch charges no search node")
+
+    monkeypatch.setattr(eqcheck, "_iso_witnesses", no_search)
+    result = iso_search(a, b)
+    assert (result.kind, result.reason) == ("no", "invariant mismatch: mod_4")
+    verdict = equivalence_verdict(a, b)
+    assert (verdict.kind, verdict.reason) == ("not_equivalent", "invariant mismatch: mod_4")
+
+
 def test_padding_keeps_profile_equality():
     # the profile of Z0 x X is a function of the profile of X, so one
     # comparison before the padded search decides both
