@@ -62,7 +62,7 @@ _EXPORTS = {
         ),
         "groups",
     ),
-    **dict.fromkeys(("IntMatrix", "SmithDecomposition", "hermite_rows", "smith"), "intlinalg"),
+    **dict.fromkeys(("IntMatrix", "hermite_rows"), "intlinalg"),
     **dict.fromkeys(
         (
             "RingFileError", "load_ring", "parse_ring_text", "serialize_ring",

@@ -261,13 +261,15 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 def builtin(name: str, n: int) -> Formula:
     """The named definability formula at arity n.
 
-    Refused, before it is built, when it would nest deeper than
-    ``NESTING_GUARD``, the depth ``parse_formula`` accepts, so every
-    builtin prints to text that parses back and evaluates within the
-    recursion limit.
+    Refused, before it is built, when n is below 1 (the message names the
+    CLI's ``k``) or when it would nest deeper than ``NESTING_GUARD``, the
+    depth ``parse_formula`` accepts, so every builtin prints to text that
+    parses back and evaluates within the recursion limit.
     """
     if name not in _BUILTINS:
         raise FormulaError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
+    if n < 1:
+        raise FormulaError(f"builtin {name} needs k at least 1, got k={n}")
     build, depth = _BUILTINS[name]
     if depth(n) > NESTING_GUARD:
         raise FormulaError(

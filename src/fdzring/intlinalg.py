@@ -6,15 +6,17 @@ row/column operations (minimal-pivot selection to keep coefficients small),
 and freeze the result.  Kernels, preimage lattices, particular solutions of
 inhomogeneous systems and coordinates over a lattice basis come from
 one-sided Hermite reduction, which builds no transform; so does
-saturation, a kernel of a kernel.  The Smith form with transforms has one
-library caller, ``diagonal_presentation`` (invariant factors plus the
-coordinate change onto them, read from ``v`` and ``vinv``);
-``smith_diagonal`` gives the diagonal alone, over Z or over Z/n with every
-entry reduced into [0, n), for invariants that need no coordinates.  Hermite
-reduction works on sparse rows: the auxiliary systems of rank-12 rings are
-thousands of columns wide and nearly all zero.  ``solve_congruences`` takes
-its equations in that form too, as ``{column: coefficient}`` maps
-(``SparseRow``), and requires the number of unknowns, which it never infers.
+saturation, a kernel of a kernel.  Smith forms come in two kinds, which
+choose their pivots alike (``_min_pivot``): ``diagonal_presentation``
+needs the invariant factors and the coordinate change onto them, so its
+elimination tracks only the column transform V and its inverse, never the
+row transform; ``smith_diagonal`` gives the diagonal alone, over Z or over
+Z/n with every entry reduced into [0, n), for invariants that need no
+coordinates.  Hermite reduction works on sparse rows: the auxiliary
+systems of rank-12 rings are thousands of columns wide and nearly all zero.
+``solve_congruences`` takes its equations in that form too, as
+``{column: coefficient}`` maps (``SparseRow``), and requires the number of
+unknowns, which it never infers.
 
 ``record`` is the class decorator of every frozen value type in the
 library.  It reads the annotated fields in order and gives the class
@@ -174,131 +176,25 @@ def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
     return tuple(acc)
 
 
-@record
-class SmithDecomposition:
-    """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
+def _min_pivot(rows: Sequence[Sequence[int]], t: int) -> tuple[int, int] | None:
+    """The first entry of least nonzero absolute value in ``rows[t:]`` at
+    columns t onward, scanning row by row; None when that block is zero.
 
-    The inverses of the transforms are tracked alongside the elimination,
-    where unimodular inversion is cheapest.  ``diagonal_presentation``, the
-    only library caller, keeps columns of ``v`` and rows of ``vinv``.  No
-    library code reads ``u`` or ``uinv``: they stay only because ``_bits``
-    in ``perfbench/tracer.py`` recognises a Smith result by ``uinv``, and
-    the Smith checks and oracles under ``tests/`` read both.  Kernels,
-    saturations, particular solutions and coordinates need no transform and
-    come from Hermite reduction instead (``preimage_lattice``,
-    ``left_kernel``, ``affine_preimage``, ``hermite_coordinates``).
+    A row holding a unit ends the scan, since no entry is smaller.  (A
+    C-level ``min(filter(None, map(abs, row)))`` per row measured slower,
+    on the short rows of ``smith_diagonal`` and on the sparse rank-20
+    relation rows alike.)
     """
-
-    u: IntMatrix
-    v: IntMatrix
-    d: IntMatrix
-    uinv: IntMatrix
-    vinv: IntMatrix
-
-    @property
-    def diagonal(self) -> Vec:
-        return self.d.diagonal()
-
-
-def smith(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary operations with minimal-pivot choice."""
-    m, n = a.rows, a.cols
-    d = [list(r) for r in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= q * r[i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
-
-    for t in range(min(m, n)):
-        while True:
-            # minimal nonzero pivot in the remaining block
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    val = abs(d[i][j])
-                    if val and (best is None or val < best):
-                        best = val
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if d[t][t] < 0:
-                row_negate(t)
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // p
-                    row_addmul(i, t, -q)
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // p
-                    col_addmul(j, t, -q)
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-
-    return SmithDecomposition(
-        u=IntMatrix(u, cols=m),
-        v=IntMatrix(v, cols=n),
-        d=IntMatrix(d, cols=n),
-        uinv=IntMatrix(uinv, cols=m),
-        vinv=IntMatrix(vinv, cols=n),
-    )
+    best, pivot = 0, None
+    for i in range(t, len(rows)):
+        row = rows[i]
+        for j in range(t, len(row)):
+            val = abs(row[j])
+            if val and (not best or val < best):
+                best, pivot = val, (i, j)
+        if best == 1:
+            break
+    return pivot
 
 
 def smith_diagonal(
@@ -309,8 +205,8 @@ def smith_diagonal(
     Euclid with minimal pivots on rows and columns leaves a diagonal that
     need not be a divisor chain; replacing each pair (a, b) by
     (gcd(a, b), lcm(a, b)), which diag(a, b) is equivalent to, sorts it into
-    one (Cohen, GTM 138, §2.4).  Over Z the result is ``smith(...).diagonal``
-    of the same rows, ``min(len(rows), width)`` entries.  With a modulus n
+    one (Cohen, GTM 138, §2.4).  Over Z the result is the Smith diagonal of
+    the same rows, ``min(len(rows), width)`` entries.  With a modulus n
     every entry is kept reduced into [0, n), and each diagonal entry d is
     given as gcd(d, n), the divisor of n that generates the same ideal of
     Z/n (a zero entry reads n); the row module in (Z/n)^width is then the
@@ -324,21 +220,9 @@ def smith_diagonal(
     work = [r for r in work if any(r)]
     m = len(work)
     for t in range(min(m, width)):
-        while True:
-            # the pivot has the least absolute value in the block, so every
-            # remainder below or right of it is smaller and Euclid ends; no
-            # entry is smaller than a unit
-            best, pivot = 0, None
-            for i in range(t, m):
-                row = work[i]
-                for j in range(t, width):
-                    val = abs(row[j])
-                    if val and (not best or val < best):
-                        best, pivot = val, (i, j)
-                if best == 1:
-                    break
-            if pivot is None:
-                break
+        # the pivot has the least absolute value in the block, so every
+        # remainder below or right of it is smaller and Euclid ends
+        while (pivot := _min_pivot(work, t)) is not None:
             pi, pj = pivot
             work[t], work[pi] = work[pi], work[t]
             if pj != t:
@@ -365,7 +249,7 @@ def smith_diagonal(
             if not dirty:
                 diag[t] = p
                 break
-        if pivot is None:
+        else:
             break
     diag = [gcd(x, modulus) for x in diag] if modulus else [abs(x) for x in diag]
     for i in range(len(diag)):
@@ -416,14 +300,81 @@ def diagonal_presentation(
     function of the row list, not only of its lattice), pads the diagonal
     with zeros to ``rank`` and drops the unit factors (Cohen, GTM 138, §2.4).
     """
-    dec = smith(IntMatrix(relations, cols=rank))
-    diag = list(dec.diagonal) + [0] * (rank - len(dec.diagonal))
+    diag, v_cols, vinv = _smith_columns(relations, rank)
     keep = [i for i, d in enumerate(diag) if d != 1]
     return DiagonalPresentation(
         orders=tuple(diag[i] for i in keep),
-        project=IntMatrix([[row[j] for j in keep] for row in dec.v.data], cols=len(keep)),
-        lift=IntMatrix([dec.vinv.row(i) for i in keep], cols=rank),
+        project=IntMatrix(list(zip(*(v_cols[j] for j in keep))) or [()] * rank, cols=len(keep)),
+        lift=IntMatrix([vinv[i] for i in keep], cols=rank),
     )
+
+
+def _smith_columns(
+    relations: Sequence[Sequence[int]], rank: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Smith form D = U·A·V of the relation rows A, without U: the diagonal
+    padded with zeros to ``rank``, the columns of V and the rows of V⁻¹.
+
+    Each step takes as pivot the least nonzero entry of the live block
+    (``_min_pivot``), clears its column by row operations and its row by
+    column operations, and repeats until both are clear; if some entry
+    below and right of the pivot is not a multiple of it, the first such
+    row is added to the pivot row and the step goes on.  A unit pivot
+    divides everything, so that scan is skipped.  Rows above t are zero
+    right of their pivots, so only rows t and below are touched, and the
+    column operations of one sweep, which all read the fixed column t,
+    are applied to each row at once.
+    """
+    d = [list(map(int, r)) for r in relations]
+    if any(len(r) != rank for r in d):
+        raise ValueError("row width mismatch")
+    v_cols, vinv = [[0] * rank for _ in range(rank)], [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        v_cols[i][i] = vinv[i][i] = 1
+    diag = [0] * rank
+    for t in range(min(len(d), rank)):
+        while (pivot := _min_pivot(d, t)) is not None:
+            pi, pj = pivot
+            d[t], d[pi] = d[pi], d[t]
+            if pj != t:
+                for r in d[t:]:
+                    r[t], r[pj] = r[pj], r[t]
+                v_cols[t], v_cols[pj] = v_cols[pj], v_cols[t]
+                vinv[t], vinv[pj] = vinv[pj], vinv[t]
+            top = d[t]
+            if top[t] < 0:
+                top[t:] = [-x for x in top[t:]]
+            p = top[t]
+            dirty = False
+            for r in d[t + 1:]:
+                if r[t]:
+                    q = r[t] // p
+                    r[t:] = [x - q * y for x, y in zip(r[t:], top[t:])]
+                    dirty = dirty or r[t] != 0
+            qs = [x // p for x in top[t + 1:]]
+            if any(qs):
+                for r in d[t:]:
+                    if c := r[t]:
+                        r[t + 1:] = [x - c * q for x, q in zip(r[t + 1:], qs)]
+                pivot_col, pivot_inv = v_cols[t], vinv[t]
+                for j, q in enumerate(qs, t + 1):
+                    if q:
+                        v_cols[j] = [x - q * y for x, y in zip(v_cols[j], pivot_col)]
+                        pivot_inv = [x + q * y for x, y in zip(pivot_inv, vinv[j])]
+                vinv[t] = pivot_inv
+                dirty = dirty or any(top[t + 1:])
+            if dirty:
+                continue
+            offender = None if p == 1 else next(
+                (r for r in d[t + 1:] if any(map(p.__rmod__, r[t + 1:]))), None
+            )
+            if offender is None:
+                diag[t] = p
+                break
+            top[t:] = [x + y for x, y in zip(top[t:], offender[t:])]
+        else:
+            break
+    return diag, v_cols, vinv
 
 
 def _sparse_rows(rows: Iterable[Sequence[int]], width: int) -> list[SparseRow]:

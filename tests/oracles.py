@@ -26,8 +26,8 @@ from fdzring.intlinalg import (
     hermite_reduce,
     hermite_rows,
     preimage_lattice,
+    record,
     row_times_matrix,
-    smith,
     solve_congruences,
 )
 from fdzring.ringfile import load_ring
@@ -363,6 +363,148 @@ def random_lattice_preserving_unimodular(
         for k in range(r):
             tinv[i][k] -= q * tinv[j][k]
     return IntMatrix(t), IntMatrix(tinv)
+
+
+@record
+class SmithDecomposition:
+    """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
+
+    The inverses of the transforms are tracked alongside the elimination,
+    where unimodular inversion is cheapest.
+    """
+
+    u: IntMatrix
+    v: IntMatrix
+    d: IntMatrix
+    uinv: IntMatrix
+    vinv: IntMatrix
+
+    @property
+    def diagonal(self) -> Vec:
+        return self.d.diagonal()
+
+
+def smith(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form by elementary operations with minimal-pivot choice.
+
+    The four-transform elimination the library ran before it kept only V
+    and V⁻¹: every step updates whole rows and columns of D, U, U⁻¹, V and
+    V⁻¹, scans the whole block for its pivot and, after every pivot, for
+    an entry the pivot does not divide.  ``intlinalg._smith_columns`` must
+    make the same choices, so ``reference_diagonal_presentation`` on it is
+    the reference for ``diagonal_presentation``.
+    """
+    m, n = a.rows, a.cols
+    d = [list(r) for r in a.data]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_addmul(i, j, q):
+        # row_i += q * row_j
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in uinv:
+            r[j] -= q * r[i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_addmul(i, j, q):
+        # col_i += q * col_j
+        for r in d:
+            r[i] += q * r[j]
+        for r in v:
+            r[i] += q * r[j]
+        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
+
+    for t in range(min(m, n)):
+        while True:
+            # minimal nonzero pivot in the remaining block
+            pivot = None
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    val = abs(d[i][j])
+                    if val and (best is None or val < best):
+                        best = val
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            if d[t][t] < 0:
+                row_negate(t)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // p
+                    row_addmul(i, t, -q)
+                    if d[i][t]:
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // p
+                    col_addmul(j, t, -q)
+                    if d[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot now alone in its row and column; enforce divisibility
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_addmul(t, offender, 1)
+
+    return SmithDecomposition(
+        u=IntMatrix(u, cols=m),
+        v=IntMatrix(v, cols=n),
+        d=IntMatrix(d, cols=n),
+        uinv=IntMatrix(uinv, cols=m),
+        vinv=IntMatrix(vinv, cols=n),
+    )
+
+
+def reference_diagonal_presentation(relations, rank: int) -> DiagonalPresentation:
+    """``diagonal_presentation`` read off the four-transform ``smith``: the
+    diagonal padded with zeros to ``rank``, the columns of V and the rows of
+    V⁻¹ at its non-unit entries."""
+    dec = smith(IntMatrix(relations, cols=rank))
+    diag = list(dec.diagonal) + [0] * (rank - len(dec.diagonal))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return DiagonalPresentation(
+        orders=tuple(diag[i] for i in keep),
+        project=IntMatrix([[row[j] for j in keep] for row in dec.v.data], cols=len(keep)),
+        lift=IntMatrix([dec.vinv.row(i) for i in keep], cols=rank),
+    )
 
 
 def smith_left_kernel(a: IntMatrix) -> tuple[Vec, ...]:

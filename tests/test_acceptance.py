@@ -30,7 +30,7 @@ from fdzring.eqcheck import (
 )
 from fdzring.fomc import defined_set, evaluate, phi, theta
 from fdzring.groups import FgAbelianGroup
-from fdzring.intlinalg import IntMatrix, row_times_matrix, smith
+from fdzring.intlinalg import IntMatrix, diagonal_presentation, row_times_matrix
 from fdzring.rings import characteristic_ideals, reduce_mod_n
 
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     pair_of,
     quotient_of_subgroups,
     random_finite_ring,
+    smith,
     subgroup_elements,
     table_cocycle_defect,
     z_mod,
@@ -80,6 +81,9 @@ def test_criterion_1_linear_algebra_kernel():
         dec = smith(a)
         assert dec.u.mul(a).mul(dec.v) == dec.d
         diag = dec.diagonal
+        # the library's presentation keeps the non-unit invariant factors
+        padded = diag + (0,) * (cols - len(diag))
+        assert diagonal_presentation(a.data, cols).orders == tuple(d for d in padded if d != 1)
         for i in range(len(diag)):
             assert diag[i] >= 0
             if i:

@@ -232,7 +232,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
 def test_package_namespace_is_lazy():
     out = fresh_interpreter("-c", "import sys, fdzring; print(sorted(m for m in sys.modules if 'fdzring' in m))")
     assert out.stdout.strip() == "['fdzring']"
-    assert len(fdzring.__all__) == 69 and set(fdzring.__all__) == set(fdzring._EXPORTS)
+    assert len(fdzring.__all__) == 67 and set(fdzring.__all__) == set(fdzring._EXPORTS)
     for name in fdzring.__all__:
         home = importlib.import_module(f"fdzring.{fdzring._EXPORTS[name]}")
         assert getattr(fdzring, name) is getattr(home, name), name

@@ -195,6 +195,10 @@ USAGE_ERRORS = {
     "builtin_no_k": (W_MOD2 + ["--builtin", "theta"], "expected --builtin NAME,k=N"),
     "builtin_bad_k": (W_MOD2 + ["--builtin", "theta,k=x"], f"bad builtin arity: {INT_ERROR}'x'"),
     "builtin_wrong_key": (W_MOD2 + ["--builtin", "theta,j=2"], "expected --builtin NAME,k=N"),
+    "builtin_k_zero": (
+        ["modelcheck", corpus_path("w.ring"), "--mod", "3", "--builtin", "phi,k=0"],
+        "builtin phi needs k at least 1, got k=0",
+    ),
     # a list in operator position is a parse error, not an internal one
     "formula_list_term_head": (
         W_MOD2 + ["--formula", "(eq ((add x x) y) 0)"],

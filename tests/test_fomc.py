@@ -531,6 +531,10 @@ def test_builtin_refuses_what_the_parser_would():
         for n in (largest + 1, 300, 100_000, 10**18):
             with pytest.raises(FormulaError, match="beyond the limit"):
                 builtin(name, n)
+        # below arity 1 the refusal names k, not the builders' n
+        for n in (0, -1):
+            with pytest.raises(FormulaError, match=f"builtin {name} needs k at least 1, got k={n}"):
+                builtin(name, n)
 
 
 def test_parse_errors():

@@ -5,12 +5,15 @@ from math import gcd
 
 import pytest
 
+import fdzring.bilinear as bilinear_module
 from fdzring.bilinear import BilinearMap, BilinearMapError, _pair_conditions, induced_bilinear_map
+from fdzring.classify import classify_ring
 from fdzring.eqcheck import EquivalenceResult, IsoResult
 from fdzring.fomc import Add, Mul, Var, Zero
 from fdzring.intlinalg import (
     IntMatrix,
     _echelon,
+    _smith_columns,
     _sparse_rows,
     affine_preimage,
     diagonal_presentation,
@@ -21,7 +24,6 @@ from fdzring.intlinalg import (
     preimage_lattice,
     record,
     row_times_matrix,
-    smith,
     smith_diagonal,
     solve_congruences,
     vec_add,
@@ -32,11 +34,13 @@ from oracles import (
     corpus_rings,
     lattice_contains,
     reference_affine_preimage,
+    reference_diagonal_presentation,
     reference_hermite_rows,
     reference_pair_conditions,
     reference_pairing_equations,
     reference_preimage_lattice,
     reference_solve_congruences,
+    smith,
     smith_left_kernel,
     sparse_rows,
     zero_matrix,
@@ -88,27 +92,35 @@ def test_record_contract():
 
 
 def check_smith(a):
-    dec = smith(a)
-    assert dec.u.mul(a).mul(dec.v) == dec.d
-    assert dec.u.mul(dec.uinv) == IntMatrix.identity(a.rows)
-    assert dec.v.mul(dec.vinv) == IntMatrix.identity(a.cols)
-    diag = dec.diagonal
+    """The library's Smith kernel on A: V·V⁻¹ = I, D is a divisor chain,
+    and A·V spans the row lattice of D (A·V = U⁻¹·D with U unimodular, so
+    no U is needed to check it).  Returns the diagonal of D."""
+    diag, v_cols, vinv = _smith_columns(a.data, a.cols)
+    v = IntMatrix(list(zip(*v_cols)), cols=a.cols)
+    assert v.mul(IntMatrix(vinv, cols=a.cols)) == IntMatrix.identity(a.cols)
+    assert len(diag) == a.cols and not any(diag[a.rows:])
     for i in range(len(diag)):
         assert diag[i] >= 0
         if i and diag[i - 1]:
             assert diag[i] % diag[i - 1] == 0
         if i and diag[i - 1] == 0:
             assert diag[i] == 0
-    return dec
+    d_rows = [[x if j == i else 0 for j in range(a.cols)] for i, x in enumerate(diag)]
+    assert hermite_rows(a.mul(v).data, a.cols) == hermite_rows(d_rows, a.cols)
+    return tuple(diag[:a.rows])
 
 
 def test_smith_identity_and_zero():
-    assert check_smith(IntMatrix.identity(2)).diagonal == (1, 1)
-    assert check_smith(zero_matrix(2, 3)).diagonal == (0, 0)
+    assert check_smith(IntMatrix.identity(2)) == (1, 1)
+    assert check_smith(zero_matrix(2, 3)) == (0, 0)
+    assert check_smith(IntMatrix([], cols=2)) == ()
 
 
 def test_smith_divisibility_example():
-    assert check_smith(IntMatrix([[2, 4], [6, 8]])).diagonal == (2, 4)
+    assert check_smith(IntMatrix([[2, 4], [6, 8]])) == (2, 4)
+    # 2 and 3 are alone in their rows and columns, yet 2 does not divide 3
+    assert check_smith(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
+    assert diagonal_presentation([[2, 0], [0, 3]], 2).orders == (6,)
 
 
 def test_smith_random():
@@ -408,6 +420,69 @@ def test_diagonal_presentation():
             for _ in range(rng.randint(0, 5))
         ]
         check_diagonal_presentation(relations, rank)
+
+
+def _build_action_relations(rank):
+    """The relation matrices ``bilinear._build_action`` hands to
+    ``diagonal_presentation`` while classifying the generator's first ring
+    of this rank under ``Random(1)``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    seen = []
+
+    def recording(relations, width):
+        seen.append((relations, width))
+        return diagonal_presentation(relations, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bilinear_module, "diagonal_presentation", recording)
+        classify_ring(FdzRing(*random_ring_data(random.Random(1), rank)))
+    assert seen
+    return seen
+
+
+def test_diagonal_presentation_matches_the_four_transform_smith():
+    """Same orders, project and lift as the oracle Smith form on every shape
+    the elimination has to get right, so its pivots and steps are the
+    oracle's."""
+    rng = random.Random(31)
+    cases = [([], 0), ([], 3), ([[], []], 0), ([[0, 0], [0, 0]], 2), ([[2, 0], [0, 3]], 2)]
+    for n in range(400):
+        m, w = rng.randint(1, 7), rng.randint(1, 7)
+        if n % 4 == 0:
+            m = w + rng.randint(1, 3)
+        elif n % 4 == 1:
+            w = m + rng.randint(1, 3)
+        rows = _random_rows(rng, m, w, bound=10**12 if n % 7 == 0 else 20)
+        if n % 5 == 2 and m >= 2:
+            first, second = rng.sample(range(m), 2)
+            rows[second] = [rng.choice((-3, 2, 5)) * x for x in rows[first]]
+        cases.append((rows, w))
+    for _ in range(40):
+        # wide and sparse: nearly every pivot is a unit
+        m = rng.randint(5, 30)
+        w = m + rng.randint(1, 10)
+        cases.append((_random_rows(rng, m, w, density=0.08, bound=2), w))
+    cases += _build_action_relations(12) + _build_action_relations(16)
+    shapes = set()
+    for rows, width in cases:
+        pres = diagonal_presentation(rows, width)
+        assert pres == reference_diagonal_presentation(rows, width), (rows, width)
+        shapes.add(
+            "empty" if not rows else "narrow" if not width else
+            "tall" if len(rows) > width else "wide" if len(rows) < width else "square"
+        )
+        if pres.orders.count(0) > width - min(len(rows), width):
+            shapes.add("deficient")
+        if any(abs(x) >= 10**12 for r in rows for x in r):
+            shapes.add("large")
+        if len(rows) >= 5 and width - len(pres.orders) >= len(rows) - 1:
+            shapes.add("units")
+    assert shapes == {"empty", "narrow", "tall", "wide", "square", "deficient", "large", "units"}
 
 
 def _smith_diagonal_cases():
