@@ -142,28 +142,22 @@ def cmd_eqcheck(args) -> dict:
 
 
 def _parse_deform_cocycle(text: str) -> tuple[int, list[int], int]:
-    order = None
-    value = None
-    factor = 1
+    fields: dict[str, object] = {}
     try:
-        for piece in text.split(","):
+        for piece in text.split(",") if text else ():
             key, _, raw = piece.partition("=")
-            key = key.strip()
-            if key == "e":
-                order = int(raw)
-            elif key == "d":
-                value = [int(v) for v in raw.split(":")]
-            elif key == "factor":
-                factor = int(raw)
-            else:
+            if (key := key.strip()) not in ("e", "d", "factor"):
                 raise CliParseError(f"unknown cocycle field {key!r}")
+            if key in fields:
+                raise CliParseError(f"repeated cocycle field {key!r}")
+            fields[key] = [int(v) for v in raw.split(":")] if key == "d" else int(raw)
     except CliParseError:
         raise
     except ValueError as exc:
         raise CliParseError(f"bad cocycle syntax: {exc}") from exc
-    if order is None or value is None:
+    if "e" not in fields or "d" not in fields:
         raise CliParseError("the cocycle needs both e=ORDER and d=C1:...:CR")
-    return order, value, factor
+    return fields["e"], fields["d"], fields.get("factor", 1)
 
 
 def cmd_deform(args) -> dict:
@@ -173,7 +167,7 @@ def cmd_deform(args) -> dict:
     ring = load_ring(args.ring)
     context = DeformationContext(ring)
     g = None
-    if args.g:
+    if args.g is not None:
         order, value, factor = _parse_deform_cocycle(args.g)
         index = factor - 1
         if not (0 <= index < len(context.n_orders)):

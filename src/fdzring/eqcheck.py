@@ -63,7 +63,8 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     No field needs the coordinate change of a Smith form, so each comes
     from ``smith_diagonal``, which builds no transform: the ideal and
     quotient fields through the ``invariant_factors`` of the chain's
-    subgroups and groups, the fingerprints directly.  A fingerprint is the
+    subgroups and of A/sq and A/k (l/k is the torsion of A/k), the
+    fingerprints directly.  A fingerprint is the
     image (sq + nA)/nA for each prime power n <= 16.  A = Z^r / diag(d_i) with
     d_i = ``a.orders``, so nA lifts to the lattice diag(g_j), g_j =
     gcd(n, d_j) with gcd(n, 0) = n, and x -> (n/g_j)·x embeds Z/g_j into
@@ -72,7 +73,10 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     column operations keep that module up to isomorphism, so with
     e_1 | e_2 | ... the diagonal of S' over Z/n (entries dividing n) it is
     the sum of the Z/(n/e_i): one elimination per modulus (Cohen, GTM 138,
-    §2.4).
+    §2.4).  For n prime to every nonzero d_j, S' is S on the free columns
+    and 0 mod n on the others, and a Smith form over Z is one over Z/n, so
+    the e_i are gcd(e, n) over one integer Smith diagonal of S's free
+    columns, shared by all such n.
 
     Each entry the profile leaves out is a function of fields compared
     before its place in the full list, so ``first_mismatch`` names the same
@@ -86,17 +90,24 @@ def invariant_profile(a: FdzRing) -> InvariantProfile:
     """
     chain = characteristic_ideals(a)
     square = chain.sq.lift_basis
+    torsion, shared = prod(d for d in a.orders if d), None
     fingerprints = []
     for n in FINGERPRINT_MODULI:
-        steps = [n // gcd(n, d) for d in a.orders]
-        diag = smith_diagonal([[x * s for x, s in zip(row, steps)] for row in square], a.rank, n)
+        if gcd(n, torsion) > 1:
+            steps = [n // gcd(n, d) for d in a.orders]
+            diag = smith_diagonal([[x * s for x, s in zip(row, steps)] for row in square], a.rank, n)
+        else:
+            if shared is None:
+                free = [[x for x, d in zip(row, a.orders) if not d] for row in square]
+                shared = smith_diagonal(free, a.orders.count(0))
+            diag = [gcd(e, n) for e in shared]
         fingerprints.append((n, tuple(n // e for e in reversed(diag) if e != n)))
     return InvariantProfile(
         additive=a.additive.invariant_factors,
         ann=chain.ann.invariant_factors,
         square=chain.sq.invariant_factors,
         k_ideal=chain.k_ideal.invariant_factors,
-        n_quot=chain.n_quot.invariant_factors,
+        n_quot=tuple(d for d in chain.k_ideal.quotient().invariant_factors if d),
         mod_square=chain.sq.quotient().invariant_factors,
         fingerprints=tuple(fingerprints),
     )

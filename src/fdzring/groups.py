@@ -40,11 +40,19 @@ class GroupError(ValueError):
 
 
 class FgAbelianGroup:
-    """Z^rank modulo the lattice spanned by the relation rows."""
+    """Z^rank modulo the lattice spanned by the relation rows, kept as its
+    Hermite basis, which is unique (Cohen, GTM 138, §2.4): a caller that
+    holds that basis already hands it to ``_from_hermite`` unreduced."""
 
     def __init__(self, rank: int, relations: Iterable[Sequence[int]] = ()):
         self.rank = int(rank)
         self.relation_basis = hermite_rows(relations, self.rank)
+
+    @classmethod
+    def _from_hermite(cls, rank: int, basis: tuple[Vec, ...]) -> "FgAbelianGroup":
+        group = cls.__new__(cls)
+        group.rank, group.relation_basis = rank, basis
+        return group
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -61,15 +69,14 @@ class FgAbelianGroup:
 
     @classmethod
     def from_orders(cls, orders: Sequence[int]) -> "FgAbelianGroup":
-        """Diagonal presentation: one generator per order, 0 meaning infinite."""
+        """Diagonal presentation: one generator per order, 0 meaning infinite.
+        The rows d_i·e_i with d_i > 0, in order, are a Hermite basis."""
+        orders = [int(d) for d in orders]
+        if any(d < 0 for d in orders):
+            raise GroupError("orders must be nonnegative")
         r = len(orders)
-        rels = []
-        for i, d in enumerate(orders):
-            if d < 0:
-                raise GroupError("orders must be nonnegative")
-            if d:
-                rels.append([d if j == i else 0 for j in range(r)])
-        return cls(r, rels)
+        rels = tuple(tuple(d if j == i else 0 for j in range(r)) for i, d in enumerate(orders) if d)
+        return cls._from_hermite(r, rels)
 
     @cached_property
     def diagonal(self) -> DiagonalPresentation:
@@ -78,13 +85,8 @@ class FgAbelianGroup:
 
     @cached_property
     def invariant_factors(self) -> Vec:
-        """d1 | d2 | ... then zeros for free rank; unit factors dropped.
-
-        Read off ``smith_diagonal``, which builds no coordinate change, so
-        the group's invariants never pay for ``diagonal``'s transforms.
-        """
-        diag = smith_diagonal(self.relation_basis, self.rank)
-        return tuple(d for d in diag + (0,) * (self.rank - len(diag)) if d != 1)
+        """d1 | d2 | ... then zeros for free rank; unit factors dropped."""
+        return _invariant_factors(self.relation_basis, self.rank)
 
     @cached_property
     def order(self) -> int | None:
@@ -167,7 +169,7 @@ class Subgroup:
     @cached_property
     def invariant_factors(self) -> Vec:
         """The invariant factors of this subgroup as an abstract group."""
-        return self.as_group()[0].invariant_factors
+        return _invariant_factors(self._relation_coordinates(), len(self.lift_basis))
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(
@@ -206,8 +208,8 @@ class Subgroup:
         return Subgroup(self.parent, left_kernel(_transpose(kernel, self.parent.rank)))
 
     def quotient(self) -> FgAbelianGroup:
-        """The parent modulo this subgroup."""
-        return FgAbelianGroup(self.parent.rank, self.lift_basis)
+        """The parent modulo this subgroup, with the lift basis as relations."""
+        return FgAbelianGroup._from_hermite(self.parent.rank, self.lift_basis)
 
     def index(self) -> int | None:
         return self.quotient().order
@@ -217,11 +219,17 @@ class Subgroup:
 
         Returns ``(group, basis)`` where ``basis`` rows are ambient lifts of
         the abstract generators and ``group`` is Z^k modulo the coefficient
-        vectors that die in the parent.
+        vectors that die in the parent.  Those are the c with c·basis in the
+        parent's relation lattice R.  R lies in the lift lattice L and the
+        basis rows are independent, so they are spanned by the coordinates
+        of R's basis rows over L's, read off by back-substitution.
         """
         basis = IntMatrix(self.lift_basis, cols=self.parent.rank)
-        rels = preimage_lattice(basis, self.parent.relation_basis)
-        return FgAbelianGroup(basis.rows, rels), basis
+        return FgAbelianGroup(basis.rows, self._relation_coordinates()), basis
+
+    def _relation_coordinates(self) -> list[Vec]:
+        """The parent's relation rows over the lift basis (see ``as_group``)."""
+        return [hermite_coordinates(self.lift_basis, row) for row in self.parent.relation_basis]
 
     def as_group_with(self, part: "Subgroup") -> tuple[FgAbelianGroup, IntMatrix, "Subgroup"]:
         """``as_group`` together with ``part`` as a subgroup of the abstract
@@ -242,6 +250,13 @@ class Subgroup:
         raw vector in the lattice is exactly membership in the subgroup.
         """
         return hermite_coordinates(self.lift_basis, vec)
+
+
+def _invariant_factors(relations: Sequence[Sequence[int]], rank: int) -> Vec:
+    """The invariant factors of Z^rank modulo the rows, read off
+    ``smith_diagonal``, so they never pay for a coordinate change."""
+    diag = smith_diagonal(relations, rank)
+    return tuple(d for d in diag + (0,) * (rank - len(diag)) if d != 1)
 
 
 def _transpose(rows: Sequence[Sequence[int]], width: int) -> IntMatrix:

@@ -521,7 +521,8 @@ def solve_congruences(
     ``rhs=None`` the zero solution is returned as the particular part,
     which turns this into a kernel computation; otherwise the particular
     solution is the canonical one of ``affine_preimage``, so neither changes
-    as equations are first taken mod |m|, repeats and ones all z satisfy dropped.
+    as equations are reordered, taken mod |m|, and repeats and ones all z
+    satisfy dropped.
     """
     if len(equations) != len(moduli):
         raise ValueError("one modulus per equation required")
@@ -532,17 +533,19 @@ def solve_congruences(
     columns: list[SparseRow] = [{} for _ in range(unknowns)]
     modulus_rows: list[SparseRow] = []
     tag: SparseRow = {}
-    seen: set[tuple[frozenset, int, int]] = set()
+    kept: dict[tuple[frozenset, int, int], tuple[SparseRow, int, int]] = {}
     for e, m, b in zip(equations, moduli, rhs or [0] * len(equations)):
         if e and (min(e) < 0 or max(e) >= unknowns):
             raise ValueError("equation column outside the unknowns")
         m = abs(m)
         e = {j: y for j, x in e.items() if (y := x % m if m else x)}
         b = b % m if m else b
-        if not (b or e) or (key := (frozenset(e.items()), m, b)) in seen:
-            continue
-        r = len(seen)
-        seen.add(key)
+        if b or e:
+            kept.setdefault((frozenset(e.items()), m, b), (e, m, b))
+    # equation r is the r-th column the echelon clears; exact equations,
+    # then the sparsest, first keep the fill low (LaMacchia–Odlyzko, 1990)
+    order = sorted(kept.values(), key=lambda t: (t[1] != 0, len(t[0])))
+    for r, (e, m, b) in enumerate(order):
         for j, x in e.items():
             columns[j][r] = x
         if m:
@@ -550,8 +553,8 @@ def solve_congruences(
         if b:
             tag[r] = -b
     if rhs is None:
-        return tuple([0] * unknowns), _preimage(columns, len(seen), modulus_rows)
-    return _solution(_preimage([tag, *columns], len(seen), modulus_rows))
+        return tuple([0] * unknowns), _preimage(columns, len(order), modulus_rows)
+    return _solution(_preimage([tag, *columns], len(order), modulus_rows))
 
 
 def preimage_lattice(

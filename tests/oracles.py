@@ -28,6 +28,7 @@ from fdzring.intlinalg import (
     preimage_lattice,
     record,
     row_times_matrix,
+    smith_diagonal,
     solve_congruences,
 )
 from fdzring.ringfile import load_ring
@@ -83,6 +84,25 @@ def element_order(g: FgAbelianGroup, vec) -> int | None:
     index of {n : n·vec in the relations} in Z."""
     pre = preimage_lattice(IntMatrix([list(vec)], cols=g.rank), g.relation_basis)
     return (abs(pre[0][0]) if pre else 0) or None
+
+
+def reference_from_orders(orders) -> FgAbelianGroup:
+    """``FgAbelianGroup.from_orders`` as it was: the rows d_i·e_i reduced
+    to Hermite form again."""
+    r = len(orders)
+    return FgAbelianGroup(r, [[d if j == i else 0 for j in range(r)] for i, d in enumerate(orders) if d])
+
+
+def reference_quotient(s: Subgroup) -> FgAbelianGroup:
+    """``Subgroup.quotient`` as it was: the lift basis reduced again."""
+    return FgAbelianGroup(s.parent.rank, s.lift_basis)
+
+
+def reference_as_group(s: Subgroup) -> tuple[FgAbelianGroup, IntMatrix]:
+    """``Subgroup.as_group`` as it was: the relations are the preimage
+    lattice of the parent's relations under the lift basis."""
+    basis = IntMatrix(s.lift_basis, cols=s.parent.rank)
+    return FgAbelianGroup(basis.rows, preimage_lattice(basis, s.parent.relation_basis)), basis
 
 
 def transport(a: FdzRing, t: IntMatrix, tinv: IntMatrix) -> FdzRing:
@@ -815,6 +835,21 @@ def profile_fingerprints_oracle(a: FdzRing) -> tuple:
         quot = scaled.quotient()
         image = quotient_of_subgroups(sq.sum(scaled), scaled)
         out.append((n, quot.order, quot.invariant_factors, image.invariant_factors))
+    return tuple(out)
+
+
+def reference_fingerprints(a: FdzRing) -> tuple[tuple[int, Vec], ...]:
+    """``InvariantProfile.fingerprints`` with one elimination mod n for
+    every modulus, as before the moduli prime to the torsion came to share
+    one Smith diagonal over Z."""
+    from fdzring.eqcheck import FINGERPRINT_MODULI
+
+    square = characteristic_ideals(a).sq.lift_basis
+    out = []
+    for n in FINGERPRINT_MODULI:
+        steps = [n // gcd(n, d) for d in a.orders]
+        diag = smith_diagonal([[x * s for x, s in zip(row, steps)] for row in square], a.rank, n)
+        out.append((n, tuple(n // e for e in reversed(diag) if e != n)))
     return tuple(out)
 
 

@@ -186,6 +186,9 @@ USAGE_ERRORS = {
     "g_unknown_field": (W_COCYCLE + ["x=1"], "unknown cocycle field 'x'"),
     "g_bad_int": (W_COCYCLE + ["e=two"], f"bad cocycle syntax: {INT_ERROR}'two'"),
     "g_missing_value": (W_COCYCLE + ["e=2"], "the cocycle needs both e=ORDER and d=C1:...:CR"),
+    "g_empty": (W_COCYCLE + [""], "the cocycle needs both e=ORDER and d=C1:...:CR"),
+    "g_repeated_order": (W_COCYCLE + ["e=2,e=3,d=0:1:0"], "repeated cocycle field 'e'"),
+    "g_repeated_factor": (W_COCYCLE + ["e=2,d=0:1:0,factor=1,factor=1"], "repeated cocycle field 'factor'"),
     "g_factor_range": (
         W_COCYCLE + ["e=2,d=0:1:0,factor=9"],
         "factor 9 out of range; the torsion quotient has 1 cyclic factors",

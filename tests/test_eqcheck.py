@@ -28,7 +28,7 @@ from fdzring.eqcheck import (
     verify_embedding,
     verify_iso_witness,
 )
-from fdzring.intlinalg import IntMatrix
+from fdzring.intlinalg import IntMatrix, smith_diagonal
 from fdzring.rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     random_lattice_preserving_unimodular,
     random_ring_of_rank,
     random_ring_over,
+    reference_fingerprints,
     reference_iso_witnesses,
     transport,
 )
@@ -118,6 +119,53 @@ def test_closed_form_fingerprints_match_the_subgroup_oracle():
                 assert image == _coprime_sum(oracle[a][2], oracle[n // a][2]), (ring, n)
                 composite += len(image) > 1
     assert composite > 100
+
+
+@pytest.mark.parametrize(
+    "orders, shared",
+    [
+        # torsion of 2s and 3s: the moduli 5, 7, 11 and 13 share
+        ((2, 3, 4, 6, 0, 0), (5, 7, 11, 13)),
+        # torsion 5·7·11·13: the powers of 2 and 3 share
+        ((5, 7, 11, 13, 0, 0), (2, 3, 4, 8, 9, 16)),
+        # every prime below 16 divides the torsion: none shares
+        ((6, 5 * 7 * 11 * 13, 0, 0), ()),
+        # no torsion: all share
+        ((0, 0, 0, 0), FINGERPRINT_MODULI),
+    ],
+)
+def test_fingerprints_prime_to_the_torsion_share_one_smith(monkeypatch, orders, shared):
+    # each fingerprint n prime to the torsion is gcd(e, n) over the integer
+    # Smith diagonal of the square's free columns, one diagonal for them
+    # all; the others eliminate mod n, and both agree with an elimination
+    # mod n for every modulus
+    calls = []
+
+    def recording(rows, width, modulus=None):
+        calls.append(modulus)
+        return smith_diagonal(rows, width, modulus)
+
+    monkeypatch.setattr(eqcheck, "smith_diagonal", recording)
+    rng = random.Random(len(orders) + sum(orders))
+    r = len(orders)
+    # a zero square, and one whose free diagonal holds 35 and a zero
+    special = [[[0] * r for _ in range(r)] for _ in range(r)]
+    fixed = [FdzRing(orders, special)]
+    special[r - 1][r - 1] = [0] * (r - 1) + [35]
+    special[r - 2][r - 1] = [0] * (r - 1) + [70]
+    fixed.append(FdzRing(orders, special))
+    rings = fixed + [random_ring_over(rng, orders, max_entry=rng.choice((2, 6))) for _ in range(30)]
+    for ring in rings:
+        invariant_profile.cache_clear()
+        calls.clear()
+        profile = invariant_profile(ring)
+        assert profile.fingerprints == reference_fingerprints(ring), ring
+        assert sorted(m for m in calls if m) == sorted(set(FINGERPRINT_MODULI) - set(shared))
+        assert calls.count(None) == (1 if shared else 0)
+    for ring in fixed:
+        oracle = {n: image for n, _, _, image in profile_fingerprints_oracle(ring)}
+        assert invariant_profile(ring).fingerprints == tuple((n, oracle[n]) for n in FINGERPRINT_MODULI)
+    assert len({invariant_profile(ring).fingerprints for ring in rings}) > 2
 
 
 def test_profile_invariants_match_the_presented_groups():

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 from fdzring.groups import (
     FgAbelianGroup,
@@ -6,8 +8,17 @@ from fdzring.groups import (
     split_complement,
 )
 from fdzring.intlinalg import IntMatrix, row_times_matrix
-from fdzring.rings import FdzRing, subring_presentation
-from oracles import brute_force_complement_exists, element_order, quotient_of_subgroups
+from fdzring.rings import FdzRing, characteristic_ideals, direct_product, subring_presentation, z0_ring
+from oracles import (
+    brute_force_complement_exists,
+    corpus_rings,
+    element_order,
+    quotient_of_subgroups,
+    random_ring_over,
+    reference_as_group,
+    reference_from_orders,
+    reference_quotient,
+)
 
 import pytest
 
@@ -257,3 +268,61 @@ def test_presentation_roundtrip():
         coords = pres.express(row)
         expected = tuple(1 if j == i else 0 for j in range(len(orders)))
         assert coords == expected
+
+
+def _recipe_subgroups() -> list:
+    """Every chain subgroup (ann, sq, delta, k, l, o) with the zero and the
+    full subgroup, of the corpus, of each corpus ring times Z0, of seeded
+    benchmark-generator rings, and of a rank-0, an all-free and an
+    all-torsion ring; then random subgroups of groups whose relations are
+    not diagonal."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(32)
+    rings = corpus_rings()
+    rings += [direct_product(z0_ring(), ring) for ring in rings]
+    rings += [FdzRing(*random_ring_data(rng, 2 + n % 7)) for n in range(60)]
+    rings += [FdzRing((), ()), random_ring_over(rng, (0, 0, 0)), random_ring_over(rng, (2, 4, 6, 3))]
+    subgroups = []
+    for ring in rings:
+        chain = characteristic_ideals(ring)
+        subgroups += [getattr(chain, name) for name in ("ann", "sq", "delta", "k_ideal", "l_ideal", "o_ideal")]
+        subgroups += [ring.additive.zero_subgroup(), ring.additive.full_subgroup()]
+    for _ in range(80):
+        r = rng.randint(0, 5)
+        g = FgAbelianGroup(r, [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rng.randint(0, 3))])
+        subgroups.append(g.subgroup([[rng.randint(-4, 4) for _ in range(r)] for _ in range(rng.randint(0, 3))]))
+    return subgroups
+
+
+def _assert_same_group(mine: FgAbelianGroup, reference: FgAbelianGroup, where) -> None:
+    assert (mine.rank, mine.relation_basis) == (reference.rank, reference.relation_basis), where
+    assert mine == reference and hash(mine) == hash(reference), where
+    assert mine.invariant_factors == reference.invariant_factors, where
+
+
+def test_group_recipes_match_the_ones_that_reduced_again():
+    # as_group reads its relations off the lift basis by back-substitution,
+    # and quotient and from_orders keep bases that are already Hermite; all
+    # three must give the groups the preimage and re-reducing recipes gave
+    subgroups = _recipe_subgroups()
+    assert sum(1 for s in subgroups if s.parent.relation_basis) > 200
+    for s in subgroups:
+        group, basis = s.as_group()
+        reference, reference_basis = reference_as_group(s)
+        assert basis == reference_basis, s
+        _assert_same_group(group, reference, s)
+        assert s.invariant_factors == reference.invariant_factors, s
+        quotient = s.quotient()
+        _assert_same_group(quotient, reference_quotient(s), s)
+        for orders in (s.invariant_factors, quotient.invariant_factors):
+            _assert_same_group(FgAbelianGroup.from_orders(orders), reference_from_orders(orders), orders)
+    for orders in ((), (0,), (0, 0, 0), (2, 4, 6), (1, 0, 3, 1)):
+        _assert_same_group(FgAbelianGroup.from_orders(orders), reference_from_orders(orders), orders)
+    assert [type(x) for x in FgAbelianGroup.from_orders([2.0, 0]).relation_basis[0]] == [int, int]
+    with pytest.raises(GroupError, match="nonnegative"):
+        FgAbelianGroup.from_orders((2, -3))

@@ -623,6 +623,35 @@ def test_sparse_kernel_matches_the_dense_reference():
         same_solve(eqs, moduli, [0] * len(eqs), nunk)
 
 
+def test_solve_congruences_ignores_the_order_of_the_equations():
+    """The solver numbers the equations exact ones first, then by support,
+    to keep the echelon's fill low; kernel and particular solution are read
+    off canonical Hermite bases, so a shuffled system solves to the same
+    bytes, with and without a right-hand side."""
+    rng = random.Random(61)
+    seen = {"exact": 0, "repeat": 0, "none": 0}
+    systems = [_congruence_system(rng) for _ in range(300)]
+    for ring in corpus_rings():
+        r = ring.rank
+        eqs, moduli = _pairing_equations(ring.tensor, ring.orders, r, range(r))
+        rhs = [1 if j == k else 0 for j in range(r) for k in range(r) for _ in range(2)]
+        systems.append(([[e.get(j, 0) for j in range(r)] for e in eqs], moduli, rhs, r))
+    for eqs, moduli, rhs, nunk in systems:
+        seen["exact"] += 0 in moduli
+        seen["repeat"] += len(set(map(tuple, eqs))) < len(eqs)
+        plain = solve_congruences(sparse_rows(eqs), moduli, unknowns=nunk)
+        solved = solve_congruences(sparse_rows(eqs), moduli, rhs=rhs, unknowns=nunk)
+        seen["none"] += solved is None
+        for _ in range(3):
+            order = list(range(len(eqs)))
+            rng.shuffle(order)
+            shuffled = sparse_rows([eqs[i] for i in order])
+            moved = [moduli[i] for i in order]
+            assert solve_congruences(shuffled, moved, unknowns=nunk) == plain
+            assert solve_congruences(shuffled, moved, rhs=[rhs[i] for i in order], unknowns=nunk) == solved
+    assert seen["exact"] > 100 and seen["repeat"] > 50 and 50 < seen["none"] < 250, seen
+
+
 def _differential_rings() -> list[FdzRing]:
     """The corpus, 200 generator rings of ranks 2-8 and the first rank-12
     ring of ``Random(1)``."""
