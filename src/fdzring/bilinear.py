@@ -18,9 +18,10 @@ conditions; these are solved over the coordinates of the pf pair basis,
 not as a second pair system.
 
 ``induced_bilinear_map`` returns the map alone.  Its coordinate transports
-live on the ring's ideal chain: ``hat`` (A <-> A/ann) and ``square_pres``
-(sq <-> A) of ``characteristic_ideals``, which ``pa_ring`` reads.  A scalar
-ring's action holds its pair lattice and presentation as data, and
+are ``hat`` (A <-> A/ann) of ``characteristic_ideals`` and sq's cyclic
+coordinates from ``rings._cyclic_presentation``, which ``pa_ring`` reads
+too; no ring is built on sq.  A scalar ring's action holds its pair
+lattice and presentation as data, and
 ``ScalarRingAction.express_pair`` reads coordinates off them.
 """
 
@@ -46,6 +47,7 @@ from .intlinalg import (
 from .rings import (
     ELEMENT_LIMIT,
     FdzRing,
+    _cyclic_presentation,
     characteristic_ideals,
     ill_defined_product,
     pairing_kernel,
@@ -140,24 +142,19 @@ class BilinearMap:
 def induced_bilinear_map(a: FdzRing) -> BilinearMap:
     """The multiplication of A as a map A/ann x A/ann -> sq.
 
-    Its coordinate transports live on the ring's ideal chain:
     ``characteristic_ideals(a).hat`` projects A onto the domain and lifts
-    back, and ``characteristic_ideals(a).square_pres`` embeds the codomain
-    in A and expresses its elements.
+    back; the codomain is sq in the coordinates of its cyclic factors.
     """
     chain = characteristic_ideals(a)
-    hat, square = chain.hat, chain.square_pres
-    m = hat.ring.rank
+    hat, sq = chain.hat, chain.sq
+    square = _cyclic_presentation(sq)[0]
+    lift = hat.lift.data
     values = tuple(
-        tuple(
-            square.express(a.mul(hat.lift.row(i), hat.lift.row(j)))
-            for j in range(m)
-        )
-        for i in range(m)
+        tuple(square.express_over(sq.lift_basis, a.mul(x, y)) for y in lift) for x in lift
     )
     return BilinearMap(
         domain_orders=hat.ring.orders,
-        codomain_orders=square.ring.orders,
+        codomain_orders=square.orders,
         values=values,
     )
 
@@ -410,7 +407,7 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
     m, n = f.domain_rank, f.codomain_rank
     chain = characteristic_ideals(a)
     # row k: the k-th generator of sq, projected to A/ann
-    pi = chain.square_pres.lift.mul(chain.hat.project).data
+    pi = _cyclic_presentation(chain.sq)[1].mul(chain.hat.project).data
     eqs: list[SparseRow] = []
     moduli: list[int] = []
     for k in range(n):

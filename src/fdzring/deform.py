@@ -37,7 +37,7 @@ from .groups import FgAbelianGroup
 from .intlinalg import (
     IntMatrix, Vec, affine_preimage, hermite_reduce, record, row_times_matrix, smith_diagonal,
 )
-from .rings import FdzRing, _ideal_quotient, characteristic_ideals
+from .rings import FdzRing, _cyclic_presentation, _ideal_quotient, characteristic_ideals
 
 
 # the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
@@ -237,15 +237,15 @@ class DeformationContext:
     def __init__(self, base: FdzRing):
         self.base = base
         self.chain = chain = characteristic_ideals(base)
-        add_pres = chain.addition_pres
-        assert not any(add_pres.ring.orders), "an addition must be free"
-        self.addition_basis = add_pres.lift
-        n = add_pres.ring.rank
+        addition, self.addition_basis = _cyclic_presentation(chain.addition)
+        assert not any(addition.orders), "an addition must be free"
+        n = self.addition_basis.rows
+        o_part, o_lift = _cyclic_presentation(chain.o_ideal)
         delta = chain.delta_pres
-        self.o_pres = chain.o_pres
-        # k = delta ⊕ A0: the rows are the k-space basis in ambient coordinates
+        # ann = A0 ⊕ o and k = delta ⊕ A0, so coordinates over these are unique
+        self.d_basis = IntMatrix(self.addition_basis.data + o_lift.data, cols=base.rank)
         self.k_basis = IntMatrix(delta.lift.data + self.addition_basis.data, cols=base.rank)
-        self.d_orders: Vec = tuple([0] * n) + self.o_pres.ring.orders
+        self.d_orders: Vec = tuple([0] * n) + o_part.orders
         self.k_orders: Vec = delta.ring.orders + tuple([0] * n)
         self._init_carrier()
 
@@ -258,18 +258,13 @@ class DeformationContext:
         """
         if not self.chain.ann.contains(vec):
             raise DeformationError("value must lie in the annihilator")
-        rows = IntMatrix(self.addition_basis.data + self.o_pres.lift.data, cols=self.base.rank)
-        coords = affine_preimage(rows, self.base.additive.relation_basis, vec)
+        coords = affine_preimage(self.d_basis, self.base.additive.relation_basis, vec)
         assert coords is not None
         return _reduce_mod_orders(coords[0], self.d_orders)
 
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
-        n = self.addition_basis.rows
-        o_part = dvec[n:]
-        delta_part = row_times_matrix(o_part, self.chain.o_in_delta)
-        return _reduce_mod_orders(
-            tuple(delta_part) + tuple(dvec[:n]), self.k_orders
-        )
+        """The k-coordinates of the annihilator element with d-coordinates ``dvec``."""
+        return self.ambient_to_k(row_times_matrix(dvec, self.d_basis))
 
     def ambient_to_k(self, vec: Sequence[int]) -> Vec:
         """Coordinates of a k-ideal element as delta ⊕ addition.
@@ -286,8 +281,8 @@ class DeformationContext:
     def _init_carrier(self):
         # A/k is diagonal; l = sat(k), so its finite factors present l/k and
         # the lifts of its infinite ones span a free complement
-        ak = self.chain.ak
-        lifts = list(zip(ak.ring.orders, ak.lift.data))
+        ak = self.chain.k_ideal.quotient().diagonal
+        lifts = list(zip(ak.orders, ak.lift.data))
         # homomorphic section of the free part into the base ring
         self.free_section = IntMatrix([row for d, row in lifts if not d], cols=self.base.rank)
         self.n_orders: Vec = tuple(d for d, _ in lifts if d)
@@ -435,13 +430,13 @@ def verify_sixterm(
     _check_bound(coeff_bound)
     chain_a = characteristic_ideals(a)
     chain_b = characteristic_ideals(b)
-    for name, invariants in (
-        ("o_ring", lambda c: c.o_ideal.invariant_factors),
-        ("delta_ring", lambda c: c.delta_pres.ring.additive.invariant_factors),
-        ("hat_ring", lambda c: c.hat.ring.additive.invariant_factors),
-        ("ak_ring", lambda c: c.k_ideal.quotient().invariant_factors),
+    for name, group in (
+        ("o_ring", lambda c: c.o_ideal),
+        ("delta_ring", lambda c: c.delta),
+        ("hat_ring", lambda c: c.ann.quotient()),
+        ("ak_ring", lambda c: c.k_ideal.quotient()),
     ):
-        inv_a, inv_b = invariants(chain_a), invariants(chain_b)
+        inv_a, inv_b = (group(c).invariant_factors for c in (chain_a, chain_b))
         if inv_a != inv_b:
             return SixTermReport("no", f"{name} invariants differ: {inv_a} vs {inv_b}")
 

@@ -178,6 +178,11 @@ def _coordinate_ranges(b: FdzRing, order: int, bound: int) -> list[Sequence[int]
     return [values if d == 0 else range(0, d, d // gcd(order, d)) for d in b.orders]
 
 
+def _range_sizes(b: FdzRing, order: int, bound: int) -> list[int]:
+    """The ``_coordinate_ranges``' lengths; ``len`` refuses 2^63 or more."""
+    return [(1 if order else 2 * bound + 1) if d == 0 else gcd(order, d) for d in b.orders]
+
+
 def _walk(ranges: Sequence[Sequence[int]], orders: Sequence[int], need_free: bool):
     """The tuples of ``itertools.product(*ranges)`` in its order, built
     lazily: the product would copy every range whole, and a Z/d coordinate
@@ -209,8 +214,7 @@ class SearchPoolError(ValueError):
 
 
 def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
-    # the product of the ``_coordinate_ranges`` lengths, none of them built
-    size = prod((1 if order else 2 * bound + 1) if d == 0 else gcd(order, d) for d in b.orders)
+    size = prod(_range_sizes(b, order, bound))
     if size > SEEDED_POOL_LIMIT:
         raise SearchPoolError(
             f"a seeded search would shuffle {size} candidate images, above "
@@ -363,11 +367,11 @@ class _ProductPool:
     __slots__ = ("order", "split", "head", "head_orders", "tails", "tail_values", "tail_orders", "_valid")
 
     def __init__(self, b: FdzRing, order: int, bound: int):
-        ranges = _coordinate_ranges(b, order, bound)
+        ranges, sizes = _coordinate_ranges(b, order, bound), _range_sizes(b, order, bound)
         split, size = len(ranges), 1
-        while split and size * len(ranges[split - 1]) <= _BLOCK_CAP:
+        while split and size * sizes[split - 1] <= _BLOCK_CAP:
             split -= 1
-            size *= len(ranges[split])
+            size *= sizes[split]
         self.order, self.split = order, split
         self.head, self.head_orders = ranges[:split], b.orders[:split]
         self.tails = list(itertools.product(*ranges[split:]))

@@ -5,8 +5,8 @@
     orders: 0 0 2
     mult 1 1 : 0 0 1
 
-Indices are 1-based; absent generator pairs default to the zero product,
-and each pair may appear at most once; integers are decimal and
+Indices are 1-based; absent generator pairs default to the zero product;
+each header and each pair may appear at most once; integers are decimal and
 whitespace-separated.  Serialization is canonical (header, then nonzero
 products in row-major order), so parse ∘ serialize is the identity on
 canonicalized files.
@@ -34,10 +34,14 @@ def parse_ring_text(text: str) -> FdzRing:
             continue
         try:
             if line.startswith("rank:"):
+                if rank is not None:
+                    raise ValueError("repeated 'rank:' header")
                 rank = int(line.split(":", 1)[1])
                 if rank > RANK_LIMIT:
                     raise ValueError(f"rank {rank} exceeds the limit of {RANK_LIMIT}")
             elif line.startswith("orders:"):
+                if orders is not None:
+                    raise ValueError("repeated 'orders:' header")
                 orders = [int(v) for v in line.split(":", 1)[1].split()]
             elif line.startswith("mult"):
                 head, _, tail = line.partition(":")

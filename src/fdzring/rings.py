@@ -15,17 +15,20 @@ sit the characteristic two-sided ideals
 
 and the derived quotients m = A/l (torsion-free) and n = l/k (finite);
 l is the saturation of k, so n is the torsion of A/k.  The chain of a ring
-is cached, and it carries the presentations that the induced map, the
-deformations and the six-term check read: the quotient rings A/ann and A/k,
-the subrings sq, delta and o, o in delta coordinates, and an addition A0
-with ann = A0 ⊕ o, which always exists, as a null subring.  Every member of
-the chain, each ideal and quotient as well as each presentation, is built
-once, on first access, so a caller pays only for what it reads.  The
-presentations also hold the coordinate transports of the induced map
-A/ann x A/ann -> sq: ``hat.project`` and ``hat.lift`` move between A and
-A/ann, ``square_pres.lift`` and ``square_pres.express`` between sq and A.  Every presentation is plain data, compared and hashed by
-value.  The module also holds the tame/regular predicates, foundations,
-and the quotient, subring and product constructions.
+is cached, and it builds a ring only where a product is read: the quotient
+ring A/ann (``hat``) and the subring delta (``delta_pres``), whose
+isomorphisms the six-term check searches; the induced map also reads
+``hat``'s transports, and the deformations express their products in
+``delta_pres``.  It also holds an addition A0 with ann = A0 ⊕ o, which
+always exists, as a subgroup.  Every member of the chain, each ideal and
+quotient as well as each presentation, is built once, on first access, so
+a caller pays only for what it reads.  The other pieces those callers read
+are groups, never rings: sq, o and A0 in cyclic coordinates
+(``_cyclic_presentation``: the orders, the generator lifts and the
+coordinates of an element) and A/k as ``k_ideal.quotient().diagonal``.
+Every presentation is plain data, compared and hashed by value.  The
+module also holds the tame/regular predicates, foundations, and the
+quotient, subring and product constructions.
 """
 
 from __future__ import annotations
@@ -250,12 +253,13 @@ def direct_product(a: FdzRing, b: FdzRing) -> FdzRing:
 
 @record
 class IdealChain:
-    """The characteristic ideals of ``ring`` and the presentations built on them.
+    """The characteristic ideals of ``ring`` and the two rings built on them.
 
     Every member, the ideals and quotients included, is built on first
     access and then kept on the chain, which ``characteristic_ideals``
     caches per ring, so every caller shares one copy and builds only what
-    it reads.
+    it reads.  Only A/ann (``hat``) and delta (``delta_pres``) are
+    presented as rings, since no caller multiplies in sq, o, A0 or A/k.
     """
 
     ring: FdzRing
@@ -302,29 +306,8 @@ class IdealChain:
         return _ideal_quotient(self.ring, self.ann)
 
     @cached_property
-    def ak(self) -> QuotientPresentation:
-        """The quotient A/k."""
-        return _ideal_quotient(self.ring, self.k_ideal)
-
-    @cached_property
-    def square_pres(self) -> SubringPresentation:
-        return subring_presentation(self.ring, self.sq)
-
-    @cached_property
     def delta_pres(self) -> SubringPresentation:
         return subring_presentation(self.ring, self.delta)
-
-    @cached_property
-    def o_pres(self) -> SubringPresentation:
-        return subring_presentation(self.ring, self.o_ideal)
-
-    @cached_property
-    def o_in_delta(self) -> IntMatrix:
-        """Rows: the generators of ``o_pres`` in ``delta_pres`` coordinates."""
-        delta = self.delta_pres
-        return IntMatrix(
-            [delta.express(row) for row in self.o_pres.lift.data], cols=delta.ring.rank
-        )
 
     @cached_property
     def addition(self) -> Subgroup:
@@ -339,11 +322,6 @@ class IdealChain:
         assert split is not None, "o is a summand of ann"
         gens = [row_times_matrix(row, basis) for row in split.complement.lift_basis]
         return self.ring.subgroup(gens)
-
-    @cached_property
-    def addition_pres(self) -> SubringPresentation:
-        """The addition as a subring; it lies in ann, so all its products vanish."""
-        return subring_presentation(self.ring, self.addition)
 
 
 def _pairing_equations(
@@ -438,7 +416,7 @@ def quotient_ring(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
 
 def _ideal_quotient(a: FdzRing, ideal: Subgroup) -> QuotientPresentation:
     """``quotient_ring`` without its checks, for a two-sided ideal of ``a``
-    by construction: ann, k, nA, a subgroup of ann, the torsion, and the
+    by construction: ann, nA, a subgroup of ann, the torsion, and the
     extension relations of a deformation in the free ring on its
     representatives.  Those are an ideal because e·t_i and its k-coordinates
     multiply alike in the base ring, and the cocycle twist lies in ann."""
@@ -483,11 +461,20 @@ class SubringPresentation:
         return coords
 
 
+def _cyclic_presentation(s: Subgroup) -> tuple[DiagonalPresentation, IntMatrix]:
+    """A subgroup as a product of cyclic groups, with no ring built on it:
+    the presentation of its coefficients over ``s.lift_basis`` (the cyclic
+    ``orders``; ``express_over(s.lift_basis, v)`` gives v's coordinates) and
+    the ambient lifts of the cyclic generators, as rows."""
+    abstract, basis = s.as_group()
+    diagonal = abstract.diagonal
+    return diagonal, diagonal.lift.mul(basis)
+
+
 def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
     if s.parent != a.additive:
         raise GroupError("subgroup does not live in the ring")
-    diagonal = s.as_group()[0].diagonal
-    lift = diagonal.lift.mul(IntMatrix(s.lift_basis, cols=a.rank))
+    diagonal, lift = _cyclic_presentation(s)
     # the lift rows and the relations of A generate s, so s is closed under
     # multiplication iff every product of two lift rows lies in it
     tensor = [

@@ -13,15 +13,19 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from contextlib import contextmanager
+from functools import cached_property
 from math import gcd
 
 from fdzring.bilinear import BilinearMap, BilinearMapError, ScalarRingAction, induced_bilinear_map
+from fdzring.deform import DeformationContext, DeformationError
 from fdzring.fomc import Add, And, Eq, Exists, Forall, Implies, Mul, Neg, Not, Or, Var, Zero
 from fdzring.groups import FgAbelianGroup, Subgroup, split_complement
 from fdzring.intlinalg import (
     DiagonalPresentation,
     IntMatrix,
     Vec,
+    affine_preimage,
     diagonal_presentation,
     hermite_reduce,
     hermite_rows,
@@ -37,8 +41,10 @@ from fdzring.rings import (
     IdealChain,
     annihilator,
     characteristic_ideals,
+    quotient_ring,
     reduce_mod_n,
     square_ideal,
+    subring_presentation,
 )
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "corpus")
@@ -925,11 +931,11 @@ def joint_pa_basis(ring: FdzRing) -> tuple[Vec, ...]:
     pi is the projection sq -> A/ann.
     """
     f = induced_bilinear_map(ring)
-    chain = characteristic_ideals(ring)
+    pres = ChainPresentations(ring)
     m, n = f.domain_rank, f.codomain_rank
     nunk = m * m + n * n
     pi = [
-        row_times_matrix(chain.square_pres.lift.row(k), chain.hat.project)
+        row_times_matrix(pres.square_pres.lift.row(k), pres.hat.project)
         for k in range(n)
     ]
     eqs, moduli = reference_pair_conditions(f)
@@ -1143,14 +1149,13 @@ def reference_sixterm(
     A/k and on o: it re-checks mu on A/k and eta on o as ring isomorphisms
     and compares psi's image of o(A) with o(B), three checks that cannot
     fail once phi carries k into k and the middle square commutes.  It
-    reads the chain's ``ak``, ``o_pres`` and ``o_in_delta``.
+    reads every ring and transport off its own ``ChainPresentations``.
     """
     from fdzring.deform import SixTermReport
     from fdzring.eqcheck import _check_bound, _iso_witnesses, verify_iso_witness
 
     _check_bound(coeff_bound)
-    chain_a = characteristic_ideals(a)
-    chain_b = characteristic_ideals(b)
+    chain_a, chain_b = ChainPresentations(a), ChainPresentations(b)
     for name, field in (
         ("o_ring", "o_pres"),
         ("delta_ring", "delta_pres"),
@@ -1166,7 +1171,7 @@ def reference_sixterm(
         c.delta_pres.lift.mul(c.hat.project) for c in (chain_a, chain_b)
     )
     k_in_hat_a, k_in_hat_b = (
-        [row_times_matrix(row, c.hat.project) for row in c.k_ideal.lift_basis]
+        [row_times_matrix(row, c.hat.project) for row in c.chain.k_ideal.lift_basis]
         for c in (chain_a, chain_b)
     )
     k_image_b = chain_b.hat.ring.additive.subgroup(k_in_hat_b)
@@ -1455,7 +1460,7 @@ def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatr
     """The deformation carrier's ``free_section``, ``n_orders`` and
     ``n_lift_ambient``: the torsion of A/k as the image of l, and a free
     complement of it split off by ``split_complement``."""
-    ak = chain.ak
+    ak = quotient_ring(chain.ring, chain.k_ideal)
     group = ak.ring.additive
     torsion = group.subgroup(
         [row_times_matrix(row, ak.project) for row in chain.l_ideal.lift_basis]
@@ -1470,6 +1475,117 @@ def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatr
         cols=chain.ring.rank,
     )
     return free_lift.mul(ak.lift), n_orders, n_lift_ambient
+
+
+# -- the chain's presentations, each built as a ring ------------------------------
+
+
+class ChainPresentations:
+    """Every presentation the ideal chain of ``ring`` built when it also
+    presented A/k, sq, o and the addition A0 as rings, each built on first
+    access through ``quotient_ring`` or ``subring_presentation`` and kept
+    apart from the library's chain, whose ideals they read."""
+
+    def __init__(self, ring: FdzRing):
+        self.ring = ring
+        self.chain = characteristic_ideals(ring)
+
+    @cached_property
+    def hat(self):
+        return quotient_ring(self.ring, self.chain.ann)
+
+    @cached_property
+    def ak(self):
+        return quotient_ring(self.ring, self.chain.k_ideal)
+
+    @cached_property
+    def square_pres(self):
+        return subring_presentation(self.ring, self.chain.sq)
+
+    @cached_property
+    def delta_pres(self):
+        return subring_presentation(self.ring, self.chain.delta)
+
+    @cached_property
+    def o_pres(self):
+        return subring_presentation(self.ring, self.chain.o_ideal)
+
+    @cached_property
+    def o_in_delta(self) -> IntMatrix:
+        """Rows: the generators of ``o_pres`` in ``delta_pres`` coordinates."""
+        delta = self.delta_pres
+        return IntMatrix(
+            [delta.express(row) for row in self.o_pres.lift.data], cols=delta.ring.rank
+        )
+
+    @cached_property
+    def addition_pres(self):
+        """The addition as a subring; it lies in ann, so all its products vanish."""
+        return subring_presentation(self.ring, self.chain.addition)
+
+
+class ReferenceDeformationContext(DeformationContext):
+    """``DeformationContext`` on the presentations of ``ChainPresentations``:
+    it reads A0 and o off their subring presentations and A/k off its
+    quotient ring, and carries d-coordinates into k through o in delta
+    coordinates; ``build`` and ``extension_betas`` are the library's."""
+
+    def __init__(self, base: FdzRing):
+        self.base = base
+        self.chain = characteristic_ideals(base)
+        self.presentations = pres = ChainPresentations(base)
+        add_pres = pres.addition_pres
+        assert not any(add_pres.ring.orders), "an addition must be free"
+        self.addition_basis = add_pres.lift
+        n = add_pres.ring.rank
+        delta = pres.delta_pres
+        self.o_pres = pres.o_pres
+        self.k_basis = IntMatrix(delta.lift.data + self.addition_basis.data, cols=base.rank)
+        self.d_orders = tuple([0] * n) + self.o_pres.ring.orders
+        self.k_orders = delta.ring.orders + tuple([0] * n)
+        self._init_carrier()
+
+    def ambient_to_d(self, vec) -> Vec:
+        if not self.chain.ann.contains(vec):
+            raise DeformationError("value must lie in the annihilator")
+        rows = IntMatrix(self.addition_basis.data + self.o_pres.lift.data, cols=self.base.rank)
+        coords = affine_preimage(rows, self.base.additive.relation_basis, vec)
+        assert coords is not None
+        return _reduce_mod(coords[0], self.d_orders)
+
+    def d_to_k(self, dvec) -> Vec:
+        n = self.addition_basis.rows
+        delta_part = row_times_matrix(dvec[n:], self.presentations.o_in_delta)
+        return _reduce_mod(tuple(delta_part) + tuple(dvec[:n]), self.k_orders)
+
+    def _init_carrier(self):
+        ak = self.presentations.ak
+        lifts = list(zip(ak.ring.orders, ak.lift.data))
+        self.free_section = IntMatrix([row for d, row in lifts if not d], cols=self.base.rank)
+        self.n_orders = tuple(d for d, _ in lifts if d)
+        torsion = [row for d, row in lifts if d]
+        if not all(map(self.chain.l_ideal.contains, torsion)):
+            raise DeformationError("torsion representative must lie in the l-ideal")
+        reps = [hermite_reduce(self.chain.k_ideal.lift_basis, row) for row in torsion]
+        self.n_lift_ambient = IntMatrix(reps, cols=self.base.rank)
+        self.source_orders = (0,) * self.free_section.rows + self.n_orders
+
+
+@contextmanager
+def built_rings():
+    """The ``FdzRing``s constructed inside the block, in order."""
+    built = []
+    original = FdzRing.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    FdzRing.__init__ = init
+    try:
+        yield built
+    finally:
+        FdzRing.__init__ = original
 
 
 # -- deformation relations by the e-step loop -------------------------------------

@@ -31,7 +31,7 @@ from fdzring.eqcheck import (
 from fdzring.fomc import defined_set, evaluate, phi, theta
 from fdzring.groups import FgAbelianGroup
 from fdzring.intlinalg import IntMatrix, diagonal_presentation, row_times_matrix
-from fdzring.rings import characteristic_ideals, reduce_mod_n
+from fdzring.rings import characteristic_ideals, reduce_mod_n, subring_presentation
 
 from oracles import (
     NAMED_RINGS,
@@ -174,6 +174,7 @@ def test_criterion_4_pf_correctness():
     }
     for name, ring in cases.items():
         chain = characteristic_ideals(ring)
+        square = subring_presentation(ring, chain.sq)
         action = pf_ring(induced_bilinear_map(ring))
         scalar = action.ring
         assert scalar.is_commutative(), name
@@ -200,7 +201,7 @@ def test_criterion_4_pf_correctness():
                 for i in range(m)
             ]
             psi_rows = [
-                chain.square_pres.express(ring.mul(gen, chain.square_pres.lift.row(k)))
+                square.express(ring.mul(gen, square.lift.row(k)))
                 for k in range(n)
             ]
             pair = tuple(v for row in phi_rows for v in row) + tuple(

@@ -15,11 +15,13 @@ from fdzring.bilinear import (
     width,
 )
 from fdzring.intlinalg import row_times_matrix
-from fdzring.rings import FdzRing, RingValidationError, characteristic_ideals, z0_ring
+from fdzring.rings import (
+    FdzRing, RingValidationError, characteristic_ideals, subring_presentation, z0_ring,
+)
 
 from oracles import (
-    brute_force_pairs, corpus_ring, joint_pa_basis, lattice_contains, pair_of, random_finite_ring,
-    z_mod,
+    ChainPresentations, brute_force_pairs, built_rings, corpus_ring, joint_pa_basis,
+    lattice_contains, pair_of, random_finite_ring, z_mod,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -156,6 +158,7 @@ def test_scalar_action_axioms():
 def test_identity_pair_and_base_action_membership():
     for ring in (corpus_ring("z"), corpus_ring("zx2"), corpus_ring("w"), z_mod(4)):
         chain = characteristic_ideals(ring)
+        square = subring_presentation(ring, chain.sq)
         action = pf_ring(induced_bilinear_map(ring))
         m, n = action.bilinear.domain_rank, action.bilinear.codomain_rank
         identity = tuple(
@@ -173,8 +176,8 @@ def test_identity_pair_and_base_action_membership():
                 )
             psi_rows = []
             for k in range(n):
-                lifted = chain.square_pres.lift.row(k)
-                psi_rows.append(chain.square_pres.express(ring.mul(gen, lifted)))
+                lifted = square.lift.row(k)
+                psi_rows.append(square.express(ring.mul(gen, lifted)))
             pair = tuple(v for row in phi_rows for v in row) + tuple(
                 v for row in psi_rows for v in row
             )
@@ -275,10 +278,8 @@ def test_pa_constraint_random_finite():
         parent = pf_ring(f)
         m, n = f.domain_rank, f.codomain_rank
         chain = characteristic_ideals(ring)
-        pi = [
-            row_times_matrix(chain.square_pres.lift.row(k), chain.hat.project)
-            for k in range(n)
-        ]
+        square = subring_presentation(ring, chain.sq)
+        pi = [row_times_matrix(square.lift.row(k), chain.hat.project) for k in range(n)]
         dom = f.domain_group
         for phi, psi in zip(sub.action_on_domain, sub.action_on_codomain):
             for k in range(n):
@@ -312,6 +313,28 @@ def _seeded_gen_rings(count: int) -> list[FdzRing]:
         if not (f.domain_group.is_trivial or f.codomain_group.is_trivial):
             out.append(ring)
     return out
+
+
+def test_induced_map_and_pa_build_no_ring_on_the_square():
+    # on fresh chains, the only rings built are A/ann and the scalar rings,
+    # and the map is the one read off sq presented as a subring
+    named = [corpus_ring("z"), corpus_ring("w"), corpus_ring("zx2"), z_mod(4)]
+    for ring in named + _seeded_gen_rings(30):
+        characteristic_ideals.cache_clear()
+        with built_rings() as built:
+            f = induced_bilinear_map(ring)
+        assert [id(r) for r in built] == [id(characteristic_ideals(ring).hat.ring)], ring
+        pres = ChainPresentations(ring)
+        hat, square = pres.hat, pres.square_pres
+        values = tuple(
+            tuple(square.express(ring.mul(x, y)) for y in hat.lift.data) for x in hat.lift.data
+        )
+        assert f == BilinearMap(hat.ring.orders, square.ring.orders, values), ring
+        characteristic_ideals.cache_clear()
+        with built_rings() as built:
+            action = pa_ring(ring)
+        kept = {id(r) for r in (characteristic_ideals(ring).hat.ring, action.ring, action.parent.ring)}
+        assert {id(r) for r in built} == kept, ring
 
 
 def test_pa_inside_pf():

@@ -67,6 +67,24 @@ def test_ring_file_duplicate_product(capsys, tmp_path):
     assert code == 2 and not out and "duplicate product (1, 1)" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rank: 1\norders: 0\nrank: 2\n", "line 3: repeated 'rank:' header"),
+        ("rank: 1\norders: 0\n# a comment\norders: 2\n", "line 4: repeated 'orders:' header"),
+    ],
+    ids=["rank", "orders"],
+)
+def test_ring_file_repeated_header(capsys, tmp_path, text, message):
+    # a second header would silently replace the first, so it is refused
+    with pytest.raises(RingFileError, match=f"^{message}$"):
+        parse_ring_text(text)
+    repeated = tmp_path / "repeated.ring"
+    repeated.write_text(text)
+    code, out, err = run(capsys, "analyze", str(repeated))
+    assert code == 2 and not out and message in err
+
+
 def test_ring_file_rank_limit(capsys, tmp_path, monkeypatch):
     # a rank beyond the cap is refused before any rank^3 tensor is allocated
     import fdzring.ringfile as ringfile_module
@@ -516,6 +534,14 @@ HUGE_TORSION = {
         "commutes",
     ),
     "fpfp": (f"rank: 2\norders: {HUGE_P} {HUGE_P}\nmult 1 1 : 1 0\nmult 2 2 : 0 1\n", "unknown", "unknown"),
+    # orders of 2^63 and more, whose ranges ``len`` refuses: Z/(2^63+1) with
+    # e·e = e, and Z + Z/(2^64+1) shaped like zzp
+    "z2_63": (f"rank: 1\norders: {2**63 + 1}\nmult 1 1 : 1\n", "equivalent", "commutes"),
+    "zz2_64": (
+        f"rank: 2\norders: 0 {2**64 + 1}\nmult 1 1 : 1 1\nmult 1 2 : 0 1\nmult 2 1 : 0 1\nmult 2 2 : 0 1\n",
+        "unknown",
+        "commutes",
+    ),
 }
 
 
@@ -523,7 +549,8 @@ HUGE_TORSION = {
 def test_huge_torsion_searches_build_no_range(tmp_path, name):
     # a Z/p coordinate ranges over the multiples of p/gcd(order, p), walked
     # lazily, and an order-0 pool skips the heads with no nonzero free
-    # coordinate, so under a 1 GiB cap neither search lists [0, p)
+    # coordinate, so under a 1 GiB cap neither search lists [0, p); the
+    # range sizes are computed, never measured, so p >= 2^63 runs too
     text, verdict, status = HUGE_TORSION[name]
     path = tmp_path / f"{name}.ring"
     path.write_text(text)

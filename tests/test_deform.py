@@ -21,14 +21,16 @@ from fdzring.deform import (
 )
 from fdzring.eqcheck import _iso_witnesses, equivalence_verdict, invariant_profile, iso_search
 from fdzring.groups import FgAbelianGroup
-from fdzring.rings import FdzRing, characteristic_ideals
-from fdzring.intlinalg import row_times_matrix
+from fdzring.rings import FdzRing, characteristic_ideals, subring_presentation
+from fdzring.intlinalg import IntMatrix, row_times_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from oracles import (
     NAMED_RINGS,
+    ReferenceDeformationContext,
     TableCocycle,
+    built_rings,
     cocycle_pair_add,
     corpus_ring,
     corpus_rings,
@@ -331,7 +333,9 @@ def test_coordinate_round_trips():
             # the same element, written off its canonical representative
             assert ctx.ambient_to_k(shifted(ambient)) == kvec, name
         # the d-coordinates are read over the addition basis, then o's lifts
-        for i, row in enumerate(ctx.addition_basis.data + ctx.o_pres.lift.data):
+        o_lift = subring_presentation(ring, ctx.chain.o_ideal).lift
+        assert ctx.d_basis.data == ctx.addition_basis.data + o_lift.data, name
+        for i, row in enumerate(ctx.d_basis.data):
             unit = tuple(int(j == i) for j in range(len(ctx.d_orders)))
             assert ctx.ambient_to_d(row) == unit, name
             assert ctx.ambient_to_d(shifted(row)) == unit, name
@@ -518,26 +522,67 @@ def _sixterm_pairs(rng):
     return pairs
 
 
+def _transported(orders, products, t, tinv):
+    """A ring given as for ``_pair`` and its transport by the base change t."""
+    a = _pair(orders, *products)
+    return a, transport(a, IntMatrix(t, cols=len(orders)), IntMatrix(tinv, cols=len(orders)))
+
+
+# transported pairs on which a phi fails the k-image prefilter (both) and a
+# psi fails the middle square (the second) before a later pair commutes
+PREFILTER_PAIRS = [
+    # Z^2 + Z/4 with e2·e3 = 2e3
+    _transported((0, 0, 4), [((2, 3), (0, 0, 2))], [[1, 0, -2], [0, 1, 1], [0, 0, 1]],
+                 [[1, 0, 2], [0, 1, -1], [0, 0, 1]]),
+    # Z + (Z/2)^2 with e1·e3 = e2
+    _transported((0, 2, 2), [((1, 3), (0, 1, 0))], [[1, 0, -1], [0, 1, 0], [0, 2, 1]],
+                 [[1, -2, 1], [0, 1, 0], [0, -2, 1]]),
+]
+
+
 def test_sixterm_matches_the_reference_with_its_rechecks():
     # the maps on A/k and on o are induced by phi and psi; the reference
     # still builds and re-checks them, and every report must agree
-    pairs = _sixterm_pairs(random.Random(30))
+    pairs = _sixterm_pairs(random.Random(30)) + PREFILTER_PAIRS
     mine = [verify_sixterm(a, b, max_nodes=2000) for a, b in pairs]
     theirs = [reference_sixterm(a, b, max_nodes=2000) for a, b in pairs]
     assert len(pairs) >= 130
     assert [(r.status, r.detail) for r in mine] == [(r.status, r.detail) for r in theirs]
     assert {r.status for r in mine} == {"commutes", "no", "unknown"}
+    # the pairs run both rejections inside the search: each guard is the
+    # line before a ``continue`` that ran
+    ran = set().union(*(_sixterm_traced(a, b, 2000)[1] for a, b in PREFILTER_PAIRS))
+    for guard in ("if not all(k_image_b.contains", "if [hat_b.reduce(row) for row in psi"):
+        assert any(text.startswith(guard) for text in ran), guard
+
+
+def _chain_rings(*rings) -> set[int]:
+    """The ids of the rings A/ann and delta on the chains of ``rings``."""
+    chains = [characteristic_ideals(ring) for ring in rings]
+    return {id(r) for c in chains for r in (c.hat.ring, c.delta_pres.ring)}
 
 
 def test_sixterm_builds_no_presentation_of_o_or_a_mod_k():
-    for base in corpus_rings():
-        deformed = build_deformation(DeformationSpec(base=base)).ring
+    # every ring built during the call, on fresh chains, is A/ann or delta
+    # of a chain, so none is a multiplication table for sq, o, the addition
+    # A0 or A/k
+    rng = random.Random(33)
+    bases = corpus_rings() + [random_mixed_ring(rng) for _ in range(12)]
+    bases += [a for a, _ in PREFILTER_PAIRS]
+    for base in bases:
+        characteristic_ideals.cache_clear()
+        with built_rings() as built:
+            DeformationContext(base)
+        assert built and {id(r) for r in built} <= _chain_rings(base), base
+        try:
+            deformed = build_deformation(DeformationSpec(base=base)).ring
+        except DeformationError:
+            deformed = base
         for b in (base, deformed):
-            # the deformation context reads the base's presentations
             characteristic_ideals.cache_clear()
-            assert verify_sixterm(base, b).status == "commutes"
-            for chain in (characteristic_ideals(base), characteristic_ideals(b)):
-                assert not {"ak", "o_pres", "o_in_delta"} & set(vars(chain)), base
+            with built_rings() as built:
+                verify_sixterm(base, b, max_nodes=2000)
+            assert built and {id(r) for r in built} <= _chain_rings(base, b), base
 
 
 def _random_annihilator_cocycle(rng, ctx):
@@ -553,12 +598,44 @@ def _random_annihilator_cocycle(rng, ctx):
     return SymmetricCocycle(ctx.n_orders, ctx.d_orders, cyclic_values=values)
 
 
-def _deformation_outcome(spec):
+def _deformation_outcome(ctx, g):
     try:
-        result = build_deformation(spec)
+        result = ctx.build(g)
     except DeformationError as exc:
         return str(exc)
     return result.ring, result.annihilator_embedding
+
+
+def test_deformation_matches_the_chain_presentations():
+    # the context reads o, A0 and A/k as groups and carries d into k through
+    # A; the reference reads them as rings and goes through o in delta
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(7)
+    rings = corpus_rings() + [FdzRing(*random_ring_data(rng, rng.randint(2, 5))) for _ in range(160)]
+    twisted = refused = 0
+    for ring in rings:
+        ctx, ref = DeformationContext(ring), ReferenceDeformationContext(ring)
+        assert (ctx.d_orders, ctx.k_orders) == (ref.d_orders, ref.k_orders), ring
+        for unit in IntMatrix.identity(len(ctx.d_orders)).data:
+            assert ctx.d_to_k(unit) == ref.d_to_k(unit), ring
+        assert (ctx.free_section, ctx.n_orders, ctx.n_lift_ambient) == (
+            ref.free_section, ref.n_orders, ref.n_lift_ambient
+        ), ring
+        # one draw of annihilator elements, read in d-coordinates by both
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        g = _random_annihilator_cocycle(rng, ctx)
+        assert g == _random_annihilator_cocycle(twin, ref), ring
+        for cocycle in (None, g):
+            outcome = _deformation_outcome(ctx, cocycle)
+            assert outcome == _deformation_outcome(ref, cocycle), ring
+            refused += isinstance(outcome, str)
+        twisted += any(map(any, g.cyclic_values))
+    assert twisted >= 10 and refused >= 10, (twisted, refused)
 
 
 def test_deformation_relations_match_the_transversal_loop(monkeypatch):
@@ -582,9 +659,9 @@ def test_deformation_relations_match_the_transversal_loop(monkeypatch):
         for g in (zero_cocycle(ctx.n_orders, ctx.d_orders), _random_annihilator_cocycle(rng, ctx)):
             assert ctx.extension_betas(g) == reference_deformation_closing(ctx, g), ring
             specs.append(DeformationSpec(base=ring, g=g))
-    closed = [_deformation_outcome(spec) for spec in specs]
+    closed = [_deformation_outcome(DeformationContext(spec.base), spec.g) for spec in specs]
     monkeypatch.setattr(DeformationContext, "extension_betas", reference_deformation_closing)
-    looped = [_deformation_outcome(spec) for spec in specs]
+    looped = [_deformation_outcome(DeformationContext(spec.base), spec.g) for spec in specs]
     assert closed == looped
     twisted = sum(1 for spec in specs if spec.g is not None and any(map(any, spec.g.cyclic_values)))
     refused = sum(1 for outcome in closed if isinstance(outcome, str))

@@ -8,7 +8,15 @@ import sys
 from functools import lru_cache
 
 from fdzring.deform import DeformationContext, SymmetricCocycle, cocycle_analyze
-from fdzring.rings import FdzRing, IdealChain, characteristic_ideals, quotient_ring, z0_ring
+from fdzring.rings import (
+    FdzRing,
+    IdealChain,
+    _cyclic_presentation,
+    characteristic_ideals,
+    quotient_ring,
+    subring_presentation,
+    z0_ring,
+)
 from oracles import (
     corpus_ring,
     hermite_cocycle_classes,
@@ -54,7 +62,7 @@ def _chains() -> tuple[IdealChain, ...]:
         chain = characteristic_ideals(
             FdzRing(*random_ring_data(rng, 4, torsion_share=0.25, density=0.15, coeff=3))
         )
-        orders = chain.ak.ring.orders
+        orders = chain.k_ideal.quotient().diagonal.orders
         if 0 in orders and any(orders):
             chains.append(chain)
     return tuple(chains)
@@ -77,13 +85,15 @@ def test_quotient_rings_match_the_rows_plus_relations_presentation():
         scaled = ring.subgroup([[3 * x for x in ring.generator(i)] for i in range(ring.rank)])
         for ideal, quot in (
             (chain.ann, chain.hat),
-            (chain.k_ideal, chain.ak),
+            (chain.k_ideal, quotient_ring(ring, chain.k_ideal)),
             (chain.addition, quotient_ring(ring, chain.addition)),
             (scaled, quotient_ring(ring, scaled)),
         ):
             ref = rows_and_relations_quotient(ring, ideal)
             assert quot.ring.orders == ref.orders
             assert (quot.project, quot.lift) == (ref.project, ref.lift)
+        # the deformation carrier reads A/k off the quotient group alone
+        assert chain.k_ideal.quotient().diagonal == rows_and_relations_quotient(ring, chain.k_ideal)
 
 
 def test_n_quot_is_the_torsion_of_a_mod_k():
@@ -110,7 +120,10 @@ def test_addition_is_a_complement_of_o_in_ann():
     for chain in _chains():
         assert chain.addition.sum(chain.o_ideal) == chain.ann
         assert chain.addition.intersect(chain.o_ideal).is_zero()
-        assert not any(chain.addition_pres.ring.orders)
+        # A0 is free and, inside ann, a null subring
+        assert not any(_cyclic_presentation(chain.addition)[0].orders)
+        table = subring_presentation(chain.ring, chain.addition).ring.tensor
+        assert not any(any(v) for row in table for v in row)
 
 
 def test_cocycle_classes_match_the_hermite_reference():

@@ -14,6 +14,7 @@ from fdzring.rings import (
     FdzRing,
     IdealChain,
     RingValidationError,
+    _cyclic_presentation,
     addition_and_foundation,
     characteristic_ideals,
     direct_product,
@@ -25,7 +26,7 @@ from fdzring.rings import (
     z0_ring,
 )
 
-from fdzring.intlinalg import row_times_matrix
+from fdzring.intlinalg import IntMatrix, row_times_matrix
 
 from oracles import (
     brute_force_chain,
@@ -33,6 +34,7 @@ from oracles import (
     corpus_rings,
     dense_mul,
     eager_chain,
+    element_order,
     ill_defined_reference,
     random_finite_ring,
     random_lattice_preserving_unimodular,
@@ -343,26 +345,40 @@ def test_chain_presentations_match_direct_construction():
         chain = characteristic_ideals(ring)
         assert chain.ring == ring
         assert chain.hat == quotient_ring(ring, chain.ann), ring
-        assert chain.ak == quotient_ring(ring, chain.k_ideal), ring
-        assert chain.square_pres == subring_presentation(ring, chain.sq), ring
         delta = subring_presentation(ring, chain.delta)
-        o_pres = subring_presentation(ring, chain.o_ideal)
         assert chain.delta_pres == delta, ring
-        assert chain.o_pres == o_pres, ring
-        # each row of o_in_delta lifts to the matching generator of o
-        assert chain.o_in_delta.rows == o_pres.ring.rank
-        for row, o_row in zip(chain.o_in_delta.data, o_pres.lift.data):
+        # A/k is read as a group, on the quotient ring's presentation
+        ak = quotient_ring(ring, chain.k_ideal)
+        diagonal = chain.k_ideal.quotient().diagonal
+        assert (diagonal.orders, diagonal.project, diagonal.lift) == (
+            ak.ring.orders, ak.project, ak.lift
+        ), ring
+        # sq, o and A0 in cyclic coordinates: the subring presentation's
+        # coordinates, whose generators span the subgroup, are read as unit
+        # vectors and have the cyclic orders
+        for s in (chain.sq, chain.o_ideal, chain.addition):
+            pres = subring_presentation(ring, s)
+            diagonal, lift = _cyclic_presentation(s)
+            assert (diagonal, lift, diagonal.orders) == (pres.diagonal, pres.lift, pres.ring.orders)
+            assert ring.subgroup(lift.data) == s, ring
+            for unit, row, d in zip(IntMatrix.identity(lift.rows).data, lift.data, diagonal.orders):
+                assert diagonal.express_over(s.lift_basis, row) == unit, ring
+                assert (element_order(ring.additive, row) or 0) == d, ring
+        # each generator of o, expressed in delta, lifts back to itself
+        for o_row in _cyclic_presentation(chain.o_ideal)[1].data:
+            row = delta.express(o_row)
             assert ring.reduce(row_times_matrix(row, delta.lift)) == ring.reduce(o_row)
-        # Ann = A0 ⊕ O whenever an addition exists
+        # Ann = A0 ⊕ O
         a0 = chain.addition
-        if a0 is not None:
-            assert a0.sum(chain.o_ideal) == chain.ann, ring
-            assert a0.intersect(chain.o_ideal).is_zero(), ring
-            assert addition_and_foundation(ring).addition is a0
+        assert a0.sum(chain.o_ideal) == chain.ann, ring
+        assert a0.intersect(chain.o_ideal).is_zero(), ring
+        assert addition_and_foundation(ring).addition is a0
+    for name in ("ak", "square_pres", "o_pres", "o_in_delta", "addition_pres"):
+        assert not hasattr(IdealChain, name), name
 
 
 def test_chain_presentations_are_built_once_per_chain():
-    members = ("hat", "ak", "square_pres", "delta_pres", "o_pres", "o_in_delta", "addition")
+    members = ("hat", "delta_pres", "sq", "o_ideal", "k_ideal", "addition")
     for ring in _chain_test_rings():
         chain = characteristic_ideals(ring)
         first = {name: getattr(chain, name) for name in members}
@@ -407,9 +423,10 @@ def test_records_compare_by_value():
     built = dict.fromkeys(("pa", "factors", "deformation"), 0)
     for ring in rings:
         chain = characteristic_ideals(ring)
-        assert subring_presentation(ring, chain.sq) == chain.square_pres, ring
         assert subring_presentation(ring, chain.delta) == chain.delta_pres, ring
-        assert subring_presentation(ring, chain.o_ideal) == chain.o_pres, ring
+        for s in (chain.sq, chain.o_ideal, chain.addition):
+            _assert_equal_builds(lambda: subring_presentation(ring, s))
+            _assert_equal_builds(lambda: _cyclic_presentation(s))
         try:
             pf = pa_ring(ring).parent.ring
         except BilinearMapError:
@@ -461,7 +478,7 @@ def test_chain_members_wait_for_first_access():
         else:
             defined += 1
         built = vars(characteristic_ideals(ring))
-        assert built.keys() <= {"ring", "ann", "sq", "hat", "square_pres"}, (orders, tensor)
+        assert built.keys() <= {"ring", "ann", "sq", "hat"}, (orders, tensor)
     assert defined >= 10, defined
 
 
