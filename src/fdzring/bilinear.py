@@ -146,15 +146,12 @@ def induced_bilinear_map(a: FdzRing) -> BilinearMap:
     back; the codomain is sq in the coordinates of its cyclic factors.
     """
     chain = characteristic_ideals(a)
-    hat, sq = chain.hat, chain.sq
-    square = _cyclic_presentation(sq)[0]
+    hat, square = chain.hat, _cyclic_presentation(chain.sq)
     lift = hat.lift.data
-    values = tuple(
-        tuple(square.express_over(sq.lift_basis, a.mul(x, y)) for y in lift) for x in lift
-    )
+    values = tuple(tuple(square.express(a.mul(x, y)) for y in lift) for x in lift)
     return BilinearMap(
         domain_orders=hat.ring.orders,
-        codomain_orders=square.orders,
+        codomain_orders=square.diagonal.orders,
         values=values,
     )
 
@@ -407,7 +404,7 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
     m, n = f.domain_rank, f.codomain_rank
     chain = characteristic_ideals(a)
     # row k: the k-th generator of sq, projected to A/ann
-    pi = _cyclic_presentation(chain.sq)[1].mul(chain.hat.project).data
+    pi = _cyclic_presentation(chain.sq).lift.mul(chain.hat.project).data
     eqs: list[SparseRow] = []
     moduli: list[int] = []
     for k in range(n):

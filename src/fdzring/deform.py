@@ -237,15 +237,16 @@ class DeformationContext:
     def __init__(self, base: FdzRing):
         self.base = base
         self.chain = chain = characteristic_ideals(base)
-        addition, self.addition_basis = _cyclic_presentation(chain.addition)
-        assert not any(addition.orders), "an addition must be free"
+        addition = _cyclic_presentation(chain.addition)
+        assert not any(addition.diagonal.orders), "an addition must be free"
+        self.addition_basis = addition.lift
         n = self.addition_basis.rows
-        o_part, o_lift = _cyclic_presentation(chain.o_ideal)
+        o_part = _cyclic_presentation(chain.o_ideal)
         delta = chain.delta_pres
         # ann = A0 ⊕ o and k = delta ⊕ A0, so coordinates over these are unique
-        self.d_basis = IntMatrix(self.addition_basis.data + o_lift.data, cols=base.rank)
+        self.d_basis = IntMatrix(self.addition_basis.data + o_part.lift.data, cols=base.rank)
         self.k_basis = IntMatrix(delta.lift.data + self.addition_basis.data, cols=base.rank)
-        self.d_orders: Vec = tuple([0] * n) + o_part.orders
+        self.d_orders: Vec = tuple([0] * n) + o_part.diagonal.orders
         self.k_orders: Vec = delta.ring.orders + tuple([0] * n)
         self._init_carrier()
 
@@ -432,8 +433,8 @@ def verify_sixterm(
     chain_b = characteristic_ideals(b)
     for name, group in (
         ("o_ring", lambda c: c.o_ideal),
-        ("delta_ring", lambda c: c.delta),
-        ("hat_ring", lambda c: c.ann.quotient()),
+        ("delta_ring", lambda c: c.delta_pres.ring.additive),
+        ("hat_ring", lambda c: c.hat.ring.additive),
         ("ak_ring", lambda c: c.k_ideal.quotient()),
     ):
         inv_a, inv_b = (group(c).invariant_factors for c in (chain_a, chain_b))

@@ -208,7 +208,12 @@ class Subgroup:
         return Subgroup(self.parent, left_kernel(_transpose(kernel, self.parent.rank)))
 
     def quotient(self) -> FgAbelianGroup:
-        """The parent modulo this subgroup, with the lift basis as relations."""
+        """The parent modulo this subgroup, with the lift basis as relations;
+        built once per subgroup, so its callers share its diagonal."""
+        return self._quotient
+
+    @cached_property
+    def _quotient(self) -> FgAbelianGroup:
         return FgAbelianGroup._from_hermite(self.parent.rank, self.lift_basis)
 
     def index(self) -> int | None:
@@ -222,8 +227,13 @@ class Subgroup:
         vectors that die in the parent.  Those are the c with c·basis in the
         parent's relation lattice R.  R lies in the lift lattice L and the
         basis rows are independent, so they are spanned by the coordinates
-        of R's basis rows over L's, read off by back-substitution.
+        of R's basis rows over L's, read off by back-substitution.  The pair
+        is built once per subgroup, as the quotient is.
         """
+        return self._abstract
+
+    @cached_property
+    def _abstract(self) -> tuple[FgAbelianGroup, IntMatrix]:
         basis = IntMatrix(self.lift_basis, cols=self.parent.rank)
         return FgAbelianGroup(basis.rows, self._relation_coordinates()), basis
 

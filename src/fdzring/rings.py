@@ -15,17 +15,12 @@ sit the characteristic two-sided ideals
 
 and the derived quotients m = A/l (torsion-free) and n = l/k (finite);
 l is the saturation of k, so n is the torsion of A/k.  The chain of a ring
-is cached, and it builds a ring only where a product is read: the quotient
-ring A/ann (``hat``) and the subring delta (``delta_pres``), whose
-isomorphisms the six-term check searches; the induced map also reads
-``hat``'s transports, and the deformations express their products in
-``delta_pres``.  It also holds an addition A0 with ann = A0 ⊕ o, which
-always exists, as a subgroup.  Every member of the chain, each ideal and
-quotient as well as each presentation, is built once, on first access, so
-a caller pays only for what it reads.  The other pieces those callers read
-are groups, never rings: sq, o and A0 in cyclic coordinates
-(``_cyclic_presentation``: the orders, the generator lifts and the
-coordinates of an element) and A/k as ``k_ideal.quotient().diagonal``.
+is cached, and every member, each ideal and quotient as well as each
+presentation, is built once, on first access, so a caller pays only for
+what it reads.  It presents as rings only A/ann (``hat``) and delta
+(``delta_pres``), the two rings multiplied in; sq, o and an addition A0
+with ann = A0 ⊕ o are read as groups in cyclic coordinates
+(``_cyclic_presentation``), and A/k as ``k_ideal.quotient().diagonal``.
 Every presentation is plain data, compared and hashed by value.  The
 module also holds the tame/regular predicates, foundations, and the
 quotient, subring and product constructions.
@@ -258,8 +253,7 @@ class IdealChain:
     Every member, the ideals and quotients included, is built on first
     access and then kept on the chain, which ``characteristic_ideals``
     caches per ring, so every caller shares one copy and builds only what
-    it reads.  Only A/ann (``hat``) and delta (``delta_pres``) are
-    presented as rings, since no caller multiplies in sq, o, A0 or A/k.
+    it reads.  No caller multiplies in sq, o, A0 or A/k.
     """
 
     ring: FdzRing
@@ -461,30 +455,40 @@ class SubringPresentation:
         return coords
 
 
-def _cyclic_presentation(s: Subgroup) -> tuple[DiagonalPresentation, IntMatrix]:
+@record
+class _CyclicPresentation:
     """A subgroup as a product of cyclic groups, with no ring built on it:
-    the presentation of its coefficients over ``s.lift_basis`` (the cyclic
-    ``orders``; ``express_over(s.lift_basis, v)`` gives v's coordinates) and
-    the ambient lifts of the cyclic generators, as rows."""
+    ``diagonal`` presents the coefficients over the Hermite lift ``basis``,
+    so its ``orders`` are the cyclic orders, and ``lift`` rows are the
+    ambient lifts of the cyclic generators."""
+
+    diagonal: DiagonalPresentation
+    basis: tuple[Vec, ...]
+    lift: IntMatrix
+
+    def express(self, vec: Sequence[int]) -> Vec | None:
+        """The cyclic coordinates of an ambient element, or ``None`` outside."""
+        return self.diagonal.express_over(self.basis, vec)
+
+
+def _cyclic_presentation(s: Subgroup) -> _CyclicPresentation:
     abstract, basis = s.as_group()
     diagonal = abstract.diagonal
-    return diagonal, diagonal.lift.mul(basis)
+    return _CyclicPresentation(diagonal, s.lift_basis, diagonal.lift.mul(basis))
 
 
 def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
     if s.parent != a.additive:
         raise GroupError("subgroup does not live in the ring")
-    diagonal, lift = _cyclic_presentation(s)
+    cyclic = _cyclic_presentation(s)
     # the lift rows and the relations of A generate s, so s is closed under
     # multiplication iff every product of two lift rows lies in it
-    tensor = [
-        [diagonal.express_over(s.lift_basis, a.mul(x, y)) for y in lift.data] for x in lift.data
-    ]
+    lift = cyclic.lift.data
+    tensor = [[cyclic.express(a.mul(x, y)) for y in lift] for x in lift]
     if any(None in row for row in tensor):
         raise GroupError("subgroup is not closed under multiplication")
-    return SubringPresentation(
-        ring=FdzRing(diagonal.orders, tensor), lift=lift, basis=s.lift_basis, diagonal=diagonal
-    )
+    ring = FdzRing(cyclic.diagonal.orders, tensor)
+    return SubringPresentation(ring, cyclic.lift, cyclic.basis, cyclic.diagonal)
 
 
 # -- additions and foundations ----------------------------------------------

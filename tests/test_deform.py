@@ -565,11 +565,13 @@ def _chain_rings(*rings) -> set[int]:
 def test_sixterm_builds_no_presentation_of_o_or_a_mod_k():
     # every ring built during the call, on fresh chains, is A/ann or delta
     # of a chain, so none is a multiplication table for sq, o, the addition
-    # A0 or A/k
+    # A0 or A/k; and the call still decides: each corpus ring commutes with
+    # itself and its zero deformation at the default budget, and the other
+    # bases get the reference's report at 2,000 nodes
     rng = random.Random(33)
-    bases = corpus_rings() + [random_mixed_ring(rng) for _ in range(12)]
-    bases += [a for a, _ in PREFILTER_PAIRS]
-    for base in bases:
+    others = [random_mixed_ring(rng) for _ in range(12)] + [a for a, _ in PREFILTER_PAIRS]
+    cases = [(ring, {}) for ring in corpus_rings()] + [(ring, {"max_nodes": 2000}) for ring in others]
+    for base, budget in cases:
         characteristic_ideals.cache_clear()
         with built_rings() as built:
             DeformationContext(base)
@@ -577,12 +579,18 @@ def test_sixterm_builds_no_presentation_of_o_or_a_mod_k():
         try:
             deformed = build_deformation(DeformationSpec(base=base)).ring
         except DeformationError:
+            assert budget, base
             deformed = base
         for b in (base, deformed):
             characteristic_ideals.cache_clear()
             with built_rings() as built:
-                verify_sixterm(base, b, max_nodes=2000)
+                report = verify_sixterm(base, b, **budget)
             assert built and {id(r) for r in built} <= _chain_rings(base, b), base
+            if budget:
+                expected = reference_sixterm(base, b, **budget)
+                assert (report.status, report.detail) == (expected.status, expected.detail), base
+            else:
+                assert report.status == "commutes", base
 
 
 def _random_annihilator_cocycle(rng, ctx):

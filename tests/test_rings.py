@@ -358,14 +358,16 @@ def test_chain_presentations_match_direct_construction():
         # vectors and have the cyclic orders
         for s in (chain.sq, chain.o_ideal, chain.addition):
             pres = subring_presentation(ring, s)
-            diagonal, lift = _cyclic_presentation(s)
-            assert (diagonal, lift, diagonal.orders) == (pres.diagonal, pres.lift, pres.ring.orders)
+            cyclic = _cyclic_presentation(s)
+            diagonal, lift = cyclic.diagonal, cyclic.lift
+            assert (diagonal, lift, cyclic.basis) == (pres.diagonal, pres.lift, pres.basis)
+            assert diagonal.orders == pres.ring.orders, ring
             assert ring.subgroup(lift.data) == s, ring
             for unit, row, d in zip(IntMatrix.identity(lift.rows).data, lift.data, diagonal.orders):
-                assert diagonal.express_over(s.lift_basis, row) == unit, ring
+                assert cyclic.express(row) == pres.express(row) == unit, ring
                 assert (element_order(ring.additive, row) or 0) == d, ring
         # each generator of o, expressed in delta, lifts back to itself
-        for o_row in _cyclic_presentation(chain.o_ideal)[1].data:
+        for o_row in _cyclic_presentation(chain.o_ideal).lift.data:
             row = delta.express(o_row)
             assert ring.reduce(row_times_matrix(row, delta.lift)) == ring.reduce(o_row)
         # Ann = A0 ⊕ O
