@@ -112,6 +112,19 @@ def test_quotient_and_invariants():
     assert FgAbelianGroup(2).invariant_factors == (0, 0)
 
 
+def test_quotient_and_abstract_group_are_built_once_per_subgroup():
+    # the deformation carrier, the six-term prechecks, the induced map and
+    # pa_ring read one subgroup's quotient or abstract group in turn, so
+    # they share one diagonal; an equal subgroup built anew builds its own
+    group = FgAbelianGroup(3, [(0, 0, 6)])
+    s = group.subgroup([(2, 0, 0), (0, 3, 3)])
+    assert s.quotient() is s.quotient() and s.as_group() is s.as_group()
+    assert s.quotient().diagonal is s.quotient().diagonal
+    twin = group.subgroup([(2, 0, 0), (0, 3, 3)])
+    assert twin == s and twin.quotient() is not s.quotient()
+    assert twin.quotient() == s.quotient() and twin.as_group() == s.as_group()
+
+
 def test_invariants_unimodular_stability():
     rng = random.Random(21)
     for _ in range(40):
