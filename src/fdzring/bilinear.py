@@ -19,9 +19,9 @@ not as a second pair system.
 
 ``induced_bilinear_map`` returns the map alone.  Its coordinate transports
 are ``hat`` (A <-> A/ann) of ``characteristic_ideals`` and sq's cyclic
-coordinates from ``rings._cyclic_presentation``, which ``pa_ring`` reads
-too; no ring is built on sq.  A scalar ring's action holds its pair
-lattice and presentation as data, and
+coordinates, its ``Subgroup.cyclic`` member, built once and read by
+``pa_ring`` too; no ring is built on sq.  A scalar ring's action holds
+its pair lattice and presentation as data, and
 ``ScalarRingAction.express_pair`` reads coordinates off them.
 """
 
@@ -41,13 +41,13 @@ from .intlinalg import (
     hermite_coordinates,
     hermite_rows,
     record,
+    reduce_mod_orders,
     row_times_matrix,
     solve_congruences,
 )
 from .rings import (
     ELEMENT_LIMIT,
     FdzRing,
-    _cyclic_presentation,
     characteristic_ideals,
     ill_defined_product,
     pairing_kernel,
@@ -106,11 +106,6 @@ class BilinearMap:
     def codomain_rank(self) -> int:
         return len(self.codomain_orders)
 
-    def reduce_codomain(self, vec: Sequence[int]) -> Vec:
-        return tuple(
-            int(x) % d if d else int(x) for x, d in zip(vec, self.codomain_orders)
-        )
-
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         acc = [0] * self.codomain_rank
         for i, xi in enumerate(x):
@@ -123,7 +118,7 @@ class BilinearMap:
                 f = xi * yj
                 for k in range(self.codomain_rank):
                     acc[k] += f * c[k]
-        return self.reduce_codomain(acc)
+        return reduce_mod_orders(acc, self.codomain_orders)
 
     def radical(self) -> Subgroup:
         """Elements x with f(x, ·) = f(·, x) = 0, as a domain subgroup."""
@@ -146,7 +141,7 @@ def induced_bilinear_map(a: FdzRing) -> BilinearMap:
     back; the codomain is sq in the coordinates of its cyclic factors.
     """
     chain = characteristic_ideals(a)
-    hat, square = chain.hat, _cyclic_presentation(chain.sq)
+    hat, square = chain.hat, chain.sq.cyclic
     lift = hat.lift.data
     values = tuple(tuple(square.express(a.mul(x, y)) for y in lift) for x in lift)
     return BilinearMap(
@@ -192,11 +187,10 @@ def width(f: BilinearMap) -> WidthResult:
     assert exponent is not None
     domain = _reduced_domain_elements(f, exponent)
     products = {f.evaluate(x, y) for x in domain for y in domain}
-    carrier = {f.reduce_codomain(v) for v in cod.elements()}
-    reach = {f.reduce_codomain(cod.zero())}
+    carrier, reach = set(cod.elements()), {cod.zero()}
     steps = 0
     while reach != carrier:
-        bigger = {f.reduce_codomain(tuple(a + b for a, b in zip(u, p)))
+        bigger = {reduce_mod_orders([a + b for a, b in zip(u, p)], f.codomain_orders)
                   for u in reach for p in products}
         steps += 1
         if bigger == reach:
@@ -404,7 +398,7 @@ def pa_ring(a: FdzRing) -> ScalarRingAction:
     m, n = f.domain_rank, f.codomain_rank
     chain = characteristic_ideals(a)
     # row k: the k-th generator of sq, projected to A/ann
-    pi = _cyclic_presentation(chain.sq).lift.mul(chain.hat.project).data
+    pi = chain.sq.cyclic.lift.mul(chain.hat.project).data
     eqs: list[SparseRow] = []
     moduli: list[int] = []
     for k in range(n):

@@ -25,7 +25,7 @@ import itertools
 from math import isqrt, prod
 
 from .bilinear import BilinearMapError, induced_bilinear_map, pa_ring, pf_ring
-from .intlinalg import IntMatrix, Vec, left_kernel, record, row_times_matrix, solve_congruences
+from .intlinalg import IntMatrix, Vec, record, right_kernel, row_times_matrix, solve_congruences
 from .rings import (
     ELEMENT_LIMIT,
     FdzRing,
@@ -110,9 +110,9 @@ def _free_idempotents(ring: FdzRing) -> list[Vec]:
        linear mod 2 with coordinates Σ x_i(e_i² − e_i).  Refining {1} by
        each kernel vector b (atom a splits into ab and a − ab) gives its
        atoms.  One atom leaves only 0 and 1.
-    2. F ∩ N, N the nilradical, is the left kernel of the trace form, and
-       R = F/(F ∩ N) is reduced.  As F ∩ N is nil, idempotents pass
-       uniquely between F and R, and between F/2F and R/2R.
+    2. F ∩ N, N the nilradical, is the kernel of the trace form (symmetric:
+       F commutes), and R = F/(F ∩ N) is reduced.  As F ∩ N is nil,
+       idempotents pass uniquely between F and R, and between F/2F and R/2R.
     3. So the Gram matrix G of R is invertible.  An idempotent c of R has
        |Tr(c·e_k)| ≤ m·‖L_k‖ (m = rank R, L_k multiplication by e_k, ‖·‖
        its largest row sum), as L_c projects onto an L_k-stable subspace.
@@ -141,7 +141,7 @@ def _free_idempotents(ring: FdzRing) -> list[Vec]:
         atoms = refined
     if len(atoms) == 1:
         return sorted({ring.zero(), unity})
-    nil = left_kernel(IntMatrix(_trace_form(ring)))
+    nil = right_kernel(_trace_form(ring), dim)
     reduced = _ideal_quotient(ring, ring.subgroup(nil))
     r = reduced.ring
     hadamard = prod(isqrt(sum(g * g for g in row)) + 1 for row in _trace_form(r))

@@ -215,7 +215,10 @@ def _parse_builtin(text: str) -> tuple[str, int]:
 
 
 def cmd_modelcheck(args) -> dict:
-    from .fomc import builtin, defined_set, evaluate, exists_closure, free_variables, parse_formula
+    from .fomc import (
+        NESTING_GUARD, FormulaParseError, builtin, defined_set, evaluate, exists_closure,
+        free_variables, nesting, parse_formula,
+    )
 
     ring = load_ring(args.ring)
     if args.mod is not None:
@@ -233,6 +236,9 @@ def cmd_modelcheck(args) -> dict:
             formula = parse_formula(handle.read())
         source = {"formula_file": os.path.basename(args.formula)}
     free = free_variables(formula)
+    if args.formula and len(free) > 1 and nesting(formula) + len(free) > NESTING_GUARD:
+        # the existential closure evaluated below nests a level per variable
+        raise FormulaParseError(f"formula nested deeper than {NESTING_GUARD}")
     payload: dict = {
         "input": _input_summary(args.ring, ring),
         "source": source,

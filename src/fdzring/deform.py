@@ -35,9 +35,10 @@ from typing import Sequence
 from .eqcheck import _check_bound, _iso_witnesses
 from .groups import FgAbelianGroup
 from .intlinalg import (
-    IntMatrix, Vec, affine_preimage, hermite_reduce, record, row_times_matrix, smith_diagonal,
+    IntMatrix, Vec, affine_preimage, hermite_reduce, record, reduce_mod_orders, row_times_matrix,
+    smith_diagonal,
 )
-from .rings import FdzRing, _cyclic_presentation, _ideal_quotient, characteristic_ideals
+from .rings import FdzRing, _ideal_quotient, characteristic_ideals
 
 
 # the independence schema is checked modulo 2, 3, ..., INDEPENDENCE_BOUND
@@ -50,10 +51,6 @@ class CocycleError(ValueError):
 
 class DeformationError(ValueError):
     pass
-
-
-def _reduce_mod_orders(vec: Sequence[int], orders: Sequence[int]) -> Vec:
-    return tuple(int(x) % d if d else int(x) for x, d in zip(vec, orders))
 
 
 @record
@@ -80,7 +77,7 @@ class SymmetricCocycle:
         lengths = {len(v) for v in self.cyclic_values}
         if len(self.cyclic_values) != len(source) or lengths - {len(target)}:
             raise CocycleError("one value of the target's length per source factor required")
-        vals = tuple(_reduce_mod_orders(v, target) for v in self.cyclic_values)
+        vals = tuple(reduce_mod_orders(v, target) for v in self.cyclic_values)
         if any(any(v) for e, v in zip(source, vals) if e == 0):
             raise CocycleError(
                 "extensions of an infinite cyclic factor split; the "
@@ -90,14 +87,14 @@ class SymmetricCocycle:
         self.__dict__.update(source_orders=source, target_orders=target, cyclic_values=vals)
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        xr = _reduce_mod_orders(x, self.source_orders)
-        yr = _reduce_mod_orders(y, self.source_orders)
+        xr = reduce_mod_orders(x, self.source_orders)
+        yr = reduce_mod_orders(y, self.source_orders)
         acc = [0] * len(self.target_orders)
         for i, e in enumerate(self.source_orders):
             if e and xr[i] + yr[i] >= e:
                 for k, v in enumerate(self.cyclic_values[i]):
                     acc[k] += v
-        return _reduce_mod_orders(acc, self.target_orders)
+        return reduce_mod_orders(acc, self.target_orders)
 
 
 def zero_cocycle(source_orders: Sequence[int], target_orders: Sequence[int]) -> SymmetricCocycle:
@@ -237,11 +234,11 @@ class DeformationContext:
     def __init__(self, base: FdzRing):
         self.base = base
         self.chain = chain = characteristic_ideals(base)
-        addition = _cyclic_presentation(chain.addition)
+        addition = chain.addition.cyclic
         assert not any(addition.diagonal.orders), "an addition must be free"
         self.addition_basis = addition.lift
         n = self.addition_basis.rows
-        o_part = _cyclic_presentation(chain.o_ideal)
+        o_part = chain.o_ideal.cyclic
         delta = chain.delta_pres
         # ann = A0 ⊕ o and k = delta ⊕ A0, so coordinates over these are unique
         self.d_basis = IntMatrix(self.addition_basis.data + o_part.lift.data, cols=base.rank)
@@ -261,7 +258,7 @@ class DeformationContext:
             raise DeformationError("value must lie in the annihilator")
         coords = affine_preimage(self.d_basis, self.base.additive.relation_basis, vec)
         assert coords is not None
-        return _reduce_mod_orders(coords[0], self.d_orders)
+        return reduce_mod_orders(coords[0], self.d_orders)
 
     def d_to_k(self, dvec: Sequence[int]) -> Vec:
         """The k-coordinates of the annihilator element with d-coordinates ``dvec``."""
@@ -275,7 +272,7 @@ class DeformationContext:
         coords = affine_preimage(self.k_basis, self.base.additive.relation_basis, vec)
         if coords is None:
             raise DeformationError("value must lie in the k-ideal")
-        return _reduce_mod_orders(coords[0], self.k_orders)
+        return reduce_mod_orders(coords[0], self.k_orders)
 
     # -- carrier source: free factors ⊕ torsion quotient of A/k --
 
@@ -298,7 +295,7 @@ class DeformationContext:
     def extension_betas(self, g: SymmetricCocycle) -> list[Vec]:
         """beta_i = k(e_i·t_i) + d_to_k(d_i) for each torsion factor under ``g``."""
         return [
-            _reduce_mod_orders(
+            reduce_mod_orders(
                 [a + b for a, b in zip(self.ambient_to_k(self.base.scale(e, t)), self.d_to_k(d))],
                 self.k_orders,
             )

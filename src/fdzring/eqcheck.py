@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .intlinalg import (
-    IntMatrix, Vec, hermite_rows, left_kernel, preimage_lattice, record, row_times_matrix,
+    IntMatrix, Vec, hermite_rows, preimage_lattice, record, right_kernel, row_times_matrix,
     smith_diagonal,
 )
 from .rings import FdzRing, characteristic_ideals, direct_product, z0_ring
@@ -223,15 +223,9 @@ def _check_seeded_pool(b: FdzRing, order: int, bound: int) -> None:
         )
 
 
-def _prefix_kernel(rows: Sequence[Sequence[int]], width: int) -> tuple[Vec, ...]:
-    """A basis W of {x in Z^width : r·x = 0 for every row r}: the left
-    kernel of the transposed rows (with no rows, the identity)."""
-    return left_kernel(IntMatrix([[r[t] for r in rows] for t in range(width)], cols=len(rows)))
-
-
 def _completes_basis(kernel: Sequence[Vec], row: Sequence[int]) -> bool:
     """Whether a prefix that extends to a basis of Z^f still does with
-    ``row`` appended, given W = ``_prefix_kernel`` of the prefix.
+    ``row`` appended, given W = ``right_kernel`` of the prefix.
 
     Rows extend to a basis exactly when the gcd of their maximal minors is
     1 (Cohen, GTM 138, §2.4).  The prefix R extends to one, so some
@@ -538,7 +532,7 @@ def _iso_witnesses(
             if free:
                 if kernel is None:
                     prefix = [[images[i][t] for t in free_coords] for i in free_gens if i in images]
-                    kernel = _prefix_kernel(prefix, len(free_coords))
+                    kernel = right_kernel(prefix, len(free_coords))
                 if not _completes_basis(kernel, [cand[t] for t in free_coords]):
                     continue
             images[idx] = cand

@@ -13,13 +13,14 @@ The strategy is sound, not approximate: whenever exactness cannot be
 guaranteed the evaluator falls back to enumeration.
 
 Enumeration is set-at-a-time (Libkin, *Elements of Finite Model Theory*,
-ch. 6: bottom-up evaluation by relation tables).  A quantifier decides its
-body for ``BLOCK`` values at once, as vectors of term values compared by
-equations and combined by connectives as sets, and stops after the block
-with its first witness (exists) or counterexample (forall); ``defined_set``
-decides its formula over the whole carrier so.  Per element, with early
-exit, go a quantifier body that is a quantifier and a quantifier with the
-block's variable free, for the values that reach it.
+ch. 6: bottom-up evaluation by relation tables), in one evaluator.  A
+quantifier decides its body for ``BLOCK`` values at once, as vectors of
+term values compared by equations and combined by connectives as sets,
+and stops after the block with its first witness (exists) or
+counterexample (forall); ``defined_set`` decides its formula over the
+whole carrier so, and ``evaluate`` over one placeholder value, bound to
+no variable.  Per element, with early exit, go a quantifier body that is
+a quantifier and a quantifier with the block's variable free.
 
 Every call runs on a ring compiled for it.  Elements are numbered 0..N-1
 in ``ring.elements()`` order (mixed radix, last coordinate fastest).
@@ -41,7 +42,8 @@ The concrete formula syntax is fully parenthesized prefix text, e.g.
 count); parsing reads them and printing their reverse.  ``sub`` is parse-only
 sugar for adding a negation, printed back from ``Add(l, Neg(r))``.
 Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time,
-and ``builtin`` refuses an arity whose formula would nest that deep.
+in the text and in the formula it parses to (``nesting``), where an n-ary
+and/or folds n - 1 deep; ``builtin`` refuses an arity that nests so deep.
 """
 
 from __future__ import annotations
@@ -175,10 +177,6 @@ def free_variables(f: Formula) -> frozenset[str]:
     raise FormulaError(f"not a formula: {f!r}")
 
 
-def conj(parts: Sequence[Formula]) -> Formula:
-    return reduce(And, parts)
-
-
 def sum_term(parts: Sequence[Term]) -> Term:
     if not parts:
         return Zero()
@@ -243,43 +241,46 @@ def psi(n: int) -> Formula:
     annihilates = Forall(
         "z", And(Eq(Mul(Var("y"), Var("z")), zero), Eq(Mul(Var("z"), Var("y")), zero))
     )
-    return Forall("y", Implies(conj(conditions), annihilates))
+    return Forall("y", Implies(reduce(And, conditions), annihilates))
 
 
-# Each builtin with the parenthesis depth of its text at arity n: theta
-# nests 2n quantifiers over an equation with a sum of n products, phi 4n + 2
-# quantifiers over sums of n + 1 and n products, and psi an implication
-# whose premise chains 2n equations under one universal.
-_BUILTINS = {
-    "theta": (theta, lambda n: 3 * n + 1),
-    "phi": (phi, lambda n: 5 * n + 4),
-    "psi": (psi, lambda n: max(2 * n + 3, 6)),
-}
+_BUILTINS = {"theta": theta, "phi": phi, "psi": psi}
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, n: int) -> Formula:
     """The named definability formula at arity n.
 
-    Refused, before it is built, when n is below 1 (the message names the
-    CLI's ``k``) or when it would nest deeper than ``NESTING_GUARD``, the
-    depth ``parse_formula`` accepts, so every builtin prints to text that
-    parses back and evaluates within the recursion limit.
+    Refused when n is below 1 (the message names the CLI's ``k``) or when
+    it nests deeper than ``NESTING_GUARD``, as ``parse_formula`` would, so
+    every builtin prints to text that parses back and evaluates within the
+    recursion limit; each nests n deep at least, so larger n go unbuilt.
     """
     if name not in _BUILTINS:
         raise FormulaError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
     if n < 1:
         raise FormulaError(f"builtin {name} needs k at least 1, got k={n}")
-    build, depth = _BUILTINS[name]
-    if depth(n) > NESTING_GUARD:
-        raise FormulaError(
-            f"builtin {name} with k={n} nests {depth(n)} deep, beyond the limit {NESTING_GUARD}"
-        )
-    return build(n)
+    if n > NESTING_GUARD or nesting(formula := _BUILTINS[name](n)) > NESTING_GUARD:
+        raise FormulaError(f"builtin {name} with k={n} nests beyond the limit {NESTING_GUARD}")
+    return formula
 
 
 def exists_closure(f: Formula) -> Formula:
     return exists_block(sorted(free_variables(f)), f)
+
+
+def nesting(f: Formula | Term) -> int:
+    """The parenthesis depth of ``format_formula(f)``, measured without
+    recursion, so that a tree too deep to print or evaluate is measured too."""
+    deepest, stack = 0, [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Add) and isinstance(node.right, Neg):
+            node = Add(node.left, node.right.arg)  # printed as (sub l r)
+        if not isinstance(node, (str, Var, Zero)):
+            deepest = max(deepest, depth)
+            stack += [(getattr(node, name), depth + 1) for name in node.__match_args__]
+    return deepest
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -377,13 +378,11 @@ def evaluate(
 ) -> bool:
     """Tarskian truth of the formula under the assignment."""
     model = _Model(ring)
-    env = {}
-    for name, value in (assignment or {}).items():
-        env[name] = model.index(ring.reduce(value))
+    env = {name: model.index(ring.reduce(value)) for name, value in (assignment or {}).items()}
     missing = free_variables(formula) - set(env)
     if missing:
         raise FormulaError(f"unassigned free variables: {sorted(missing)}")
-    return _eval(model, formula, env)
+    return bool(_satisfying(model, formula, None, env, (0,)))
 
 
 def defined_set(ring: FdzRing, formula: Formula) -> list[tuple[int, ...]]:
@@ -398,28 +397,17 @@ def defined_set(ring: FdzRing, formula: Formula) -> list[tuple[int, ...]]:
     return sorted(model.carrier[e] for e in _satisfying(model, formula, name, {}, model.elements))
 
 
-def _eval(model: _Model, f: Formula, env) -> bool:
-    match f:
-        case Eq(l, r):
-            return _term_vector(model, l, None, env, ()) == _term_vector(model, r, None, env, ())
-        case Not(x):
-            return not _eval(model, x, env)
-        case And(l, r):
-            return _eval(model, l, env) and _eval(model, r, env)
-        case Or(l, r):
-            return _eval(model, l, env) or _eval(model, r, env)
-        case Implies(l, r):
-            return not _eval(model, l, env) or _eval(model, r, env)
-        case Exists(_, _) | Forall(_, _):
-            key = (id(f), tuple(env[v] for v in model.names(f)))
-            truth = model.truth.get(key)
-            if truth is None:
-                truth = _eval_block(model, f, env)
-                if truth is None:
-                    truth = _quantify(model, f, env)
-                model.truth[key] = truth
-            return truth
-    raise FormulaError(f"not a formula: {f!r}")
+def _truth(model: _Model, f: Exists | Forall, env) -> bool:
+    """Whether the quantifier node f holds under env, memoised by its free
+    variables' values: the value-set strategy first, else enumeration."""
+    key = (id(f), tuple(env[v] for v in model.names(f)))
+    truth = model.truth.get(key)
+    if truth is None:
+        truth = _eval_block(model, f, env)
+        if truth is None:
+            truth = _quantify(model, f, env)
+        model.truth[key] = truth
+    return truth
 
 
 def _quantify(model: _Model, f: Exists | Forall, env) -> bool:
@@ -429,7 +417,7 @@ def _quantify(model: _Model, f: Exists | Forall, env) -> bool:
     exists = isinstance(f, Exists)
     if isinstance(f.body, (Exists, Forall)):
         test = any if exists else all
-        return test(_eval(model, f.body, {**env, f.var: e}) for e in model.elements)
+        return test(_truth(model, f.body, {**env, f.var: e}) for e in model.elements)
     for start in range(0, model.size, BLOCK):
         block = model.elements[start : start + BLOCK]
         held = _satisfying(model, f.body, f.var, env, block)
@@ -439,21 +427,22 @@ def _quantify(model: _Model, f: Exists | Forall, env) -> bool:
     return not exists
 
 
-def _satisfying(model: _Model, f: Formula, var: str, env, dom: Sequence[int]) -> set[int]:
+def _satisfying(model: _Model, f: Formula, var: str | None, env, dom: Sequence[int]) -> set[int]:
     """The values of var in dom (distinct elements) at which f holds.
 
     The right operand of a connective sees only the values the left one
-    leaves open.  A subformula without var free is decided once, and a
-    quantifier with var free once per value that reaches it.
+    leaves open.  An equation or quantifier without var free is decided
+    once, giving all of dom or nothing, and a quantifier with var free once
+    per value that reaches it.
     """
     if not dom:
         return set()
-    if var not in model.names(f):
-        return set(dom) if _eval(model, f, env) else set()
     match f:
         case Eq(l, r):
             lv = _term_vector(model, l, var, env, dom)
             rv = _term_vector(model, r, var, env, dom)
+            if isinstance(lv, int) and isinstance(rv, int):
+                return set(dom) if lv == rv else set()
             if isinstance(lv, int):
                 lv, rv = rv, lv
             if isinstance(rv, int):
@@ -470,7 +459,9 @@ def _satisfying(model: _Model, f: Formula, var: str, env, dom: Sequence[int]) ->
                 left = set(dom) - left
             return left | _satisfying(model, r, var, env, [d for d in dom if d not in left])
         case Exists(_, _) | Forall(_, _):
-            return {d for d in dom if _eval(model, f, {**env, var: d})}
+            if var not in model.names(f):
+                return set(dom) if _truth(model, f, env) else set()
+            return {d for d in dom if _truth(model, f, {**env, var: d})}
     raise FormulaError(f"not a formula: {f!r}")
 
 
@@ -713,7 +704,10 @@ def parse_formula(text: str) -> Formula:
     node, pos = _parse_sexpr(tokens, 0)
     if pos != len(tokens):
         raise FormulaParseError("trailing input after the formula")
-    return _to_formula(node)
+    formula = _to_formula(node)
+    if nesting(formula) > NESTING_GUARD:
+        raise FormulaParseError(f"formula nested deeper than {NESTING_GUARD}")
+    return formula
 
 
 def format_formula(f: Formula | Term) -> str:

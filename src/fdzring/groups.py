@@ -4,7 +4,9 @@ A group is the ambient free group Z^r divided by the row span of a relation
 matrix; a subgroup is carried by the lattice of its lifts, canonicalized by
 its Hermite basis (so subgroup equality is syntactic equality of canonical
 forms).  Saturation, sums, intersections, quotients, invariant factors, and
-direct-summand complements all reduce to exact lattice computations.
+direct-summand complements all reduce to exact lattice computations, and
+saturation to a right kernel of a right kernel (``intlinalg.right_kernel``).
+A subgroup's ``cyclic`` member presents it as a product of cyclic groups.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .intlinalg import (
     hermite_coordinates,
     hermite_reduce,
     hermite_rows,
-    left_kernel,
     preimage_lattice,
     record,
+    right_kernel,
     row_times_matrix,
     smith_diagonal,
     vec_add,
@@ -204,8 +206,8 @@ class Subgroup:
         """Isolator: all x with n·x inside for some n >= 1, computed as the
         kernel of a kernel: {x : x·y = 0 whenever L·y = 0}, L the lift
         lattice (Cohen, GTM 138, §2.4)."""
-        kernel = left_kernel(_transpose(self.lift_basis, self.parent.rank))
-        return Subgroup(self.parent, left_kernel(_transpose(kernel, self.parent.rank)))
+        kernel = right_kernel(self.lift_basis, self.parent.rank)
+        return Subgroup(self.parent, right_kernel(kernel, self.parent.rank))
 
     def quotient(self) -> FgAbelianGroup:
         """The parent modulo this subgroup, with the lift basis as relations;
@@ -261,17 +263,35 @@ class Subgroup:
         """
         return hermite_coordinates(self.lift_basis, vec)
 
+    @cached_property
+    def cyclic(self) -> "CyclicPresentation":
+        """This subgroup as a product of cyclic groups, built once."""
+        abstract, basis = self.as_group()
+        diagonal = abstract.diagonal
+        return CyclicPresentation(diagonal, self.lift_basis, diagonal.lift.mul(basis))
+
+
+@record
+class CyclicPresentation:
+    """A subgroup as a product of cyclic groups, with no ring built on it:
+    ``diagonal`` presents the coefficients over the Hermite lift ``basis``,
+    so its ``orders`` are the cyclic orders, and ``lift`` rows are the
+    ambient lifts of the cyclic generators."""
+
+    diagonal: DiagonalPresentation
+    basis: tuple[Vec, ...]
+    lift: IntMatrix
+
+    def express(self, vec: Sequence[int]) -> Vec | None:
+        """The cyclic coordinates of an ambient element, or ``None`` outside."""
+        return self.diagonal.express_over(self.basis, vec)
+
 
 def _invariant_factors(relations: Sequence[Sequence[int]], rank: int) -> Vec:
     """The invariant factors of Z^rank modulo the rows, read off
     ``smith_diagonal``, so they never pay for a coordinate change."""
     diag = smith_diagonal(relations, rank)
     return tuple(d for d in diag + (0,) * (rank - len(diag)) if d != 1)
-
-
-def _transpose(rows: Sequence[Sequence[int]], width: int) -> IntMatrix:
-    """The width x len(rows) matrix whose columns are ``rows``."""
-    return IntMatrix([[row[j] for row in rows] for j in range(width)], cols=len(rows))
 
 
 @record

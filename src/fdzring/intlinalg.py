@@ -5,9 +5,9 @@ immutable; reduction algorithms copy into lists, reduce with elementary
 row/column operations (minimal-pivot selection to keep coefficients small),
 and freeze the result.  Kernels, preimage lattices, particular solutions of
 inhomogeneous systems and coordinates over a lattice basis come from
-one-sided Hermite reduction, which builds no transform; so does
-saturation, a kernel of a kernel.  Smith forms come in two kinds, which
-choose their pivots alike (``_min_pivot``): ``diagonal_presentation``
+one-sided Hermite reduction, which builds no transform; ``right_kernel``
+is the kernel ``solve_congruences`` gives exact equations.  Smith forms
+come in two kinds, which choose their pivots alike (``_min_pivot``): ``diagonal_presentation``
 needs the invariant factors and the coordinate change onto them, so its
 elimination tracks only the column transform V and its inverse, never the
 row transform; ``smith_diagonal`` gives the diagonal alone, over Z or over
@@ -166,6 +166,12 @@ class IntMatrix:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
+
+def reduce_mod_orders(vec: Sequence[int], orders: Sequence[int]) -> Vec:
+    """Each coordinate reduced into [0, d) for its order d, kept when d = 0."""
+    return tuple([int(x) % d if d else int(x) for x, d in zip(vec, orders)])
+
+
 def row_times_matrix(v: Sequence[int], m: IntMatrix) -> Vec:
     if len(v) != m.rows:
         raise ValueError("dimension mismatch in vector-matrix product")
@@ -277,8 +283,7 @@ class DiagonalPresentation:
 
     def coordinates(self, vec: Sequence[int]) -> Vec:
         """``vec·project`` reduced modulo the orders."""
-        raw = row_times_matrix(vec, self.project)
-        return tuple(x % d if d else x for x, d in zip(raw, self.orders))
+        return reduce_mod_orders(row_times_matrix(vec, self.project), self.orders)
 
     def express_over(self, basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Vec | None:
         """Cyclic coordinates of ``vec`` in the lattice with Hermite ``basis``,
@@ -499,9 +504,10 @@ def hermite_coordinates(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> V
     return None if any(rest) else tuple(quotients)
 
 
-def left_kernel(a: IntMatrix) -> tuple[Vec, ...]:
-    """Hermite basis rows for {y : y·A = 0}."""
-    return preimage_lattice(a, ())
+def right_kernel(rows: Sequence[Sequence[int]], width: int) -> tuple[Vec, ...]:
+    """Hermite basis rows for {y in Z^width : r·y = 0 for every row r}, the
+    kernel ``solve_congruences`` returns for exact equations."""
+    return solve_congruences(_sparse_rows(rows, width), [0] * len(rows), unknowns=width)[1]
 
 
 def solve_congruences(

@@ -20,7 +20,7 @@ presentation, is built once, on first access, so a caller pays only for
 what it reads.  It presents as rings only A/ann (``hat``) and delta
 (``delta_pres``), the two rings multiplied in; sq, o and an addition A0
 with ann = A0 ⊕ o are read as groups in cyclic coordinates
-(``_cyclic_presentation``), and A/k as ``k_ideal.quotient().diagonal``.
+(``Subgroup.cyclic``), and A/k as ``k_ideal.quotient().diagonal``.
 Every presentation is plain data, compared and hashed by value.  The
 module also holds the tame/regular predicates, foundations, and the
 quotient, subring and product constructions.
@@ -35,7 +35,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .groups import FgAbelianGroup, GroupError, Subgroup, split_complement
 from .intlinalg import (
-    DiagonalPresentation, IntMatrix, SparseRow, Vec, record, row_times_matrix, solve_congruences,
+    DiagonalPresentation, IntMatrix, SparseRow, Vec, record, reduce_mod_orders, row_times_matrix,
+    solve_congruences,
 )
 
 ELEMENT_LIMIT = 4096
@@ -101,7 +102,7 @@ class FdzRing:
             for v in row:
                 if len(v) != rank:
                     raise RingValidationError(0, 0, 0, "tensor shape must be rank x rank x rank")
-                vecs.append(tuple([x % d if d else x for x, d in zip(map(int, v), orders)]))
+                vecs.append(reduce_mod_orders(v, orders))
             frozen.append(tuple(vecs))
         self.tensor = tuple(frozen)
         bad = ill_defined_product(orders, orders, self.tensor)
@@ -134,7 +135,7 @@ class FdzRing:
         orders = self.orders
         if len(vec) != len(orders):
             raise GroupError("coordinate vector has wrong length")
-        return tuple([int(x) % d if d else int(x) for x, d in zip(vec, orders)])
+        return reduce_mod_orders(vec, orders)
 
     def zero(self) -> Vec:
         return tuple([0] * self.rank)
@@ -455,32 +456,10 @@ class SubringPresentation:
         return coords
 
 
-@record
-class _CyclicPresentation:
-    """A subgroup as a product of cyclic groups, with no ring built on it:
-    ``diagonal`` presents the coefficients over the Hermite lift ``basis``,
-    so its ``orders`` are the cyclic orders, and ``lift`` rows are the
-    ambient lifts of the cyclic generators."""
-
-    diagonal: DiagonalPresentation
-    basis: tuple[Vec, ...]
-    lift: IntMatrix
-
-    def express(self, vec: Sequence[int]) -> Vec | None:
-        """The cyclic coordinates of an ambient element, or ``None`` outside."""
-        return self.diagonal.express_over(self.basis, vec)
-
-
-def _cyclic_presentation(s: Subgroup) -> _CyclicPresentation:
-    abstract, basis = s.as_group()
-    diagonal = abstract.diagonal
-    return _CyclicPresentation(diagonal, s.lift_basis, diagonal.lift.mul(basis))
-
-
 def subring_presentation(a: FdzRing, s: Subgroup) -> SubringPresentation:
     if s.parent != a.additive:
         raise GroupError("subgroup does not live in the ring")
-    cyclic = _cyclic_presentation(s)
+    cyclic = s.cyclic
     # the lift rows and the relations of A generate s, so s is closed under
     # multiplication iff every product of two lift rows lies in it
     lift = cyclic.lift.data

@@ -31,6 +31,7 @@ from fdzring.intlinalg import (
     hermite_rows,
     preimage_lattice,
     record,
+    reduce_mod_orders,
     row_times_matrix,
     smith_diagonal,
     solve_congruences,
@@ -808,8 +809,8 @@ def brute_force_pairs(f: BilinearMap) -> set[tuple[Vec, ...]]:
             ok = True
             for i in range(m):
                 for j in range(m):
-                    target = f.reduce_codomain(
-                        row_times_matrix(f.values[i][j], psi)
+                    target = reduce_mod_orders(
+                        row_times_matrix(f.values[i][j], psi), f.codomain_orders
                     )
                     if f.evaluate(phi_rows[i], gens[j]) != target:
                         ok = False
@@ -1449,11 +1450,13 @@ def rows_and_relations_quotient(a: FdzRing, ideal: Subgroup) -> DiagonalPresenta
     return diagonal_presentation(ideal.lift_basis + a.additive.relation_basis, a.rank)
 
 
-def _subgroup_presentation(s: Subgroup) -> tuple[Vec, IntMatrix]:
-    """Orders and ambient lifts of a subgroup's diagonal presentation."""
-    abstract, basis = s.as_group()
+def reference_cyclic(s: Subgroup) -> tuple[DiagonalPresentation, tuple[Vec, ...], IntMatrix]:
+    """``Subgroup.cyclic``'s diagonal, Hermite lift basis and generator
+    lifts by the recipe it replaced, on an abstract group built anew: the
+    abstract group's diagonal, and its lifts times the lift basis."""
+    abstract, basis = reference_as_group(s)
     diagonal = abstract.diagonal
-    return diagonal.orders, diagonal.lift.mul(basis)
+    return diagonal, s.lift_basis, diagonal.lift.mul(basis)
 
 
 def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatrix]:
@@ -1467,14 +1470,14 @@ def split_complement_carrier(chain: IdealChain) -> tuple[IntMatrix, Vec, IntMatr
     )
     splitting = split_complement(group, torsion)
     assert splitting is not None
-    free_orders, free_lift = _subgroup_presentation(splitting.complement)
-    assert not any(free_orders)
-    n_orders, n_lift = _subgroup_presentation(torsion)
+    free, _, free_lift = reference_cyclic(splitting.complement)
+    assert not any(free.orders)
+    n_diagonal, _, n_lift = reference_cyclic(torsion)
     n_lift_ambient = IntMatrix(
         [hermite_reduce(chain.k_ideal.lift_basis, row) for row in n_lift.mul(ak.lift).data],
         cols=chain.ring.rank,
     )
-    return free_lift.mul(ak.lift), n_orders, n_lift_ambient
+    return free_lift.mul(ak.lift), n_diagonal.orders, n_lift_ambient
 
 
 # -- the chain's presentations, each built as a ring ------------------------------

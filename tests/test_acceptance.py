@@ -30,7 +30,7 @@ from fdzring.eqcheck import (
 )
 from fdzring.fomc import defined_set, evaluate, phi, theta
 from fdzring.groups import FgAbelianGroup
-from fdzring.intlinalg import IntMatrix, diagonal_presentation, row_times_matrix
+from fdzring.intlinalg import IntMatrix, diagonal_presentation, reduce_mod_orders, row_times_matrix
 from fdzring.rings import characteristic_ideals, reduce_mod_n, subring_presentation
 
 from oracles import (
@@ -186,8 +186,8 @@ def test_criterion_4_pf_correctness():
         for phi_mat, psi_mat in zip(action.action_on_domain, action.action_on_codomain):
             for i in range(m):
                 for j in range(m):
-                    target = f.reduce_codomain(
-                        row_times_matrix(f.values[i][j], psi_mat)
+                    target = reduce_mod_orders(
+                        row_times_matrix(f.values[i][j], psi_mat), f.codomain_orders
                     )
                     assert f.evaluate(phi_mat.row(i), gens[j]) == target, name
                     assert f.evaluate(gens[i], phi_mat.row(j)) == target, name

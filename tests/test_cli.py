@@ -183,10 +183,10 @@ def test_modelcheck_nesting_guard(capsys, tmp_path):
         # depth levels of parentheses: negations around a three-level core
         return "(not " * (depth - 3) + "(exists y (eq x (mul y y)))" + ")" * (depth - 3)
 
-    def modelcheck(text):
+    def modelcheck(text, *ring):
         path = tmp_path / "f.formula"
         path.write_text(text)
-        return run(capsys, "modelcheck", corpus_path("z4.ring"), "--formula", str(path))
+        return run(capsys, "modelcheck", *(ring or [corpus_path("z4.ring")]), "--formula", str(path))
 
     code, out, _ = modelcheck(nested(NESTING_GUARD))
     assert code == 0
@@ -195,6 +195,25 @@ def test_modelcheck_nesting_guard(capsys, tmp_path):
     for depth in (NESTING_GUARD + 1, 3000):
         code, out, err = modelcheck(nested(depth))
         assert code == 2 and not out and "nested deeper" in err
+
+    # shallow text that nests deep once parsed: an n-ary and folds n - 1
+    # deep, and the existential closure of n free variables adds n levels
+    def conjunction(n):
+        return "(and " + " ".join(["(eq x x)"] * n) + ")"
+
+    def idempotents(n):
+        return "(and " + " ".join(f"(eq (mul a{i} a{i}) a{i})" for i in range(n)) + ")"
+
+    z2, zx2 = (corpus_path("z.ring"), "--mod", "2"), (corpus_path("zx2.ring"), "--mod", "2")
+    # depth n, and 2n + 1 with the closure: the largest n within the guard
+    # runs, and larger ones are refused
+    shapes = ((conjunction, z2, NESTING_GUARD, ()), (idempotents, zx2, 99, (199,)))
+    for text, ring, within, beyond in shapes:
+        code, out, _ = modelcheck(text(within), *ring)
+        assert code == 0 and json.loads(out)["elements" if text is conjunction else "value"]
+        for n in (within + 1, *beyond, 1000, 3000):
+            code, out, err = modelcheck(text(n), *ring)
+            assert code == 2 and not out and f"nested deeper than {NESTING_GUARD}" in err, n
 
 
 W_COCYCLE = ["deform", corpus_path("w.ring"), "--g"]

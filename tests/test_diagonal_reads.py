@@ -11,7 +11,6 @@ from fdzring.deform import DeformationContext, SymmetricCocycle, cocycle_analyze
 from fdzring.rings import (
     FdzRing,
     IdealChain,
-    _cyclic_presentation,
     characteristic_ideals,
     quotient_ring,
     subring_presentation,
@@ -121,7 +120,7 @@ def test_addition_is_a_complement_of_o_in_ann():
         assert chain.addition.sum(chain.o_ideal) == chain.ann
         assert chain.addition.intersect(chain.o_ideal).is_zero()
         # A0 is free and, inside ann, a null subring
-        assert not any(_cyclic_presentation(chain.addition).diagonal.orders)
+        assert not any(chain.addition.cyclic.diagonal.orders)
         table = subring_presentation(chain.ring, chain.addition).ring.tensor
         assert not any(any(v) for row in table for v in row)
 

@@ -18,7 +18,6 @@ from fdzring.eqcheck import (
     _FoldedLevel,
     _iso_witnesses,
     _linear_ok,
-    _prefix_kernel,
     _ProductPool,
     _search,
     _square_forms,
@@ -28,7 +27,7 @@ from fdzring.eqcheck import (
     verify_embedding,
     verify_iso_witness,
 )
-from fdzring.intlinalg import IntMatrix, smith_diagonal
+from fdzring.intlinalg import IntMatrix, right_kernel, smith_diagonal
 from fdzring.rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 from oracles import (
@@ -523,7 +522,7 @@ def test_extends_to_basis_against_minors_gcd():
         f = rng.randint(0, 5)
         k = rng.randint(0, f)
         prefix = _basis_prefix(rng, f, k) if f >= 2 else [[1] * f][:k]
-        kernel = _prefix_kernel(prefix, f)
+        kernel = right_kernel(prefix, f)
         assert len(kernel) == f - k
         for w in kernel:
             assert all(sum(x * y for x, y in zip(r, w)) == 0 for r in prefix)
@@ -541,12 +540,12 @@ def test_extends_to_basis_against_minors_gcd():
         assert _completes_basis(kernel, row) == expected, (prefix, row)
         kernel_outcomes[k == 0, expected] += 1
     # the first free level, where the kernel is the identity, and f = 0
-    assert _prefix_kernel([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert _completes_basis(_prefix_kernel([], 3), [2, -3, 4])
-    assert not _completes_basis(_prefix_kernel([], 3), [2, 0, 4])
-    assert _prefix_kernel([], 0) == ()
-    assert not _completes_basis(_prefix_kernel([], 0), [])
-    assert not _completes_basis(_prefix_kernel([[1, 0], [0, 1]], 2), [1, 1])
+    assert right_kernel([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _completes_basis(right_kernel([], 3), [2, -3, 4])
+    assert not _completes_basis(right_kernel([], 3), [2, 0, 4])
+    assert right_kernel([], 0) == ()
+    assert not _completes_basis(right_kernel([], 0), [])
+    assert not _completes_basis(right_kernel([[1, 0], [0, 1]], 2), [1, 1])
     assert len(kernel_outcomes) == 4 and min(kernel_outcomes.values()) >= 40, kernel_outcomes
 
 

@@ -27,12 +27,13 @@ from fdzring.fomc import (
     forall_block,
     format_formula,
     free_variables,
+    nesting,
     parse_formula,
     phi,
     psi,
     theta,
-    _eval,
     _Model,
+    _satisfying,
 )
 from fdzring.rings import FdzRing, characteristic_ideals, reduce_mod_n, z0_ring
 
@@ -354,21 +355,61 @@ def test_defined_set_matches_naive(monkeypatch):
             assert evaluate(ring, closure) == tarski_evaluate(ring, closure), ring.orders
 
 
+def test_connectives_with_a_side_free_of_the_block_variable():
+    # an equation neither of whose sides reads the variable being decided
+    # holds for the whole block or for none of it: at the top of evaluate
+    # (no block variable) every equation is one, under defined_set those
+    # without x, and inside a quantifier on y those without y
+    rng = random.Random(34)
+    rings = [z_mod(6), reduce_mod_n(corpus_ring("w"), 2), reduce_mod_n(corpus_ring("zx2"), 3)]
+    x, y = Var("x"), Var("y")
+    ground = [Eq(Zero(), Zero()), Not(Eq(Neg(Zero()), Mul(Zero(), Zero())))]
+    on_x = [Eq(Mul(x, x), x), Eq(Add(x, x), Zero())]
+    on_y = [Eq(Mul(y, y), y), Eq(Add(y, Zero()), Neg(y))]
+    on_xy = [Eq(Mul(x, y), y), Eq(Add(x, y), Mul(y, x))]
+
+    def rand_formula(depth, atoms):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(atoms)
+        if rng.random() < 0.2:
+            return Not(rand_formula(depth - 1, atoms))
+        ctor = rng.choice([And, Or, Implies])
+        return ctor(rand_formula(depth - 1, atoms), rand_formula(depth - 1, atoms))
+
+    defined = 0
+    for _ in range(300):
+        ring = rng.choice(rings)
+        quantified = (Exists if rng.random() < 0.5 else Forall)(
+            "y", rand_formula(2, ground + on_x + on_y + on_xy)
+        )
+        outer = rand_formula(1, ground + on_x)
+        formula = rng.choice([And, Or, Implies])(*rng.sample([quantified, outer], 2))
+        shown = format_formula(formula)
+        for value in ring.elements():
+            truth = evaluate(ring, formula, {"x": value})
+            assert truth == tarski_evaluate(ring, formula, {"x": value}), shown
+        if free_variables(formula) == {"x"}:
+            assert defined_set(ring, formula) == tarski_defined_set(ring, formula), shown
+            defined += 1
+    assert defined >= 200, defined
+
+
 def test_block_evaluation_work_bound(monkeypatch):
-    # counted, not timed: every call of _eval, the recursive ones included.
-    # One recursion per element made 102,744 calls for psi(1) here (about
-    # 1.6 N^2) and 2,919 for the existential closure of psi(2)
+    # counted, not timed: every quantifier decision (_truth), the recursive
+    # ones included.  One recursion per element made 102,744 evaluator
+    # calls for psi(1) here (about 1.6 N^2) and 2,919 for the existential
+    # closure of psi(2)
     ring = reduce_mod_n(corpus_ring("zx2"), 16)
     assert ring.order == 256
     calls = 0
-    plain = fomc._eval
+    plain = fomc._truth
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return plain(*args)
 
-    monkeypatch.setattr(fomc, "_eval", counted)
+    monkeypatch.setattr(fomc, "_truth", counted)
     assert defined_set(ring, psi(1)) == sorted(complete_singletons(ring))
     assert calls <= 8 * ring.order
     calls = 0
@@ -413,8 +454,8 @@ def test_compiled_rows_are_built_on_demand():
     model = _Model(ring)
     x, y = (3, 5), (7, 11)
     formula = Eq(Mul(Var("x"), Var("y")), Add(Var("y"), Var("x")))
-    truth = _eval(model, formula, {"x": model.index(x), "y": model.index(y)})
-    assert truth == tarski_evaluate(ring, formula, {"x": x, "y": y})
+    held = _satisfying(model, formula, None, {"x": model.index(x), "y": model.index(y)}, (0,))
+    assert bool(held) == tarski_evaluate(ring, formula, {"x": x, "y": y})
     assert model.rows_built <= ring.rank + 2
 
 
@@ -502,6 +543,26 @@ def test_and_or_fold_left():
     assert parse_formula("(and (eq a 0) (eq b 0) (eq c 0))") == And(And(a, b), c)
     assert parse_formula("(or (eq a 0) (eq b 0) (eq c 0))") == Or(Or(a, b), c)
     assert format_formula(And(And(a, b), c)) == "(and (and (eq a 0) (eq b 0)) (eq c 0))"
+
+
+def test_folded_and_or_print_to_text_that_parses():
+    # an n-ary and/or folds n - 1 deep: at the guard it parses and prints
+    # back to text that parses, and one argument more is refused, as is a
+    # fold of thousands whose text nests only 3 deep
+    for op in ("and", "or"):
+        for n, accepted in ((NESTING_GUARD, True), (NESTING_GUARD + 1, False), (3000, False)):
+            text = f"({op} " + " ".join(["(eq x (sub x 0))"] * (n - 1)) + ")"
+            if not accepted:
+                with pytest.raises(FormulaParseError, match="nested deeper"):
+                    parse_formula(text)
+                continue
+            parsed = parse_formula(text)
+            printed = format_formula(parsed)
+            assert nesting(parsed) == paren_depth(printed) == NESTING_GUARD
+            assert parse_formula(printed) == parsed
+    for text, _ in OPERATOR_CASES:
+        parsed = parse_formula(text)
+        assert nesting(parsed) == paren_depth(format_formula(parsed)), text
 
 
 def paren_depth(text):

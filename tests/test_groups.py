@@ -119,10 +119,11 @@ def test_quotient_and_abstract_group_are_built_once_per_subgroup():
     group = FgAbelianGroup(3, [(0, 0, 6)])
     s = group.subgroup([(2, 0, 0), (0, 3, 3)])
     assert s.quotient() is s.quotient() and s.as_group() is s.as_group()
-    assert s.quotient().diagonal is s.quotient().diagonal
+    assert s.quotient().diagonal is s.quotient().diagonal and s.cyclic is s.cyclic
     twin = group.subgroup([(2, 0, 0), (0, 3, 3)])
-    assert twin == s and twin.quotient() is not s.quotient()
+    assert twin == s and twin.quotient() is not s.quotient() and twin.cyclic is not s.cyclic
     assert twin.quotient() == s.quotient() and twin.as_group() == s.as_group()
+    assert twin.cyclic == s.cyclic
 
 
 def test_invariants_unimodular_stability():

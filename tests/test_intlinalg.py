@@ -20,9 +20,9 @@ from fdzring.intlinalg import (
     hermite_coordinates,
     hermite_reduce,
     hermite_rows,
-    left_kernel,
     preimage_lattice,
     record,
+    right_kernel,
     row_times_matrix,
     smith_diagonal,
     solve_congruences,
@@ -244,11 +244,11 @@ def test_hermite_reduce_membership():
     assert not lattice_contains(basis, (1, 0))
 
 
-def test_left_kernel():
-    rows = left_kernel(IntMatrix([[1, 2], [2, 4]]))
+def test_right_kernel():
+    rows = right_kernel([[1, 2], [3, 6]], 2)
     assert len(rows) == 1
     y = rows[0]
-    assert y[0] * 1 + y[1] * 2 == 0 and y[0] * 2 + y[1] * 4 == 0
+    assert y[0] * 1 + y[1] * 2 == 0 and y[0] * 3 + y[1] * 6 == 0
 
 
 def test_solve_congruences():
@@ -306,14 +306,15 @@ def _random_rows(rng, count, width, density=0.6, bound=6):
     return rows
 
 
-def test_left_kernel_matches_smith_oracle():
+def test_right_kernel_matches_smith_oracle():
+    # the right kernel of A's columns is A's left kernel
     rng = random.Random(23)
     cases = [zero_matrix(3, 2), IntMatrix([[], []]), IntMatrix([], cols=3)]
     for _ in range(200):
         m, n = rng.randint(1, 7), rng.randint(1, 6)
         cases.append(IntMatrix(_random_rows(rng, m, n), cols=n))
     for a in cases:
-        kernel = left_kernel(a)
+        kernel = right_kernel([[row[j] for row in a.data] for j in range(a.cols)], a.rows)
         assert kernel == hermite_rows(smith_left_kernel(a), a.rows)
         for y in kernel:
             assert row_times_matrix(y, a) == (0,) * a.cols

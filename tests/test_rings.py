@@ -14,7 +14,6 @@ from fdzring.rings import (
     FdzRing,
     IdealChain,
     RingValidationError,
-    _cyclic_presentation,
     addition_and_foundation,
     characteristic_ideals,
     direct_product,
@@ -39,6 +38,7 @@ from oracles import (
     random_finite_ring,
     random_lattice_preserving_unimodular,
     random_mixed_ring,
+    reference_cyclic,
     subgroup_elements,
     transport,
     z_mod,
@@ -358,8 +358,9 @@ def test_chain_presentations_match_direct_construction():
         # vectors and have the cyclic orders
         for s in (chain.sq, chain.o_ideal, chain.addition):
             pres = subring_presentation(ring, s)
-            cyclic = _cyclic_presentation(s)
+            cyclic = s.cyclic
             diagonal, lift = cyclic.diagonal, cyclic.lift
+            assert (diagonal, cyclic.basis, lift) == reference_cyclic(s), ring
             assert (diagonal, lift, cyclic.basis) == (pres.diagonal, pres.lift, pres.basis)
             assert diagonal.orders == pres.ring.orders, ring
             assert ring.subgroup(lift.data) == s, ring
@@ -367,7 +368,7 @@ def test_chain_presentations_match_direct_construction():
                 assert cyclic.express(row) == pres.express(row) == unit, ring
                 assert (element_order(ring.additive, row) or 0) == d, ring
         # each generator of o, expressed in delta, lifts back to itself
-        for o_row in _cyclic_presentation(chain.o_ideal).lift.data:
+        for o_row in chain.o_ideal.cyclic.lift.data:
             row = delta.express(o_row)
             assert ring.reduce(row_times_matrix(row, delta.lift)) == ring.reduce(o_row)
         # Ann = A0 ⊕ O
@@ -413,7 +414,8 @@ def _assert_equal_builds(build):
 
 def test_records_compare_by_value():
     # records hold data, never functions or live contexts, so two builds of
-    # one object compare and hash equal
+    # one object compare and hash equal; a subgroup builds its cyclic
+    # presentation once, so its two builds come from equal subgroups built anew
     records = list(_record_classes())
     assert len(records) > 20
     for cls in records:
@@ -428,7 +430,7 @@ def test_records_compare_by_value():
         assert subring_presentation(ring, chain.delta) == chain.delta_pres, ring
         for s in (chain.sq, chain.o_ideal, chain.addition):
             _assert_equal_builds(lambda: subring_presentation(ring, s))
-            _assert_equal_builds(lambda: _cyclic_presentation(s))
+            _assert_equal_builds(lambda: ring.subgroup(s.lift_basis).cyclic)
         try:
             pf = pa_ring(ring).parent.ring
         except BilinearMapError:
