@@ -7,6 +7,12 @@ with a null line, after "A = B elementarily iff Z0 x A = Z0 x B".  For
 finite rings that search is exhaustive, so running out of candidates
 refutes equivalence.
 
+Every isomorphism maps ann A onto ann B, so the search also asks of each
+partial map that the relations among the assigned generators that lie in
+ann A land in ann B; that prunes only subtrees without a witness.  The
+padded rings' annihilator data comes from the chains of A and B, so a
+verdict builds no chain of a padded ring.
+
 Witnesses found by the search are always re-verified independently by a
 full tensor comparison before being returned.
 """
@@ -276,12 +282,14 @@ class _FoldedLevel:
     (n, form, v, d), tested against the form's value with no product taken.
     ``forms`` are B's square forms, which a search builds once.  Every
     coordinate is compared modulo its order, as ``reduce`` does, so a
-    candidate passes exactly when it passes each product check.
+    candidate passes exactly when it passes each product check.  The
+    annihilator columns ``ann`` of the level (``_ann_columns``) join
+    ``linear`` as they are.
     """
 
     __slots__ = ("linear", "square")
 
-    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec], forms):
+    def __init__(self, b: FdzRing, idx: int, checks, images: dict[int, Vec], forms, ann=()):
         rank = b.rank
         units = _identity_rows(rank)
         linear: dict[tuple[Vec, int, int], None] = {}
@@ -312,6 +320,9 @@ class _FoldedLevel:
                     square.append((tuple(column), forms[k], v, d))
                 elif v or any(column):
                     linear[tuple(column), v, d] = None
+        for column, v, d in ann:
+            if v or any(column):
+                linear[column, v, d] = None
         self.linear = tuple(linear)
         self.square = tuple(square)
 
@@ -433,8 +444,86 @@ class _ShuffledPool(list):
         yield len(self), None
 
 
+@record
+class _AnnPrune:
+    """What the search reads of the annihilators: the Hermite lift basis of
+    ann A (``rows``), and B/ann B as cyclic factors of ``orders`` onto which
+    ``project`` carries B's coordinates, so x lies in ann B exactly when
+    x·project is 0 modulo ``orders``."""
+
+    rows: tuple[Vec, ...]
+    orders: Vec
+    project: IntMatrix
+
+
+def _ann_prune(a: FdzRing, b: FdzRing) -> _AnnPrune:
+    """The annihilator data of A and B, read off their own chains.  With
+    ann A zero no row can refuse a candidate, and B's side is not built."""
+    rows = characteristic_ideals(a).ann.lift_basis
+    if rows == a.additive.relation_basis:
+        return _AnnPrune((), (), IntMatrix((), cols=0))
+    return _AnnPrune(rows, *_ann_quotient(b))
+
+
+def _ann_quotient(b: FdzRing) -> tuple[Vec, IntMatrix]:
+    """The orders of B/ann B's cyclic factors and B's projection onto them."""
+    quotient = characteristic_ideals(b).ann.quotient().diagonal
+    return quotient.orders, quotient.project
+
+
+def _ann_rows_at(a: FdzRing, rows: Sequence[Vec], gen_order: Sequence[int]) -> list[list[Vec]]:
+    """The rows of ann A's lift lattice, echelonned with the latest-searched
+    generator first and filed at the level of their last generator.
+
+    In that echelon the rows whose pivot lies past a column span the
+    lattice's part supported on the columns after it (the first nonzero
+    coefficient of any other combination would survive there), so the rows
+    filed up to a level span every relation among the generators assigned
+    by then.  A row of A's own relation lattice is left out: its image is
+    a sum of multiples d·x of images x of order dividing d, which is 0.
+    """
+    perm = gen_order[::-1]
+    at: list[list[Vec]] = [[] for _ in gen_order]
+    for echelon in hermite_rows([[row[g] for g in perm] for row in rows], a.rank):
+        row = [0] * a.rank
+        for g, x in zip(perm, echelon):
+            row[g] = x
+        if any(x % d if d else x for x, d in zip(row, a.orders)):
+            pivot = next(m for m, x in enumerate(echelon) if x)
+            at[len(gen_order) - 1 - pivot].append(tuple(row))
+    return at
+
+
+def _ann_columns(idx: int, rows: Sequence[Vec], images: dict[int, Vec], ann: _AnnPrune):
+    """The columns (n, v, d) of the affine test h(c) in ann B for each row c
+    filed at the level of ``idx``: per cyclic factor t of B/ann B, with P
+    ``ann.project``, h(c)·P_t = c_idx·(x·P_t) + sum over j != idx of
+    c_j·(h(e_j)·P_t) must be 0 modulo the factor's order."""
+    project, orders = ann.project, ann.orders
+    projected: dict[int, Vec] = {}
+    for c in rows:
+        constant = [0] * len(orders)
+        for j, x in enumerate(c):
+            if x and j != idx:
+                if j not in projected:
+                    projected[j] = row_times_matrix(images[j], project)
+                constant = [s + x * y for s, y in zip(constant, projected[j])]
+        for t, d in enumerate(orders):
+            column = [c[idx] * p[t] for p in project.data]
+            v = constant[t]
+            if d:
+                column = [x % d for x in column]
+                v %= d
+            yield tuple(column), v, d
+
+
 def _iso_witnesses(
-    a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int = 0
+    a: FdzRing,
+    b: FdzRing,
+    coeff_bound: int,
+    max_nodes: int,
+    seed: int = 0,
+    ann: _AnnPrune | None = None,
 ) -> Iterator[IntMatrix | None]:
     """Yields verified witnesses; a final ``None`` means the budget ran out.
 
@@ -447,6 +536,16 @@ def _iso_witnesses(
     candidates before each one, or before a block's end, are charged in one
     subtraction, so the budget runs out at the same node and the witnesses
     and their order are those of checking each product pair per candidate.
+    Each level's affine test also holds the annihilator columns of the
+    rows of ann A filed there (``_ann_rows_at``, ``_ann_columns``): with the
+    earlier images fixed, h(c) in ann B is affine in the candidate.  Every
+    isomorphism h maps ann A into ann B, so no refused candidate completes
+    to a witness, and the pruned search walks the same pools in the same
+    order minus subtrees holding none.  So its witnesses, in order, are
+    those of the search without the columns, each reached after no more
+    nodes; the first witness, every exhaustive ``no`` and every decided
+    verdict stay, and a budget that ran out can only end in a further
+    verified witness.  ``ann`` defaults to the chains of A and B.
     Only x·x and the basis prune run per accepted candidate, and neither
     grows with the images already fixed: x·x evaluates B's square forms,
     built once per search, on the checked coordinates, and a free level
@@ -500,6 +599,10 @@ def _iso_witnesses(
             needed = {p, q} | {k for k, _ in terms}
             checks_at[max(position[i] for i in needed)].append((p, q, terms))
 
+    if ann is None:
+        ann = _ann_prune(a, b)
+    ann_at = _ann_rows_at(a, ann.rows, gen_order)
+
     images: dict[int, Vec] = {}
     budget = [max_nodes]
     forms = _square_forms(b)
@@ -515,7 +618,8 @@ def _iso_witnesses(
                 yield h
             return
         idx = gen_order[pos]
-        level = _FoldedLevel(b, idx, checks_at[pos], images, forms)
+        ann_columns = _ann_columns(idx, ann_at[pos], images, ann)
+        level = _FoldedLevel(b, idx, checks_at[pos], images, forms, ann_columns)
         # the free images taken so far, modulo torsion, must extend to a
         # basis of B/T(B), since an isomorphism induces A/T(A) = B/T(B); the
         # kernel of the fixed prefix is built at the level's first test
@@ -566,7 +670,12 @@ def iso_search(
     gcd(r·W) = 1.  The product checks of each level are folded, once per
     prefix, into one affine test of the candidate and the quadratic forms
     of x·x (``_FoldedLevel``), and the level scans its pool one block at a
-    time, looking up the candidates that pass the affine test.
+    time, looking up the candidates that pass the affine test.  That test
+    also demands h(c) in ann B for the relations c among the assigned
+    generators with sum c_j e_j in ann A, read off A's and B's own chains:
+    an isomorphism maps ann A onto ann B, so this cuts only subtrees
+    without a witness, and every witness is met in the same order after no
+    more nodes.
     Nodes are still charged one per candidate in pool order, skipped ones
     included, so budgets, witnesses and verdicts are those of checking each
     product per candidate; seed 0 takes candidates lazily.  A nonzero
@@ -591,9 +700,11 @@ def _check_bound(coeff_bound: int) -> None:
         raise ValueError("coeff_bound must be at least 1")
 
 
-def _search(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int) -> IsoResult:
+def _search(
+    a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes: int, seed: int, ann: _AnnPrune | None = None
+) -> IsoResult:
     """The image search of ``iso_search``, run after the profiles agree."""
-    for witness in _iso_witnesses(a, b, coeff_bound, max_nodes, seed):
+    for witness in _iso_witnesses(a, b, coeff_bound, max_nodes, seed, ann):
         if witness is None:
             return IsoResult(kind="unknown", reason="search budget exhausted")
         return IsoResult(kind="yes", witness=IsoWitness(matrix=witness))
@@ -681,6 +792,17 @@ def verify_embedding(a: FdzRing, b: FdzRing, h: IntMatrix) -> EmbeddingReport:
 # -- equivalence verdict --------------------------------------------------------
 
 
+def _padded_ann_prune(a: FdzRing, b: FdzRing) -> _AnnPrune:
+    """``_ann_prune`` of Z0 x A and Z0 x B from the chains of A and B: the
+    null line annihilates everything, so ann(Z0 x A) = Z0 + ann A, whose
+    lift basis is the null line's unit row over ann A's rows shifted past
+    it, and (Z0 x B)/ann = B/ann B, which reads no coordinate of the null
+    line: its projection gains a zero row there."""
+    rows = ((1,) + (0,) * a.rank,) + tuple((0,) + row for row in characteristic_ideals(a).ann.lift_basis)
+    orders, project = _ann_quotient(b)
+    return _AnnPrune(rows, orders, IntMatrix([(0,) * project.cols, *project.data], cols=project.cols))
+
+
 @record
 class EquivalenceResult:
     kind: str  # "equivalent" | "not_equivalent" | "unknown"
@@ -714,6 +836,14 @@ def equivalence_verdict(
     lies in the candidate space for every bound >= 1 and every seed, so
     exhaustion proves A and B not isomorphic, and finite rings are
     elementarily equivalent exactly when they are isomorphic.
+
+    The padded search prunes by the annihilators as ``iso_search`` does,
+    with data derived from the chains the profiles built: the null line
+    annihilates everything, so ann(Z0 x A) = Z0 + ann A, and
+    (Z0 x B)/ann = B/ann B, whose projection reads 0 off the null line
+    (``_padded_ann_prune``).  No chain of a padded ring is built.  The
+    padded witness diag(1, h) maps the null line into Z0 + ann B, so the
+    prune keeps it and the exhaustion argument above stands.
     """
     _check_bound(coeff_bound)
     mismatch = invariant_profile(a).first_mismatch(invariant_profile(b))
@@ -722,7 +852,9 @@ def equivalence_verdict(
             kind="not_equivalent", reason=f"invariant mismatch: {mismatch}"
         )
     z0 = z0_ring()
-    padded = _search(direct_product(z0, a), direct_product(z0, b), coeff_bound, max_nodes, seed)
+    padded = _search(
+        direct_product(z0, a), direct_product(z0, b), coeff_bound, max_nodes, seed, _padded_ann_prune(a, b)
+    )
     if padded.kind == "yes":
         return EquivalenceResult(kind="equivalent", witness=padded.witness)
     if padded.reason == "bounded search exhausted" and all(a.orders) and all(b.orders):

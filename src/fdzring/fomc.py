@@ -44,6 +44,9 @@ sugar for adding a negation, printed back from ``Add(l, Neg(r))``.
 Parenthesis nesting deeper than ``NESTING_GUARD`` is refused at parse time,
 in the text and in the formula it parses to (``nesting``), where an n-ary
 and/or folds n - 1 deep; ``builtin`` refuses an arity that nests so deep.
+A call that would memoise more than ``TRUTH_GUARD`` quantifier truths is
+refused when it reaches that many, which bounds the work of quantifier
+chains that the value-set strategy cannot shortcut.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ from .rings import ELEMENT_LIMIT, FdzRing
 # is a FormulaError
 CARRIER_GUARD = ELEMENT_LIMIT
 ENUMERATION_GUARD = 200_000
+# quantifier truths one call may memoise: alternating quantifiers whose
+# variables all reach the body build N^(their number) of them
+TRUTH_GUARD = 20_000
 # values of a quantified variable decided together before an early exit
 BLOCK = 64
 NESTING_GUARD = 200
@@ -403,6 +409,10 @@ def _truth(model: _Model, f: Exists | Forall, env) -> bool:
     key = (id(f), tuple(env[v] for v in model.names(f)))
     truth = model.truth.get(key)
     if truth is None:
+        if len(model.truth) >= TRUTH_GUARD:
+            raise FormulaError(
+                f"model checking would memoise more than TRUTH_GUARD = {TRUTH_GUARD} quantifier truths"
+            )
         truth = _eval_block(model, f, env)
         if truth is None:
             truth = _quantify(model, f, env)

@@ -1089,7 +1089,10 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
     The search the library ran before it folded each level's checks into
     one affine test: same candidate order, one node per candidate taken,
     the same basis-extension prune, tested on the Hermite basis of the whole
-    free prefix, and the same witness verification.
+    free prefix, and the same witness verification.  The annihilator prune
+    is tested on the whole prefix too: every relation c among the assigned
+    generators with sum c_j e_j in ann A, a basis of them from
+    ``reference_preimage_lattice``, must have its image in ann B.
     Seeded pools are built whole, with no size guard.
     """
     from fdzring.eqcheck import verify_iso_witness
@@ -1110,9 +1113,24 @@ def reference_iso_witnesses(a: FdzRing, b: FdzRing, coeff_bound: int, max_nodes:
     budget = [max_nodes]
     free_gens = [i for i in gen_order if order_of[i] == 0]
     free_coords = [t for t in range(b.rank) if b.orders[t] == 0]
+    ann_a, ann_b = characteristic_ideals(a).ann, characteristic_ideals(b).ann
+    units = IntMatrix.identity(a.rank).data
+    # per level, a basis of the relations among the assigned generators
+    # whose sum lies in ann A
+    ann_relations = [
+        reference_preimage_lattice(IntMatrix([units[i] for i in gen_order[: pos + 1]]), ann_a.lift_basis)
+        for pos in range(a.rank)
+    ]
+
+    def maps_ann(pos: int) -> bool:
+        assigned = [images[i] for i in gen_order[: pos + 1]]
+        return all(
+            ann_b.contains([sum(c * x[t] for c, x in zip(row, assigned)) for t in range(b.rank)])
+            for row in ann_relations[pos]
+        )
 
     def partial_ok(pos: int, idx: int) -> bool:
-        if not pair_checks_ok(b, checks_at[pos], images):
+        if not pair_checks_ok(b, checks_at[pos], images) or not maps_ann(pos):
             return False
         if order_of[idx] == 0:
             rows = [[images[i][t] for t in free_coords] for i in free_gens if i in images]

@@ -4,11 +4,12 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fdzring.cli import main
-from fdzring.fomc import NESTING_GUARD, parse_formula
+from fdzring.fomc import NESTING_GUARD, TRUTH_GUARD, parse_formula
 from fdzring.ringfile import RANK_LIMIT, RingFileError, parse_ring_text, serialize_ring
 from fdzring.rings import FdzRing
 
@@ -214,6 +215,34 @@ def test_modelcheck_nesting_guard(capsys, tmp_path):
         for n in (within + 1, *beyond, 1000, 3000):
             code, out, err = modelcheck(text(n), *ring)
             assert code == 2 and not out and f"nested deeper than {NESTING_GUARD}" in err, n
+
+
+def alternating_chain(n: int) -> str:
+    """n alternating forall/exists, each around a not, over one equation
+    that every quantified variable reaches: N^n quantifier truths on N
+    elements, and only 2n + 1 levels of nesting."""
+    body = "x"
+    for i in range(n):
+        body = f"(add a{i} {body})"
+    formula = f"(eq {body} x)"
+    for i in reversed(range(n)):
+        formula = f"({'exists' if i % 2 else 'forall'} a{i} (not {formula}))"
+    return formula
+
+
+def test_modelcheck_truth_guard(capsys, tmp_path):
+    # on Z/3, 8 alternations memoise 9,840 truths and run; 12 and 16 would
+    # take N^12 and N^16 steps and are refused once the memo reaches the guard
+    path = tmp_path / "chain.formula"
+    path.write_text(alternating_chain(8))
+    code, out, _ = run(capsys, "modelcheck", corpus_path("z.ring"), "--mod", "3", "--formula", str(path))
+    assert code == 0 and json.loads(out)["elements"] == []
+    for n in (12, 16):
+        path.write_text(alternating_chain(n))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "modelcheck", corpus_path("z.ring"), "--mod", "3", "--formula", str(path))
+        assert time.perf_counter() - started < 5, n
+        assert code == 2 and not out and f"TRUTH_GUARD = {TRUTH_GUARD}" in err, n
 
 
 W_COCYCLE = ["deform", corpus_path("w.ring"), "--g"]

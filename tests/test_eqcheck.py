@@ -13,11 +13,14 @@ from fdzring.eqcheck import (
     FINGERPRINT_MODULI,
     SEEDED_POOL_LIMIT,
     SearchPoolError,
+    _ann_columns,
+    _ann_prune,
     _BLOCK_CAP,
     _completes_basis,
     _FoldedLevel,
     _iso_witnesses,
     _linear_ok,
+    _padded_ann_prune,
     _ProductPool,
     _search,
     _square_forms,
@@ -27,7 +30,9 @@ from fdzring.eqcheck import (
     verify_embedding,
     verify_iso_witness,
 )
-from fdzring.intlinalg import IntMatrix, right_kernel, smith_diagonal
+from fdzring.intlinalg import (
+    IntMatrix, hermite_rows, reduce_mod_orders, right_kernel, row_times_matrix, smith_diagonal,
+)
 from fdzring.rings import FdzRing, characteristic_ideals, direct_product, z0_ring
 
 from oracles import (
@@ -666,6 +671,136 @@ def test_search_runs_out_at_the_reference_node_under_every_budget():
                 swept += 1
             out_of_budget += spare == 2
     assert out_of_budget >= 4 and witnesses >= 500 and swept >= 500, (out_of_budget, witnesses, swept)
+
+
+def _no_ann_columns(idx, rows, images, ann):
+    return ()
+
+
+def _sheared_zxz0() -> FdzRing:
+    """Z x Z0 on the basis (1, 0), (1, 1): every product is e1, so ann is
+    spanned by e1 - e2, and neither generator lies in it."""
+    return FdzRing((0, 0), [[(1, 0), (1, 0)], [(1, 0), (1, 0)]])
+
+
+def _ann_pairs() -> list[tuple[FdzRing, FdzRing]]:
+    """Padded self pairs of the corpus rings, the mod_4 pair and the
+    sheared Z x Z0, where the prune decides what the budget did not."""
+    rings = corpus_rings() + _mod4_rings() + [_sheared_zxz0()]
+    return [(direct_product(z0_ring(), r), direct_product(z0_ring(), r)) for r in rings]
+
+
+def test_ann_prune_keeps_the_witness_sequence(monkeypatch):
+    # every isomorphism maps ann A into ann B, so the prune cuts only
+    # subtrees without a witness: under one budget the pruned search meets
+    # every witness the unpruned one meets, in the same order, and equals it
+    # where that one did not run out; on some pairs it meets more.  (A
+    # seeded pool of padded mod_4 at bound 5 would exceed SEEDED_POOL_LIMIT.)
+    cases = [(a, b, 5, (0,) if 8 in a.orders else range(8)) for a, b in _ann_pairs()]
+    cases += [(a, b, 2, range(8)) for a, b in _transported_gen_pairs(20) + _sixterm_search_pairs()]
+    compared = gained = 0
+    for a, b, bound, seeds in cases:
+        for seed in seeds:
+            pruned = list(itertools.islice(_iso_witnesses(a, b, bound, 5_000, seed), 3))
+            with monkeypatch.context() as patch:
+                patch.setattr(eqcheck, "_ann_columns", _no_ann_columns)
+                plain = list(itertools.islice(_iso_witnesses(a, b, bound, 5_000, seed), 3))
+            found = plain[: plain.index(None)] if None in plain else plain
+            assert pruned[: len(found)] == found, (a, seed)
+            if None not in plain:
+                assert pruned == plain, (a, seed)
+            compared += len(found)
+            gained += len(pruned) - (None in pruned) > len(found)
+    assert compared >= 100 and gained >= 5, (compared, gained)
+
+
+def test_search_sees_the_ann_constant_dropped(monkeypatch):
+    # a build that forgets the earlier images' share of h(c) tests
+    # c_idx·x in ann B instead of h(c) in ann B; the comparison with the
+    # reference search, as in test_folded_search_matches_the_reference_search,
+    # sees it
+    plain = _ann_columns
+
+    def constant_dropped(idx, rows, images, ann):
+        return ((column, 0, d) for column, _, d in plain(idx, rows, images, ann))
+
+    monkeypatch.setattr(eqcheck, "_ann_columns", constant_dropped)
+    sheared = _sheared_zxz0()
+    differ = 0
+    for a, b in [(sheared, sheared), _ann_pairs()[-1]]:
+        for seed in range(4):
+            for budget in (50, 3_000):
+                differ += list(_iso_witnesses(a, b, 2, budget, seed)) != list(
+                    reference_iso_witnesses(a, b, 2, budget, seed)
+                )
+    assert differ > 0
+
+
+def test_padded_ann_prune_reads_the_padded_chains():
+    # ann(Z0 x A) = Z0 + ann A and (Z0 x B)/ann = B/ann B, so the data
+    # derived from the chains of A and B tests membership in the padded
+    # annihilator as the padded chain does
+    rng = random.Random(35)
+    pairs = [(r, r) for r in corpus_rings()] + _transported_gen_pairs(10)
+    for a, b in pairs:
+        padded_a, padded_b = direct_product(z0_ring(), a), direct_product(z0_ring(), b)
+        derived = _padded_ann_prune(a, b)
+        direct = _ann_prune(padded_a, padded_b)
+        assert hermite_rows(derived.rows, padded_a.rank) == direct.rows
+        assert derived.orders == direct.orders
+        ann_b = characteristic_ideals(padded_b).ann
+        for _ in range(30):
+            x = [rng.randint(-3, 3) for _ in range(padded_b.rank)]
+            if rng.random() < 0.5:
+                # an element of ann, moved by a relation and a null-line multiple
+                x = [sum(c * row[t] for c, row in zip(x, ann_b.lift_basis)) for t in range(padded_b.rank)]
+            inside = not any(reduce_mod_orders(row_times_matrix(x, derived.project), derived.orders))
+            assert inside == ann_b.contains(x), (b, x)
+
+
+def _mod4_rings() -> list[FdzRing]:
+    """Orders 8 4 2 0 0 with e4·e4 = 2e1, e4·e5 = e3, and with e4·e4 = e2,
+    e4·e5 = 4e1: the pair whose profiles differ first at mod_4."""
+    rings = []
+    for products in ({(3, 3): (2, 0, 0, 0, 0), (3, 4): (0, 0, 1, 0, 0)},
+                     {(3, 3): (0, 1, 0, 0, 0), (3, 4): (4, 0, 0, 0, 0)}):
+        tensor = [[products.get((i, j), (0,) * 5) for j in range(5)] for i in range(5)]
+        rings.append(FdzRing((8, 4, 2, 0, 0), tensor))
+    return rings
+
+
+def test_every_corpus_ring_is_equivalent_to_itself_under_every_seed():
+    for ring in corpus_rings():
+        for seed in range(8):
+            res = equivalence_verdict(ring, ring, max_nodes=5_000, seed=seed)
+            assert res.kind == "equivalent", (ring, seed)
+
+
+def test_mod4_rings_are_equivalent_to_themselves():
+    a, b = _mod4_rings()
+    assert invariant_profile(a).first_mismatch(invariant_profile(b)) == "mod_4"
+    for ring in (a, b):
+        res = equivalence_verdict(ring, ring)
+        padded = direct_product(z0_ring(), ring)
+        assert res.kind == "equivalent" and verify_iso_witness(padded, padded, res.witness.matrix)
+
+
+def test_zero_cocycle_deformations_within_a_small_budget():
+    # each of the 8 corpus rings and 150 generator rings against its own
+    # zero-cocycle deformation, an isomorphic ring: at least 100 of the 158
+    # verdicts are decided at 5,000 nodes, and none refutes
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from gen import random_ring_data
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(7)
+    rings = corpus_rings() + [FdzRing(*random_ring_data(rng, rng.randint(2, 5))) for _ in range(150)]
+    kinds = Counter(
+        equivalence_verdict(build_deformation(DeformationSpec(base=ring)).ring, ring, max_nodes=5_000).kind
+        for ring in rings
+    )
+    assert kinds["equivalent"] >= 100 and not kinds["not_equivalent"], kinds
 
 
 def _drop_square(level: _FoldedLevel) -> _FoldedLevel:

@@ -14,6 +14,7 @@ from fdzring.fomc import (
     FormulaParseError,
     Implies,
     NESTING_GUARD,
+    TRUTH_GUARD,
     Mul,
     Neg,
     Not,
@@ -415,6 +416,31 @@ def test_block_evaluation_work_bound(monkeypatch):
     calls = 0
     assert evaluate(ring, exists_closure(psi(2)))
     assert calls <= 2919
+
+
+def test_shipped_formulas_stay_a_tenth_below_the_truth_guard(monkeypatch):
+    # the largest memo of the CI and benchmark formulas is psi(1) on
+    # Z[x]/(x^2) mod 32, 1,088 truths; each still runs with a guard ten
+    # times lower, and that guard refuses a chain of 7 alternations
+    monkeypatch.setattr(fomc, "TRUTH_GUARD", TRUTH_GUARD // 10)
+    cases = [("zx2", 32, "psi", 1), ("w", 2, "theta", 2), ("w", 4, "psi", 2), ("w", 2, "theta", 3)]
+    cases += [("z", 3, "phi", 1), ("zx2", 4, "psi", 1), ("w", 4, "theta", 2), ("w", 8, "phi", 1)]
+    cases += [("zx2", 6, "psi", 1), ("zx2", 16, "phi", 1), ("zxz0", 6, "theta", 2), ("zxz0", 6, "psi", 1)]
+    for name, n, which, k in cases:
+        ring, formula = reduce_mod_n(corpus_ring(name), n), builtin(which, k)
+        # as the CLI decides them: one free variable defines a set, more
+        # are closed existentially
+        if len(free_variables(formula)) == 1:
+            defined_set(ring, formula)
+        else:
+            evaluate(ring, exists_closure(formula))
+    chain = Eq(Add(Var("a0"), Var("x")), Var("x"))
+    for i in range(1, 7):
+        chain = Eq(Add(Var(f"a{i}"), chain.left), Var("x"))
+    for i in reversed(range(7)):
+        chain = (Exists if i % 2 else Forall)(f"a{i}", Not(chain))
+    with pytest.raises(FormulaError, match="TRUTH_GUARD"):
+        defined_set(reduce_mod_n(corpus_ring("z"), 3), chain)
 
 
 def test_value_set_path_speed():
